@@ -5,6 +5,7 @@ corpus generator for desk-scale validation.
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -112,12 +113,15 @@ def position_length_profile(corpus: DecomposedCorpus, k: int) -> np.ndarray:
     return np.array(rows, dtype=float).mean(axis=0)
 
 
-def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> float:
-    """Pearson correlation between sentence length and preverbal
-    constituent count over reference sentences."""
+def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float]:
+    """Pearson correlation between sentence length and preverbal constituent
+    count over reference sentences; None where undefined (e.g. a single k)."""
     n_words = [len(e.tree) for e in corpus.entries]
     n_consts = [e.plan.k for e in corpus.entries]
-    return stats.pearson(n_words, n_consts)
+    try:
+        return stats.pearson(n_words, n_consts)
+    except ValueError:
+        return None
 
 
 def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
@@ -138,8 +142,7 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
             continue
         n = len(e.tree)
         def norm_dl(order):
-            tree = variants.linearize(plan, order)
-            return constituency.total_dependency_length(tree, convention) / n
+            return constituency.order_dl(plan, order, convention)[1] / n
         values = {
             "reference": norm_dl(variants.order_identity(plan)),
             "ascending": norm_dl(variants.order_ascending(plan)),

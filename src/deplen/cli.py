@@ -20,6 +20,7 @@ from .seeding import derive_rng
 log = logging.getLogger("deplen")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
+MIN_VALUES = {"cap": 2, "folds": 2, "random_draws": 1}
 
 
 class UsageError(Exception):
@@ -109,8 +110,10 @@ def _load_corpus(args):
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
     raw = path.read_bytes()
-    trees, diagnostics = treebank.parse_corpus(
-        raw.decode("utf-8"), args.format)
+    try:   # the decoded text lives only as long as the parse needs it
+        trees, diagnostics = treebank.parse_corpus(raw.decode("utf-8"), args.format)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})")
     if args.exclude_punct:
         trees = [treebank.strip_punct(t) for t in trees]
     for d in diagnostics:
@@ -186,13 +189,14 @@ def cmd_variants(args):
             vset = variants.generate_variants(
                 e.plan, args.cap, derive_rng(args.seed, e.sentence_id, "variants"))
             for order in (vset.reference_order,) + vset.sampled_variants:
-                tree = variants.linearize(e.plan, order)
+                dls, total = constituency.order_dl(e.plan, order, args.convention)
                 record = {
                     "sentence_id": e.sentence_id,
                     "permutation": list(order),
-                    "main_verb_dl": constituency.main_verb_dl(e.plan, order, args.convention),
-                    "total_dl": constituency.total_dependency_length(tree, args.convention),
-                    "tokens": [t.form for t in tree.tokens],
+                    "main_verb_dl": sum(dls),
+                    "total_dl": total,
+                    "tokens": [form for ci in order for form in e.plan.preverbal[ci].forms]
+                              + list(e.plan.postverbal_suffix),
                 }
                 f.write(json.dumps(record) + "\n")
     _write_manifest(out, args, corpus_hash,
@@ -200,16 +204,20 @@ def cmd_variants(args):
     return EXIT_OK
 
 
-def cmd_strategies(args):
-    corpus, _, corpus_hash = _decomposed(args)
-    out = _outdir(args)
+def _write_curves(out: Path, args, corpus):
     curves = analysis.strategy_curves(
         corpus, seed=args.seed, random_draws=args.random_draws,
         k_range=(args.k_min, args.k_max), convention=args.convention)
-    rows = [(k, strategy, f"{value:.6f}")
-            for strategy, per_k in curves.items()
-            for k, value in per_k.items()]
-    _write_csv(out / "fig4_curves.csv", ["k", "strategy", "mean_normalized_dl"], rows)
+    _write_csv(out / "fig4_curves.csv", ["k", "strategy", "mean_normalized_dl"],
+               [(k, strategy, f"{value:.6f}")
+                for strategy, per_k in curves.items()
+                for k, value in per_k.items()])
+
+
+def cmd_strategies(args):
+    corpus, _, corpus_hash = _decomposed(args)
+    out = _outdir(args)
+    _write_curves(out, args, corpus)
     _write_manifest(out, args, corpus_hash, {"eligible": len(corpus.entries)})
     return EXIT_OK
 
@@ -220,10 +228,18 @@ def _dataset(args, corpus):
         convention=args.convention, jobs=args.jobs)
 
 
-def cmd_features(args):
+def _dataset_command(args, write):
+    """features, fit and classify: the pairwise dataset, `write`'s products."""
     corpus, _, corpus_hash = _decomposed(args)
     out = _outdir(args)
     dataset = _dataset(args, corpus)
+    write(out, args, dataset)
+    _write_manifest(out, args, corpus_hash,
+                    {"pairs": len(dataset), "transform_diagnostics": dataset.diagnostics})
+    return EXIT_OK
+
+
+def _write_features(out: Path, args, dataset):
     by_k = {}
     for ex in dataset.examples:
         by_k.setdefault(ex.k, []).append(ex)
@@ -232,34 +248,31 @@ def cmd_features(args):
         rows = [[*(f"{v:g}" for v in ex.delta), ex.label, ex.pair_id]
                 for ex in group]
         _write_csv(out / f"features_k{k}.csv", header, rows)
-    _write_manifest(out, args, corpus_hash,
-                    {"pairs": len(dataset), "transform_diagnostics": dataset.diagnostics})
-    return EXIT_OK
 
 
-def _regressions(args, dataset):
-    tables = {}
+def cmd_features(args):
+    return _dataset_command(args, _write_features)
+
+
+def _write_regressions(out: Path, args, dataset):
     for family, filename in (("deplen", "table1_regression.json"),
                              ("length", "table2_regression.json")):
-        per_k = {}
-        for k in range(args.k_min, args.k_max + 1):
-            per_k[str(k)] = analysis.regression_table(
-                dataset, k, family, folds=args.folds, seed=args.seed)
-        tables[filename] = per_k
-    return tables
+        per_k = {str(k): analysis.regression_table(
+                     dataset, k, family, folds=args.folds, seed=args.seed)
+                 for k in range(args.k_min, args.k_max + 1)}
+        (out / filename).write_text(json.dumps(per_k, indent=2))
 
 
 def cmd_fit(args):
-    corpus, _, corpus_hash = _decomposed(args)
-    out = _outdir(args)
-    dataset = _dataset(args, corpus)
-    for filename, table in _regressions(args, dataset).items():
-        (out / filename).write_text(json.dumps(table, indent=2))
-    _write_manifest(out, args, corpus_hash, {"pairs": len(dataset)})
-    return EXIT_OK
+    return _dataset_command(args, _write_regressions)
 
 
-def _write_suite(out: Path, rows):
+def _write_suite(out: Path, args, dataset):
+    try:
+        rows = analysis.run_classification_suite(
+            dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
+    except analysis.InsufficientDataError as e:
+        raise DataError(str(e))
     for table, filename in (("table3", "table3_accuracy.csv"),
                             ("table4", "table4_accuracy.csv")):
         _write_csv(out / filename,
@@ -270,17 +283,7 @@ def _write_suite(out: Path, rows):
 
 
 def cmd_classify(args):
-    corpus, _, corpus_hash = _decomposed(args)
-    out = _outdir(args)
-    dataset = _dataset(args, corpus)
-    try:
-        rows = analysis.run_classification_suite(
-            dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
-    except analysis.InsufficientDataError as e:
-        raise DataError(str(e))
-    _write_suite(out, rows)
-    _write_manifest(out, args, corpus_hash, {"pairs": len(dataset)})
-    return EXIT_OK
+    return _dataset_command(args, _write_suite)
 
 
 def cmd_synth(args):
@@ -317,24 +320,11 @@ def cmd_report_all(args):
             (k, pos + 1, f"{mean:.4f}") for pos, mean in enumerate(profile))
     _write_csv(out / "fig2_profile.csv", ["k", "position", "mean_length"], profile_rows)
 
-    curves = analysis.strategy_curves(
-        corpus, seed=args.seed, random_draws=args.random_draws,
-        k_range=(args.k_min, args.k_max), convention=args.convention)
-    _write_csv(out / "fig4_curves.csv", ["k", "strategy", "mean_normalized_dl"],
-               [(k, strategy, f"{value:.6f}")
-                for strategy, per_k in curves.items()
-                for k, value in per_k.items()])
-
+    _write_curves(out, args, corpus)
     dataset = _dataset(args, corpus)
     log.info("pairwise dataset: %d examples", len(dataset))
-    for filename, table in _regressions(args, dataset).items():
-        (out / filename).write_text(json.dumps(table, indent=2))
-    try:
-        rows = analysis.run_classification_suite(
-            dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
-    except analysis.InsufficientDataError as e:
-        raise DataError(str(e))
-    _write_suite(out, rows)
+    _write_regressions(out, args, dataset)
+    _write_suite(out, args, dataset)
 
     _write_manifest(out, args, corpus_hash, {
         "eligible": len(corpus.entries),
@@ -342,8 +332,7 @@ def cmd_report_all(args):
         "parse_diagnostics": len(diagnostics),
         "pairs": len(dataset),
         "corr_sentence_length_vs_constituents":
-            analysis.sentence_length_constituent_corr(corpus)
-            if len(corpus.entries) >= 2 else None,
+            analysis.sentence_length_constituent_corr(corpus),
     })
     return EXIT_OK
 
@@ -370,6 +359,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(args, parser)
+        for key, lo in MIN_VALUES.items():   # flags and config file alike
+            if getattr(args, key) < lo:
+                raise UsageError(f"argument --{key.replace('_', '-')}: "
+                                 f"must be >= {lo}, got {getattr(args, key)}")
         return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

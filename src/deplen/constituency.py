@@ -8,6 +8,7 @@ comparison but is never the default.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .treebank import DependencyTree, NonProjectiveError, is_projective, subtree_yield
@@ -19,6 +20,7 @@ __all__ = [
     "decompose",
     "arc_distance",
     "total_dependency_length",
+    "order_dl",
     "constituent_dl",
     "main_verb_dl",
     "main_verb_dl_closed_form",
@@ -82,6 +84,14 @@ class SentencePlan:
     def lengths(self) -> tuple:
         return tuple(c.length for c in self.preverbal)
 
+    @cached_property
+    def fixed_arcs(self) -> tuple:
+        """(count, summed |head - dependent|) of the arcs that no reordering
+        of the preverbal constituents moves: all but the head-to-verb arcs."""
+        heads = {c.head_index for c in self.preverbal}
+        spans = [abs(h - d) for h, d in self.tree.arcs() if d not in heads]
+        return len(spans), sum(spans)
+
 
 def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     """Split a projective tree into preverbal constituents + frozen suffix.
@@ -118,35 +128,33 @@ def total_dependency_length(tree: DependencyTree,
     return sum(arc_distance(h, d, convention) for h, d in tree.arcs())
 
 
-def _positions(plan: SentencePlan, order: Sequence[int]):
-    """Per-constituent (new head position, position index) under `order`.
-
-    `order` holds indices into plan.preverbal, front to verb. Returns a dict
-    keyed by constituent index: head position in the reordered sentence.
-    """
-    head_pos = {}
-    start = 1
+def order_dl(plan: SentencePlan, order: Sequence[int],
+             convention: str = "intervening") -> tuple:
+    """(per-position head-to-verb distances, total DL) under `order`, in one
+    pass over the constituents: only these k arcs move under permutation,
+    every other arc adds the same length, from the plan's `fixed_arcs`."""
+    dls, start = [], 1
     for ci in order:
         c = plan.preverbal[ci]
-        head_pos[ci] = start + (c.head_index - c.span[0])
+        dls.append(arc_distance(start + c.head_index - c.span[0],
+                                plan.verb_index, convention))
         start += c.length
-    return head_pos, start  # start == new verb position
+    count, span_sum = plan.fixed_arcs
+    fixed = span_sum - count if convention == "intervening" else span_sum
+    return tuple(dls), sum(dls) + fixed
 
 
 def constituent_dl(plan: SentencePlan, order: Sequence[int], which: int,
                    convention: str = "intervening") -> int:
-    """Distance between constituent `which`'s head and the verb under `order`."""
-    if which not in order:
-        raise ValueError("constituent not in the given order")
-    head_pos, verb_pos = _positions(plan, order)
-    return arc_distance(head_pos[which], verb_pos, convention)
+    """Distance between constituent `which`'s head and the verb under `order`;
+    ValueError if `which` is not in `order`."""
+    return order_dl(plan, order, convention)[0][list(order).index(which)]
 
 
 def main_verb_dl(plan: SentencePlan, order: Sequence[int],
                  convention: str = "intervening") -> int:
-    """Sum of head-to-verb distances over all preverbal constituents, arc by arc."""
-    head_pos, verb_pos = _positions(plan, order)
-    return sum(arc_distance(p, verb_pos, convention) for p in head_pos.values())
+    """Sum of head-to-verb distances over all preverbal constituents."""
+    return sum(order_dl(plan, order, convention)[0])
 
 
 def main_verb_dl_closed_form(plan: SentencePlan, order: Sequence[int]) -> int:

@@ -11,9 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constituency import (SentencePlan, constituent_dl,
-                           total_dependency_length)
-from .variants import linearize
+from .constituency import SentencePlan, order_dl
 
 __all__ = [
     "FeatureVector",
@@ -59,10 +57,9 @@ def extract_features(plan: SentencePlan, order,
                      convention: str = "intervening") -> FeatureVector:
     """Predictors of one linearization: total DL plus the per-position
     constituent dependency lengths and word counts."""
-    tree = linearize(plan, order)
-    dls = tuple(constituent_dl(plan, order, ci, convention) for ci in order)
+    dls, total = order_dl(plan, order, convention)
     lengths = tuple(plan.preverbal[ci].length for ci in order)
-    return FeatureVector(total_dependency_length(tree, convention), dls, lengths)
+    return FeatureVector(total, dls, lengths)
 
 
 def joachims_transform(pairs: Sequence[tuple], pair_ids: Optional[Sequence] = None):

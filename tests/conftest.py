@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from deplen.treebank import DependencyTree, Token
 from deplen.constituency import SentencePlan, decompose
@@ -52,3 +53,32 @@ def random_plans(seed: int, count: int, k_max: int = 6) -> list:
         assert isinstance(plan, SentencePlan)
         plans.append(plan)
     return plans
+
+
+@st.composite
+def eligible_plans(draw, k_max: int = 6, max_length: int = 8) -> SentencePlan:
+    """Projective trees, decomposed: k preverbal constituents,
+    each head anywhere in its span with the other tokens attached to their
+    inward neighbour or to the head, then the verb and up to 3 postverbal
+    tokens attached to the verb or to their left neighbour."""
+    k = draw(st.integers(2, k_max))
+    lengths = draw(st.lists(st.integers(1, max_length), min_size=k, max_size=k))
+    verb = sum(lengths) + 1
+    tokens, start = [], 1
+    for length in lengths:
+        head = start + draw(st.integers(0, length - 1))
+        for pos in range(start, start + length):
+            if pos == head:
+                tokens.append(Token(pos, f"w{pos}", verb, "arg"))
+            else:
+                inward = pos + 1 if pos < head else pos - 1
+                tokens.append(Token(pos, f"w{pos}",
+                                    draw(st.sampled_from([inward, head])), "mod"))
+        start += length
+    tokens.append(Token(verb, f"w{verb}", 0, "root"))
+    for pos in range(verb + 1, verb + 1 + draw(st.integers(0, 3))):
+        tokens.append(Token(pos, f"w{pos}",
+                            draw(st.sampled_from([verb, pos - 1])), "post"))
+    plan = decompose(DependencyTree(tokens))
+    assert isinstance(plan, SentencePlan) and plan.k == k
+    return plan

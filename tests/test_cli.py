@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from deplen.analysis import SyntheticSpec, generate_synthetic_corpus
 from deplen.cli import main
+from deplen.treebank import to_conllu
 
 from test_treebank import CONLLU_FIG3
 
@@ -37,6 +39,26 @@ class TestExitCodes:
     def test_nonexistent_corpus_is_data_error(self, tmp_path):
         assert main(["decompose", "--corpus", str(tmp_path / "nope.conllu"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--cap", "1", 2), ("--folds", "1", 2), ("--random-draws", "0", 1)])
+    def test_out_of_range_flag_is_usage_error(self, corpus_file, tmp_path,
+                                              capsys, flag, value, bound):
+        out = tmp_path / "o"
+        assert main(["report-all", "--corpus", str(corpus_file), flag, value,
+                     "--out", str(out)]) == 1
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == f"error: argument {flag}: must be >= {bound}, got {value}"
+        assert not out.exists()
+
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.conllu"
+        corpus.write_bytes("1\tmaa\t2\tdep\n2\td\xed\t0\troot\n".encode("latin-1"))
+        assert main(["parse", "--corpus", str(corpus), "--format", "tsv",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: not UTF-8")
+        assert len(err.splitlines()) == 1
 
 
 class TestParse:
@@ -74,6 +96,13 @@ class TestDecomposeAndVariants:
         assert set(first) == {"sentence_id", "permutation", "main_verb_dl",
                               "total_dl", "tokens"}
         assert len(first["tokens"]) == 11
+        desc = next(r for r in records if r["sentence_id"] == "s1"
+                    and r["permutation"] == [3, 2, 1, 0])
+        assert " ".join(desc["tokens"]) == \
+            "rote hue bacche ko baajaar jaate samaye maa ne toffee di"
+        # only the head-to-verb arcs move under permutation
+        assert {r["total_dl"] - r["main_verb_dl"] for r in records} == \
+            {first["total_dl"] - first["main_verb_dl"]}
         dls = {tuple(r["permutation"]): r["main_verb_dl"] for r in records
                if r["sentence_id"] == "s1"}
         assert max(dls.values()) == 23 and min(dls.values()) == 13
@@ -92,6 +121,18 @@ class TestReportAll:
         for name in names:
             assert (out1 / name).exists()
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_single_k_corpus_null_correlation(self, tmp_path):
+        spec = SyntheticSpec(n_sentences=30, k_weights=((3, 1.0),))
+        corpus = tmp_path / "k3.conllu"
+        corpus.write_text("\n".join(to_conllu(t) for t in
+                                    generate_synthetic_corpus(spec, seed=4)))
+        out = tmp_path / "r"
+        assert main(["report-all", "--corpus", str(corpus), "--folds", "3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["eligible"] == 30
+        assert manifest["corr_sentence_length_vs_constituents"] is None
 
     def test_degenerate_corpus_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "one.conllu"
@@ -115,6 +156,13 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["cap"] == 50       # from file
         assert manifest["config"]["seed"] == 7       # flag overrides file
+
+    def test_out_of_range_value_rejected(self, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cap=1\n")
+        assert main(["variants", "--corpus", str(corpus_file),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "error: argument --cap: must be >= 2, got 1" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, corpus_file, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deplen.constituency import (Ineligible, arc_distance, constituent_dl,
-                                 decompose, main_verb_dl,
-                                 main_verb_dl_closed_form,
+from deplen.constituency import (CONVENTIONS, Ineligible, arc_distance,
+                                 constituent_dl, decompose, main_verb_dl,
+                                 main_verb_dl_closed_form, order_dl,
                                  total_dependency_length)
 from deplen.treebank import DependencyTree, NonProjectiveError, Token
 from deplen.variants import linearize, order_ascending, order_descending, order_identity
 
-from conftest import FIG3_RANDOM_ORDER, random_plans
+from conftest import FIG3_RANDOM_ORDER, eligible_plans, random_plans
 
 
 class TestDecompose:
@@ -98,15 +99,23 @@ class TestInvariants:
         relin = linearize(fig3_plan, order_identity(fig3_plan))
         assert relin == fig3_tree
 
-    def test_total_minus_main_verb_constant(self, fig3_plan):
-        import itertools
-        base = None
-        for order in itertools.permutations(range(fig3_plan.k)):
-            tree = linearize(fig3_plan, order)
-            diff = total_dependency_length(tree) - main_verb_dl(fig3_plan, order)
-            if base is None:
-                base = diff
-            assert diff == base
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(plan=eligible_plans(), convention=st.sampled_from(CONVENTIONS),
+           data=st.data())
+    def test_total_minus_main_verb_constant(self, plan, convention, data):
+        """order_dl against the rebuilt tree, arc by arc: only the k
+        head-to-verb arcs move, so total - main-verb DL is the plan's own."""
+        order = data.draw(st.permutations(range(plan.k)))
+        tree = linearize(plan, order)
+        verb = tree.root_index
+        arcs = [arc_distance(t.index, verb, convention) for t in tree.tokens
+                if t.head == verb and t.index < verb]
+        dls, total = order_dl(plan, order, convention)
+        assert list(dls) == arcs
+        assert total == total_dependency_length(tree, convention)
+        assert (total - main_verb_dl(plan, order, convention)
+                == total_dependency_length(plan.tree, convention)
+                - main_verb_dl(plan, order_identity(plan), convention))
 
     def test_closed_form_on_1000_random_plans(self):
         rng = np.random.default_rng(7)

@@ -3,13 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deplen.constituency import main_verb_dl
+from deplen.constituency import CONVENTIONS, main_verb_dl
 from deplen.variants import (generate_variants, least_effort_move, linearize,
                              order_ascending, order_descending,
                              order_least_effort, order_random)
 
-from conftest import FIG3_RANDOM_ORDER, random_plans
+from conftest import FIG3_RANDOM_ORDER, eligible_plans, random_plans
 
 
 class TestGenerateVariants:
@@ -89,11 +90,13 @@ class TestLeastEffort:
                 else:
                     assert main_verb_dl(plan, result) == main_verb_dl(plan, desc)
 
-    def test_never_increases(self):
-        for i, plan in enumerate(random_plans(seed=17, count=300)):
-            start = order_random(plan, i)
-            assert (main_verb_dl(plan, least_effort_move(plan, start))
-                    <= main_verb_dl(plan, start))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(plan=eligible_plans(), convention=st.sampled_from(CONVENTIONS),
+           data=st.data())
+    def test_never_increases(self, plan, convention, data):
+        start = data.draw(st.permutations(range(plan.k)))
+        assert (main_verb_dl(plan, least_effort_move(plan, start), convention)
+                <= main_verb_dl(plan, start, convention))
 
 
 class TestLinearize:
