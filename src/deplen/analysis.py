@@ -168,75 +168,61 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
 
 @dataclass
 class PairwiseDataset:
-    examples: list                # PairwiseExamples with full positional deltas
-    diagnostics: list = field(default_factory=list)
+    """Balanced pairwise differences, one row per (reference, variant) pair
+    in corpus order. Integer deltas: `total_dl` (n,), and the per-position
+    `dl` and `length` (n, width), right-aligned so that the last column is
+    the verb-adjacent position, and zero to the left of each row's k."""
+    total_dl: np.ndarray
+    dl: np.ndarray
+    length: np.ndarray
+    ks: np.ndarray
+    sentence_ids: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ks)
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=int)
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.array([ex.k for ex in self.examples], dtype=int)
+        """1 on the even rows (reference minus variant), 0 on the odd."""
+        return (np.arange(len(self)) % 2 == 0).astype(int)
 
     def scalar_matrix(self) -> np.ndarray:
-        """Columns SCALAR_FEATURES; positional features read off each
-        example's own k (last = verb-adjacent)."""
-        rows = np.empty((len(self.examples), len(SCALAR_FEATURES)))
-        for i, ex in enumerate(self.examples):
-            k, d = ex.k, ex.delta
-            rows[i] = (d[0], d[k - 1], d[k], d[2 * k - 1], d[2 * k])
-        return rows
+        """Columns SCALAR_FEATURES."""
+        return np.column_stack([self.total_dl, self.dl[:, -2], self.dl[:, -1],
+                                self.length[:, -2], self.length[:, -1]]).astype(float)
 
     def positional_matrix(self, k: int, family: str):
         """(X, y) for the exactly-k subset; family 'deplen' or 'length'."""
-        offset = 1 if family == "deplen" else 1 + k
         if family not in ("deplen", "length"):
             raise ValueError(f"unknown feature family: {family!r}")
-        sub = [ex for ex in self.examples if ex.k == k]
-        X = np.array([ex.delta[offset:offset + k] for ex in sub])
-        y = np.array([ex.label for ex in sub], dtype=int)
-        return X, y
-
-
-def _sentence_examples(entry: CorpusEntry, cap: int, seed: int,
-                       convention: str) -> list:
-    plan = entry.plan
-    vset = variants.generate_variants(plan, cap, derive_rng(seed, entry.sentence_id, "variants"))
-    ref = features.extract_features(plan, vset.reference_order, convention)
-    return [(ref, features.extract_features(plan, order, convention))
-            for order in vset.sampled_variants]
+        cols = self.dl if family == "deplen" else self.length
+        rows = self.ks == k
+        return cols[rows, cols.shape[1] - k:].astype(float), self.labels[rows]
 
 
 def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT_CAP,
-                           seed: int = 0, convention: str = "intervening",
-                           jobs: int = 1) -> PairwiseDataset:
-    """Variant generation + feature extraction + pairwise transformation
-    for the whole corpus. Deterministic in (corpus, cap, seed) regardless
-    of worker count."""
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_sentence = list(pool.map(
-                _sentence_examples_star,
-                [(e, cap, seed, convention) for e in corpus.entries],
-                chunksize=64))
-    else:
-        per_sentence = [_sentence_examples(e, cap, seed, convention)
-                        for e in corpus.entries]
-    pairs, pair_ids = [], []
-    for entry, sent_pairs in zip(corpus.entries, per_sentence):
-        pairs.extend(sent_pairs)
-        pair_ids.extend([entry.sentence_id] * len(sent_pairs))
-    examples, diagnostics = features.joachims_transform(pairs, pair_ids)
-    return PairwiseDataset(examples, diagnostics)
-
-
-def _sentence_examples_star(args):
-    return _sentence_examples(*args)
+                           seed: int = 0, convention: str = "intervening") -> PairwiseDataset:
+    """Variant generation, feature extraction and the pairwise transformation
+    for the whole corpus, one sentence at a time. Deterministic in
+    (corpus, cap, seed)."""
+    width = max((e.plan.k for e in corpus.entries), default=2)
+    blocks = [np.zeros((0, 1 + 2 * width), dtype=np.int64)]
+    for e in corpus.entries:
+        plan, k = e.plan, e.plan.k
+        vset = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
+        rows = np.array([features.extract_features(plan, order, convention)
+                         for order in (vset.reference_order, *vset.sampled_variants)])
+        block = np.zeros((len(rows) - 1, 1 + 2 * width), dtype=np.int64)
+        block[:, np.r_[0, 1 + width - k:1 + width, 1 + 2 * width - k:1 + 2 * width]] = \
+            rows[0] - rows[1:]
+        blocks.append(block)
+    deltas = np.concatenate(blocks)
+    deltas[1::2] *= -1        # odd rows: variant minus reference
+    counts = [len(b) for b in blocks[1:]]
+    return PairwiseDataset(
+        deltas[:, 0], deltas[:, 1:1 + width], deltas[:, 1 + width:],
+        np.repeat(np.array([e.plan.k for e in corpus.entries], dtype=int), counts),
+        np.repeat(np.array([e.sentence_id for e in corpus.entries], dtype=str), counts))
 
 
 def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,

@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, analysis, constituency, features, treebank, variants
 from .seeding import derive_rng
 
@@ -21,6 +23,7 @@ log = logging.getLogger("deplen")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 MIN_VALUES = {"cap": 2, "folds": 2, "random_draws": 1}
+SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class UsageError(Exception):
@@ -49,7 +52,8 @@ def _add_common(p):
     p.add_argument("--zscore", default="fold", choices=["fold", "global"])
     p.add_argument("--random-draws", type=int, default=10,
                    help="seeded draws per sentence for random/least-effort curves")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="must be 1: the pairwise build is serial")
     p.add_argument("--out", help="output directory")
     p.add_argument("--exclude-punct", action="store_true",
                    help="drop punctuation tokens before all distance metrics")
@@ -68,16 +72,17 @@ def build_parser() -> _Parser:
     synth.add_argument("--sentences", type=int, default=1000)
     synth.add_argument("--p-least-effort", type=float, default=1.0)
     synth.add_argument("--noise-temperature", type=float, default=0.0)
+    parser.subcommands = sub.choices
     return parser
 
 
-def _apply_config_file(args, parser):
-    if not args.config:
-        return args
-    path = Path(args.config)
+def _config_defaults(path: Path, subparser) -> dict:
+    """The file's key=value lines, each converted and checked by the
+    subcommand's own option, as a dict of defaults."""
     if not path.exists():
         raise DataError(f"config file not found: {path}")
-    overrides = {}
+    defaults = vars(subparser.parse_args([]))
+    values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -85,21 +90,39 @@ def _apply_config_file(args, parser):
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
-        overrides[key.replace("-", "_")] = value
-    # flags explicitly given on the command line win over file values
-    defaults = vars(parser.parse_args([args.command]))
-    for key, value in overrides.items():
+        key = key.replace("-", "_")
         if key not in defaults:
             raise DataError(f"unknown config key: {key}")
-        if getattr(args, key) == defaults[key]:
-            cur = defaults[key]
-            if isinstance(cur, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(cur, int):
-                value = int(value)
-            elif isinstance(cur, float):
-                value = float(value)
-            setattr(args, key, value)
+        flag = f"--{key.replace('_', '-')}"
+        if isinstance(defaults[key], bool):
+            if value.lower() not in SWITCH_VALUES:
+                raise DataError(f"{path}:{lineno}: argument {flag}: "
+                                f"expected one of {', '.join(SWITCH_VALUES)}, got {value!r}")
+            values[key] = SWITCH_VALUES[value.lower()]
+            continue
+        try:
+            values[key] = getattr(subparser.parse_args([f"{flag}={value}"]), key)
+        except UsageError as e:
+            raise DataError(f"{path}:{lineno}: {e}")
+    return values
+
+
+def _parse_args(parser, argv):
+    """Parse argv; values from a --config file become the subcommand's
+    defaults, so flags given on the command line win over them."""
+    args = parser.parse_args(argv)
+    if args.config:
+        subparser = parser.subcommands[args.command]
+        subparser.set_defaults(**_config_defaults(Path(args.config), subparser))
+        args = parser.parse_args(argv)
+    lower = {**MIN_VALUES, "k_max": args.k_min}   # flags and config file alike
+    for key, lo in lower.items():
+        if getattr(args, key) < lo:
+            raise UsageError(f"argument --{key.replace('_', '-')}: "
+                             f"must be >= {lo}, got {getattr(args, key)}")
+    if args.jobs != 1:
+        raise UsageError(f"argument --jobs: the pairwise build is serial, "
+                         f"only 1 is accepted, got {args.jobs}")
     return args
 
 
@@ -224,8 +247,7 @@ def cmd_strategies(args):
 
 def _dataset(args, corpus):
     return analysis.build_pairwise_dataset(
-        corpus, cap=args.cap, seed=args.seed,
-        convention=args.convention, jobs=args.jobs)
+        corpus, cap=args.cap, seed=args.seed, convention=args.convention)
 
 
 def _dataset_command(args, write):
@@ -234,20 +256,21 @@ def _dataset_command(args, write):
     out = _outdir(args)
     dataset = _dataset(args, corpus)
     write(out, args, dataset)
-    _write_manifest(out, args, corpus_hash,
-                    {"pairs": len(dataset), "transform_diagnostics": dataset.diagnostics})
+    _write_manifest(out, args, corpus_hash, {"pairs": len(dataset)})
     return EXIT_OK
 
 
 def _write_features(out: Path, args, dataset):
-    by_k = {}
-    for ex in dataset.examples:
-        by_k.setdefault(ex.k, []).append(ex)
-    for k, group in sorted(by_k.items()):
-        header = features.feature_names(k) + ["label", "pair_id"]
-        rows = [[*(f"{v:g}" for v in ex.delta), ex.label, ex.pair_id]
-                for ex in group]
-        _write_csv(out / f"features_k{k}.csv", header, rows)
+    labels, width = dataset.labels, dataset.dl.shape[1]
+    for k in sorted(set(dataset.ks.tolist())):
+        rows = dataset.ks == k
+        deltas = np.column_stack([dataset.total_dl[rows], dataset.dl[rows, width - k:],
+                                  dataset.length[rows, width - k:]])
+        _write_csv(out / f"features_k{k}.csv",
+                   features.feature_names(k) + ["label", "pair_id"],
+                   [[*(f"{v:g}" for v in row), label, pair_id] for row, label, pair_id
+                    in zip(deltas.tolist(), labels[rows].tolist(),
+                           dataset.sentence_ids[rows].tolist())])
 
 
 def cmd_features(args):
@@ -357,12 +380,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(args, parser)
-        for key, lo in MIN_VALUES.items():   # flags and config file alike
-            if getattr(args, key) < lo:
-                raise UsageError(f"argument --{key.replace('_', '-')}: "
-                                 f"must be >= {lo}, got {getattr(args, key)}")
+        args = _parse_args(parser, argv)
         return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -18,10 +18,11 @@ from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
                              position_length_profile, regression_table,
                              run_classification_suite)
 from deplen.constituency import constituent_dl, main_verb_dl, main_verb_dl_closed_form
-from deplen.features import extract_features, joachims_transform
+from deplen.features import extract_features
+from deplen.seeding import derive_rng
 from deplen.stats import crossval_accuracy, fit_logistic, mcnemar
-from deplen.variants import (least_effort_move, order_ascending,
-                             order_descending, order_identity, order_random)
+from deplen.variants import (generate_variants, least_effort_move, order_ascending,
+                             order_descending, order_random)
 
 from conftest import FIG3_RANDOM_ORDER, random_plans
 
@@ -98,7 +99,7 @@ def test_criterion_4_closed_form_equivalence():
               "plans, exactly")
 
 
-def test_criterion_5_joachims_transform():
+def test_criterion_5_pairwise_transform():
     corpus = decompose_corpus(generate_synthetic_corpus(
         SyntheticSpec(n_sentences=120, p_least_effort=0.5), seed=1005))
     dataset = build_pairwise_dataset(corpus, cap=100, seed=6)
@@ -107,11 +108,19 @@ def test_criterion_5_joachims_transform():
     assert len(dataset) == n_pairs
     assert abs(dataset.labels.mean() - 0.5) <= 1 / n_pairs
 
-    plan = corpus.plans[0]
-    ref = extract_features(plan, order_identity(plan))
-    var = extract_features(plan, order_ascending(plan))
-    fwd, _ = joachims_transform([(ref, var), (ref, var)])
-    assert np.array_equal(fwd[0].delta, -fwd[1].delta)
+    # the first sentence twice under one id: one variant, oriented both ways
+    entry = corpus.entries[0]
+    twice = decompose_corpus([entry.tree] * 2, sentence_ids=[entry.sentence_id] * 2)
+    pair = build_pairwise_dataset(twice, cap=2, seed=6)
+    vset = generate_variants(entry.plan, 2, derive_rng(6, entry.sentence_id, "variants"))
+    delta = np.subtract(extract_features(entry.plan, vset.reference_order),
+                        extract_features(entry.plan, vset.sampled_variants[0]))
+    k = entry.plan.k
+    assert pair.total_dl.tolist() == [delta[0], -delta[0]]
+    assert np.array_equal(pair.dl[0, -k:], delta[1:1 + k])
+    assert np.array_equal(pair.length[0, -k:], delta[1 + k:])
+    for arr in (pair.total_dl, pair.dl, pair.length):
+        assert np.array_equal(arr[0], -arr[1])
     report(5, f"N in = N out ({n_pairs}), labels balanced within 1/N, "
               f"orientation swap negates delta exactly")
 

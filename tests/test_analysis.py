@@ -10,7 +10,10 @@ from deplen.analysis import (InsufficientDataError, SyntheticSpec,
                              run_classification_suite,
                              sentence_length_constituent_corr, strategy_curves)
 from deplen.constituency import decompose
+from deplen.features import extract_features
+from deplen.seeding import derive_rng
 from deplen.treebank import DependencyTree, Token
+from deplen.variants import generate_variants
 
 
 
@@ -118,24 +121,30 @@ class TestPairwiseDataset:
         assert len(dataset) == expected
         assert abs(dataset.labels.mean() - 0.5) <= 1 / len(dataset)
 
-    def test_jobs_parallel_identical(self):
-        corpus = synthetic_corpus(20, 1.0, seed=12)
-        serial = build_pairwise_dataset(corpus, cap=50, seed=4, jobs=1)
-        parallel = build_pairwise_dataset(corpus, cap=50, seed=4, jobs=2)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial.examples, parallel.examples):
-            assert np.array_equal(a.delta, b.delta)
-            assert a.label == b.label and a.pair_id == b.pair_id
-
     def test_scalar_matrix_layout(self):
         corpus = synthetic_corpus(10, 1.0, seed=13)
         dataset = build_pairwise_dataset(corpus, cap=24, seed=0)
         scalars = dataset.scalar_matrix()
-        ex = dataset.examples[0]
-        k = ex.k
-        assert scalars[0, 0] == ex.delta[0]            # total_dl
-        assert scalars[0, 2] == ex.delta[k]            # dl_last
-        assert scalars[0, 4] == ex.delta[2 * k]        # len_last
+        entry = corpus.entries[0]
+        k = entry.plan.k
+        vset = generate_variants(entry.plan, 24, derive_rng(0, entry.sentence_id, "variants"))
+        delta = np.subtract(extract_features(entry.plan, vset.reference_order),
+                            extract_features(entry.plan, vset.sampled_variants[0]))
+        # total_dl, dl_2ndlast, dl_last, len_2ndlast, len_last
+        assert scalars[0].tolist() == [delta[0], delta[k - 1], delta[k],
+                                       delta[2 * k - 1], delta[2 * k]]
+        width = dataset.dl.shape[1]
+        for k in set(dataset.ks.tolist()):
+            rows = dataset.ks == k
+            for family, col in (("deplen", 2), ("length", 4)):
+                X, y = dataset.positional_matrix(k, family)
+                assert X.shape == (rows.sum(), k)
+                assert np.array_equal(X[:, -1], scalars[rows, col])
+                assert np.array_equal(y, dataset.labels[rows])
+            assert not dataset.dl[rows, :width - k].any()
+            assert not dataset.length[rows, :width - k].any()
+        with pytest.raises(ValueError, match="family"):
+            dataset.positional_matrix(2, "bogus")
 
 
 class TestClassificationSuite:

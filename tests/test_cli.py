@@ -1,10 +1,14 @@
+import csv
 import json
 
 import pytest
 
-from deplen.analysis import SyntheticSpec, generate_synthetic_corpus
+from deplen.analysis import SyntheticSpec, decompose_corpus, generate_synthetic_corpus
 from deplen.cli import main
-from deplen.treebank import to_conllu
+from deplen.features import extract_features, feature_names
+from deplen.seeding import derive_rng
+from deplen.treebank import parse_corpus, to_conllu
+from deplen.variants import generate_variants
 
 from test_treebank import CONLLU_FIG3
 
@@ -41,7 +45,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("flag, value, bound", [
-        ("--cap", "1", 2), ("--folds", "1", 2), ("--random-draws", "0", 1)])
+        ("--cap", "1", 2), ("--folds", "1", 2), ("--random-draws", "0", 1),
+        ("--k-max", "1", 2)])
     def test_out_of_range_flag_is_usage_error(self, corpus_file, tmp_path,
                                               capsys, flag, value, bound):
         out = tmp_path / "o"
@@ -50,6 +55,16 @@ class TestExitCodes:
         first = capsys.readouterr().err.splitlines()[0]
         assert first == f"error: argument {flag}: must be >= {bound}, got {value}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config", [(["--jobs", "2"], ""), ([], "jobs=2\n")],
+                             ids=["flag", "config"])
+    def test_jobs_other_than_one_is_usage_error(self, corpus_file, tmp_path,
+                                                capsys, argv, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(["features", "--corpus", str(corpus_file), "--config", str(cfg),
+                     *argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --jobs: ")
 
     def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "latin1.conllu"
@@ -108,6 +123,36 @@ class TestDecomposeAndVariants:
         assert max(dls.values()) == 23 and min(dls.values()) == 13
 
 
+class TestFeatures:
+    def test_rows_are_oriented_pair_deltas(self, tmp_path):
+        corpus = synth_corpus(tmp_path, sentences=30, p=0.5)
+        out = tmp_path / "run"
+        assert main(["features", "--corpus", str(corpus), "--seed", "4",
+                     "--cap", "30", "--out", str(out)]) == 0
+        trees, _ = parse_corpus(corpus.read_text())
+        entries = decompose_corpus(trees).entries
+        expected, ordinal = {}, 0      # k -> rows in corpus order
+        for e in entries:
+            vset = generate_variants(e.plan, 30, derive_rng(4, e.sentence_id, "variants"))
+            ref = extract_features(e.plan, vset.reference_order)
+            for order in vset.sampled_variants:
+                sign = 1 if ordinal % 2 == 0 else -1
+                delta = [sign * (r - v) for r, v in
+                         zip(ref, extract_features(e.plan, order))]
+                expected.setdefault(e.plan.k, []).append(
+                    [*map(str, delta), str(int(sign == 1)), e.sentence_id])
+                ordinal += 1
+        assert sorted(p.name for p in out.glob("features_k*.csv")) == \
+            [f"features_k{k}.csv" for k in sorted(expected)]
+        for k, rows in expected.items():
+            with (out / f"features_k{k}.csv").open(newline="") as f:
+                header, *got = list(csv.reader(f))
+            assert header == feature_names(k) + ["label", "pair_id"]
+            assert got == rows
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pairs"] == ordinal
+
+
 class TestReportAll:
     def test_full_run_and_idempotence(self, tmp_path):
         corpus = synth_corpus(tmp_path, sentences=80)
@@ -163,6 +208,32 @@ class TestConfigFile:
         assert main(["variants", "--corpus", str(corpus_file),
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "error: argument --cap: must be >= 2, got 1" in capsys.readouterr().err
+
+    def test_explicit_flag_at_default_wins(self, corpus_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\n")
+        out = tmp_path / "run"
+        assert main(["variants", "--corpus", str(corpus_file),
+                     "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 0
+
+    @pytest.mark.parametrize("line", ["cap=abc", "convention=bogus",
+                                      "zscore=bogus", "format=xml",
+                                      "exclude-punct=ture"])
+    def test_bad_typed_value_is_data_error(self, corpus_file, tmp_path,
+                                           capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run settings\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["report-all", "--corpus", str(corpus_file),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        key = line.split("=")[0]
+        assert err[0].startswith(f"error: {cfg}:2: argument --{key}: ")
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, corpus_file, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,79 +1,107 @@
+import math
+
 import numpy as np
 
-from deplen.features import (FeatureVector, extract_features, feature_names,
-                             joachims_transform, zscore)
-from deplen.variants import order_ascending, order_descending, order_identity
+from deplen.analysis import (CorpusEntry, DecomposedCorpus, build_pairwise_dataset,
+                             decompose_corpus)
+from deplen.constituency import order_dl
+from deplen.features import extract_features, feature_names, zscore
+from deplen.seeding import derive_rng
+from deplen.treebank import DependencyTree, Token
+from deplen.variants import (generate_variants, order_ascending, order_descending,
+                             order_identity)
 
 from conftest import random_plans
 
 
 class TestExtractFeatures:
     def test_fig3b(self, fig3_plan):
-        fv = extract_features(fig3_plan, order_descending(fig3_plan))
-        assert fv.constituent_dl == (7, 4, 2, 0)
-        assert fv.constituent_length == (4, 3, 2, 1)
-        assert sum(fv.constituent_dl) == 13
+        row = extract_features(fig3_plan, order_descending(fig3_plan))
+        assert row[1:5] == (7, 4, 2, 0)
+        assert row[5:] == (4, 3, 2, 1)
+        assert sum(row[1:5]) == 13
 
     def test_fig3a(self, fig3_plan):
-        fv = extract_features(fig3_plan, order_ascending(fig3_plan))
-        assert fv.constituent_dl == (9, 8, 5, 1)
+        row = extract_features(fig3_plan, order_ascending(fig3_plan))
+        assert row[1:5] == (9, 8, 5, 1)
 
     def test_array_layout(self, fig3_plan):
-        fv = extract_features(fig3_plan, order_identity(fig3_plan))
-        arr = fv.as_array()
-        assert len(arr) == 1 + 2 * fv.k
-        assert arr[0] == fv.total_dl
-        assert feature_names(fv.k)[0] == "total_dl"
-        assert feature_names(fv.k)[-1] == "len_pos4"
+        order = order_identity(fig3_plan)
+        row = extract_features(fig3_plan, order)
+        names = feature_names(fig3_plan.k)
+        assert len(row) == len(names) == 1 + 2 * fig3_plan.k
+        assert row[0] == order_dl(fig3_plan, order)[1]
+        assert names[0] == "total_dl"
+        assert names[-1] == "len_pos4"
+
+
+def pair_deltas(entry, cap, seed=0):
+    """reference - variant rows from extract_features, in sampling order."""
+    vset = generate_variants(entry.plan, cap, derive_rng(seed, entry.sentence_id, "variants"))
+    ref = np.array(extract_features(entry.plan, vset.reference_order))
+    return [ref - extract_features(entry.plan, order) for order in vset.sampled_variants]
+
+
+def dataset_rows(dataset):
+    """Each row in feature_names(k) order, read back off the padded arrays."""
+    width = dataset.dl.shape[1]
+    return [np.concatenate([[t], d[width - k:], l[width - k:]])
+            for t, d, l, k in zip(dataset.total_dl, dataset.dl, dataset.length, dataset.ks)]
 
 
 class TestJoachimsTransform:
-    def _pairs(self, n):
-        ref = FeatureVector(10, (3, 1), (2, 1))
-        var = FeatureVector(12, (4, 2), (1, 2))
-        return [(ref, var)] * n
+    """The balanced pairwise transformation of build_pairwise_dataset."""
 
-    def test_count_preserved(self):
-        examples, diags = joachims_transform(self._pairs(7))
-        assert len(examples) == 7 and diags == []
+    def test_count_preserved(self, fig3_tree):
+        corpus = decompose_corpus([fig3_tree] * 7)
+        for cap, per_sentence in ((2, 1), (24, 23)):
+            dataset = build_pairwise_dataset(corpus, cap=cap)
+            assert len(dataset) == 7 * per_sentence
+            assert dataset.dl.shape == dataset.length.shape == (len(dataset), 4)
+            assert len(dataset.total_dl) == len(dataset.sentence_ids) == len(dataset)
 
-    def test_alternating_labels(self):
-        examples, _ = joachims_transform(self._pairs(6))
-        assert [ex.label for ex in examples] == [1, 0, 1, 0, 1, 0]
+    def test_alternating_labels(self, fig3_tree):
+        dataset = build_pairwise_dataset(decompose_corpus([fig3_tree] * 6), cap=2)
+        assert dataset.labels.tolist() == [1, 0, 1, 0, 1, 0]
+        # 23 variants per sentence: orientation follows the global row ordinal
+        dataset = build_pairwise_dataset(decompose_corpus([fig3_tree] * 2), cap=24)
+        assert dataset.labels.tolist() == [1, 0] * 23
 
-    def test_label_balance(self):
+    def test_label_balance(self, fig3_tree):
         for n in (5, 6, 101):
-            examples, _ = joachims_transform(self._pairs(n))
-            mean = np.mean([ex.label for ex in examples])
-            assert abs(mean - 0.5) <= 1 / n
+            dataset = build_pairwise_dataset(decompose_corpus([fig3_tree] * n), cap=2)
+            assert abs(dataset.labels.mean() - 0.5) <= 1 / n
 
-    def test_antisymmetry(self):
-        examples, _ = joachims_transform(self._pairs(2))
-        assert np.array_equal(examples[0].delta, -examples[1].delta)
+    def test_antisymmetry(self, fig3_tree):
+        # one sentence id twice: the same variant drawn, oriented both ways
+        corpus = decompose_corpus([fig3_tree] * 2, sentence_ids=["a", "a"])
+        dataset = build_pairwise_dataset(corpus, cap=2)
+        first, second = dataset_rows(dataset)
+        assert np.array_equal(first, -second)
+        assert np.array_equal(first, pair_deltas(corpus.entries[0], cap=2)[0])
 
     def test_identical_vectors_zero_delta(self):
-        ref = FeatureVector(10, (3, 1), (2, 1))
-        examples, _ = joachims_transform([(ref, ref)])
-        assert not examples[0].delta.any()
-        assert examples[0].label == 1
-
-    def test_mismatched_k_skipped(self):
-        ref = FeatureVector(10, (3, 1), (2, 1))
-        bad = FeatureVector(10, (3, 1, 0), (2, 1, 1))
-        examples, diags = joachims_transform([(ref, bad), (ref, ref)])
-        assert len(examples) == 1
-        assert len(diags) == 1 and "mismatch" in diags[0]
+        # two one-word constituents: the swapped order has the same features
+        tree = DependencyTree([Token(1, "a", 3, "dep"), Token(2, "b", 3, "dep"),
+                               Token(3, "v", 0, "root")])
+        dataset = build_pairwise_dataset(decompose_corpus([tree, tree]))
+        assert len(dataset) == 2 and dataset.labels.tolist() == [1, 0]
+        for arr in (dataset.total_dl, dataset.dl, dataset.length):
+            assert arr.dtype.kind == "i" and not arr.any()
+        # integer deltas: the flipped odd row prints as 0, never -0
+        assert [f"{v:g}" for v in dataset.scalar_matrix()[1]] == ["0"] * 5
 
     def test_corpus_scale_balance(self):
         plans = random_plans(seed=4, count=40)
-        pairs = []
-        for plan in plans:
-            ref = extract_features(plan, order_identity(plan))
-            var = extract_features(plan, order_descending(plan))
-            pairs.append((ref, var))
-        examples, _ = joachims_transform(pairs)
-        assert len(examples) == len(pairs)
-        assert abs(np.mean([e.label for e in examples]) - 0.5) <= 1 / len(pairs)
+        corpus = DecomposedCorpus([CorpusEntry(f"p{i}", plan.tree, plan)
+                                   for i, plan in enumerate(plans)])
+        dataset = build_pairwise_dataset(corpus, cap=100)
+        n_pairs = sum(min(math.factorial(p.k) - 1, 99) for p in plans)
+        assert len(dataset) == n_pairs
+        assert abs(dataset.labels.mean() - 0.5) <= 1 / n_pairs
+        expected = [d for e in corpus.entries for d in pair_deltas(e, cap=100)]
+        for ordinal, (row, delta) in enumerate(zip(dataset_rows(dataset), expected)):
+            assert np.array_equal(row, delta if ordinal % 2 == 0 else -delta)
 
 
 class TestZscore:
