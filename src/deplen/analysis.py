@@ -9,10 +9,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import constituency, features, stats, treebank, variants
+from . import constituency, features, stats, variants
 from .constituency import Ineligible, SentencePlan, decompose
 from .seeding import derive_rng
-from .treebank import DependencyTree, Token
+from .treebank import DependencyTree, NonProjectiveError, Token
 
 __all__ = [
     "CorpusEntry",
@@ -72,10 +72,10 @@ def decompose_corpus(trees, sentence_ids=None) -> DecomposedCorpus:
     entries, skipped = [], {}
     for i, tree in enumerate(trees):
         sid = sentence_ids[i] if sentence_ids is not None else f"s{i + 1}"
-        if not treebank.is_projective(tree):
-            skipped["non-projective"] = skipped.get("non-projective", 0) + 1
-            continue
-        plan = decompose(tree)
+        try:
+            plan = decompose(tree)
+        except NonProjectiveError:
+            plan = Ineligible("non-projective")
         if isinstance(plan, Ineligible):
             skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
             continue

@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p):
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--corpus", help="input corpus path")
-    p.add_argument("--format", default="conllu", choices=["conllu", "tsv"])
+    p.add_argument("--format", default="conllu", choices=list(treebank.FORMATS))
     p.add_argument("--cap", type=int, default=variants.DEFAULT_CAP,
                    help="variant sampling ceiling per sentence")
     p.add_argument("--seed", type=int, default=0)
@@ -94,6 +94,9 @@ def _config_defaults(path: Path, subparser) -> dict:
         if key not in defaults:
             raise DataError(f"unknown config key: {key}")
         flag = f"--{key.replace('_', '-')}"
+        if key == "config":
+            raise DataError(f"{path}:{lineno}: argument {flag}: "
+                            "not allowed in a config file")
         if isinstance(defaults[key], bool):
             if value.lower() not in SWITCH_VALUES:
                 raise DataError(f"{path}:{lineno}: argument {flag}: "

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .treebank import DependencyTree, NonProjectiveError, is_projective, subtree_yield
+from .treebank import DependencyTree, NonProjectiveError, subtree_spans
 
 __all__ = [
     "Constituent",
@@ -96,29 +96,26 @@ class SentencePlan:
 def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     """Split a projective tree into preverbal constituents + frozen suffix.
 
-    Preverbal constituents are the yields of root children lying entirely
-    before the root, left to right. Root children at or after the root
-    (auxiliaries, complement clauses, punctuation) stay frozen in the suffix.
+    Preverbal constituents are the yields of root children before the root,
+    left to right. Root children after the root (auxiliaries, complement
+    clauses, punctuation) stay frozen in the suffix. In a projective tree a
+    root child's yield is contiguous and excludes the root, so the preverbal
+    yields tile the positions before the verb.
     """
-    if not is_projective(tree):
+    spans = subtree_spans(tree)
+    if spans is None:
         raise NonProjectiveError("decompose requires a projective tree")
     verb = tree.root_index
     constituents = []
-    for child in tree.children(verb):
-        lo, hi = subtree_yield(tree, child)
-        if hi < verb:
-            forms = tuple(t.form for t in tree.tokens[lo - 1:hi])
-            constituents.append(Constituent(child, (lo, hi), forms))
-        elif lo < verb:
-            return Ineligible("root child yield straddles the verb")
-    constituents.sort(key=lambda c: c.span[0])
+    for t in tree.tokens[:verb - 1]:
+        if t.head == verb:
+            lo, hi = spans[t.index]
+            forms = tuple(u.form for u in tree.tokens[lo - 1:hi])
+            constituents.append(Constituent(t.index, (lo, hi), forms))
     if not constituents:
         return Ineligible("no preverbal constituents")
     if len(constituents) < 2:
         return Ineligible("fewer than 2 constituents")
-    covered = sum(c.length for c in constituents)
-    if covered != verb - 1:
-        return Ineligible("preverbal region not tiled by root-child yields")
     return SentencePlan(tree, tuple(constituents), verb)
 
 

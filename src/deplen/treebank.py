@@ -1,8 +1,8 @@
 """Dependency treebank ingestion and tree structure utilities.
 
 Supports CoNLL-U (10 tab-separated columns) and a minimal 4-column TSV
-format (index, form, head, deprel). Malformed sentence blocks are skipped
-with a diagnostic instead of aborting the run.
+format (index, form, head, deprel), both read by one parser. Malformed
+sentence blocks are skipped with a diagnostic instead of aborting the run.
 """
 
 from dataclasses import dataclass
@@ -13,10 +13,9 @@ __all__ = [
     "DependencyTree",
     "Diagnostic",
     "parse_corpus",
-    "parse_conllu",
-    "parse_tsv",
     "to_conllu",
     "to_tsv",
+    "subtree_spans",
     "is_projective",
     "subtree_yield",
     "strip_punct",
@@ -66,7 +65,6 @@ class DependencyTree:
             raise ValueError(reason)
         self._tokens = tokens
         self._root = next(t.index for t in tokens if t.head == 0)
-        self._children: Optional[dict] = None
 
     @property
     def tokens(self) -> tuple:
@@ -92,16 +90,6 @@ class DependencyTree:
     def token(self, index: int) -> Token:
         return self._tokens[index - 1]
 
-    def children(self, index: int) -> list:
-        """Dependent indices of `index`, in linear order."""
-        if self._children is None:
-            table = {t.index: [] for t in self._tokens}
-            for t in self._tokens:
-                if t.head != 0:
-                    table[t.head].append(t.index)
-            self._children = table
-        return self._children[index]
-
     def arcs(self) -> Iterator[tuple]:
         """(head, dependent) pairs, excluding the artificial root arc."""
         for t in self._tokens:
@@ -123,32 +111,25 @@ def _validate(tokens) -> Optional[str]:
     for t in tokens:
         if t.head > n:
             return f"head {t.head} out of range for token {t.index}"
-    # acyclicity: every token must reach the root along head links
+    # acyclicity: every token must reach the root along head links; a walk
+    # stops at the first node known to reach it, so each token is walked once
+    reaches_root = {0}
     for t in tokens:
-        seen = set()
-        cur = t.index
-        while cur != 0:
-            if cur in seen:
+        path, cur = set(), t.index
+        while cur not in reaches_root:
+            if cur in path:
                 return "cycle in head links"
-            seen.add(cur)
+            path.add(cur)
             cur = tokens[cur - 1].head
+        reaches_root |= path
     return None
 
 
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-def parse_corpus(source, format: str = "conllu"):
-    """Parse a corpus from a string or line iterable.
-
-    Returns (trees, diagnostics). Malformed blocks are skipped with a
-    Diagnostic recording the block's first line number and the reason.
-    """
-    if format == "conllu":
-        return parse_conllu(source)
-    if format in ("tsv", "tsv-minimal"):
-        return parse_tsv(source)
-    raise ValueError(f"unknown corpus format: {format!r}")
+# format -> (column count, columns of index, form, head and deprel)
+FORMATS = {"conllu": (10, (0, 1, 6, 7)), "tsv": (4, (0, 1, 2, 3))}
 
 
 def _iter_blocks(source):
@@ -179,71 +160,48 @@ def _is_int(s: str) -> bool:
         return False
 
 
-def parse_conllu(source):
+def parse_corpus(source, format: str = "conllu"):
+    """Parse a corpus from a string or line iterable.
+
+    Returns (trees, diagnostics). Malformed blocks are skipped with a
+    Diagnostic recording the offending line, or the block's first line
+    when the tree as a whole is invalid, and the reason.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"unknown corpus format: {format!r}")
+    width, (i_index, i_form, i_head, i_deprel) = FORMATS[format]
     trees, diagnostics = [], []
     for start, block in _iter_blocks(source):
-        tokens = []
-        bad = None
+        tokens, bad = [], None
         for lineno, line in block:
             if line.startswith("#"):
                 continue
             cols = line.split("\t")
-            if len(cols) != 10:
-                bad = Diagnostic(lineno, f"expected 10 columns, got {len(cols)}")
+            if len(cols) != width:
+                bad = Diagnostic(lineno, f"expected {width} columns, got {len(cols)}")
                 break
-            idx, form, head = cols[0], cols[1], cols[6]
-            # multiword-token ranges (i-j) and empty nodes (i.1) are skipped
-            if not _is_int(idx):
-                continue
+            index, head = cols[i_index], cols[i_head]
+            if not _is_int(index):
+                # CoNLL-U multiword-token ranges (i-j) and empty nodes (i.1)
+                if format == "conllu":
+                    continue
+                bad = Diagnostic(lineno, f"non-integer index {index!r}")
+                break
             if not _is_int(head):
                 bad = Diagnostic(lineno, f"non-integer head {head!r}")
                 break
             try:
-                tokens.append(Token(int(idx), form, int(head), cols[7]))
+                tokens.append(Token(int(index), cols[i_form], int(head), cols[i_deprel]))
             except ValueError as e:
                 bad = Diagnostic(lineno, str(e))
                 break
-        if bad is not None:
-            diagnostics.append(bad)
-            continue
-        reason = _validate(tuple(tokens))
-        if reason is not None:
-            diagnostics.append(Diagnostic(start, reason))
-            continue
-        trees.append(DependencyTree(tokens))
-    return trees, diagnostics
-
-
-def parse_tsv(source):
-    """Minimal 4-column TSV: index, form, head, deprel. Column order is fixed."""
-    trees, diagnostics = [], []
-    for start, block in _iter_blocks(source):
-        tokens = []
-        bad = None
-        for lineno, line in block:
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                bad = Diagnostic(lineno, f"expected 4 columns, got {len(cols)}")
-                break
-            idx, form, head, deprel = cols
-            if not _is_int(idx) or not _is_int(head):
-                bad = Diagnostic(lineno, "non-integer index or head")
-                break
+        if bad is None:
             try:
-                tokens.append(Token(int(idx), form, int(head), deprel))
+                trees.append(DependencyTree(tokens))
             except ValueError as e:
-                bad = Diagnostic(lineno, str(e))
-                break
+                bad = Diagnostic(start, str(e))
         if bad is not None:
             diagnostics.append(bad)
-            continue
-        reason = _validate(tuple(tokens))
-        if reason is not None:
-            diagnostics.append(Diagnostic(start, reason))
-            continue
-        trees.append(DependencyTree(tokens))
     return trees, diagnostics
 
 
@@ -268,28 +226,36 @@ def to_tsv(tree: DependencyTree) -> str:
 # ---------------------------------------------------------------------------
 # structure
 
+def subtree_spans(tree: DependencyTree) -> Optional[list]:
+    """Every token's yield, the [min, max] positions of its transitive-
+    dependent closure: `spans[i]` is token i's (lo, hi), `spans[0]` unused.
+    None when some yield has a gap, i.e. the tree is not projective.
+
+    One bottom-up pass, dependents before their heads.
+    """
+    n = len(tree)
+    heads = [0] + [t.head for t in tree.tokens]
+    dependents = [[] for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dependents[heads[i]].append(i)
+    order = [tree.root_index]        # breadth-first, so heads come first
+    for node in order:
+        order.extend(dependents[node])
+    lo, hi, size = list(range(n + 1)), list(range(n + 1)), [1] * (n + 1)
+    for node in reversed(order):
+        if hi[node] - lo[node] + 1 != size[node]:
+            return None
+        h = heads[node]
+        if h != 0:
+            lo[h] = min(lo[h], lo[node])
+            hi[h] = max(hi[h], hi[node])
+            size[h] += size[node]
+    return list(zip(lo, hi))
+
+
 def is_projective(tree: DependencyTree) -> bool:
     """True iff every subtree's yield is a contiguous span."""
-    n = len(tree)
-    lo = list(range(n + 1))
-    hi = list(range(n + 1))
-    size = [1] * (n + 1)
-    # bottom-up: process tokens in decreasing depth order
-    depth = [0] * (n + 1)
-    for t in tree.tokens:
-        d, cur = 0, t.index
-        while cur != 0:
-            d += 1
-            cur = tree.token(cur).head
-        depth[t.index] = d
-    order = sorted(range(1, n + 1), key=lambda i: -depth[i])
-    for i in order:
-        h = tree.token(i).head
-        if h != 0:
-            lo[h] = min(lo[h], lo[i])
-            hi[h] = max(hi[h], hi[i])
-            size[h] += size[i]
-    return all(hi[i] - lo[i] + 1 == size[i] for i in range(1, n + 1))
+    return subtree_spans(tree) is not None
 
 
 def subtree_yield(tree: DependencyTree, head: int) -> tuple:
@@ -297,16 +263,10 @@ def subtree_yield(tree: DependencyTree, head: int) -> tuple:
 
     Only meaningful on projective trees, where the yield is gap-free.
     """
-    if not is_projective(tree):
+    spans = subtree_spans(tree)
+    if spans is None:
         raise NonProjectiveError("subtree_yield requires a projective tree")
-    lo = hi = head
-    stack = [head]
-    while stack:
-        cur = stack.pop()
-        lo = min(lo, cur)
-        hi = max(hi, cur)
-        stack.extend(tree.children(cur))
-    return lo, hi
+    return spans[head]
 
 
 def strip_punct(tree: DependencyTree, deprels=PUNCT_DEPRELS) -> DependencyTree:

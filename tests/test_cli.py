@@ -221,7 +221,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["cap=abc", "convention=bogus",
                                       "zscore=bogus", "format=xml",
-                                      "exclude-punct=ture"])
+                                      "exclude-punct=ture", "config=other.cfg"])
     def test_bad_typed_value_is_data_error(self, corpus_file, tmp_path,
                                            capsys, line):
         cfg = tmp_path / "run.cfg"

@@ -6,10 +6,10 @@ from deplen.constituency import (CONVENTIONS, Ineligible, arc_distance,
                                  constituent_dl, decompose, main_verb_dl,
                                  main_verb_dl_closed_form, order_dl,
                                  total_dependency_length)
-from deplen.treebank import DependencyTree, NonProjectiveError, Token
+from deplen.treebank import DependencyTree, NonProjectiveError, Token, is_projective
 from deplen.variants import linearize, order_ascending, order_descending, order_identity
 
-from conftest import FIG3_RANDOM_ORDER, eligible_plans, random_plans
+from conftest import FIG3_RANDOM_ORDER, eligible_plans, random_plans, random_tree
 
 
 class TestDecompose:
@@ -44,6 +44,36 @@ class TestDecompose:
             Token(3, "c", 0, "root"), Token(4, "d", 3, "dep")])
         with pytest.raises(NonProjectiveError):
             decompose(tree)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_random_projective_trees(self, seed, n):
+        """A projective tree's preverbal root-child yields tile 1..verb-1
+        in order, so the only ineligible outcomes are k < 2."""
+        tree = random_tree(np.random.default_rng(seed), n)
+        if not is_projective(tree):
+            with pytest.raises(NonProjectiveError):
+                decompose(tree)
+            return
+        verb = tree.root_index
+        heads = [t.index for t in tree.tokens[:verb - 1] if t.head == verb]
+        result = decompose(tree)
+        if len(heads) < 2:
+            assert result == Ineligible("no preverbal constituents" if not heads
+                                        else "fewer than 2 constituents")
+            return
+        assert [c.head_index for c in result.preverbal] == heads
+        starts = [c.span[0] for c in result.preverbal]
+        ends = [c.span[1] for c in result.preverbal]
+        assert starts == [1] + [end + 1 for end in ends[:-1]]
+        assert ends[-1] == verb - 1
+        for c in result.preverbal:
+            assert c.forms == tuple(t.form for t in tree.tokens[c.span[0] - 1:c.span[1]])
+            for pos in range(c.span[0], c.span[1] + 1):   # descends from the head
+                node = pos
+                while tree.token(node).head != verb:
+                    node = tree.token(node).head
+                assert node == c.head_index
 
 
 class TestTotalDependencyLength:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deplen.treebank import (DependencyTree, NonProjectiveError, Token,
                              is_projective, parse_corpus, strip_punct,
@@ -79,6 +80,40 @@ class TestParseCorpus:
         with pytest.raises(ValueError):
             parse_corpus("", "xml")
 
+    def test_tsv_minimal_alias_gone(self):
+        with pytest.raises(ValueError, match="unknown corpus format"):
+            parse_corpus("1\tw\t0\troot\n", "tsv-minimal")
+
+    @pytest.mark.parametrize("format, lines, diagnostic", [
+        ("conllu", ["1\ta\t_\t_\t_\t_\t0\troot\t_\t_", "2\tb\t1\tdep"],
+         (16, "expected 10 columns, got 4")),
+        ("tsv", ["1\ta\t0\troot", "2\tb\t1"], (16, "expected 4 columns, got 3")),
+        ("tsv", ["1-2\tab\t0\troot"], (15, "non-integer index '1-2'")),
+        ("conllu", ["1\ta\t_\t_\t_\t_\t0\troot\t_\t_",
+                    "2\tb\t_\t_\t_\t_\t0\troot\t_\t_"], (14, "multiple roots")),
+        ("tsv", ["1\ta\t0\troot", "2\tb\t0\troot"], (14, "multiple roots"))])
+    def test_diagnostic_line(self, fig3_tree, format, lines, diagnostic):
+        """A bad line is reported at its own line, an invalid tree at its
+        block's first line: 14, the comment after the 12-line fig3 block
+        and a blank line."""
+        fig3 = to_conllu(fig3_tree, "fig3") if format == "conllu" \
+            else "# fig3\n" + to_tsv(fig3_tree)
+        text = fig3 + "\n# sent_id = bad\n" + "\n".join(lines) + "\n\n" + fig3
+        trees, diags = parse_corpus(text, format)
+        assert trees == [fig3_tree, fig3_tree]
+        assert [(d.line, d.reason) for d in diags] == [diagnostic]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    def test_random_trees_roundtrip(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        trees = [random_tree(rng, n) for n in sizes]
+        conllu = "\n".join(to_conllu(t, f"s{i}") for i, t in enumerate(trees))
+        tsv = "\n".join(to_tsv(t) for t in trees)
+        assert parse_corpus(conllu) == (trees, [])
+        assert parse_corpus(tsv, "tsv") == (trees, [])
+
 
 class TestStructure:
     def test_fig3_projective(self, fig3_tree):
@@ -148,6 +183,61 @@ def test_yield_members_pass_through_head():
                     path.append(cur)
                     cur = tree.token(cur).head
                 assert h in path
+
+
+def _validate_by_walk(tokens):
+    """The reference validation: from every token, walk the head links to
+    the root."""
+    if not tokens:
+        return "empty sentence"
+    n = len(tokens)
+    if [t.index for t in tokens] != list(range(1, n + 1)):
+        return "token indices not contiguous 1..n"
+    roots = [t.index for t in tokens if t.head == 0]
+    if len(roots) == 0:
+        return "no root"
+    if len(roots) > 1:
+        return "multiple roots"
+    for t in tokens:
+        if t.head > n:
+            return f"head {t.head} out of range for token {t.index}"
+    for t in tokens:
+        seen, cur = set(), t.index
+        while cur != 0:
+            if cur in seen:
+                return "cycle in head links"
+            seen.add(cur)
+            cur = tokens[cur - 1].head
+    return None
+
+
+@st.composite
+def head_arrays(draw):
+    """Token lists with zero, one or two roots, every other head anywhere
+    in 1..n but the token itself, so cycles are common, and at times one
+    head out of range."""
+    n = draw(st.integers(0, 9))
+    n_roots = min(n, draw(st.sampled_from((0, 1, 1, 1, 2))))
+    roots = draw(st.lists(st.integers(1, n), min_size=n_roots,
+                          max_size=n_roots, unique=True)) if n else []
+    heads = []
+    for i in range(1, n + 1):
+        h = draw(st.integers(1, max(n - 1, 1)))
+        heads.append(0 if i in roots else h + (h >= i))   # skip i itself
+    if n and draw(st.integers(0, 4)) == 0:
+        heads[draw(st.integers(0, n - 1))] = n + 1
+    return [Token(i, f"w{i}", h, "dep") for i, h in enumerate(heads, start=1)]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(tokens=head_arrays())
+def test_validation_matches_walk_to_root(tokens):
+    try:
+        DependencyTree(tokens)
+        reason = None
+    except ValueError as e:
+        reason = str(e)
+    assert reason == _validate_by_walk(tuple(tokens))
 
 
 def test_strip_punct():
