@@ -231,7 +231,8 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
     families, each row McNemar-tested against the previous row of its table.
 
     Returns a list of row dicts: table, predictors, accuracy,
-    fold_accuracies, mcnemar vs previous row (None for first rows).
+    fold_accuracies, flagged_folds (folds fitted under the separation
+    ridge), mcnemar vs previous row (None for first rows).
     """
     if len(dataset) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 pairs")
@@ -250,6 +251,7 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
                 "predictors": name,
                 "accuracy": report.mean_accuracy,
                 "fold_accuracies": report.fold_accuracies.tolist(),
+                "flagged_folds": report.flagged_folds,
                 "mcnemar_p": None,
                 "mcnemar_statistic": None,
             }

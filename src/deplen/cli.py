@@ -91,9 +91,9 @@ def _config_defaults(path: Path, subparser) -> dict:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in defaults:
-            raise DataError(f"unknown config key: {key}")
         flag = f"--{key.replace('_', '-')}"
+        if key not in defaults:
+            raise DataError(f"{path}:{lineno}: argument {flag}: unknown config key")
         if key == "config":
             raise DataError(f"{path}:{lineno}: argument {flag}: "
                             "not allowed in a config file")
@@ -254,12 +254,13 @@ def _dataset(args, corpus):
 
 
 def _dataset_command(args, write):
-    """features, fit and classify: the pairwise dataset, `write`'s products."""
+    """features, fit and classify: the pairwise dataset, `write`'s products,
+    and the manifest entries `write` returns."""
     corpus, _, corpus_hash = _decomposed(args)
     out = _outdir(args)
     dataset = _dataset(args, corpus)
-    write(out, args, dataset)
-    _write_manifest(out, args, corpus_hash, {"pairs": len(dataset)})
+    extra = write(out, args, dataset) or {}
+    _write_manifest(out, args, corpus_hash, {"pairs": len(dataset), **extra})
     return EXIT_OK
 
 
@@ -299,13 +300,17 @@ def _write_suite(out: Path, args, dataset):
             dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
     except analysis.InsufficientDataError as e:
         raise DataError(str(e))
+    flagged = {}
     for table, filename in (("table3", "table3_accuracy.csv"),
                             ("table4", "table4_accuracy.csv")):
+        table_rows = [r for r in rows if r["table"] == table]
         _write_csv(out / filename,
                    ["predictors", "accuracy_pct", "mcnemar_p_vs_prev"],
                    [(r["predictors"], f"{100 * r['accuracy']:.2f}",
                      "" if r["mcnemar_p"] is None else f"{r['mcnemar_p']:.3g}")
-                    for r in rows if r["table"] == table])
+                    for r in table_rows])
+        flagged[table] = {r["predictors"]: r["flagged_folds"] for r in table_rows}
+    return {"flagged_folds": flagged}
 
 
 def cmd_classify(args):
@@ -350,9 +355,10 @@ def cmd_report_all(args):
     dataset = _dataset(args, corpus)
     log.info("pairwise dataset: %d examples", len(dataset))
     _write_regressions(out, args, dataset)
-    _write_suite(out, args, dataset)
+    fit_health = _write_suite(out, args, dataset)
 
     _write_manifest(out, args, corpus_hash, {
+        **fit_health,
         "eligible": len(corpus.entries),
         "skipped": corpus.skipped,
         "parse_diagnostics": len(diagnostics),

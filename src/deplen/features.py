@@ -19,6 +19,7 @@ __all__ = [
     "extract_features",
     "feature_names",
     "zscore",
+    "zscore_stats",
 ]
 
 
@@ -44,12 +45,25 @@ class ZScoreStats:
     kept: np.ndarray          # indices of retained (non-constant) columns
 
 
+def zscore_stats(X: np.ndarray):
+    """Means and sample (n-1) standard deviations of the columns of X, with
+    zero-variance columns dropped and named in the diagnostics.
+
+    Returns (stats, diagnostics).
+    """
+    X = np.asarray(X, dtype=float)
+    mean = X.mean(axis=0)
+    sd = X.std(axis=0, ddof=1)
+    kept = np.flatnonzero(sd > 0)
+    diagnostics = [f"column {j} has zero variance; dropped" for j in np.flatnonzero(sd == 0)]
+    return ZScoreStats(mean[kept], sd[kept], kept), diagnostics
+
+
 def zscore(X: np.ndarray, stats: Optional[ZScoreStats] = None):
     """Column-standardize a design matrix.
 
-    Without `stats`, means and sample (n-1) standard deviations come from X
-    itself; zero-variance columns are dropped with a diagnostic. With
-    `stats` (held-out folds), the stored statistics and column set are
+    Without `stats`, the statistics come from X itself (`zscore_stats`).
+    With `stats` (held-out folds), the stored statistics and column set are
     reused unchanged.
 
     Returns (Z, stats, diagnostics).
@@ -57,11 +71,8 @@ def zscore(X: np.ndarray, stats: Optional[ZScoreStats] = None):
     X = np.asarray(X, dtype=float)
     diagnostics = []
     if stats is None:
-        mean = X.mean(axis=0)
-        sd = X.std(axis=0, ddof=1)
-        kept = np.flatnonzero(sd > 0)
-        for j in np.flatnonzero(sd == 0):
-            diagnostics.append(f"column {j} has zero variance; dropped")
-        stats = ZScoreStats(mean[kept], sd[kept], kept)
-    Z = (X[:, stats.kept] - stats.mean) / stats.sd
+        stats, diagnostics = zscore_stats(X)
+    Z = X[:, stats.kept]      # a copy: standardized in place
+    Z -= stats.mean
+    Z /= stats.sd
     return Z, stats, diagnostics

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import zscore
+from .features import zscore, zscore_stats
 
 __all__ = [
     "RegressionFit",
@@ -85,27 +85,42 @@ def _check_rank(X: np.ndarray, names) -> None:
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
-                 feature_names: Optional[list] = None) -> RegressionFit:
+                 feature_names: Optional[list] = None,
+                 weights: Optional[np.ndarray] = None) -> RegressionFit:
     """Maximum-likelihood logit fit via IRLS. X excludes the intercept
     column, which is added internally; ridge > 0 is reserved for the
-    documented fallback on detected separation."""
+    documented fallback on detected separation.
+
+    `weights` are row frequencies (default all ones): a grouped binomial
+    fit on the distinct (x, y) rows, each weighted by its count, is the
+    same estimator as the fit on every row."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float)
     if len(y) != X.shape[0]:
         raise ValueError("X and y length mismatch")
+    if weights is None:
+        weights = np.ones(len(y))
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != y.shape:
+        raise ValueError("weights and y length mismatch")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("weights must be finite and non-negative")
     design = np.column_stack([np.ones(len(y)), X])
-    _check_rank(design, ["intercept"] + list(feature_names or []))
+    _check_rank(design if weights.all() else design[weights > 0],
+                ["intercept"] + list(feature_names or []))
     p_cols = design.shape[1]
 
     def irls(penalty):
         beta = np.zeros(p_cols)
+        ridge_eye = penalty * np.eye(p_cols)
         for it in range(1, MAX_ITER + 1):
             mu = _sigmoid(design @ beta)
             w = np.clip(mu * (1.0 - mu), 1e-12, None)
-            grad = design.T @ (y - mu) - penalty * beta
-            hess = (design.T * w) @ design + penalty * np.eye(p_cols)
+            w *= weights
+            grad = design.T @ (weights * (y - mu)) - penalty * beta
+            hess = (design.T * w) @ design + ridge_eye
             step = np.linalg.solve(hess, grad)
             beta = beta + step
             if np.max(np.abs(step)) < TOL:
@@ -123,11 +138,12 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
 
     mu = _sigmoid(design @ beta)
     w = np.clip(mu * (1.0 - mu), 1e-12, None)
+    w *= weights
     info = (design.T * w) @ design + ridge * np.eye(p_cols)
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
-    ll = float(np.sum(y * np.log(np.clip(mu, 1e-300, None))
-                      + (1 - y) * np.log(np.clip(1 - mu, 1e-300, None))))
+    ll = float(np.sum(weights * (y * np.log(np.clip(mu, 1e-300, None))
+                                 + (1 - y) * np.log(np.clip(1 - mu, 1e-300, None)))))
     return RegressionFit(beta, se, beta / se, converged, iterations, ll,
                          ridge=ridge, separation=separation,
                          feature_names=list(feature_names) if feature_names else None)
@@ -149,13 +165,39 @@ class CvReport:
     flagged_folds: list = field(default_factory=list)
 
 
+def _distinct_cells(X: np.ndarray, y: np.ndarray):
+    """Group the rows of X: one representative row index per distinct row,
+    and each row's (row, label) cell number 2 * group + y."""
+    order = np.lexsort(X.T)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for col in X.T:
+        sorted_col = col[order]
+        new[1:] |= sorted_col[1:] != sorted_col[:-1]
+    key = np.empty(len(order), dtype=np.intp)
+    key[order] = np.cumsum(new) - 1
+    key *= 2
+    key += y
+    return order[new], key
+
+
+def _cells(rep: np.ndarray, key: np.ndarray):
+    """The occupied (row, label) cells among the given cell numbers: a
+    representative row index, the label and the count of each, the data of
+    a grouped binomial fit."""
+    counts = np.bincount(key)
+    cells = np.flatnonzero(counts)
+    return rep[cells // 2], cells % 2, counts[cells]
+
+
 def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
                       seed=0, zscore_mode: str = "fold") -> CvReport:
     """Seeded shuffled k-fold CV of the logistic model.
 
     zscore_mode "fold" standardizes each training fold and applies the
     stored statistics to its test fold; "global" standardizes once on the
-    full data before splitting.
+    full data before splitting. Each fold is fitted on its distinct
+    (row, label) cells weighted by their counts.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -171,6 +213,7 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
 
     if zscore_mode == "global":
         X, _, _ = zscore(X)
+    rep, key = _distinct_cells(X, y)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -180,17 +223,23 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
     predictions = np.empty(n, dtype=int)
     flagged = []
     for f, test_idx in enumerate(assignments):
-        train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
-        Xtr, Xte = X[train_idx], X[test_idx]
+        in_train = np.ones(n, dtype=bool)
+        in_train[test_idx] = False
+        train_idx = perm[in_train[perm]]
+        # the statistics come from the fold's rows in permutation order, and
+        # before the cells are copied, which keeps the peak memory down
         if zscore_mode == "fold":
-            Xtr, stats, _ = zscore(Xtr)
+            stats, _ = zscore_stats(X[train_idx])
+        rows, ytr, wtr = _cells(rep, key[train_idx])
+        Xtr, Xte = X[rows], X[test_idx]
+        if zscore_mode == "fold":
+            Xtr, _, _ = zscore(Xtr, stats)
             Xte, _, _ = zscore(Xte, stats)
-        ytr = y[train_idx]
         if ytr.min() == ytr.max():
-            fit = fit_logistic(Xtr, ytr, ridge=SEPARATION_RIDGE)
+            fit = fit_logistic(Xtr, ytr, ridge=SEPARATION_RIDGE, weights=wtr)
             flagged.append(f)
         else:
-            fit = fit_logistic(Xtr, ytr)
+            fit = fit_logistic(Xtr, ytr, weights=wtr)
             if fit.separation:
                 flagged.append(f)
         pred = (predict_proba(fit, Xte) > 0.5).astype(int)
@@ -250,11 +299,13 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
 
     At each size the feature with smallest |standardized coefficient| in a
     full-data fit is dropped; the smallest set within 1e-9 of the best mean
-    CV accuracy is selected.
+    CV accuracy is selected. Like the CV folds, the elimination fit runs on
+    the distinct (row, label) cells weighted by their counts.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1 or X.shape[1] < 2:
         raise ValueError("rfecv needs at least 2 candidate features")
+    y = np.asarray(y, dtype=int)
     p = X.shape[1]
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
     active = list(range(p))
@@ -266,8 +317,10 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
         sets_by_size[size] = [names[j] for j in active]
         if size == 1:
             break
-        Z, _, _ = zscore(X[:, active])
-        fit = fit_logistic(Z, y)
+        stats, _ = zscore_stats(X[:, active])
+        rows, yc, wc = _cells(*_distinct_cells(X[:, active], y))
+        Zc, _, _ = zscore(X[np.ix_(rows, active)], stats)
+        fit = fit_logistic(Zc, yc, weights=wc)
         weakest = int(np.argmin(np.abs(fit.coefficients[1:])))
         active.pop(weakest)
     best = max(curve.values())

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from deplen.analysis import SyntheticSpec, decompose_corpus, generate_synthetic_corpus
+from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec, decompose_corpus,
+                             generate_synthetic_corpus)
 from deplen.cli import main
 from deplen.features import extract_features, feature_names
 from deplen.seeding import derive_rng
@@ -167,6 +168,19 @@ class TestReportAll:
             assert (out1 / name).exists()
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_manifest_records_flagged_folds(self, tmp_path):
+        corpus = synth_corpus(tmp_path, sentences=60)
+        for command in ("classify", "report-all"):
+            out = tmp_path / command
+            assert main([command, "--corpus", str(corpus), "--folds", "5",
+                         "--out", str(out)]) == 0
+            flagged = json.loads((out / "manifest.json").read_text())["flagged_folds"]
+            assert set(flagged["table3"]) == {name for name, _ in TABLE3_ROWS}
+            assert set(flagged["table4"]) == {name for name, _ in TABLE4_ROWS}
+            assert flagged["table3"]["total dependency length"] == []
+            # least-effort references put the shortest constituent last
+            assert flagged["table4"]["last preverbal constituent length"] == [0, 1, 2, 3, 4]
+
     def test_single_k_corpus_null_correlation(self, tmp_path):
         spec = SyntheticSpec(n_sentences=30, k_weights=((3, 1.0),))
         corpus = tmp_path / "k3.conllu"
@@ -221,7 +235,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["cap=abc", "convention=bogus",
                                       "zscore=bogus", "format=xml",
-                                      "exclude-punct=ture", "config=other.cfg"])
+                                      "exclude-punct=ture", "config=other.cfg",
+                                      "caps-lock=1"])
     def test_bad_typed_value_is_data_error(self, corpus_file, tmp_path,
                                            capsys, line):
         cfg = tmp_path / "run.cfg"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from deplen.analysis import (SCALAR_FEATURES, SyntheticSpec, build_pairwise_dataset,
+                             decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
-from deplen.stats import (RankDeficientError, crossval_accuracy, fit_logistic,
-                          mcnemar, pearson, predict_proba, rfecv)
+from deplen.stats import (SEPARATION_RIDGE, RankDeficientError, crossval_accuracy,
+                          fit_logistic, mcnemar, pearson, predict_proba, rfecv)
 
 
 def simulate_logistic(rng, n, beta, intercept=0.0):
@@ -102,6 +105,132 @@ class TestFitLogistic:
         Z2[:, 1] *= 7.5
         rescaled = predict_proba(fit_logistic(Z2, y), Z2) > 0.5
         assert np.array_equal(base, rescaled)
+
+
+@st.composite
+def integer_designs(draw):
+    """Small integer designs with many repeated rows, and random labels."""
+    n = draw(st.integers(8, 120))
+    p = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return X, y
+
+
+def grouped(X, y):
+    """The distinct (x, y) rows and their counts."""
+    cells, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
+    return cells[:, :-1], cells[:, -1].astype(int), counts
+
+
+class TestWeightedFit:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design=integer_designs())
+    def test_grouped_fit_equals_all_rows_fit(self, design):
+        X, y = design
+        Xg, yg, counts = grouped(X, y)
+        try:
+            full = fit_logistic(X, y)
+        except RankDeficientError:
+            with pytest.raises(RankDeficientError):
+                fit_logistic(Xg, yg, weights=counts)
+            return
+        fit = fit_logistic(Xg, yg, weights=counts)
+        assert (fit.converged, fit.separation) == (full.converged, full.separation)
+        assert fit.iterations == full.iterations
+        for got, want in [(fit.coefficients, full.coefficients),
+                          (fit.std_errors, full.std_errors),
+                          (fit.log_likelihood, full.log_likelihood)]:
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_unit_weights_keep_every_bit(self):
+        rng = np.random.default_rng(4)
+        X, y = simulate_logistic(rng, 500, [0.8, -0.3])
+        a, b = fit_logistic(X, y), fit_logistic(X, y, weights=np.ones(500))
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.std_errors, b.std_errors)
+        assert a.log_likelihood == b.log_likelihood
+
+    def test_zero_weight_rows_are_dropped(self):
+        rng = np.random.default_rng(6)
+        X, y = simulate_logistic(rng, 400, [1.0])
+        X_noise, y_noise = rng.normal(size=(50, 1)), rng.integers(0, 2, 50)
+        fit = fit_logistic(np.concatenate([X, X_noise]), np.concatenate([y, y_noise]),
+                           weights=np.r_[np.ones(400), np.zeros(50)])
+        assert np.allclose(fit.coefficients, fit_logistic(X, y).coefficients,
+                           rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.ones(9), "length mismatch"),
+        (np.r_[np.ones(9), -1.0], "non-negative"),
+        (np.r_[np.ones(9), np.nan], "finite"),
+        (np.r_[np.ones(9), np.inf], "finite"),
+    ], ids=["length", "negative", "nan", "inf"])
+    def test_bad_weights_rejected(self, weights, message):
+        X = np.arange(10.0)
+        y = np.array([0, 1] * 5)
+        with pytest.raises(ValueError, match=message):
+            fit_logistic(X, y, weights=weights)
+
+
+def crossval_all_rows(X, y, folds, seed, zscore_mode):
+    """The fold loop fitted on every training row: the reference for the
+    grouped fits of crossval_accuracy."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = len(y)
+    if zscore_mode == "global":
+        X, _, _ = zscore(X)
+    perm = np.random.default_rng(seed).permutation(n)
+    accuracies, predictions, flagged = np.empty(folds), np.empty(n, dtype=int), []
+    for f, test_idx in enumerate(np.array_split(perm, folds)):
+        train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
+        Xtr, Xte = X[train_idx], X[test_idx]
+        if zscore_mode == "fold":
+            Xtr, stats, _ = zscore(Xtr)
+            Xte, _, _ = zscore(Xte, stats)
+        ytr = y[train_idx]
+        if ytr.min() == ytr.max():
+            fit = fit_logistic(Xtr, ytr, ridge=SEPARATION_RIDGE)
+            flagged.append(f)
+        else:
+            fit = fit_logistic(Xtr, ytr)
+            if fit.separation:
+                flagged.append(f)
+        pred = (predict_proba(fit, Xte) > 0.5).astype(int)
+        predictions[test_idx] = pred
+        accuracies[f] = np.mean(pred == y[test_idx])
+    return accuracies, predictions, flagged
+
+
+class TestCrossvalOracle:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        spec = SyntheticSpec(n_sentences=120)
+        corpus = decompose_corpus(generate_synthetic_corpus(spec, seed=8))
+        return build_pairwise_dataset(corpus, cap=24, seed=3)
+
+    @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
+    def test_grouped_folds_match_all_rows_folds(self, dataset, zscore_mode):
+        y = dataset.labels
+        designs = [dataset.scalar_matrix()[:, [SCALAR_FEATURES.index(c) for c in cols]]
+                   for cols in (["total_dl"], ["dl_last"], ["dl_last", "dl_2ndlast"],
+                                ["len_last", "len_2ndlast"])]
+        for k in (2, 3):
+            for family in ("deplen", "length"):
+                Xk, yk = dataset.positional_matrix(k, family)
+                designs.append((Xk[:, -1:], yk))
+        flagged_any = False
+        for design in designs:
+            X, labels = design if isinstance(design, tuple) else (design, y)
+            report = crossval_accuracy(X, labels, folds=5, seed=7, zscore_mode=zscore_mode)
+            accuracies, predictions, flagged = crossval_all_rows(X, labels, 5, 7, zscore_mode)
+            assert np.array_equal(report.predictions, predictions)
+            assert np.array_equal(report.fold_accuracies, accuracies)
+            assert report.flagged_folds == flagged
+            flagged_any |= bool(flagged)
+        assert flagged_any    # the separation path is exercised
 
 
 class TestCrossval:
