@@ -8,7 +8,7 @@ Run: python3 demos/worked_example.py
 """
 
 from deplen.constituency import constituent_dl, decompose, main_verb_dl
-from deplen.treebank import DependencyTree, Token
+from deplen.treebank import DependencyTree
 from deplen.variants import (least_effort_move, linearize, order_ascending,
                              order_descending)
 
@@ -19,12 +19,12 @@ WORDS = [
     ("toffee", 11, "obj"), ("di", 0, "root"),
 ]
 
-tree = DependencyTree(
-    Token(i + 1, form, head, rel) for i, (form, head, rel) in enumerate(WORDS))
+forms, heads, rels = zip(*WORDS)
+tree = DependencyTree(heads, forms, rels)
 plan = decompose(tree)
 
-print("sentence: ", " ".join(t.form for t in tree.tokens))
-print("verb:     ", tree.token(plan.verb_index).form)
+print("sentence: ", " ".join(tree.forms))
+print("verb:     ", tree.forms[plan.verb_index - 1])
 print("preverbal constituents:")
 for c in plan.preverbal:
     print(f"  {' '.join(c.forms):28s} length {c.length}, "
@@ -38,7 +38,7 @@ orders = {
 }
 print()
 for label, order in orders.items():
-    sentence = " ".join(t.form for t in linearize(plan, order).tokens)
+    sentence = " ".join(linearize(plan, order).forms)
     arcs = [constituent_dl(plan, order, ci) for ci in order]
     print(f"{label}:")
     print(f"  {sentence}")

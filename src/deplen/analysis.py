@@ -12,7 +12,7 @@ import numpy as np
 from . import constituency, features, stats, variants
 from .constituency import Ineligible, SentencePlan, decompose
 from .seeding import derive_rng
-from .treebank import DependencyTree, NonProjectiveError, Token
+from .treebank import DependencyTree, NonProjectiveError
 
 __all__ = [
     "CorpusEntry",
@@ -53,7 +53,6 @@ class InsufficientDataError(ValueError):
 @dataclass(frozen=True)
 class CorpusEntry:
     sentence_id: str
-    tree: DependencyTree
     plan: SentencePlan
 
 
@@ -79,7 +78,7 @@ def decompose_corpus(trees, sentence_ids=None) -> DecomposedCorpus:
         if isinstance(plan, Ineligible):
             skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
             continue
-        entries.append(CorpusEntry(sid, tree, plan))
+        entries.append(CorpusEntry(sid, plan))
     return DecomposedCorpus(entries, skipped)
 
 
@@ -116,7 +115,7 @@ def position_length_profile(corpus: DecomposedCorpus, k: int) -> np.ndarray:
 def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float]:
     """Pearson correlation between sentence length and preverbal constituent
     count over reference sentences; None where undefined (e.g. a single k)."""
-    n_words = [len(e.tree) for e in corpus.entries]
+    n_words = [len(e.plan.tree) for e in corpus.entries]
     n_consts = [e.plan.k for e in corpus.entries]
     try:
         return stats.pearson(n_words, n_consts)
@@ -140,7 +139,7 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
         k = plan.k
         if not (k_range[0] <= k <= k_range[1]):
             continue
-        n = len(e.tree)
+        n = len(plan.tree)
         def norm_dl(order):
             return constituency.order_dl(plan, order, convention)[1] / n
         values = {
@@ -269,8 +268,7 @@ def _drop_collinear(X: np.ndarray, names: list):
     (intercept included). Verb-adjacent positions survive by construction."""
     design = lambda M: np.column_stack([np.ones(M.shape[0]), M])
     dropped = []
-    while X.shape[1] > 1 and np.linalg.matrix_rank(design(X)) < X.shape[1] + 1:
-        rank = np.linalg.matrix_rank(design(X))
+    while X.shape[1] > 1 and (rank := np.linalg.matrix_rank(design(X))) < X.shape[1] + 1:
         for j in range(X.shape[1]):
             rest = np.delete(X, j, axis=1)
             if np.linalg.matrix_rank(design(rest)) == rank:
@@ -340,24 +338,22 @@ class SyntheticSpec:
         return np.minimum(lengths, self.max_constituent_length)
 
 
-def _random_constituent_tokens(rng, length, start, verb_index, deprel_head):
-    """Projective constituent spanning [start, start+length): head uniform
-    in the span, other tokens attach to their inward neighbor or straight
-    to the head."""
+def _random_constituent_heads(rng, length, start, verb_index):
+    """Heads of a projective constituent spanning [start, start+length): its
+    head uniform in the span and attached to the verb, other tokens attached
+    to their inward neighbor or straight to the head."""
     head_off = int(rng.integers(length))
     head_pos = start + head_off
-    tokens = []
+    heads = []
     for off in range(length):
         pos = start + off
         if off == head_off:
-            tokens.append(Token(pos, f"w{pos}", verb_index, deprel_head))
+            heads.append(verb_index)
         elif off < head_off:
-            head = pos + 1 if rng.random() < 0.5 else head_pos
-            tokens.append(Token(pos, f"w{pos}", head, "mod"))
+            heads.append(pos + 1 if rng.random() < 0.5 else head_pos)
         else:
-            head = pos - 1 if rng.random() < 0.5 else head_pos
-            tokens.append(Token(pos, f"w{pos}", head, "mod"))
-    return tokens
+            heads.append(pos - 1 if rng.random() < 0.5 else head_pos)
+    return heads
 
 
 def _pick_reference_order(plan: SentencePlan, spec: SyntheticSpec, rng) -> tuple:
@@ -385,13 +381,14 @@ def generate_synthetic_corpus(spec: SyntheticSpec, seed: int = 0) -> list:
         k = int(rng.choice(ks, p=kw))
         lengths = spec.sample_lengths(rng, k)
         verb_index = int(lengths.sum()) + 1
-        tokens, start = [], 1
+        heads, start = [], 1
         for length in lengths:
-            tokens.extend(_random_constituent_tokens(
-                rng, int(length), start, verb_index, "arg"))
+            heads.extend(_random_constituent_heads(rng, int(length), start, verb_index))
             start += int(length)
-        tokens.append(Token(verb_index, f"w{verb_index}", 0, "root"))
-        base = DependencyTree(tokens)
+        # constituent heads are the only tokens attached to the verb
+        deprels = ["arg" if h == verb_index else "mod" for h in heads] + ["root"]
+        base = DependencyTree(heads + [0], [f"w{i}" for i in range(1, verb_index + 1)],
+                              deprels)
         plan = decompose(base)
         assert isinstance(plan, SentencePlan)
         order = _pick_reference_order(plan, spec, rng)

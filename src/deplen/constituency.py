@@ -77,8 +77,8 @@ class SentencePlan:
 
     @property
     def postverbal_suffix(self) -> tuple:
-        """Token forms at and after the verb, frozen under permutation."""
-        return tuple(t.form for t in self.tree.tokens[self.verb_index - 1:])
+        """Surface forms at and after the verb, frozen under permutation."""
+        return self.tree.forms[self.verb_index - 1:]
 
     @property
     def lengths(self) -> tuple:
@@ -107,11 +107,10 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
         raise NonProjectiveError("decompose requires a projective tree")
     verb = tree.root_index
     constituents = []
-    for t in tree.tokens[:verb - 1]:
-        if t.head == verb:
-            lo, hi = spans[t.index]
-            forms = tuple(u.form for u in tree.tokens[lo - 1:hi])
-            constituents.append(Constituent(t.index, (lo, hi), forms))
+    for i in range(1, verb):
+        if tree.heads[i - 1] == verb:
+            lo, hi = spans[i]
+            constituents.append(Constituent(i, (lo, hi), tree.forms[lo - 1:hi]))
     if not constituents:
         return Ineligible("no preverbal constituents")
     if len(constituents) < 2:

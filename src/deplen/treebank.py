@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
-    "Token",
     "DependencyTree",
     "Diagnostic",
     "parse_corpus",
@@ -30,97 +29,92 @@ class NonProjectiveError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    index: int          # 1-based sentence position
-    form: str
-    head: int           # 0 for root, else 1-based index of the head token
-    deprel: str
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"token index must be >= 1, got {self.index}")
-        if self.head < 0:
-            raise ValueError(f"head must be >= 0, got {self.head}")
-        if self.head == self.index:
-            raise ValueError(f"token {self.index} is its own head")
-
-
-@dataclass(frozen=True)
 class Diagnostic:
     line: int
     reason: str
 
 
 class DependencyTree:
-    """A single parsed sentence. Immutable after construction.
+    """A single sentence as three columns over positions 1..n: `heads[i - 1]`
+    is position i's head (0 for the root), `forms[i - 1]` its surface form and
+    `deprels[i - 1]` its dependency relation. Immutable after construction.
 
-    Validates that token indices are contiguous 1..n, exactly one token has
-    head 0, and head links form a connected acyclic structure.
+    Validates that exactly one token has head 0, every head lies in 0..n,
+    and head links form a connected acyclic structure.
     """
 
-    def __init__(self, tokens: Iterable[Token]):
-        tokens = tuple(tokens)
-        reason = _validate(tokens)
+    def __init__(self, heads: Iterable[int], forms: Iterable[str],
+                 deprels: Iterable[str]):
+        heads, forms, deprels = tuple(heads), tuple(forms), tuple(deprels)
+        if not len(heads) == len(forms) == len(deprels):
+            raise ValueError("heads, forms and deprels differ in length")
+        reason = _validate(heads)
         if reason is not None:
             raise ValueError(reason)
-        self._tokens = tokens
-        self._root = next(t.index for t in tokens if t.head == 0)
+        self._heads, self._forms, self._deprels = heads, forms, deprels
+        self._root = heads.index(0) + 1
 
     @property
-    def tokens(self) -> tuple:
-        return self._tokens
+    def heads(self) -> tuple:
+        return self._heads
+
+    @property
+    def forms(self) -> tuple:
+        return self._forms
+
+    @property
+    def deprels(self) -> tuple:
+        return self._deprels
 
     @property
     def root_index(self) -> int:
         return self._root
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self._heads)
+
+    def _columns(self) -> tuple:
+        return self._heads, self._forms, self._deprels
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DependencyTree) and self._tokens == other._tokens
+        return isinstance(other, DependencyTree) and self._columns() == other._columns()
 
     def __hash__(self) -> int:
-        return hash(self._tokens)
+        return hash(self._columns())
 
     def __repr__(self) -> str:
-        words = " ".join(t.form for t in self._tokens)
+        words = " ".join(self._forms)
         return f"DependencyTree({words!r})"
-
-    def token(self, index: int) -> Token:
-        return self._tokens[index - 1]
 
     def arcs(self) -> Iterator[tuple]:
         """(head, dependent) pairs, excluding the artificial root arc."""
-        for t in self._tokens:
-            if t.head != 0:
-                yield t.head, t.index
+        for dependent, head in enumerate(self._heads, start=1):
+            if head != 0:
+                yield head, dependent
 
 
-def _validate(tokens) -> Optional[str]:
-    if not tokens:
+def _validate(heads) -> Optional[str]:
+    if not heads:
         return "empty sentence"
-    n = len(tokens)
-    if [t.index for t in tokens] != list(range(1, n + 1)):
-        return "token indices not contiguous 1..n"
-    roots = [t.index for t in tokens if t.head == 0]
-    if len(roots) == 0:
+    n = len(heads)
+    roots = heads.count(0)
+    if roots == 0:
         return "no root"
-    if len(roots) > 1:
+    if roots > 1:
         return "multiple roots"
-    for t in tokens:
-        if t.head > n:
-            return f"head {t.head} out of range for token {t.index}"
+    for i, head in enumerate(heads, start=1):
+        if not 0 <= head <= n:
+            return f"head {head} out of range for token {i}"
     # acyclicity: every token must reach the root along head links; a walk
     # stops at the first node known to reach it, so each token is walked once
     reaches_root = {0}
-    for t in tokens:
-        path, cur = set(), t.index
+    for i in range(1, n + 1):
+        path, cur = set(), i
         while cur not in reaches_root:
             if cur in path:
                 return "cycle in head links"
             path.add(cur)
-            cur = tokens[cur - 1].head
+            cur = heads[cur - 1]
         reaches_root |= path
     return None
 
@@ -152,27 +146,20 @@ def _iter_blocks(source):
         yield start, block
 
 
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False
-
-
 def parse_corpus(source, format: str = "conllu"):
     """Parse a corpus from a string or line iterable.
 
     Returns (trees, diagnostics). Malformed blocks are skipped with a
     Diagnostic recording the offending line, or the block's first line
-    when the tree as a whole is invalid, and the reason.
+    when the tree as a whole is invalid (indices not 1..n included), and
+    the reason. A bad line takes precedence over a fault of the whole tree.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     width, (i_index, i_form, i_head, i_deprel) = FORMATS[format]
     trees, diagnostics = [], []
     for start, block in _iter_blocks(source):
-        tokens, bad = [], None
+        heads, forms, deprels, contiguous, bad = [], [], [], True, None
         for lineno, line in block:
             if line.startswith("#"):
                 continue
@@ -180,24 +167,35 @@ def parse_corpus(source, format: str = "conllu"):
             if len(cols) != width:
                 bad = Diagnostic(lineno, f"expected {width} columns, got {len(cols)}")
                 break
-            index, head = cols[i_index], cols[i_head]
-            if not _is_int(index):
+            try:
+                index = int(cols[i_index])
+            except ValueError:
                 # CoNLL-U multiword-token ranges (i-j) and empty nodes (i.1)
                 if format == "conllu":
                     continue
-                bad = Diagnostic(lineno, f"non-integer index {index!r}")
-                break
-            if not _is_int(head):
-                bad = Diagnostic(lineno, f"non-integer head {head!r}")
+                bad = Diagnostic(lineno, f"non-integer index {cols[i_index]!r}")
                 break
             try:
-                tokens.append(Token(int(index), cols[i_form], int(head), cols[i_deprel]))
-            except ValueError as e:
-                bad = Diagnostic(lineno, str(e))
+                head = int(cols[i_head])
+            except ValueError:
+                bad = Diagnostic(lineno, f"non-integer head {cols[i_head]!r}")
                 break
+            reason = (f"token index must be >= 1, got {index}" if index < 1
+                      else f"head must be >= 0, got {head}" if head < 0
+                      else f"token {index} is its own head" if head == index
+                      else None)
+            if reason is not None:
+                bad = Diagnostic(lineno, reason)
+                break
+            contiguous = contiguous and index == len(heads) + 1
+            heads.append(head)
+            forms.append(cols[i_form])
+            deprels.append(cols[i_deprel])
+        if bad is None and not contiguous:
+            bad = Diagnostic(start, "token indices not contiguous 1..n")
         if bad is None:
             try:
-                trees.append(DependencyTree(tokens))
+                trees.append(DependencyTree(heads, forms, deprels))
             except ValueError as e:
                 bad = Diagnostic(start, str(e))
         if bad is not None:
@@ -209,17 +207,16 @@ def to_conllu(tree: DependencyTree, sent_id: Optional[str] = None) -> str:
     lines = []
     if sent_id is not None:
         lines.append(f"# sent_id = {sent_id}")
-    for t in tree.tokens:
+    for i, (head, form, deprel) in enumerate(zip(*tree._columns()), start=1):
         lines.append(
-            "\t".join([str(t.index), t.form, "_", "_", "_", "_",
-                       str(t.head), t.deprel, "_", "_"])
+            "\t".join([str(i), form, "_", "_", "_", "_", str(head), deprel, "_", "_"])
         )
     return "\n".join(lines) + "\n"
 
 
 def to_tsv(tree: DependencyTree) -> str:
-    lines = ["\t".join([str(t.index), t.form, str(t.head), t.deprel])
-             for t in tree.tokens]
+    lines = ["\t".join([str(i), form, str(head), deprel])
+             for i, (head, form, deprel) in enumerate(zip(*tree._columns()), start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -234,7 +231,7 @@ def subtree_spans(tree: DependencyTree) -> Optional[list]:
     One bottom-up pass, dependents before their heads.
     """
     n = len(tree)
-    heads = [0] + [t.head for t in tree.tokens]
+    heads = (0, *tree.heads)
     dependents = [[] for _ in range(n + 1)]
     for i in range(1, n + 1):
         dependents[heads[i]].append(i)
@@ -273,18 +270,19 @@ def strip_punct(tree: DependencyTree, deprels=PUNCT_DEPRELS) -> DependencyTree:
     """Remove leaf tokens with a punctuation deprel and reindex.
 
     Applied iteratively so punctuation attached to punctuation also goes.
-    Raises if removal would orphan the tree (punctuation root).
+    The root is always kept, whatever its deprel.
     """
-    tokens = list(tree.tokens)
+    heads = (0, *tree.heads)
+    punct = (False, *(deprel in deprels for deprel in tree.deprels))
+    kept = range(1, len(tree) + 1)
     while True:
-        has_dep = {t.head for t in tokens}
-        drop = {t.index for t in tokens
-                if t.deprel in deprels and t.index not in has_dep and t.head != 0}
-        if not drop:
+        has_dep = {heads[i] for i in kept}
+        still = [i for i in kept if not punct[i] or i in has_dep or heads[i] == 0]
+        if len(still) == len(kept):
             break
-        tokens = [t for t in tokens if t.index not in drop]
-    remap = {t.index: i + 1 for i, t in enumerate(tokens)}
+        kept = still
+    remap = {old: new for new, old in enumerate(kept, start=1)}
     remap[0] = 0
-    return DependencyTree(
-        Token(remap[t.index], t.form, remap[t.head], t.deprel) for t in tokens
-    )
+    return DependencyTree([remap[heads[i]] for i in kept],
+                          [tree.forms[i - 1] for i in kept],
+                          [tree.deprels[i - 1] for i in kept])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .constituency import SentencePlan
 from .seeding import as_rng
-from .treebank import DependencyTree, Token
+from .treebank import DependencyTree
 
 __all__ = [
     "VariantSet",
@@ -116,7 +116,7 @@ def linearize(plan: SentencePlan, order) -> DependencyTree:
     old_positions.extend(range(plan.verb_index, len(plan.tree) + 1))
     remap = {old: new for new, old in enumerate(old_positions, start=1)}
     remap[0] = 0
-    tokens = [plan.tree.token(old) for old in old_positions]
-    return DependencyTree(
-        Token(remap[t.index], t.form, remap[t.head], t.deprel) for t in tokens
-    )
+    heads, forms, deprels = plan.tree.heads, plan.tree.forms, plan.tree.deprels
+    return DependencyTree([remap[heads[old - 1]] for old in old_positions],
+                          [forms[old - 1] for old in old_positions],
+                          [deprels[old - 1] for old in old_positions])

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from deplen.treebank import DependencyTree, Token
+from deplen.treebank import DependencyTree
 from deplen.constituency import SentencePlan, decompose
 from deplen.analysis import SyntheticSpec, generate_synthetic_corpus
 
@@ -21,9 +21,15 @@ FIG3_RANDOM_ORDER = (0, 1, 3, 2)
 
 @pytest.fixture
 def fig3_tree() -> DependencyTree:
-    return DependencyTree(
-        Token(i + 1, form, head, rel)
-        for i, (form, head, rel) in enumerate(FIG3_TOKENS))
+    forms, heads, rels = zip(*FIG3_TOKENS)
+    return DependencyTree(heads, forms, rels)
+
+
+def heads_tree(heads) -> DependencyTree:
+    """The tree over `heads` (position i's head at index i - 1, 0 for the
+    root), with forms w1..wn, deprel "root" on the root and "dep" elsewhere."""
+    return DependencyTree(heads, [f"w{i}" for i in range(1, len(heads) + 1)],
+                          ["root" if h == 0 else "dep" for h in heads])
 
 
 @pytest.fixture
@@ -39,8 +45,7 @@ def random_tree(rng, n: int) -> DependencyTree:
     heads = {order[0]: 0}
     for i, node in enumerate(order[1:], start=1):
         heads[node] = int(order[rng.integers(i)])
-    return DependencyTree(
-        Token(i, f"w{i}", heads[i], "dep") for i in range(1, n + 1))
+    return heads_tree([heads[i] for i in range(1, n + 1)])
 
 
 def random_plans(seed: int, count: int, k_max: int = 6) -> list:
@@ -64,21 +69,24 @@ def eligible_plans(draw, k_max: int = 6, max_length: int = 8) -> SentencePlan:
     k = draw(st.integers(2, k_max))
     lengths = draw(st.lists(st.integers(1, max_length), min_size=k, max_size=k))
     verb = sum(lengths) + 1
-    tokens, start = [], 1
+    heads, deprels, start = [], [], 1
     for length in lengths:
         head = start + draw(st.integers(0, length - 1))
         for pos in range(start, start + length):
             if pos == head:
-                tokens.append(Token(pos, f"w{pos}", verb, "arg"))
+                heads.append(verb)
+                deprels.append("arg")
             else:
                 inward = pos + 1 if pos < head else pos - 1
-                tokens.append(Token(pos, f"w{pos}",
-                                    draw(st.sampled_from([inward, head])), "mod"))
+                heads.append(draw(st.sampled_from([inward, head])))
+                deprels.append("mod")
         start += length
-    tokens.append(Token(verb, f"w{verb}", 0, "root"))
+    heads.append(0)
+    deprels.append("root")
     for pos in range(verb + 1, verb + 1 + draw(st.integers(0, 3))):
-        tokens.append(Token(pos, f"w{pos}",
-                            draw(st.sampled_from([verb, pos - 1])), "post"))
-    plan = decompose(DependencyTree(tokens))
+        heads.append(draw(st.sampled_from([verb, pos - 1])))
+        deprels.append("post")
+    plan = decompose(DependencyTree(heads, [f"w{i}" for i in range(1, len(heads) + 1)],
+                                    deprels))
     assert isinstance(plan, SentencePlan) and plan.k == k
     return plan

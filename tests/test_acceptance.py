@@ -110,7 +110,7 @@ def test_criterion_5_pairwise_transform():
 
     # the first sentence twice under one id: one variant, oriented both ways
     entry = corpus.entries[0]
-    twice = decompose_corpus([entry.tree] * 2, sentence_ids=[entry.sentence_id] * 2)
+    twice = decompose_corpus([entry.plan.tree] * 2, sentence_ids=[entry.sentence_id] * 2)
     pair = build_pairwise_dataset(twice, cap=2, seed=6)
     vset = generate_variants(entry.plan, 2, derive_rng(6, entry.sentence_id, "variants"))
     delta = np.subtract(extract_features(entry.plan, vset.reference_order),

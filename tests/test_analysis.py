@@ -12,9 +12,9 @@ from deplen.analysis import (InsufficientDataError, SyntheticSpec,
 from deplen.constituency import decompose
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
-from deplen.treebank import DependencyTree, Token
 from deplen.variants import generate_variants
 
+from conftest import heads_tree
 
 
 def synthetic_corpus(n, p_least_effort, seed, **kw):
@@ -25,19 +25,14 @@ def synthetic_corpus(n, p_least_effort, seed, **kw):
 
 class TestDecomposeCorpus:
     def test_skips_nonprojective_with_count(self):
-        good = DependencyTree([
-            Token(1, "a", 4, "dep"), Token(2, "b", 4, "dep"),
-            Token(3, "c", 4, "dep"), Token(4, "v", 0, "root")])
-        crossing = DependencyTree([
-            Token(1, "a", 3, "dep"), Token(2, "b", 4, "dep"),
-            Token(3, "c", 0, "root"), Token(4, "d", 3, "dep")])
+        good = heads_tree([4, 4, 4, 0])
+        crossing = heads_tree([3, 4, 0, 3])
         corpus = decompose_corpus([good, crossing])
         assert len(corpus.entries) == 1
         assert corpus.skipped == {"non-projective": 1}
 
     def test_counts_ineligible(self):
-        verb_initial = DependencyTree([
-            Token(1, "v", 0, "root"), Token(2, "a", 1, "dep")])
+        verb_initial = heads_tree([0, 1])
         corpus = decompose_corpus([verb_initial])
         assert corpus.entries == []
         assert corpus.skipped == {"no preverbal constituents": 1}
@@ -67,12 +62,7 @@ class TestHistogram:
 
 class TestPositionLengthProfile:
     def test_single_sentence(self):
-        tree = DependencyTree([
-            Token(1, "a", 9, "dep"), Token(2, "b", 1, "dep"),
-            Token(3, "c", 1, "dep"), Token(4, "d", 1, "dep"),
-            Token(5, "e", 9, "dep"), Token(6, "f", 5, "dep"),
-            Token(7, "g", 5, "dep"), Token(8, "h", 9, "dep"),
-            Token(9, "v", 0, "root")])
+        tree = heads_tree([9, 1, 1, 1, 9, 5, 5, 9, 0])
         corpus = decompose_corpus([tree])
         assert np.allclose(position_length_profile(corpus, 3), [4, 3, 1])
 
@@ -221,8 +211,8 @@ class TestSyntheticGenerator:
         from deplen.treebank import is_projective
         corpus = synthetic_corpus(100, 0.3, seed=26)
         for e in corpus.entries:
-            assert is_projective(e.tree)
-            assert e.plan.postverbal_suffix == (e.tree.token(e.plan.verb_index).form,)
+            assert is_projective(e.plan.tree)
+            assert e.plan.postverbal_suffix == (e.plan.tree.forms[e.plan.verb_index - 1],)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,10 @@ from deplen.constituency import (CONVENTIONS, Ineligible, arc_distance,
                                  constituent_dl, decompose, main_verb_dl,
                                  main_verb_dl_closed_form, order_dl,
                                  total_dependency_length)
-from deplen.treebank import DependencyTree, NonProjectiveError, Token, is_projective
+from deplen.treebank import NonProjectiveError, is_projective
 from deplen.variants import linearize, order_ascending, order_descending, order_identity
 
-from conftest import FIG3_RANDOM_ORDER, eligible_plans, random_plans, random_tree
+from conftest import FIG3_RANDOM_ORDER, eligible_plans, heads_tree, random_plans, random_tree
 
 
 class TestDecompose:
@@ -23,25 +23,19 @@ class TestDecompose:
         assert [c.head_right_offset for c in fig3_plan.preverbal] == [1, 1, 1, 0]
 
     def test_verb_initial(self):
-        tree = DependencyTree([
-            Token(1, "v", 0, "root"), Token(2, "a", 1, "dep"),
-            Token(3, "b", 1, "dep")])
+        tree = heads_tree([0, 1, 1])
         result = decompose(tree)
         assert isinstance(result, Ineligible)
         assert result.reason == "no preverbal constituents"
 
     def test_single_constituent(self):
-        tree = DependencyTree([
-            Token(1, "a", 2, "dep"), Token(2, "b", 3, "dep"),
-            Token(3, "v", 0, "root")])
+        tree = heads_tree([2, 3, 0])
         result = decompose(tree)
         assert isinstance(result, Ineligible)
         assert "fewer than 2" in result.reason
 
     def test_nonprojective_rejected(self):
-        tree = DependencyTree([
-            Token(1, "a", 3, "dep"), Token(2, "b", 4, "dep"),
-            Token(3, "c", 0, "root"), Token(4, "d", 3, "dep")])
+        tree = heads_tree([3, 4, 0, 3])
         with pytest.raises(NonProjectiveError):
             decompose(tree)
 
@@ -56,7 +50,7 @@ class TestDecompose:
                 decompose(tree)
             return
         verb = tree.root_index
-        heads = [t.index for t in tree.tokens[:verb - 1] if t.head == verb]
+        heads = [i for i in range(1, verb) if tree.heads[i - 1] == verb]
         result = decompose(tree)
         if len(heads) < 2:
             assert result == Ineligible("no preverbal constituents" if not heads
@@ -68,29 +62,25 @@ class TestDecompose:
         assert starts == [1] + [end + 1 for end in ends[:-1]]
         assert ends[-1] == verb - 1
         for c in result.preverbal:
-            assert c.forms == tuple(t.form for t in tree.tokens[c.span[0] - 1:c.span[1]])
+            assert c.forms == tree.forms[c.span[0] - 1:c.span[1]]
             for pos in range(c.span[0], c.span[1] + 1):   # descends from the head
                 node = pos
-                while tree.token(node).head != verb:
-                    node = tree.token(node).head
+                while tree.heads[node - 1] != verb:
+                    node = tree.heads[node - 1]
                 assert node == c.head_index
 
 
 class TestTotalDependencyLength:
     def test_adjacent_arc_is_zero(self):
-        tree = DependencyTree([Token(1, "a", 2, "dep"), Token(2, "b", 0, "root")])
+        tree = heads_tree([2, 0])
         assert total_dependency_length(tree) == 0
 
     def test_chain_tree(self):
-        tree = DependencyTree([
-            Token(1, "a", 2, "dep"), Token(2, "b", 3, "dep"),
-            Token(3, "c", 0, "root")])
+        tree = heads_tree([2, 3, 0])
         assert total_dependency_length(tree) == 0
 
     def test_positional_convention(self):
-        tree = DependencyTree([
-            Token(1, "a", 2, "dep"), Token(2, "b", 3, "dep"),
-            Token(3, "c", 0, "root")])
+        tree = heads_tree([2, 3, 0])
         assert total_dependency_length(tree, "positional") == 2
 
     def test_fig3_descending_main_verb_arcs(self, fig3_plan):
@@ -110,10 +100,7 @@ class TestMainVerbDl:
         assert constituent_dl(fig3_plan, desc, 0) == 2
 
     def test_single_constituent_offset(self):
-        tree = DependencyTree([
-            Token(1, "a", 2, "dep"), Token(2, "b", 4, "dep"),
-            Token(3, "c", 2, "dep"), Token(4, "v", 0, "root"),
-            Token(5, "x", 4, "dep")])
+        tree = heads_tree([2, 4, 2, 0, 4])
         # treat as one-constituent order over an artificial 1-element plan
         from deplen.constituency import Constituent, SentencePlan
         plan = SentencePlan(tree, (Constituent(2, (1, 3), ("a", "b", "c")),), 4)
@@ -138,8 +125,8 @@ class TestInvariants:
         order = data.draw(st.permutations(range(plan.k)))
         tree = linearize(plan, order)
         verb = tree.root_index
-        arcs = [arc_distance(t.index, verb, convention) for t in tree.tokens
-                if t.head == verb and t.index < verb]
+        arcs = [arc_distance(i, verb, convention) for i in range(1, verb)
+                if tree.heads[i - 1] == verb]
         dls, total = order_dl(plan, order, convention)
         assert list(dls) == arcs
         assert total == total_dependency_length(tree, convention)

@@ -7,11 +7,10 @@ from deplen.analysis import (CorpusEntry, DecomposedCorpus, build_pairwise_datas
 from deplen.constituency import order_dl
 from deplen.features import extract_features, feature_names, zscore
 from deplen.seeding import derive_rng
-from deplen.treebank import DependencyTree, Token
 from deplen.variants import (generate_variants, order_ascending, order_descending,
                              order_identity)
 
-from conftest import random_plans
+from conftest import heads_tree, random_plans
 
 
 class TestExtractFeatures:
@@ -82,8 +81,7 @@ class TestJoachimsTransform:
 
     def test_identical_vectors_zero_delta(self):
         # two one-word constituents: the swapped order has the same features
-        tree = DependencyTree([Token(1, "a", 3, "dep"), Token(2, "b", 3, "dep"),
-                               Token(3, "v", 0, "root")])
+        tree = heads_tree([3, 3, 0])
         dataset = build_pairwise_dataset(decompose_corpus([tree, tree]))
         assert len(dataset) == 2 and dataset.labels.tolist() == [1, 0]
         for arr in (dataset.total_dl, dataset.dl, dataset.length):
@@ -93,7 +91,7 @@ class TestJoachimsTransform:
 
     def test_corpus_scale_balance(self):
         plans = random_plans(seed=4, count=40)
-        corpus = DecomposedCorpus([CorpusEntry(f"p{i}", plan.tree, plan)
+        corpus = DecomposedCorpus([CorpusEntry(f"p{i}", plan)
                                    for i, plan in enumerate(plans)])
         dataset = build_pairwise_dataset(corpus, cap=100)
         n_pairs = sum(min(math.factorial(p.k) - 1, 99) for p in plans)

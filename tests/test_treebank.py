@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deplen.treebank import (DependencyTree, NonProjectiveError, Token,
-                             is_projective, parse_corpus, strip_punct,
-                             subtree_yield, to_conllu, to_tsv)
+from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree,
+                             NonProjectiveError, is_projective, parse_corpus,
+                             strip_punct, subtree_yield, to_conllu, to_tsv)
 
-from conftest import random_tree
+from conftest import heads_tree, random_tree
 
 CONLLU_FIG3 = """\
 # sent_id = fig3a
@@ -24,6 +24,29 @@ CONLLU_FIG3 = """\
 """
 
 
+def _lines(format, rows):
+    """(index, form, head, deprel) rows as lines of `format`."""
+    if format == "tsv":
+        return ["\t".join(map(str, row)) for row in rows]
+    return ["\t".join([str(i), form, "_", "_", "_", "_", str(head), rel, "_", "_"])
+            for i, form, head, rel in rows]
+
+
+# Rows that both formats carry alike, and the diagnostic they give in a
+# block whose comment line is line 14 and whose rows start at line 15: a bad
+# row at its own line, an invalid tree at the block's first line, and a bad
+# row ahead of a block-level fault.
+ROW_DIAGNOSTICS = [
+    ([(1, "a", 0, "root"), (2, "b", 2, "dep")], (16, "token 2 is its own head")),
+    ([(1, "a", 0, "root"), (2, "b", -1, "dep")], (16, "head must be >= 0, got -1")),
+    ([(1, "a", 0, "root"), (0, "b", 1, "dep")], (16, "token index must be >= 1, got 0")),
+    ([(1, "a", 0, "root"), (3, "b", 1, "dep")], (14, "token indices not contiguous 1..n")),
+    ([(1, "a", 0, "root"), (2, "b", 5, "dep")], (14, "head 5 out of range for token 2")),
+    ([(1, "a", 0, "root"), (3, "b", 1, "dep"), (4, "c", 4, "dep")],
+     (17, "token 4 is its own head")),
+]
+
+
 class TestParseCorpus:
     def test_fig3_block(self):
         trees, diags = parse_corpus(CONLLU_FIG3, "conllu")
@@ -32,7 +55,7 @@ class TestParseCorpus:
         tree = trees[0]
         assert len(tree) == 11
         assert tree.root_index == 11
-        assert tree.token(11).form == "di"
+        assert tree.forms[10] == "di"
 
     def test_empty_stream(self):
         trees, diags = parse_corpus("", "conllu")
@@ -91,7 +114,9 @@ class TestParseCorpus:
         ("tsv", ["1-2\tab\t0\troot"], (15, "non-integer index '1-2'")),
         ("conllu", ["1\ta\t_\t_\t_\t_\t0\troot\t_\t_",
                     "2\tb\t_\t_\t_\t_\t0\troot\t_\t_"], (14, "multiple roots")),
-        ("tsv", ["1\ta\t0\troot", "2\tb\t0\troot"], (14, "multiple roots"))])
+        ("tsv", ["1\ta\t0\troot", "2\tb\t0\troot"], (14, "multiple roots")),
+        *((format, _lines(format, rows), diagnostic) for format in FORMATS
+          for rows, diagnostic in ROW_DIAGNOSTICS)])
     def test_diagnostic_line(self, fig3_tree, format, lines, diagnostic):
         """A bad line is reported at its own line, an invalid tree at its
         block's first line: 14, the comment after the 12-line fig3 block
@@ -120,19 +145,15 @@ class TestStructure:
         assert is_projective(fig3_tree)
 
     def test_single_token_projective(self):
-        assert is_projective(DependencyTree([Token(1, "w", 0, "root")]))
+        assert is_projective(heads_tree([0]))
 
     def test_minimal_crossing(self):
         # arcs 1->3 and 2->4 cross
-        tree = DependencyTree([
-            Token(1, "a", 3, "dep"), Token(2, "b", 4, "dep"),
-            Token(3, "c", 0, "root"), Token(4, "d", 3, "dep")])
+        tree = heads_tree([3, 4, 0, 3])
         assert not is_projective(tree)
 
     def test_arc_over_root_not_projective(self):
-        tree = DependencyTree([
-            Token(1, "a", 3, "dep"), Token(2, "b", 0, "root"),
-            Token(3, "c", 2, "dep")])
+        tree = heads_tree([3, 0, 2])
         assert not is_projective(tree)
 
     def test_subtree_yields(self, fig3_tree):
@@ -141,9 +162,7 @@ class TestStructure:
         assert subtree_yield(fig3_tree, 11) == (1, 11)
 
     def test_subtree_yield_nonprojective_rejected(self):
-        tree = DependencyTree([
-            Token(1, "a", 3, "dep"), Token(2, "b", 4, "dep"),
-            Token(3, "c", 0, "root"), Token(4, "d", 3, "dep")])
+        tree = heads_tree([3, 4, 0, 3])
         with pytest.raises(NonProjectiveError):
             subtree_yield(tree, 3)
 
@@ -181,69 +200,104 @@ def test_yield_members_pass_through_head():
                 path, cur = [], pos
                 while cur != 0:
                     path.append(cur)
-                    cur = tree.token(cur).head
+                    cur = tree.heads[cur - 1]
                 assert h in path
 
 
-def _validate_by_walk(tokens):
+def _validate_by_walk(heads):
     """The reference validation: from every token, walk the head links to
     the root."""
-    if not tokens:
+    if not heads:
         return "empty sentence"
-    n = len(tokens)
-    if [t.index for t in tokens] != list(range(1, n + 1)):
-        return "token indices not contiguous 1..n"
-    roots = [t.index for t in tokens if t.head == 0]
+    n = len(heads)
+    roots = [i for i, h in enumerate(heads, start=1) if h == 0]
     if len(roots) == 0:
         return "no root"
     if len(roots) > 1:
         return "multiple roots"
-    for t in tokens:
-        if t.head > n:
-            return f"head {t.head} out of range for token {t.index}"
-    for t in tokens:
-        seen, cur = set(), t.index
+    for i, h in enumerate(heads, start=1):
+        if h < 0 or h > n:
+            return f"head {h} out of range for token {i}"
+    for i in range(1, n + 1):
+        seen, cur = set(), i
         while cur != 0:
             if cur in seen:
                 return "cycle in head links"
             seen.add(cur)
-            cur = tokens[cur - 1].head
+            cur = heads[cur - 1]
     return None
 
 
 @st.composite
 def head_arrays(draw):
-    """Token lists with zero, one or two roots, every other head anywhere
-    in 1..n but the token itself, so cycles are common, and at times one
-    head out of range."""
+    """Heads lists with zero, one or two roots, every other head anywhere
+    in 1..n, the token itself included, so cycles are common, and at times
+    one head out of range, above n or negative."""
     n = draw(st.integers(0, 9))
     n_roots = min(n, draw(st.sampled_from((0, 1, 1, 1, 2))))
     roots = draw(st.lists(st.integers(1, n), min_size=n_roots,
                           max_size=n_roots, unique=True)) if n else []
-    heads = []
-    for i in range(1, n + 1):
-        h = draw(st.integers(1, max(n - 1, 1)))
-        heads.append(0 if i in roots else h + (h >= i))   # skip i itself
+    heads = [0 if i in roots else draw(st.integers(1, n)) for i in range(1, n + 1)]
     if n and draw(st.integers(0, 4)) == 0:
-        heads[draw(st.integers(0, n - 1))] = n + 1
-    return [Token(i, f"w{i}", h, "dep") for i, h in enumerate(heads, start=1)]
+        heads[draw(st.integers(0, n - 1))] = draw(st.sampled_from((n + 1, -1)))
+    return heads
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
-@given(tokens=head_arrays())
-def test_validation_matches_walk_to_root(tokens):
+@given(heads=head_arrays())
+def test_validation_matches_walk_to_root(heads):
     try:
-        DependencyTree(tokens)
+        heads_tree(heads)
         reason = None
     except ValueError as e:
         reason = str(e)
-    assert reason == _validate_by_walk(tuple(tokens))
+    assert reason == _validate_by_walk(heads)
+
+
+def test_columns_of_unequal_length_rejected():
+    with pytest.raises(ValueError, match="differ in length"):
+        DependencyTree([2, 0], ["a", "b"], ["dep"])
 
 
 def test_strip_punct():
-    tree = DependencyTree([
-        Token(1, "hi", 2, "dep"), Token(2, "there", 0, "root"),
-        Token(3, ".", 2, "punct")])
+    tree = DependencyTree([2, 0, 2], ["hi", "there", "."], ["dep", "root", "punct"])
     stripped = strip_punct(tree)
-    assert [t.form for t in stripped.tokens] == ["hi", "there"]
+    assert stripped.forms == ("hi", "there")
     assert stripped.root_index == 2
+
+
+def _strip_punct_by_token_list(tree, deprels=PUNCT_DEPRELS):
+    """The reference punctuation stripping over (index, form, head, deprel)
+    rows: drop every non-root punctuation leaf until none is left, then
+    renumber the rows that remain."""
+    rows = [(i, form, head, rel) for i, (head, form, rel)
+            in enumerate(zip(tree.heads, tree.forms, tree.deprels), start=1)]
+    while True:
+        has_dep = {head for _, _, head, _ in rows}
+        drop = {i for i, _, head, rel in rows
+                if rel in deprels and i not in has_dep and head != 0}
+        if not drop:
+            break
+        rows = [row for row in rows if row[0] not in drop]
+    remap = {row[0]: new for new, row in enumerate(rows, start=1)}
+    remap[0] = 0
+    return DependencyTree([remap[head] for _, _, head, _ in rows],
+                          [form for _, form, _, _ in rows],
+                          [rel for _, _, _, rel in rows])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), data=st.data())
+def test_strip_punct_matches_token_list(seed, n, data):
+    """Random trees with random punctuation deprels, the root's included."""
+    base = random_tree(np.random.default_rng(seed), n)
+    rels = data.draw(st.lists(st.sampled_from(["punct", "rsym", "SYM", "dep"]),
+                              min_size=n, max_size=n))
+    tree = DependencyTree(base.heads, base.forms, rels)
+    stripped = strip_punct(tree)
+    assert stripped == _strip_punct_by_token_list(tree)
+    has_dep = set(stripped.heads)
+    assert all(rel not in PUNCT_DEPRELS or i in has_dep or head == 0
+               for i, (head, rel) in enumerate(zip(stripped.heads, stripped.deprels), 1))
+    kept = [int(form[1:]) for form in stripped.forms]   # forms are w1..wn
+    assert kept == sorted(kept)

@@ -102,12 +102,12 @@ class TestLeastEffort:
 class TestLinearize:
     def test_fig3_descending_string(self, fig3_plan):
         tree = linearize(fig3_plan, order_descending(fig3_plan))
-        assert " ".join(t.form for t in tree.tokens) == \
+        assert " ".join(tree.forms) == \
             "rote hue bacche ko baajaar jaate samaye maa ne toffee di"
 
     def test_fig3_ascending_string(self, fig3_plan):
         tree = linearize(fig3_plan, order_ascending(fig3_plan))
-        assert " ".join(t.form for t in tree.tokens) == \
+        assert " ".join(tree.forms) == \
             "toffee maa ne baajaar jaate samaye rote hue bacche ko di"
 
     def test_identity_reproduces_input(self, fig3_plan, fig3_tree):
