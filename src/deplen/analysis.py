@@ -231,7 +231,8 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
 
     Returns a list of row dicts: table, predictors, accuracy,
     fold_accuracies, flagged_folds (folds fitted under the separation
-    ridge), mcnemar vs previous row (None for first rows).
+    ridge), min_margin (the smallest |p - 0.5| of a test prediction),
+    mcnemar vs previous row (None for first rows).
     """
     if len(dataset) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 pairs")
@@ -251,6 +252,7 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
                 "accuracy": report.mean_accuracy,
                 "fold_accuracies": report.fold_accuracies.tolist(),
                 "flagged_folds": report.flagged_folds,
+                "min_margin": report.min_margin,
                 "mcnemar_p": None,
                 "mcnemar_statistic": None,
             }
@@ -282,7 +284,9 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
                      folds: int = 10, seed: int = 0,
                      min_pairs: int = 500) -> dict:
     """RFECV-selected logistic regression over the positional predictors of
-    the exactly-k subset (the per-constituent coefficient tables)."""
+    the exactly-k subset (the per-constituent coefficient tables). Where
+    RFECV ran, `rfecv_min_margin` is the smallest |p - 0.5| of its CV test
+    predictions, a fit-health record rather than part of the table."""
     X, y = dataset.positional_matrix(k, family)
     if len(y) < min_pairs:
         return {"k": k, "family": family, "status": "insufficient data",
@@ -292,16 +296,16 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     X, names, dropped = _drop_collinear(X, names)
     if len(names) >= 2:
         selection = stats.rfecv(X, y, folds=folds, seed=seed, feature_names=names)
-        selected = selection.selected
+        selected, margin = selection.selected, selection.min_margin
         curve = {str(s): a for s, a in sorted(selection.curve.items())}
     else:
-        selected, curve = list(names), {}
+        selected, curve, margin = list(names), {}, None
     keep = [j for j, nm in enumerate(names) if nm in selected]
     Z, _, _ = features.zscore(X[:, keep])
     fit = stats.fit_logistic(Z, y, feature_names=[names[j] for j in keep])
     return {"k": k, "family": family, "status": "ok", "n": int(len(y)),
             "selected": selected, "dropped_collinear": dropped,
-            "cv_curve": curve, "fit": fit.to_dict()}
+            "cv_curve": curve, "fit": fit.to_dict(), "rfecv_min_margin": margin}
 
 
 # ---------------------------------------------------------------------------

@@ -282,12 +282,15 @@ def cmd_features(args):
 
 
 def _write_regressions(out: Path, args, dataset):
+    margins = {}
     for family, filename in (("deplen", "table1_regression.json"),
                              ("length", "table2_regression.json")):
         per_k = {str(k): analysis.regression_table(
                      dataset, k, family, folds=args.folds, seed=args.seed)
                  for k in range(args.k_min, args.k_max + 1)}
+        margins[family] = {k: table.pop("rfecv_min_margin", None) for k, table in per_k.items()}
         (out / filename).write_text(json.dumps(per_k, indent=2))
+    return {"rfecv_min_margin": margins}
 
 
 def cmd_fit(args):
@@ -300,7 +303,7 @@ def _write_suite(out: Path, args, dataset):
             dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
     except analysis.InsufficientDataError as e:
         raise DataError(str(e))
-    flagged = {}
+    flagged, margins = {}, {}
     for table, filename in (("table3", "table3_accuracy.csv"),
                             ("table4", "table4_accuracy.csv")):
         table_rows = [r for r in rows if r["table"] == table]
@@ -310,7 +313,8 @@ def _write_suite(out: Path, args, dataset):
                      "" if r["mcnemar_p"] is None else f"{r['mcnemar_p']:.3g}")
                     for r in table_rows])
         flagged[table] = {r["predictors"]: r["flagged_folds"] for r in table_rows}
-    return {"flagged_folds": flagged}
+        margins[table] = {r["predictors"]: r["min_margin"] for r in table_rows}
+    return {"flagged_folds": flagged, "min_margin": margins}
 
 
 def cmd_classify(args):
@@ -354,8 +358,8 @@ def cmd_report_all(args):
     _write_curves(out, args, corpus)
     dataset = _dataset(args, corpus)
     log.info("pairwise dataset: %d examples", len(dataset))
-    _write_regressions(out, args, dataset)
-    fit_health = _write_suite(out, args, dataset)
+    fit_health = {**_write_regressions(out, args, dataset),
+                  **_write_suite(out, args, dataset)}
 
     _write_manifest(out, args, corpus_hash, {
         **fit_health,

@@ -80,9 +80,14 @@ class SentencePlan:
         """Surface forms at and after the verb, frozen under permutation."""
         return self.tree.forms[self.verb_index - 1:]
 
-    @property
+    @cached_property
     def lengths(self) -> tuple:
         return tuple(c.length for c in self.preverbal)
+
+    @cached_property
+    def head_offsets(self) -> tuple:
+        """Each constituent's head position within its span, from 0."""
+        return tuple(c.head_index - c.span[0] for c in self.preverbal)
 
     @cached_property
     def fixed_arcs(self) -> tuple:
@@ -130,11 +135,10 @@ def order_dl(plan: SentencePlan, order: Sequence[int],
     pass over the constituents: only these k arcs move under permutation,
     every other arc adds the same length, from the plan's `fixed_arcs`."""
     dls, start = [], 1
+    lengths, offsets = plan.lengths, plan.head_offsets
     for ci in order:
-        c = plan.preverbal[ci]
-        dls.append(arc_distance(start + c.head_index - c.span[0],
-                                plan.verb_index, convention))
-        start += c.length
+        dls.append(arc_distance(start + offsets[ci], plan.verb_index, convention))
+        start += lengths[ci]
     count, span_sum = plan.fixed_arcs
     fixed = span_sum - count if convention == "intervening" else span_sum
     return tuple(dls), sum(dls) + fixed

@@ -35,7 +35,8 @@ def extract_features(plan: SentencePlan, order,
     then the per-position constituent dependency lengths and word counts
     (position k adjacent to the verb)."""
     dls, total = order_dl(plan, order, convention)
-    return (total, *dls, *(plan.preverbal[ci].length for ci in order))
+    lengths = plan.lengths
+    return (total, *dls, *(lengths[ci] for ci in order))
 
 
 @dataclass(frozen=True)

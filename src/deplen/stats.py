@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import zscore, zscore_stats
+from .features import zscore
 
 __all__ = [
     "RegressionFit",
@@ -68,8 +68,11 @@ class RegressionFit:
 
 
 def _sigmoid(eta):
+    """1 / (1 + exp(-eta)), computed in eta's buffer."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-eta))
+        np.exp(np.negative(eta, out=eta), out=eta)
+    eta += 1.0
+    return np.divide(1.0, eta, out=eta)
 
 
 def _check_rank(X: np.ndarray, names) -> None:
@@ -82,6 +85,55 @@ def _check_rank(X: np.ndarray, names) -> None:
                   for j in np.flatnonzero(null > 0.1)]
         raise RankDeficientError(
             f"design matrix is rank deficient; collinear columns: {guilty}")
+
+
+def _hessians(design: np.ndarray, weights, maps: np.ndarray) -> np.ndarray:
+    """The design's Gram matrix under each row weighting, in the coordinates
+    of maps[f]; a coefficient its map drops gets a unit diagonal."""
+    hess = np.stack([(design * wf[:, None]).T @ design for wf in weights])
+    hess = maps.transpose(0, 2, 1) @ hess @ maps
+    diag = np.arange(hess.shape[1])
+    hess[:, diag, diag] += ~maps.any(axis=1)
+    return hess
+
+
+def _fit_folds(design, y, weights, ridge, maps):
+    """F logit fits of one design by one stacked IRLS loop, which a fit
+    leaves once its step is below TOL. Fit f weights the rows by
+    weights[:, f], has ridge[f] and solves for the coefficients that maps[f]
+    takes to the design's. An unpenalized fit whose coefficients pass
+    SEPARATION_COEF_BOUND before it converges is fitted again, from zero,
+    under SEPARATION_RIDGE. Returns (beta, iterations, converged,
+    separation, ridge) per fit."""
+    F, q = weights.shape[1], design.shape[1]
+    beta, iterations = np.zeros((F, q)), np.full(F, MAX_ITER)
+    converged, live = np.zeros(F, dtype=bool), np.arange(F)
+    for it in range(1, MAX_ITER + 1):
+        b, pen, fold_maps = beta[live], ridge[live], maps[live]
+        wts = weights if len(live) == F else weights[:, live]
+        mu = _sigmoid(design @ (fold_maps @ b[..., None])[..., 0].T)
+        hess = _hessians(design, (np.maximum(m * (1.0 - m), 1e-12) * wf
+                                  for m, wf in zip(mu.T, wts.T)), fold_maps)
+        np.subtract(y[:, None], mu, out=mu)    # the one (cells x fits) buffer
+        mu *= wts
+        grad = (design.T @ mu).T
+        del mu    # before the next iteration allocates its own
+        grad = (fold_maps.transpose(0, 2, 1) @ grad[..., None])[..., 0] - pen[:, None] * b
+        hess += pen[:, None, None] * np.eye(q)
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        beta[live] = b = b + step
+        conv = np.abs(step).max(axis=1) < TOL
+        done = conv | ((pen == 0.0) & (np.abs(b).max(axis=1) > SEPARATION_COEF_BOUND))
+        converged[live[conv]] = True
+        iterations[live[done]] = it
+        if not (live := live[~done]).size:
+            break
+    separation = ~converged & (ridge == 0.0) & (np.abs(beta).max(axis=1) > SEPARATION_COEF_BOUND)
+    ridge = np.where(separation, SEPARATION_RIDGE, ridge)
+    if separation.any():
+        beta[separation], iterations[separation], converged[separation], _, _ = _fit_folds(
+            design, y, weights[:, separation], ridge[separation], maps[separation])
+    return beta, iterations, converged, separation, ridge
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
@@ -105,47 +157,24 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != y.shape:
         raise ValueError("weights and y length mismatch")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("weights must be finite and non-negative")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0) or not weights.any():
+        raise ValueError("weights must be finite, non-negative and not all zero")
     design = np.column_stack([np.ones(len(y)), X])
     _check_rank(design if weights.all() else design[weights > 0],
                 ["intercept"] + list(feature_names or []))
-    p_cols = design.shape[1]
-
-    def irls(penalty):
-        beta = np.zeros(p_cols)
-        ridge_eye = penalty * np.eye(p_cols)
-        for it in range(1, MAX_ITER + 1):
-            mu = _sigmoid(design @ beta)
-            w = np.clip(mu * (1.0 - mu), 1e-12, None)
-            w *= weights
-            grad = design.T @ (weights * (y - mu)) - penalty * beta
-            hess = (design.T * w) @ design + ridge_eye
-            step = np.linalg.solve(hess, grad)
-            beta = beta + step
-            if np.max(np.abs(step)) < TOL:
-                return beta, it, True
-            if np.max(np.abs(beta)) > SEPARATION_COEF_BOUND and penalty == 0.0:
-                return beta, it, False
-        return beta, MAX_ITER, False
-
-    separation = False
-    beta, iterations, converged = irls(ridge)
-    if not converged and ridge == 0.0 and np.max(np.abs(beta)) > SEPARATION_COEF_BOUND:
-        separation = True
-        ridge = SEPARATION_RIDGE
-        beta, iterations, converged = irls(ridge)
-
+    beta, iterations, converged, separation, ridge = (
+        v[0] for v in _fit_folds(design, y, weights[:, None], np.array([float(ridge)]),
+                                 np.eye(design.shape[1])[None]))
     mu = _sigmoid(design @ beta)
     w = np.clip(mu * (1.0 - mu), 1e-12, None)
     w *= weights
-    info = (design.T * w) @ design + ridge * np.eye(p_cols)
+    info = (design.T * w) @ design + ridge * np.eye(design.shape[1])
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     ll = float(np.sum(weights * (y * np.log(np.clip(mu, 1e-300, None))
                                  + (1 - y) * np.log(np.clip(1 - mu, 1e-300, None)))))
-    return RegressionFit(beta, se, beta / se, converged, iterations, ll,
-                         ridge=ridge, separation=separation,
+    return RegressionFit(beta, se, beta / se, bool(converged), int(iterations), ll,
+                         ridge=float(ridge), separation=bool(separation),
                          feature_names=list(feature_names) if feature_names else None)
 
 
@@ -163,31 +192,71 @@ class CvReport:
     mean_accuracy: float
     predictions: np.ndarray     # per-example predicted labels, input order
     flagged_folds: list = field(default_factory=list)
+    min_margin: float = math.inf    # smallest |p - 0.5| over the test predictions
 
 
 def _distinct_cells(X: np.ndarray, y: np.ndarray):
-    """Group the rows of X: one representative row index per distinct row,
-    and each row's (row, label) cell number 2 * group + y."""
-    order = np.lexsort(X.T)
+    """Group the rows of (X, y) into distinct cells: the first row of each
+    cell in sort order, and each row's cell number."""
+    keys = (y, *X.T)
+    order = np.lexsort(keys)
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
-    for col in X.T:
+    for col in keys:
         sorted_col = col[order]
         new[1:] |= sorted_col[1:] != sorted_col[:-1]
-    key = np.empty(len(order), dtype=np.intp)
-    key[order] = np.cumsum(new) - 1
-    key *= 2
-    key += y
-    return order[new], key
+    cell = np.empty(len(order), dtype=np.intp)
+    cell[order] = np.cumsum(new) - 1
+    return order[new], cell
 
 
-def _cells(rep: np.ndarray, key: np.ndarray):
-    """The occupied (row, label) cells among the given cell numbers: a
-    representative row index, the label and the count of each, the data of
-    a grouped binomial fit."""
-    counts = np.bincount(key)
-    cells = np.flatnonzero(counts)
-    return rep[cells // 2], cells % 2, counts[cells]
+def _folds(cell: np.ndarray, n_cells: int, folds: int, seed):
+    """The seeded shuffled k-fold split: each row's fold, and the (cells x
+    folds) table of test counts."""
+    fold = np.empty(len(cell), dtype=np.intp)
+    perm = np.random.default_rng(seed).permutation(len(cell))
+    for f, rows in enumerate(np.array_split(perm, folds)):
+        fold[rows] = f
+    test = np.bincount(cell * folds + fold, minlength=n_cells * folds)
+    # no count exceeds the rows: the narrowest type that holds them saves memory
+    return fold, test.astype(np.min_scalar_type(len(cell))).reshape(n_cells, folds)
+
+
+def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For each f, the map from the coefficients of a fit on the rows that
+    counts[:, f] repeats the cells X by, z-scored (sample sd), to those of
+    [1, X]: (F, q, q), intercept first, a zero-variance column held at 0."""
+    n = counts.sum(axis=0)
+    mean = np.stack([cf @ X for cf in counts.T]) / n[:, None]
+    var = np.stack([cf @ np.square(d, out=d) for cf, d in zip(counts.T, (X - m for m in mean))])
+    sd = np.sqrt(var / (n - 1)[:, None])
+    scale = np.divide(1.0, sd, out=np.zeros_like(sd), where=sd > 0)
+    maps = np.repeat(np.eye(X.shape[1] + 1)[None], len(n), axis=0)
+    maps[:, 0, 1:], maps[:, 1:, 1:] = -mean * scale, maps[:, 1:, 1:] * scale[:, None]
+    return maps
+
+
+def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standardize: bool):
+    """CV on cells: cell c (design row design[c], label y[c]) is test[c, f]
+    rows of fold f's test set. With `standardize`, each fold fits its
+    training rows z-scored (see `_standardizing_maps`). Returns a CvReport
+    without predictions, and the (cells x folds) test probabilities."""
+    train = test.sum(axis=1, keepdims=True) - test
+    maps = (_standardizing_maps(design[:, 1:], train) if standardize
+            else np.repeat(np.eye(design.shape[1])[None], train.shape[1], axis=0))
+    # a Gram matrix far from singular means a full-rank fold; check the rest
+    for f in np.flatnonzero(np.linalg.cond(_hessians(design, train.T, maps)) > 1e8):
+        _check_rank((design[train[:, f] > 0] @ maps[f])[:, maps[f].any(axis=0)], ["intercept"])
+    positives = y @ train
+    one_label = (positives == 0) | (positives == train.sum(axis=0))
+    beta, _, _, separation, _ = _fit_folds(
+        design, y, train, np.where(one_label, SEPARATION_RIDGE, 0.0), maps)
+    del train
+    prob = _sigmoid(design @ (maps @ beta[..., None])[..., 0].T)
+    accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)
+    return CvReport(accuracies, float(accuracies.mean()), None,
+                    np.flatnonzero(one_label | separation).tolist(),
+                    float(np.abs(prob[test > 0] - 0.5).min())), prob
 
 
 def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
@@ -196,8 +265,8 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
 
     zscore_mode "fold" standardizes each training fold and applies the
     stored statistics to its test fold; "global" standardizes once on the
-    full data before splitting. Each fold is fitted on its distinct
-    (row, label) cells weighted by their counts.
+    full data before splitting. Every fold is fitted on its counts of the
+    distinct (row, label) cells.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -213,39 +282,12 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
 
     if zscore_mode == "global":
         X, _, _ = zscore(X)
-    rep, key = _distinct_cells(X, y)
-
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    assignments = np.array_split(perm, folds)
-
-    accuracies = np.empty(folds)
-    predictions = np.empty(n, dtype=int)
-    flagged = []
-    for f, test_idx in enumerate(assignments):
-        in_train = np.ones(n, dtype=bool)
-        in_train[test_idx] = False
-        train_idx = perm[in_train[perm]]
-        # the statistics come from the fold's rows in permutation order, and
-        # before the cells are copied, which keeps the peak memory down
-        if zscore_mode == "fold":
-            stats, _ = zscore_stats(X[train_idx])
-        rows, ytr, wtr = _cells(rep, key[train_idx])
-        Xtr, Xte = X[rows], X[test_idx]
-        if zscore_mode == "fold":
-            Xtr, _, _ = zscore(Xtr, stats)
-            Xte, _, _ = zscore(Xte, stats)
-        if ytr.min() == ytr.max():
-            fit = fit_logistic(Xtr, ytr, ridge=SEPARATION_RIDGE, weights=wtr)
-            flagged.append(f)
-        else:
-            fit = fit_logistic(Xtr, ytr, weights=wtr)
-            if fit.separation:
-                flagged.append(f)
-        pred = (predict_proba(fit, Xte) > 0.5).astype(int)
-        predictions[test_idx] = pred
-        accuracies[f] = float(np.mean(pred == y[test_idx]))
-    return CvReport(accuracies, float(accuracies.mean()), predictions, flagged)
+    rep, cell = _distinct_cells(X, y)
+    fold, test = _folds(cell, len(rep), folds, seed)
+    report, prob = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
+                                   test, zscore_mode == "fold")
+    report.predictions = (prob[cell, fold] > 0.5).astype(int)
+    return report
 
 
 @dataclass(frozen=True)
@@ -291,6 +333,29 @@ class RfecvResult:
     selected: list                       # feature names, original order
     curve: dict                          # size -> mean CV accuracy
     sets_by_size: dict                   # size -> feature names evaluated
+    min_margin: float = math.inf         # smallest CvReport.min_margin of the curve
+
+
+def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray):
+    """One RFECV size on cells X, y with test counts `test`, regrouped: the
+    CV report, and the column of smallest |standardized coefficient|."""
+    sub, merged = _distinct_cells(X, y)
+    counts = np.zeros((len(sub), test.shape[1]), dtype=test.dtype)
+    np.add.at(counts, merged, test)
+    design = np.column_stack([np.ones(len(sub)), X[sub]])
+    del X, merged    # the design holds the cells now; free them before the fits
+    report, _ = _crossval_cells(design, y[sub], counts, standardize=True)
+    if design.shape[1] == 2:
+        return report, 0
+    weights = counts.sum(axis=1)
+    A = _standardizing_maps(design[:, 1:], weights[:, None])[0]
+    Z = design[:, 1:] @ A[1:, 1:]
+    Z += A[0, 1:]
+    kept = A.any(axis=0)[1:]
+    fit = fit_logistic(Z[:, kept], y[sub], weights=weights)
+    coefficients = np.zeros(len(kept))    # a constant column's is 0: it goes first
+    coefficients[kept] = fit.coefficients[1:]
+    return report, int(np.argmin(np.abs(coefficients)))
 
 
 def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
@@ -299,8 +364,9 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
 
     At each size the feature with smallest |standardized coefficient| in a
     full-data fit is dropped; the smallest set within 1e-9 of the best mean
-    CV accuracy is selected. Like the CV folds, the elimination fit runs on
-    the distinct (row, label) cells weighted by their counts.
+    CV accuracy is selected. The rows are grouped into distinct (row, label)
+    cells once, with every column; each size regroups those cells, and runs
+    its CV folds and its elimination fit on the cell counts.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1 or X.shape[1] < 2:
@@ -308,24 +374,19 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
     y = np.asarray(y, dtype=int)
     p = X.shape[1]
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
+    rep, cell = _distinct_cells(X, y)
+    _, test = _folds(cell, len(rep), folds, seed)
     active = list(range(p))
-    curve, sets_by_size = {}, {}
-    while True:
-        size = len(active)
-        report = crossval_accuracy(X[:, active], y, folds=folds, seed=seed)
-        curve[size] = report.mean_accuracy
-        sets_by_size[size] = [names[j] for j in active]
-        if size == 1:
-            break
-        stats, _ = zscore_stats(X[:, active])
-        rows, yc, wc = _cells(*_distinct_cells(X[:, active], y))
-        Zc, _, _ = zscore(X[np.ix_(rows, active)], stats)
-        fit = fit_logistic(Zc, yc, weights=wc)
-        weakest = int(np.argmin(np.abs(fit.coefficients[1:])))
+    curve, sets_by_size, margin = {}, {}, math.inf
+    while active:
+        report, weakest = _rfecv_step(X[np.ix_(rep, active)], y[rep], test)
+        curve[len(active)] = report.mean_accuracy
+        sets_by_size[len(active)] = [names[j] for j in active]
+        margin = min(margin, report.min_margin)
         active.pop(weakest)
     best = max(curve.values())
     chosen_size = min(s for s, acc in curve.items() if acc >= best - 1e-9)
-    return RfecvResult(sets_by_size[chosen_size], curve, sets_by_size)
+    return RfecvResult(sets_by_size[chosen_size], curve, sets_by_size, margin)
 
 
 def pearson(x, y) -> float:

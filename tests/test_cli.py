@@ -181,6 +181,28 @@ class TestReportAll:
             # least-effort references put the shortest constituent last
             assert flagged["table4"]["last preverbal constituent length"] == [0, 1, 2, 3, 4]
 
+    def test_manifest_records_min_margins(self, tmp_path):
+        corpus = synth_corpus(tmp_path, sentences=60)
+        for command in ("classify", "report-all"):
+            out = tmp_path / command
+            assert main([command, "--corpus", str(corpus), "--folds", "5",
+                         "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            margins = manifest["min_margin"]
+            assert set(margins) == {"table3", "table4"}
+            assert set(margins["table3"]) == {name for name, _ in TABLE3_ROWS}
+            assert set(margins["table4"]) == {name for name, _ in TABLE4_ROWS}
+            assert all(0.0 <= m <= 0.5 for table in margins.values() for m in table.values())
+        rfecv = manifest["rfecv_min_margin"]
+        assert set(rfecv) == {"deplen", "length"}
+        assert all(set(per_k) == {"2", "3", "4", "5", "6"} for per_k in rfecv.values())
+        ran = [m for per_k in rfecv.values() for m in per_k.values() if m is not None]
+        assert ran and all(0.0 <= m <= 0.5 for m in ran)
+        tables = json.loads((out / "table1_regression.json").read_text())
+        assert all(per_k[k] is None for per_k in rfecv.values() for k in tables
+                   if tables[k]["status"] != "ok")
+        assert not any("rfecv_min_margin" in table for table in tables.values())
+
     def test_single_k_corpus_null_correlation(self, tmp_path):
         spec = SyntheticSpec(n_sentences=30, k_weights=((3, 1.0),))
         corpus = tmp_path / "k3.conllu"

@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sps
 
 from deplen.analysis import (SCALAR_FEATURES, SyntheticSpec, build_pairwise_dataset,
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
-from deplen.stats import (SEPARATION_RIDGE, RankDeficientError, crossval_accuracy,
-                          fit_logistic, mcnemar, pearson, predict_proba, rfecv)
+from deplen.stats import (SEPARATION_RIDGE, RankDeficientError, _fit_folds,
+                          crossval_accuracy, fit_logistic, mcnemar, pearson,
+                          predict_proba, rfecv)
 
 
 def simulate_logistic(rng, n, beta, intercept=0.0):
@@ -166,12 +168,44 @@ class TestWeightedFit:
         (np.r_[np.ones(9), -1.0], "non-negative"),
         (np.r_[np.ones(9), np.nan], "finite"),
         (np.r_[np.ones(9), np.inf], "finite"),
-    ], ids=["length", "negative", "nan", "inf"])
+        (np.zeros(10), "not all zero"),
+    ], ids=["length", "negative", "nan", "inf", "zero"])
     def test_bad_weights_rejected(self, weights, message):
         X = np.arange(10.0)
         y = np.array([0, 1] * 5)
         with pytest.raises(ValueError, match=message):
             fit_logistic(X, y, weights=weights)
+
+
+@st.composite
+def stacked_fits(draw):
+    """A small integer design, and 2-5 fits of it: integer row weights per
+    fit, and one ridge for all of them."""
+    X, y = draw(integer_designs())
+    folds = draw(st.integers(2, 5))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=len(y), max_size=len(y)),
+                                     min_size=folds, max_size=folds))).T
+    assume(weights.any(axis=0).all())
+    return X, y, weights, draw(st.sampled_from([0.0, SEPARATION_RIDGE]))
+
+
+class TestStackedFits:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=stacked_fits())
+    def test_stacked_fits_equal_one_fold_fits(self, case):
+        X, y, weights, ridge = case
+        try:
+            fits = [fit_logistic(X, y, ridge=ridge, weights=w) for w in weights.T]
+        except RankDeficientError:
+            assume(False)
+        design = np.column_stack([np.ones(len(y)), X])
+        folds, q = weights.shape[1], design.shape[1]
+        beta, iterations, converged, separation, _ = _fit_folds(
+            design, y, weights, np.full(folds, ridge), np.broadcast_to(np.eye(q), (folds, q, q)))
+        for f, fit in enumerate(fits):
+            assert np.allclose(beta[f], fit.coefficients, rtol=1e-9, atol=1e-9)
+            assert (iterations[f], converged[f], separation[f]) == \
+                (fit.iterations, fit.converged, fit.separation)
 
 
 def crossval_all_rows(X, y, folds, seed, zscore_mode):
@@ -204,6 +238,28 @@ def crossval_all_rows(X, y, folds, seed, zscore_mode):
     return accuracies, predictions, flagged
 
 
+def assert_matches_all_rows(X, y, folds, seed, zscore_mode):
+    """crossval_accuracy agrees with the all-rows fold loop: the same
+    predictions, fold accuracies and flagged folds, or the same
+    RankDeficientError. Returns the flagged folds."""
+    try:
+        accuracies, predictions, flagged = crossval_all_rows(X, y, folds, seed, zscore_mode)
+    except RankDeficientError as e:
+        with pytest.raises(RankDeficientError, match=re.escape(str(e))):
+            crossval_accuracy(X, y, folds=folds, seed=seed, zscore_mode=zscore_mode)
+        return None
+    report = crossval_accuracy(X, y, folds=folds, seed=seed, zscore_mode=zscore_mode)
+    assert np.array_equal(report.predictions, predictions)
+    assert np.array_equal(report.fold_accuracies, accuracies)
+    assert report.flagged_folds == flagged
+    return flagged
+
+
+def fold_test_rows(n, folds, seed, f):
+    """The rows of fold f's test set under crossval_accuracy's split."""
+    return np.array_split(np.random.default_rng(seed).permutation(n), folds)[f]
+
+
 class TestCrossvalOracle:
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -224,13 +280,55 @@ class TestCrossvalOracle:
         flagged_any = False
         for design in designs:
             X, labels = design if isinstance(design, tuple) else (design, y)
-            report = crossval_accuracy(X, labels, folds=5, seed=7, zscore_mode=zscore_mode)
-            accuracies, predictions, flagged = crossval_all_rows(X, labels, 5, 7, zscore_mode)
-            assert np.array_equal(report.predictions, predictions)
-            assert np.array_equal(report.fold_accuracies, accuracies)
-            assert report.flagged_folds == flagged
-            flagged_any |= bool(flagged)
+            flagged_any |= bool(assert_matches_all_rows(X, labels, 5, 7, zscore_mode))
         assert flagged_any    # the separation path is exercised
+
+    @staticmethod
+    def noisy_labels(rng, X):
+        y = (X[:, 0] + rng.normal(scale=2.0, size=len(X)) > 0).astype(int)
+        assert 0 < y.sum() < len(y)
+        return y
+
+    def test_column_constant_in_one_training_fold(self):
+        # fold 2's training rows have column 1 at 0: "fold" drops the column
+        # for that fold alone; under "global" the fold's design is singular
+        rng = np.random.default_rng(31)
+        X = rng.integers(-3, 4, size=(80, 2)).astype(float)
+        X[:, 1] = 0.0
+        test_rows = fold_test_rows(80, 5, 4, 2)
+        X[test_rows, 1] = rng.integers(1, 4, size=len(test_rows))
+        y = self.noisy_labels(rng, X)
+        assert assert_matches_all_rows(X, y, 5, 4, "fold") is not None
+        assert assert_matches_all_rows(X, y, 5, 4, "global") is None
+
+    @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
+    def test_training_fold_with_one_label(self, zscore_mode):
+        rng = np.random.default_rng(32)
+        X = rng.integers(-3, 4, size=(60, 2)).astype(float)
+        y = np.zeros(60, dtype=int)
+        y[fold_test_rows(60, 6, 5, 3)[:4]] = 1
+        assert 3 in assert_matches_all_rows(X, y, 6, 5, zscore_mode)
+
+    @pytest.mark.parametrize("n, folds", [(103, 5), (103, 10), (37, 7)])
+    @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
+    def test_n_not_divisible_by_folds(self, n, folds, zscore_mode):
+        rng = np.random.default_rng(n + folds)
+        X = rng.integers(-4, 5, size=(n, 2)).astype(float)
+        assert assert_matches_all_rows(X, self.noisy_labels(rng, X), folds, 9,
+                                       zscore_mode) is not None
+
+    @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
+    def test_rank_deficient_training_fold(self, zscore_mode):
+        # column 1 is twice column 0 on every row outside fold 1's test set
+        rng = np.random.default_rng(33)
+        X = rng.integers(-3, 4, size=(70, 2)).astype(float)
+        X[:, 1] = 2 * X[:, 0]
+        test_rows = fold_test_rows(70, 5, 6, 1)
+        X[test_rows, 1] = rng.integers(-3, 4, size=len(test_rows))
+        y = self.noisy_labels(rng, X)
+        assert assert_matches_all_rows(X, y, 5, 6, zscore_mode) is None
+        with pytest.raises(RankDeficientError, match=r"collinear columns: \['col1', 'col2'\]"):
+            crossval_accuracy(X, y, folds=5, seed=6, zscore_mode=zscore_mode)
 
 
 class TestCrossval:
@@ -348,6 +446,15 @@ class TestRfecv:
         result = rfecv(X, y, folds=5, seed=0)
         for acc in result.curve.values():
             assert abs(acc - 0.5) < 0.02
+
+    def test_constant_column_goes_first(self):
+        rng = np.random.default_rng(3)
+        signal = rng.normal(size=400)
+        y = (2 * signal + rng.normal(size=400) > 0).astype(int)
+        X = np.column_stack([rng.normal(size=400), np.ones(400), signal, rng.normal(size=400)])
+        result = rfecv(X, y, folds=5, seed=0, feature_names=["n1", "const", "signal", "n2"])
+        assert result.sets_by_size[3] == ["n1", "signal", "n2"]
+        assert result.sets_by_size[1] == ["signal"]
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
