@@ -11,7 +11,9 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,11 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
+def _write_diagnostics(out: Path, diagnostics):
+    _write_csv(out / "diagnostics.csv", ["line", "reason"],
+               [(d.line, d.reason) for d in diagnostics])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -180,8 +187,7 @@ def cmd_parse(args):
         for i, tree in enumerate(trees):
             f.write(treebank.to_conllu(tree, sent_id=f"s{i + 1}"))
             f.write("\n")
-    _write_csv(out / "diagnostics.csv", ["line", "reason"],
-               [(d.line, d.reason) for d in diagnostics])
+    _write_diagnostics(out, diagnostics)
     _write_manifest(out, args, corpus_hash,
                     {"sentences": len(trees), "skipped_blocks": len(diagnostics)})
     return EXIT_OK
@@ -337,9 +343,23 @@ def cmd_synth(args):
 
 
 def cmd_report_all(args):
+    """All products or none: they are written into a temporary directory
+    under --out and moved into place, the manifest last, once every one of
+    them is written."""
     corpus, diagnostics, corpus_hash = _decomposed(args)
     out = _outdir(args)
+    staging = Path(tempfile.mkdtemp(prefix=".tmp-", dir=out))
+    try:
+        _write_report(staging, args, corpus, diagnostics, corpus_hash)
+        for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
+            path.replace(out / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return EXIT_OK
 
+
+def _write_report(out: Path, args, corpus, diagnostics, corpus_hash):
+    _write_diagnostics(out, diagnostics)
     ref_hist, var_hist = analysis.constituent_count_histogram(corpus, args.cap)
     _write_csv(out / "fig1_counts.csv", ["k", "reference_pct", "variant_pct"],
                [(k, f"{ref_hist.get(k, 0.0):.4f}", f"{var_hist.get(k, 0.0):.4f}")
@@ -370,7 +390,6 @@ def cmd_report_all(args):
         "corr_sentence_length_vs_constituents":
             analysis.sentence_length_constituent_corr(corpus),
     })
-    return EXIT_OK
 
 
 COMMANDS = {

@@ -134,14 +134,16 @@ def order_dl(plan: SentencePlan, order: Sequence[int],
     """(per-position head-to-verb distances, total DL) under `order`, in one
     pass over the constituents: only these k arcs move under permutation,
     every other arc adds the same length, from the plan's `fixed_arcs`."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown distance convention: {convention!r}")
+    gap = 1 if convention == "positional" else 0   # added to intervening words
     dls, start = [], 1
-    lengths, offsets = plan.lengths, plan.head_offsets
-    for ci in order:
-        dls.append(arc_distance(start + offsets[ci], plan.verb_index, convention))
+    lengths, offsets, verb = plan.lengths, plan.head_offsets, plan.verb_index
+    for ci in order:   # every preverbal head precedes the verb
+        dls.append(verb - start - offsets[ci] - 1 + gap)
         start += lengths[ci]
     count, span_sum = plan.fixed_arcs
-    fixed = span_sum - count if convention == "intervening" else span_sum
-    return tuple(dls), sum(dls) + fixed
+    return tuple(dls), sum(dls) + span_sum - count + gap * count
 
 
 def constituent_dl(plan: SentencePlan, order: Sequence[int], which: int,

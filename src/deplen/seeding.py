@@ -20,7 +20,10 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
     """
     material = "|".join([str(seed), *map(str, keys)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:16], "little"))
+    # SeedSequence splits an int seed into little-endian 32-bit words and
+    # pads them with zeros to four, so these words seed the same stream as
+    # int.from_bytes(digest[:16], "little"), without the conversion.
+    return np.random.Generator(np.random.PCG64(np.frombuffer(digest[:16], dtype="<u4")))
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

@@ -10,6 +10,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constituency import SentencePlan
 from .seeding import as_rng
 from .treebank import DependencyTree
@@ -44,7 +46,13 @@ def order_identity(plan: SentencePlan) -> tuple:
 def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP,
                       seed=None) -> VariantSet:
     """All non-reference permutations when k! <= cap, else cap-1 distinct
-    permutations sampled uniformly without replacement."""
+    permutations sampled uniformly without replacement.
+
+    Sampling draws blocks of 2*cap rows, each shuffled by the same
+    Fisher-Yates draws as one `rng.permutation(k)` call, and keeps the first
+    cap-1 distinct non-reference rows in draw order: the variants that
+    drawing one permutation at a time until cap-1 are found would give.
+    """
     if cap < 2:
         raise ValueError(f"variant cap must be >= 2, got {cap}")
     k = plan.k
@@ -56,14 +64,12 @@ def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP,
                          if p != reference)
     else:
         rng = as_rng(seed)
-        chosen = []
-        seen = {reference}
-        while len(chosen) < cap - 1:
-            p = tuple(int(i) for i in rng.permutation(k))
-            if p not in seen:
-                seen.add(p)
-                chosen.append(p)
-        variants = tuple(chosen)
+        rows = np.tile(np.arange(k), (2 * cap, 1))
+        distinct = dict.fromkeys([reference])   # keys keep draw order
+        while len(distinct) < cap:
+            block = rng.permuted(rows, axis=1).tolist()
+            distinct.update(dict.fromkeys(map(tuple, block)))
+        variants = tuple(itertools.islice(distinct, 1, cap))
     return VariantSet(reference, variants, cap, seed)
 
 

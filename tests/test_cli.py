@@ -167,6 +167,20 @@ class TestReportAll:
         for name in names:
             assert (out1 / name).exists()
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert not list(out1.glob(".tmp-*"))
+
+    def test_diagnostics_for_skipped_blocks(self, tmp_path):
+        corpus = tmp_path / "bad-first.conllu"
+        corpus.write_text("1\tx\t_\t_\t_\t_\tzz\tdep\t_\t_\n\n"
+                          + synth_corpus(tmp_path, sentences=40).read_text())
+        for command in ("parse", "report-all"):
+            assert main([command, "--corpus", str(corpus), "--folds", "3",
+                         "--out", str(tmp_path / command)]) == 0
+        diagnostics = (tmp_path / "report-all" / "diagnostics.csv").read_text()
+        assert diagnostics.splitlines() == ["line,reason", "1,non-integer head 'zz'"]
+        assert diagnostics == (tmp_path / "parse" / "diagnostics.csv").read_text()
+        manifest = json.loads((tmp_path / "report-all" / "manifest.json").read_text())
+        assert manifest["parse_diagnostics"] == 1
 
     def test_manifest_records_flagged_folds(self, tmp_path):
         corpus = synth_corpus(tmp_path, sentences=60)
@@ -221,9 +235,12 @@ class TestReportAll:
             "1\ta\t_\t_\t_\t_\t3\tdep\t_\t_\n"
             "2\tb\t_\t_\t_\t_\t3\tdep\t_\t_\n"
             "3\tv\t_\t_\t_\t_\t0\troot\t_\t_\n")
-        assert main(["classify", "--corpus", str(corpus),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "insufficient data" in capsys.readouterr().err
+        for command in ("classify", "report-all"):
+            out = tmp_path / command
+            assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
+            assert "insufficient data" in capsys.readouterr().err
+            # neither leaves a product behind: report-all writes all or none
+            assert list(out.iterdir()) == []
 
 
 class TestConfigFile:

@@ -106,9 +106,11 @@ class TestMainVerbDl:
         plan = SentencePlan(tree, (Constituent(2, (1, 3), ("a", "b", "c")),), 4)
         assert main_verb_dl(plan, (0,)) == plan.preverbal[0].head_right_offset == 1
 
-    def test_unknown_convention(self):
+    def test_unknown_convention(self, fig3_plan):
         with pytest.raises(ValueError):
             arc_distance(1, 5, "manhattan")
+        with pytest.raises(ValueError, match="unknown distance convention: 'manhattan'"):
+            order_dl(fig3_plan, (0, 1, 2, 3), "manhattan")
 
 
 class TestInvariants:

@@ -1,16 +1,38 @@
+import hashlib
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deplen.constituency import CONVENTIONS, main_verb_dl
+from deplen.constituency import CONVENTIONS, SentencePlan, decompose, main_verb_dl
+from deplen.seeding import derive_rng
 from deplen.variants import (generate_variants, least_effort_move, linearize,
                              order_ascending, order_descending,
                              order_least_effort, order_random)
 
-from conftest import FIG3_RANDOM_ORDER, eligible_plans, random_plans
+from conftest import FIG3_RANDOM_ORDER, eligible_plans, heads_tree, random_plans
+
+
+def sequential_variants(k, cap, rng):
+    """Reference sampler: one `rng.permutation(k)` per draw until cap - 1
+    distinct non-reference permutations are found."""
+    chosen, seen = [], {tuple(range(k))}
+    while len(chosen) < cap - 1:
+        p = tuple(int(i) for i in rng.permutation(k))
+        if p not in seen:
+            seen.add(p)
+            chosen.append(p)
+    return tuple(chosen)
+
+
+def flat_plan(k) -> SentencePlan:
+    """k one-word constituents before the verb."""
+    plan = decompose(heads_tree([k + 1] * k + [0]))
+    assert isinstance(plan, SentencePlan) and plan.k == k
+    return plan
 
 
 class TestGenerateVariants:
@@ -42,6 +64,36 @@ class TestGenerateVariants:
     def test_cap_too_small(self, fig3_plan):
         with pytest.raises(ValueError):
             generate_variants(fig3_plan, cap=1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(5, 9), seed=st.integers(0, 2**63))
+    def test_block_draws_match_sequential_draws(self, data, k, seed):
+        cap = data.draw(st.integers(2, min(math.factorial(k) - 1, 300)))
+        vset = generate_variants(flat_plan(k), cap, np.random.default_rng(seed))
+        assert vset.sampled_variants == \
+            sequential_variants(k, cap, np.random.default_rng(seed))
+
+
+class TestDeriveRng:
+    def test_matches_default_rng_of_digest_integer(self):
+        keys = [(0, "s1", "variants"), (7, "s12", "random", 3), (-1, "synth", 0),
+                *((seed, f"s{i}", "random", i % 10) for seed in range(5)
+                  for i in range(0, 400, 7))]
+        for seed, *rest in keys:
+            material = "|".join([str(seed), *map(str, rest)]).encode("utf-8")
+            digest = hashlib.sha256(material).digest()
+            expected = np.random.default_rng(int.from_bytes(digest[:16], "little"))
+            got = derive_rng(seed, *rest)
+            for _ in range(3):
+                assert got.integers(0, 2**63, 4).tolist() == \
+                    expected.integers(0, 2**63, 4).tolist()
+                assert got.permutation(6).tolist() == expected.permutation(6).tolist()
+
+    def test_seed_sequence_pads_words_with_zeros(self):
+        # a digest whose high words are zero: the int seeds fewer words
+        words = np.array([5, 0, 0, 0], dtype=np.uint32)
+        assert (np.random.SeedSequence(5).generate_state(8).tolist()
+                == np.random.SeedSequence(words).generate_state(8).tolist())
 
 
 class TestOrderings:
