@@ -24,7 +24,9 @@ from .seeding import derive_rng
 log = logging.getLogger("deplen")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
-MIN_VALUES = {"cap": 2, "folds": 2, "random_draws": 1}
+# inclusive (low, high) bounds; synth's options are absent from other subcommands
+BOUNDS = {"cap": (2, None), "folds": (2, None), "random_draws": (1, None), "k_min": (2, None),
+          "sentences": (1, None), "p_least_effort": (0.0, 1.0), "noise_temperature": (0.0, None)}
 SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -120,11 +122,12 @@ def _parse_args(parser, argv):
         subparser = parser.subcommands[args.command]
         subparser.set_defaults(**_config_defaults(Path(args.config), subparser))
         args = parser.parse_args(argv)
-    lower = {**MIN_VALUES, "k_max": args.k_min}   # flags and config file alike
-    for key, lo in lower.items():
-        if getattr(args, key) < lo:
-            raise UsageError(f"argument --{key.replace('_', '-')}: "
-                             f"must be >= {lo}, got {getattr(args, key)}")
+    bounds = {**BOUNDS, "k_max": (args.k_min, None)}   # flags and config file alike
+    for key, (lo, hi) in bounds.items():
+        value = getattr(args, key, lo)
+        if not value >= lo or (hi is not None and not value <= hi):   # NaN fails too
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise UsageError(f"argument --{key.replace('_', '-')}: must be {bound}, got {value}")
     if args.jobs != 1:
         raise UsageError(f"argument --jobs: the pairwise build is serial, "
                          f"only 1 is accepted, got {args.jobs}")
@@ -154,7 +157,10 @@ def _outdir(args) -> Path:
     if not args.out:
         raise UsageError("--out is required for this subcommand")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create output directory {out}: {e.strerror}")
     return out
 
 
@@ -172,6 +178,13 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
+def _write_conllu(path: Path, trees, id_prefix: str):
+    with path.open("w") as f:
+        for i, tree in enumerate(trees):
+            f.write(treebank.to_conllu(tree, sent_id=f"{id_prefix}{i + 1}"))
+            f.write("\n")
+
+
 def _write_diagnostics(out: Path, diagnostics):
     _write_csv(out / "diagnostics.csv", ["line", "reason"],
                [(d.line, d.reason) for d in diagnostics])
@@ -183,10 +196,7 @@ def _write_diagnostics(out: Path, diagnostics):
 def cmd_parse(args):
     trees, diagnostics, corpus_hash = _load_corpus(args)
     out = _outdir(args)
-    with (out / "parsed.conllu").open("w") as f:
-        for i, tree in enumerate(trees):
-            f.write(treebank.to_conllu(tree, sent_id=f"s{i + 1}"))
-            f.write("\n")
+    _write_conllu(out / "parsed.conllu", trees, "s")
     _write_diagnostics(out, diagnostics)
     _write_manifest(out, args, corpus_hash,
                     {"sentences": len(trees), "skipped_blocks": len(diagnostics)})
@@ -334,10 +344,7 @@ def cmd_synth(args):
         p_least_effort=args.p_least_effort,
         noise_temperature=args.noise_temperature)
     trees = analysis.generate_synthetic_corpus(spec, seed=args.seed)
-    with (out / "synthetic.conllu").open("w") as f:
-        for i, tree in enumerate(trees):
-            f.write(treebank.to_conllu(tree, sent_id=f"synth{i + 1}"))
-            f.write("\n")
+    _write_conllu(out / "synthetic.conllu", trees, "synth")
     _write_manifest(out, args, None, {"sentences": len(trees)})
     return EXIT_OK
 

@@ -137,42 +137,28 @@ def _fit_folds(design, y, weights, ridge, maps):
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
-                 feature_names: Optional[list] = None,
-                 weights: Optional[np.ndarray] = None) -> RegressionFit:
+                 feature_names: Optional[list] = None) -> RegressionFit:
     """Maximum-likelihood logit fit via IRLS. X excludes the intercept
     column, which is added internally; ridge > 0 is reserved for the
-    documented fallback on detected separation.
-
-    `weights` are row frequencies (default all ones): a grouped binomial
-    fit on the distinct (x, y) rows, each weighted by its count, is the
-    same estimator as the fit on every row."""
+    documented fallback on detected separation."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float)
     if len(y) != X.shape[0]:
         raise ValueError("X and y length mismatch")
-    if weights is None:
-        weights = np.ones(len(y))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != y.shape:
-        raise ValueError("weights and y length mismatch")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0) or not weights.any():
-        raise ValueError("weights must be finite, non-negative and not all zero")
     design = np.column_stack([np.ones(len(y)), X])
-    _check_rank(design if weights.all() else design[weights > 0],
-                ["intercept"] + list(feature_names or []))
+    _check_rank(design, ["intercept"] + list(feature_names or []))
     beta, iterations, converged, separation, ridge = (
-        v[0] for v in _fit_folds(design, y, weights[:, None], np.array([float(ridge)]),
+        v[0] for v in _fit_folds(design, y, np.ones((len(y), 1)), np.array([float(ridge)]),
                                  np.eye(design.shape[1])[None]))
     mu = _sigmoid(design @ beta)
     w = np.clip(mu * (1.0 - mu), 1e-12, None)
-    w *= weights
     info = (design.T * w) @ design + ridge * np.eye(design.shape[1])
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
-    ll = float(np.sum(weights * (y * np.log(np.clip(mu, 1e-300, None))
-                                 + (1 - y) * np.log(np.clip(1 - mu, 1e-300, None)))))
+    ll = float(np.sum(y * np.log(np.clip(mu, 1e-300, None))
+                      + (1 - y) * np.log(np.clip(1 - mu, 1e-300, None))))
     return RegressionFit(beta, se, beta / se, bool(converged), int(iterations), ll,
                          ridge=float(ridge), separation=bool(separation),
                          feature_names=list(feature_names) if feature_names else None)
@@ -236,6 +222,15 @@ def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return maps
 
 
+def _check_fits(design: np.ndarray, weights: np.ndarray, maps: np.ndarray) -> None:
+    """Raise RankDeficientError if a fit f of `_fit_folds` is rank deficient:
+    its rows (weights[:, f] > 0) in the coordinates of maps[f], less the
+    columns that map drops."""
+    # a Gram matrix far from singular means a full-rank fit; check the rest
+    for f in np.flatnonzero(np.linalg.cond(_hessians(design, weights.T, maps)) > 1e8):
+        _check_rank((design[weights[:, f] > 0] @ maps[f])[:, maps[f].any(axis=0)], ["intercept"])
+
+
 def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standardize: bool):
     """CV on cells: cell c (design row design[c], label y[c]) is test[c, f]
     rows of fold f's test set. With `standardize`, each fold fits its
@@ -244,9 +239,7 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standar
     train = test.sum(axis=1, keepdims=True) - test
     maps = (_standardizing_maps(design[:, 1:], train) if standardize
             else np.repeat(np.eye(design.shape[1])[None], train.shape[1], axis=0))
-    # a Gram matrix far from singular means a full-rank fold; check the rest
-    for f in np.flatnonzero(np.linalg.cond(_hessians(design, train.T, maps)) > 1e8):
-        _check_rank((design[train[:, f] > 0] @ maps[f])[:, maps[f].any(axis=0)], ["intercept"])
+    _check_fits(design, train, maps)
     positives = y @ train
     one_label = (positives == 0) | (positives == train.sum(axis=0))
     beta, _, _, separation, _ = _fit_folds(
@@ -347,15 +340,12 @@ def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray):
     report, _ = _crossval_cells(design, y[sub], counts, standardize=True)
     if design.shape[1] == 2:
         return report, 0
-    weights = counts.sum(axis=1)
-    A = _standardizing_maps(design[:, 1:], weights[:, None])[0]
-    Z = design[:, 1:] @ A[1:, 1:]
-    Z += A[0, 1:]
-    kept = A.any(axis=0)[1:]
-    fit = fit_logistic(Z[:, kept], y[sub], weights=weights)
-    coefficients = np.zeros(len(kept))    # a constant column's is 0: it goes first
-    coefficients[kept] = fit.coefficients[1:]
-    return report, int(np.argmin(np.abs(coefficients)))
+    total = counts.sum(axis=1, keepdims=True)
+    maps = _standardizing_maps(design[:, 1:], total)
+    _check_fits(design, total, maps)
+    beta = _fit_folds(design, y[sub], total, np.zeros(1), maps)[0][0]
+    # a constant column's map column is 0: held at 0, it goes first
+    return report, int(np.argmin(np.abs(beta[1:])))
 
 
 def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,

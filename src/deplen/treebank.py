@@ -126,14 +126,10 @@ def _validate(heads) -> Optional[str]:
 FORMATS = {"conllu": (10, (0, 1, 6, 7)), "tsv": (4, (0, 1, 2, 3))}
 
 
-def _iter_blocks(source):
+def _iter_blocks(text: str):
     """Yield (first_line_number, list of (lineno, line)) per sentence block."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
     block, start = [], None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip() == "":
             if block:
                 yield start, block
@@ -146,8 +142,8 @@ def _iter_blocks(source):
         yield start, block
 
 
-def parse_corpus(source, format: str = "conllu"):
-    """Parse a corpus from a string or line iterable.
+def parse_corpus(text: str, format: str = "conllu"):
+    """Parse a corpus from its text.
 
     Returns (trees, diagnostics). Malformed blocks are skipped with a
     Diagnostic recording the offending line, or the block's first line
@@ -158,7 +154,7 @@ def parse_corpus(source, format: str = "conllu"):
         raise ValueError(f"unknown corpus format: {format!r}")
     width, (i_index, i_form, i_head, i_deprel) = FORMATS[format]
     trees, diagnostics = [], []
-    for start, block in _iter_blocks(source):
+    for start, block in _iter_blocks(text):
         heads, forms, deprels, contiguous, bad = [], [], [], True, None
         for lineno, line in block:
             if line.startswith("#"):

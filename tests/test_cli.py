@@ -13,6 +13,8 @@ from deplen.variants import generate_variants
 
 from test_treebank import CONLLU_FIG3
 
+SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
+
 
 @pytest.fixture
 def corpus_file(tmp_path):
@@ -47,15 +49,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value, bound", [
         ("--cap", "1", 2), ("--folds", "1", 2), ("--random-draws", "0", 1),
-        ("--k-max", "1", 2)])
+        ("--k-max", "1", 2), ("--k-min", "0", 2), ("--sentences", "-5", 1),
+        ("--p-least-effort", "2.0", "in [0.0, 1.0]"), ("--p-least-effort", "nan", "in [0.0, 1.0]"),
+        ("--noise-temperature", "-1.0", 0.0)])
     def test_out_of_range_flag_is_usage_error(self, corpus_file, tmp_path,
                                               capsys, flag, value, bound):
+        command = "synth" if flag in SYNTH_FLAGS else "report-all"
         out = tmp_path / "o"
-        assert main(["report-all", "--corpus", str(corpus_file), flag, value,
+        assert main([command, "--corpus", str(corpus_file), flag, value,
                      "--out", str(out)]) == 1
         first = capsys.readouterr().err.splitlines()[0]
-        assert first == f"error: argument {flag}: must be >= {bound}, got {value}"
+        bound = bound if isinstance(bound, str) else f">= {bound}"
+        assert first == f"error: argument {flag}: must be {bound}, got {value}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report-all", "synth"])
+    def test_out_naming_a_file_is_data_error(self, corpus_file, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        assert main([command, "--corpus", str(corpus_file), "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot create output directory {afile}: File exists\n"
+        assert afile.read_text() == "keep\n"
 
     @pytest.mark.parametrize("argv, config", [(["--jobs", "2"], ""), ([], "jobs=2\n")],
                              ids=["flag", "config"])
@@ -256,11 +271,15 @@ class TestConfigFile:
         assert manifest["config"]["seed"] == 7       # flag overrides file
 
     def test_out_of_range_value_rejected(self, corpus_file, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("cap=1\n")
-        assert main(["variants", "--corpus", str(corpus_file),
-                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "error: argument --cap: must be >= 2, got 1" in capsys.readouterr().err
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        for command, line, expected in [
+                ("variants", "cap=1", "--cap: must be >= 2, got 1"),
+                ("synth", "noise-temperature=-0.5", "--noise-temperature: must be >= 0.0, got -0.5")]:
+            cfg.write_text(line + "\n")
+            assert main([command, "--corpus", str(corpus_file),
+                         "--config", str(cfg), "--out", str(out)]) == 1
+            assert f"error: argument {expected}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_explicit_flag_at_default_wins(self, corpus_file, tmp_path):
         cfg = tmp_path / "run.cfg"

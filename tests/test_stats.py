@@ -9,7 +9,7 @@ from scipy import stats as sps
 from deplen.analysis import (SCALAR_FEATURES, SyntheticSpec, build_pairwise_dataset,
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
-from deplen.stats import (SEPARATION_RIDGE, RankDeficientError, _fit_folds,
+from deplen.stats import (SEPARATION_RIDGE, RankDeficientError, _check_fits, _fit_folds,
                           crossval_accuracy, fit_logistic, mcnemar, pearson,
                           predict_proba, rfecv)
 
@@ -120,88 +120,40 @@ def integer_designs(draw):
     return X, y
 
 
-def grouped(X, y):
-    """The distinct (x, y) rows and their counts."""
-    cells, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
-    return cells[:, :-1], cells[:, -1].astype(int), counts
-
-
-class TestWeightedFit:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(design=integer_designs())
-    def test_grouped_fit_equals_all_rows_fit(self, design):
-        X, y = design
-        Xg, yg, counts = grouped(X, y)
-        try:
-            full = fit_logistic(X, y)
-        except RankDeficientError:
-            with pytest.raises(RankDeficientError):
-                fit_logistic(Xg, yg, weights=counts)
-            return
-        fit = fit_logistic(Xg, yg, weights=counts)
-        assert (fit.converged, fit.separation) == (full.converged, full.separation)
-        assert fit.iterations == full.iterations
-        for got, want in [(fit.coefficients, full.coefficients),
-                          (fit.std_errors, full.std_errors),
-                          (fit.log_likelihood, full.log_likelihood)]:
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
-
-    def test_unit_weights_keep_every_bit(self):
-        rng = np.random.default_rng(4)
-        X, y = simulate_logistic(rng, 500, [0.8, -0.3])
-        a, b = fit_logistic(X, y), fit_logistic(X, y, weights=np.ones(500))
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert np.array_equal(a.std_errors, b.std_errors)
-        assert a.log_likelihood == b.log_likelihood
-
-    def test_zero_weight_rows_are_dropped(self):
-        rng = np.random.default_rng(6)
-        X, y = simulate_logistic(rng, 400, [1.0])
-        X_noise, y_noise = rng.normal(size=(50, 1)), rng.integers(0, 2, 50)
-        fit = fit_logistic(np.concatenate([X, X_noise]), np.concatenate([y, y_noise]),
-                           weights=np.r_[np.ones(400), np.zeros(50)])
-        assert np.allclose(fit.coefficients, fit_logistic(X, y).coefficients,
-                           rtol=1e-9, atol=1e-12)
-
-    @pytest.mark.parametrize("weights, message", [
-        (np.ones(9), "length mismatch"),
-        (np.r_[np.ones(9), -1.0], "non-negative"),
-        (np.r_[np.ones(9), np.nan], "finite"),
-        (np.r_[np.ones(9), np.inf], "finite"),
-        (np.zeros(10), "not all zero"),
-    ], ids=["length", "negative", "nan", "inf", "zero"])
-    def test_bad_weights_rejected(self, weights, message):
-        X = np.arange(10.0)
-        y = np.array([0, 1] * 5)
-        with pytest.raises(ValueError, match=message):
-            fit_logistic(X, y, weights=weights)
-
-
 @st.composite
 def stacked_fits(draw):
-    """A small integer design, and 2-5 fits of it: integer row weights per
-    fit, and one ridge for all of them."""
+    """The distinct (x, y) cells of a small integer design, and 1-4 fits of
+    them: integer counts of each cell per fit, and one ridge for all."""
     X, y = draw(integer_designs())
-    folds = draw(st.integers(2, 5))
-    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=len(y), max_size=len(y)),
-                                     min_size=folds, max_size=folds))).T
-    assume(weights.any(axis=0).all())
-    return X, y, weights, draw(st.sampled_from([0.0, SEPARATION_RIDGE]))
+    cells = np.unique(np.column_stack([X, y]), axis=0)
+    folds = draw(st.integers(1, 4))
+    counts = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=len(cells),
+                                             max_size=len(cells)),
+                                    min_size=folds, max_size=folds))).T
+    assume(counts.any(axis=0).all())
+    return cells[:, :-1], cells[:, -1].astype(int), counts, \
+        draw(st.sampled_from([0.0, SEPARATION_RIDGE]))
 
 
 class TestStackedFits:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=stacked_fits())
     def test_stacked_fits_equal_one_fold_fits(self, case):
-        X, y, weights, ridge = case
-        try:
-            fits = [fit_logistic(X, y, ridge=ridge, weights=w) for w in weights.T]
-        except RankDeficientError:
-            assume(False)
+        # each stacked fit on cell counts is the fit on the rows they repeat
+        X, y, counts, ridge = case
         design = np.column_stack([np.ones(len(y)), X])
-        folds, q = weights.shape[1], design.shape[1]
+        folds, q = counts.shape[1], design.shape[1]
+        maps = np.broadcast_to(np.eye(q), (folds, q, q))
+        try:
+            fits = [fit_logistic(np.repeat(X, c, axis=0), np.repeat(y, c), ridge=ridge)
+                    for c in counts.T]
+        except RankDeficientError:
+            with pytest.raises(RankDeficientError):
+                _check_fits(design, counts, maps)
+            return
+        _check_fits(design, counts, maps)
         beta, iterations, converged, separation, _ = _fit_folds(
-            design, y, weights, np.full(folds, ridge), np.broadcast_to(np.eye(q), (folds, q, q)))
+            design, y, counts, np.full(folds, ridge), maps)
         for f, fit in enumerate(fits):
             assert np.allclose(beta[f], fit.coefficients, rtol=1e-9, atol=1e-9)
             assert (iterations[f], converged[f], separation[f]) == \
@@ -455,6 +407,47 @@ class TestRfecv:
         result = rfecv(X, y, folds=5, seed=0, feature_names=["n1", "const", "signal", "n2"])
         assert result.sets_by_size[3] == ["n1", "signal", "n2"]
         assert result.sets_by_size[1] == ["signal"]
+
+    @staticmethod
+    def sets_all_rows(X, y):
+        """RFECV's elimination order fitted on every row: at each size, drop
+        the column of smallest |coefficient| on the z-scored active columns,
+        a zero-variance column (coefficient 0) first."""
+        active, sets = list(range(X.shape[1])), {}
+        while active:
+            sets[len(active)] = list(active)
+            coefficients = np.zeros(len(active))
+            if len(active) > 1:
+                Z, stats, _ = zscore(X[:, active])
+                coefficients[stats.kept] = fit_logistic(Z, y).coefficients[1:]
+            active.pop(int(np.argmin(np.abs(coefficients))))
+        return sets
+
+    @pytest.mark.parametrize("seed, constant", [(40, False), (41, False), (42, True)])
+    def test_elimination_matches_all_rows_fits(self, seed, constant):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-3, 4, size=(300, 5)).astype(float)
+        y = (X @ rng.normal(size=5) + rng.normal(scale=2.0, size=300) > 0).astype(int)
+        if constant:
+            X[:, 3] = 2.0
+        names = [f"x{j}" for j in range(5)]
+        sets = {size: [names[j] for j in active]
+                for size, active in self.sets_all_rows(X, y).items()}
+        assert rfecv(X, y, folds=5, seed=seed).sets_by_size == sets
+        if constant:
+            assert "x3" not in sets[4]
+
+    def test_two_fold_rank_deficiency_raised(self):
+        # columns 0 and 1 are equal, and constant inside each training half:
+        # every fold drops both, but the all-cells fit cannot
+        rng = np.random.default_rng(34)
+        X = rng.integers(-3, 4, size=(60, 3)).astype(float)
+        X[:, :2] = 0.0
+        X[fold_test_rows(60, 2, 8, 0), :2] = 1.0
+        y = (X[:, 2] + rng.normal(scale=2.0, size=60) > 0).astype(int)
+        assert crossval_accuracy(X, y, folds=2, seed=8).mean_accuracy > 0
+        with pytest.raises(RankDeficientError, match="collinear"):
+            rfecv(X, y, folds=2, seed=8)
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
