@@ -120,6 +120,44 @@ def integer_designs(draw):
     return X, y
 
 
+def grouped(X, y):
+    """The distinct (x, y) rows and their counts."""
+    cells, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
+    return cells[:, :-1], cells[:, -1].astype(int), counts
+
+
+class TestWeightedFit:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design=integer_designs())
+    def test_grouped_fit_equals_all_rows_fit(self, design):
+        # one fit on the distinct cells weighted by their counts is the fit on every row
+        X, y = design
+        Xg, yg, counts = grouped(X, y)
+        cells = np.column_stack([np.ones(len(yg)), Xg])
+        maps = np.eye(cells.shape[1])[None]
+        try:
+            full = fit_logistic(X, y)
+        except RankDeficientError:
+            with pytest.raises(RankDeficientError):
+                _check_fits(cells, counts[:, None], maps)
+            return
+        _check_fits(cells, counts[:, None], maps)
+        beta, iterations, converged, separation, ridge = (
+            v[0] for v in _fit_folds(cells, yg, counts[:, None].astype(float),
+                                     np.zeros(1), maps))
+        assert (bool(converged), bool(separation)) == (full.converged, full.separation)
+        assert iterations == full.iterations
+        mu = 1.0 / (1.0 + np.exp(-(cells @ beta)))
+        info = (cells.T * (counts * np.clip(mu * (1.0 - mu), 1e-12, None))) @ cells \
+            + ridge * np.eye(cells.shape[1])
+        std_errors = np.sqrt(np.diag(np.linalg.inv(info)))
+        log_likelihood = np.sum(counts * (yg * np.log(np.clip(mu, 1e-300, None))
+                                          + (1 - yg) * np.log(np.clip(1 - mu, 1e-300, None))))
+        for got, want in [(beta, full.coefficients), (std_errors, full.std_errors),
+                          (log_likelihood, full.log_likelihood)]:
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
 @st.composite
 def stacked_fits(draw):
     """The distinct (x, y) cells of a small integer design, and 1-4 fits of
