@@ -324,8 +324,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if not 0.0 <= self.p_least_effort <= 1.0:
             raise ValueError("p_least_effort must be in [0, 1]")
-        if self.noise_temperature < 0.0:
+        if not self.noise_temperature >= 0.0:    # NaN fails too
             raise ValueError("noise_temperature must be >= 0")
+        if self.n_sentences < 1:
+            raise ValueError("n_sentences must be >= 1")
         total = sum(w for _, w in self.k_weights)
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError("k_weights must sum to 1")
@@ -368,7 +370,8 @@ def _pick_reference_order(plan: SentencePlan, spec: SyntheticSpec, rng) -> tuple
         return variants.least_effort_move(plan, start)
     # soft least-effort: move a length-weighted sampled constituent instead
     lengths = np.array([plan.preverbal[ci].length for ci in start], dtype=float)
-    w = np.exp(-lengths / spec.noise_temperature)
+    # shifted by the shortest, whose weight stays 1 at any temperature
+    w = np.exp(-(lengths - lengths.min()) / spec.noise_temperature)
     pick = int(rng.choice(len(start), p=w / w.sum()))
     moved = start[pick]
     return tuple(ci for ci in start if ci != moved) + (moved,)

@@ -34,6 +34,7 @@ TOL = 1e-8
 SEPARATION_COEF_BOUND = 30.0   # on standardized predictors
 SEPARATION_RIDGE = 1e-6
 MCNEMAR_EXACT_THRESHOLD = 25
+GRAM_CHUNK = 512    # cells per block of the stacked Hessian products
 
 
 class RankDeficientError(ValueError):
@@ -87,11 +88,37 @@ def _check_rank(X: np.ndarray, names) -> None:
             f"design matrix is rank deficient; collinear columns: {guilty}")
 
 
-def _hessians(design: np.ndarray, weights, maps: np.ndarray) -> np.ndarray:
-    """The design's Gram matrix under each row weighting, in the coordinates
-    of maps[f]; a coefficient its map drops gets a unit diagonal."""
-    hess = np.stack([(design * wf[:, None]).T @ design for wf in weights])
-    hess = maps.transpose(0, 2, 1) @ hess @ maps
+def _grams(design: np.ndarray, counts: np.ndarray, triu, mu=None) -> np.ndarray:
+    """(F, q, q): the design's Gram matrix under each row weighting
+    counts[:, f], or, given the fits' probabilities mu, under the IRLS
+    weights max(mu(1 - mu), 1e-12) * counts. triu is np.triu_indices(q).
+
+    More than one fit walks the cells in GRAM_CHUNK blocks, each one product
+    of its weights with its upper-triangle column pair products, so no
+    (cells x q^2) table is held. One fit keeps the direct product
+    (design * w).T @ design, so that the reported fits, some of them
+    ill-conditioned, keep their bits."""
+    def weights(rows):
+        w = counts[rows].astype(float, copy=False)
+        return w if mu is None else np.maximum(mu[rows] * (1.0 - mu[rows]), 1e-12) * w
+    if counts.shape[1] == 1:
+        return ((design * weights(slice(None))).T @ design)[None]
+    i, j = triu
+    packed = np.zeros((counts.shape[1], len(i)))
+    for start in range(0, len(design), GRAM_CHUNK):
+        rows = slice(start, start + GRAM_CHUNK)
+        block = design[rows]
+        packed += weights(rows).T @ (block[:, i] * block[:, j])
+    gram = np.empty((counts.shape[1], design.shape[1], design.shape[1]))
+    gram[:, i, j] = gram[:, j, i] = packed
+    return gram
+
+
+def _hessians(design: np.ndarray, counts: np.ndarray, maps: np.ndarray, triu,
+              mu=None) -> np.ndarray:
+    """`_grams` in the coordinates of maps[f]; a coefficient its map drops
+    gets a unit diagonal."""
+    hess = maps.transpose(0, 2, 1) @ _grams(design, counts, triu, mu) @ maps
     diag = np.arange(hess.shape[1])
     hess[:, diag, diag] += ~maps.any(axis=1)
     return hess
@@ -106,14 +133,14 @@ def _fit_folds(design, y, weights, ridge, maps):
     under SEPARATION_RIDGE. Returns (beta, iterations, converged,
     separation, ridge) per fit."""
     F, q = weights.shape[1], design.shape[1]
+    triu = np.triu_indices(q)
     beta, iterations = np.zeros((F, q)), np.full(F, MAX_ITER)
     converged, live = np.zeros(F, dtype=bool), np.arange(F)
     for it in range(1, MAX_ITER + 1):
         b, pen, fold_maps = beta[live], ridge[live], maps[live]
         wts = weights if len(live) == F else weights[:, live]
         mu = _sigmoid(design @ (fold_maps @ b[..., None])[..., 0].T)
-        hess = _hessians(design, (np.maximum(m * (1.0 - m), 1e-12) * wf
-                                  for m, wf in zip(mu.T, wts.T)), fold_maps)
+        hess = _hessians(design, wts, fold_maps, triu, mu)
         np.subtract(y[:, None], mu, out=mu)    # the one (cells x fits) buffer
         mu *= wts
         grad = (design.T @ mu).T
@@ -227,29 +254,37 @@ def _check_fits(design: np.ndarray, weights: np.ndarray, maps: np.ndarray) -> No
     its rows (weights[:, f] > 0) in the coordinates of maps[f], less the
     columns that map drops."""
     # a Gram matrix far from singular means a full-rank fit; check the rest
-    for f in np.flatnonzero(np.linalg.cond(_hessians(design, weights.T, maps)) > 1e8):
+    hess = _hessians(design, weights, maps, np.triu_indices(design.shape[1]))
+    for f in np.flatnonzero(np.linalg.cond(hess) > 1e8):
         _check_rank((design[weights[:, f] > 0] @ maps[f])[:, maps[f].any(axis=0)], ["intercept"])
 
 
-def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standardize: bool):
+def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standardize: bool,
+                    all_cells: bool = False):
     """CV on cells: cell c (design row design[c], label y[c]) is test[c, f]
     rows of fold f's test set. With `standardize`, each fold fits its
-    training rows z-scored (see `_standardizing_maps`). Returns a CvReport
-    without predictions, and the (cells x folds) test probabilities."""
-    train = test.sum(axis=1, keepdims=True) - test
+    training rows z-scored (see `_standardizing_maps`). With `all_cells`,
+    the stack also fits every row, unpenalized, as a fold with no test rows.
+    Returns a CvReport without predictions, the (cells x folds) test
+    probabilities, and the all-cells fit's coefficients (None without it)."""
+    F = test.shape[1]
+    held_out = np.pad(test, ((0, 0), (0, 1))) if all_cells else test
+    train = test.sum(axis=1, keepdims=True) - held_out
     maps = (_standardizing_maps(design[:, 1:], train) if standardize
             else np.repeat(np.eye(design.shape[1])[None], train.shape[1], axis=0))
     _check_fits(design, train, maps)
     positives = y @ train
     one_label = (positives == 0) | (positives == train.sum(axis=0))
+    one_label[F:] = False    # the all-cells fit starts unpenalized
     beta, _, _, separation, _ = _fit_folds(
         design, y, train, np.where(one_label, SEPARATION_RIDGE, 0.0), maps)
     del train
-    prob = _sigmoid(design @ (maps @ beta[..., None])[..., 0].T)
+    prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
     accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)
-    return CvReport(accuracies, float(accuracies.mean()), None,
-                    np.flatnonzero(one_label | separation).tolist(),
-                    float(np.abs(prob[test > 0] - 0.5).min())), prob
+    return (CvReport(accuracies, float(accuracies.mean()), None,
+                     np.flatnonzero((one_label | separation)[:F]).tolist(),
+                     float(np.abs(prob[test > 0] - 0.5).min())),
+            prob, beta[F] if all_cells else None)
 
 
 def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
@@ -277,8 +312,8 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
         X, _, _ = zscore(X)
     rep, cell = _distinct_cells(X, y)
     fold, test = _folds(cell, len(rep), folds, seed)
-    report, prob = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
-                                   test, zscore_mode == "fold")
+    report, prob, _ = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
+                                      test, zscore_mode == "fold")
     report.predictions = (prob[cell, fold] > 0.5).astype(int)
     return report
 
@@ -337,13 +372,10 @@ def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray):
     np.add.at(counts, merged, test)
     design = np.column_stack([np.ones(len(sub)), X[sub]])
     del X, merged    # the design holds the cells now; free them before the fits
-    report, _ = _crossval_cells(design, y[sub], counts, standardize=True)
-    if design.shape[1] == 2:
+    report, _, beta = _crossval_cells(design, y[sub], counts, standardize=True,
+                                      all_cells=design.shape[1] > 2)
+    if beta is None:
         return report, 0
-    total = counts.sum(axis=1, keepdims=True)
-    maps = _standardizing_maps(design[:, 1:], total)
-    _check_fits(design, total, maps)
-    beta = _fit_folds(design, y[sub], total, np.zeros(1), maps)[0][0]
     # a constant column's map column is 0: held at 0, it goes first
     return report, int(np.argmin(np.abs(beta[1:])))
 
@@ -355,8 +387,8 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
     At each size the feature with smallest |standardized coefficient| in a
     full-data fit is dropped; the smallest set within 1e-9 of the best mean
     CV accuracy is selected. The rows are grouped into distinct (row, label)
-    cells once, with every column; each size regroups those cells, and runs
-    its CV folds and its elimination fit on the cell counts.
+    cells once, with every column; each size regroups those cells, and fits
+    its CV folds and its elimination fit in one stack on the cell counts.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1 or X.shape[1] < 2:

@@ -219,6 +219,18 @@ class TestSyntheticGenerator:
             SyntheticSpec(p_least_effort=1.5)
         with pytest.raises(ValueError):
             SyntheticSpec(k_weights=((2, 0.5),))
+        with pytest.raises(ValueError, match="noise_temperature"):
+            SyntheticSpec(noise_temperature=float("nan"))
+        for n in (-3, 0):
+            with pytest.raises(ValueError, match="n_sentences"):
+                SyntheticSpec(n_sentences=n)
+
+    def test_tiny_noise_temperature_moves_a_shortest_constituent(self):
+        # exp(-length / 1e-300) underflows to 0 for every length
+        spec = SyntheticSpec(n_sentences=20, noise_temperature=1e-300)
+        for tree in generate_synthetic_corpus(spec, seed=3):
+            lengths = [c.length for c in decompose(tree).preverbal]
+            assert lengths[-1] == min(lengths)
 
     def test_correlation_helper(self):
         corpus = synthetic_corpus(200, 1.0, seed=27)

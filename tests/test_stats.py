@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy import stats as sps
 from deplen.analysis import (SCALAR_FEATURES, SyntheticSpec, build_pairwise_dataset,
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
-from deplen.stats import (SEPARATION_RIDGE, RankDeficientError, _check_fits, _fit_folds,
-                          crossval_accuracy, fit_logistic, mcnemar, pearson,
+from deplen.stats import (GRAM_CHUNK, SEPARATION_RIDGE, RankDeficientError, _check_fits,
+                          _fit_folds, _grams, crossval_accuracy, fit_logistic, mcnemar, pearson,
                           predict_proba, rfecv)
 
 
@@ -196,6 +197,69 @@ class TestStackedFits:
             assert np.allclose(beta[f], fit.coefficients, rtol=1e-9, atol=1e-9)
             assert (iterations[f], converged[f], separation[f]) == \
                 (fit.iterations, fit.converged, fit.separation)
+
+
+@st.composite
+def gram_cases(draw):
+    """A design of 1 to 3 chunks of cells around GRAM_CHUNK, intercept
+    first; the weights of F >= 2 fits, integer counts or floats; and, or
+    not, fit probabilities that make them IRLS weights."""
+    n = draw(st.sampled_from([1, GRAM_CHUNK - 1, GRAM_CHUNK, GRAM_CHUNK + 1,
+                              3 * GRAM_CHUNK + 7]))
+    q, folds = draw(st.integers(1, 8)), draw(st.integers(2, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
+    if draw(st.booleans()):
+        counts = rng.integers(0, 4, size=(n, folds)).astype(draw(st.sampled_from([np.uint8,
+                                                                                 np.uint64])))
+    else:
+        counts = rng.exponential(size=(n, folds))
+    return design, counts, rng.random((n, folds)) if draw(st.booleans()) else None
+
+
+def irls_weights(counts, mu):
+    return counts if mu is None else np.maximum(mu * (1.0 - mu), 1e-12) * counts
+
+
+class TestGramKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=gram_cases())
+    def test_chunked_pair_products_equal_per_fit_products(self, case):
+        design, counts, mu = case
+        w = irls_weights(counts, mu).astype(float)
+        want = np.stack([(design * w[:, f, None]).T @ design for f in range(w.shape[1])])
+        got = _grams(design, counts, np.triu_indices(design.shape[1]), mu)
+        # rtol 1e-12 of each sum's magnitude: the summation order differs
+        scale = np.stack([(np.abs(design) * np.abs(w[:, f, None])).T @ np.abs(design)
+                          for f in range(w.shape[1])])
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(case=gram_cases())
+    def test_one_fit_keeps_the_direct_product(self, case):
+        # the reported fits' bits come from this product
+        design, counts, mu = case
+        counts, mu = counts[:, :1], None if mu is None else mu[:, :1]
+        want = ((design * irls_weights(counts, mu)).T @ design)[None]
+        got = _grams(design, counts, np.triu_indices(design.shape[1]), mu)
+        assert np.array_equal(got, want)
+
+    def test_fit_memory_stays_near_one_buffer(self):
+        # no (cells x q^2) table: the stacked fit holds about one (cells x fits) buffer
+        cells, folds = 20_000, 10
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(cells, 6))
+        design = np.column_stack([np.ones(cells), X])
+        y = (rng.random(cells) < 1.0 / (1.0 + np.exp(-X @ np.linspace(-1, 1, 6)))).astype(float)
+        counts = rng.integers(0, 3, size=(cells, folds)).astype(float)
+        maps = np.broadcast_to(np.eye(7), (folds, 7, 7))
+        tracemalloc.start()
+        try:
+            _fit_folds(design, y, counts, np.zeros(folds), maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * cells * folds * 8
 
 
 def crossval_all_rows(X, y, folds, seed, zscore_mode):
