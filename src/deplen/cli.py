@@ -140,17 +140,21 @@ def _load_corpus(args):
     path = Path(args.corpus)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
-    raw = path.read_bytes()
-    try:   # the decoded text lives only as long as the parse needs it
-        trees, diagnostics = treebank.parse_corpus(raw.decode("utf-8"), args.format)
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read corpus {path}: {e.strerror}")
+    corpus_hash = hashlib.sha256(raw).hexdigest()
+    try:   # not the utf-8-sig codec: its error offsets miss the mark's 3 bytes
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})")
-    if args.exclude_punct:
-        trees = [treebank.strip_punct(t) for t in trees]
+    del raw   # the parse holds only the text
+    trees, diagnostics = treebank.parse_corpus(text, args.format, args.exclude_punct)
     for d in diagnostics:
         log.warning("line %d: %s (block skipped)", d.line, d.reason)
     log.info("parsed %d sentences, %d blocks skipped", len(trees), len(diagnostics))
-    return trees, diagnostics, hashlib.sha256(raw).hexdigest()
+    return trees, diagnostics, corpus_hash
 
 
 def _outdir(args) -> Path:

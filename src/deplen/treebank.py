@@ -6,6 +6,7 @@ sentence blocks are skipped with a diagnostic instead of aborting the run.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -22,6 +23,9 @@ __all__ = [
 ]
 
 PUNCT_DEPRELS = frozenset({"punct", "rsym", "SYM"})
+# Characters of corpus text split into lines at a time; each chunk ends just
+# after a "\n", so no line is cut and the whole text is never held as lines.
+LINE_CHUNK = 64 * 1024
 
 
 class NonProjectiveError(ValueError):
@@ -48,9 +52,7 @@ class DependencyTree:
         heads, forms, deprels = tuple(heads), tuple(forms), tuple(deprels)
         if not len(heads) == len(forms) == len(deprels):
             raise ValueError("heads, forms and deprels differ in length")
-        reason = _validate(heads)
-        if reason is not None:
-            raise ValueError(reason)
+        _root_walk(heads)
         self._heads, self._forms, self._deprels = heads, forms, deprels
         self._root = heads.index(0) + 1
 
@@ -93,30 +95,34 @@ class DependencyTree:
                 yield head, dependent
 
 
-def _validate(heads) -> Optional[str]:
+def _root_walk(heads) -> list:
+    """The positions of a valid heads column in breadth-first order from the
+    root, so every head comes before its dependents.
+
+    Raises ValueError naming the first fault of: no tokens, no root, more
+    than one root, a head outside 0..n, and a cycle. A token on a cycle
+    never reaches the root, so the walk misses it.
+    """
     if not heads:
-        return "empty sentence"
+        raise ValueError("empty sentence")
     n = len(heads)
     roots = heads.count(0)
     if roots == 0:
-        return "no root"
+        raise ValueError("no root")
     if roots > 1:
-        return "multiple roots"
+        raise ValueError("multiple roots")
+    if min(heads) < 0 or max(heads) > n:
+        i, head = next((i, h) for i, h in enumerate(heads, start=1) if not 0 <= h <= n)
+        raise ValueError(f"head {head} out of range for token {i}")
+    dependents = [[] for _ in range(n + 1)]
     for i, head in enumerate(heads, start=1):
-        if not 0 <= head <= n:
-            return f"head {head} out of range for token {i}"
-    # acyclicity: every token must reach the root along head links; a walk
-    # stops at the first node known to reach it, so each token is walked once
-    reaches_root = {0}
-    for i in range(1, n + 1):
-        path, cur = set(), i
-        while cur not in reaches_root:
-            if cur in path:
-                return "cycle in head links"
-            path.add(cur)
-            cur = heads[cur - 1]
-        reaches_root |= path
-    return None
+        dependents[head].append(i)
+    order = dependents[0]
+    for node in order:
+        order.extend(dependents[node])
+    if len(order) < n:
+        raise ValueError("cycle in head links")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +132,26 @@ def _validate(heads) -> Optional[str]:
 FORMATS = {"conllu": (10, (0, 1, 6, 7)), "tsv": (4, (0, 1, 2, 3))}
 
 
+def _line_chunks(text: str):
+    """`text.splitlines()` one chunk of about LINE_CHUNK characters at a
+    time. A chunk ends just after a "\n", which ends a line whatever
+    precedes it, so the chunks' lines are the text's lines."""
+    pos, end = 0, len(text)
+    while pos < end:
+        cut = text.find("\n", pos + LINE_CHUNK) + 1 or end
+        yield text[pos:cut].splitlines()
+        pos = cut
+
+
+def _iter_lines(text: str):
+    """(lineno, line) pairs, as `enumerate(text.splitlines(), 1)`."""
+    return enumerate(chain.from_iterable(_line_chunks(text)), 1)
+
+
 def _iter_blocks(text: str):
     """Yield (first_line_number, list of (lineno, line)) per sentence block."""
     block, start = [], None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _iter_lines(text):
         if line.strip() == "":
             if block:
                 yield start, block
@@ -142,18 +164,22 @@ def _iter_blocks(text: str):
         yield start, block
 
 
-def parse_corpus(text: str, format: str = "conllu"):
+def parse_corpus(text: str, format: str = "conllu", exclude_punct: bool = False):
     """Parse a corpus from its text.
 
     Returns (trees, diagnostics). Malformed blocks are skipped with a
     Diagnostic recording the offending line, or the block's first line
     when the tree as a whole is invalid (indices not 1..n included), and
     the reason. A bad line takes precedence over a fault of the whole tree.
+
+    With `exclude_punct`, each valid block loses its punctuation as
+    `strip_punct` removes it, on the parsed columns, before its one tree is
+    built. Every tree shares its deprel strings with the others.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     width, (i_index, i_form, i_head, i_deprel) = FORMATS[format]
-    trees, diagnostics = [], []
+    trees, diagnostics, labels = [], [], {}
     for start, block in _iter_blocks(text):
         heads, forms, deprels, contiguous, bad = [], [], [], True, None
         for lineno, line in block:
@@ -186,11 +212,15 @@ def parse_corpus(text: str, format: str = "conllu"):
             contiguous = contiguous and index == len(heads) + 1
             heads.append(head)
             forms.append(cols[i_form])
-            deprels.append(cols[i_deprel])
+            deprel = cols[i_deprel]
+            deprels.append(labels.setdefault(deprel, deprel))
         if bad is None and not contiguous:
             bad = Diagnostic(start, "token indices not contiguous 1..n")
         if bad is None:
             try:
+                if exclude_punct:   # the raw heads are validated first
+                    heads, forms, deprels = _strip_columns(
+                        heads, forms, deprels, _root_walk(heads), PUNCT_DEPRELS)
                 trees.append(DependencyTree(heads, forms, deprels))
             except ValueError as e:
                 bad = Diagnostic(start, str(e))
@@ -228,14 +258,8 @@ def subtree_spans(tree: DependencyTree) -> Optional[list]:
     """
     n = len(tree)
     heads = (0, *tree.heads)
-    dependents = [[] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dependents[heads[i]].append(i)
-    order = [tree.root_index]        # breadth-first, so heads come first
-    for node in order:
-        order.extend(dependents[node])
     lo, hi, size = list(range(n + 1)), list(range(n + 1)), [1] * (n + 1)
-    for node in reversed(order):
+    for node in reversed(_root_walk(tree.heads)):
         if hi[node] - lo[node] + 1 != size[node]:
             return None
         h = heads[node]
@@ -262,23 +286,34 @@ def subtree_yield(tree: DependencyTree, head: int) -> tuple:
     return spans[head]
 
 
-def strip_punct(tree: DependencyTree, deprels=PUNCT_DEPRELS) -> DependencyTree:
-    """Remove leaf tokens with a punctuation deprel and reindex.
+def _strip_columns(heads, forms, deprels, order, punct):
+    """The columns without their punctuation, heads renumbered. `order` is
+    the heads' breadth-first order from the root. In one pass over it
+    reversed, dependents before heads, a non-root token whose deprel is in
+    `punct` goes when all of its dependents have gone."""
+    if punct.isdisjoint(deprels):
+        return heads, forms, deprels
+    n = len(heads)
+    kept_dependents, keep = [0] * (n + 1), [True] * (n + 1)
+    for node in reversed(order):
+        head = heads[node - 1]
+        if head and not kept_dependents[node] and deprels[node - 1] in punct:
+            keep[node] = False
+        else:
+            kept_dependents[head] += 1
+    kept = [i for i in range(1, n + 1) if keep[i]]
+    renumber = [0] * (n + 1)
+    for new, old in enumerate(kept, start=1):
+        renumber[old] = new
+    return ([renumber[heads[i - 1]] for i in kept], [forms[i - 1] for i in kept],
+            [deprels[i - 1] for i in kept])
 
-    Applied iteratively so punctuation attached to punctuation also goes.
-    The root is always kept, whatever its deprel.
+
+def strip_punct(tree: DependencyTree, deprels=PUNCT_DEPRELS) -> DependencyTree:
+    """Remove tokens with a punctuation deprel and reindex.
+
+    A token goes when all of its dependents go, so punctuation attached to
+    punctuation goes too. The root is always kept, whatever its deprel.
     """
-    heads = (0, *tree.heads)
-    punct = (False, *(deprel in deprels for deprel in tree.deprels))
-    kept = range(1, len(tree) + 1)
-    while True:
-        has_dep = {heads[i] for i in kept}
-        still = [i for i in kept if not punct[i] or i in has_dep or heads[i] == 0]
-        if len(still) == len(kept):
-            break
-        kept = still
-    remap = {old: new for new, old in enumerate(kept, start=1)}
-    remap[0] = 0
-    return DependencyTree([remap[heads[i]] for i in kept],
-                          [tree.forms[i - 1] for i in kept],
-                          [tree.deprels[i - 1] for i in kept])
+    return DependencyTree(*_strip_columns(tree.heads, tree.forms, tree.deprels,
+                                          _root_walk(tree.heads), frozenset(deprels)))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,20 @@ class TestExitCodes:
         assert err.startswith(f"error: {corpus}: not UTF-8")
         assert len(err.splitlines()) == 1
 
+    def test_bad_byte_after_byte_order_mark_reports_its_file_offset(self, tmp_path, capsys):
+        raw = "\ufeff1\tmaa\t2\tdep\n".encode("utf-8") + b"2\td\xed\t0\troot\n"
+        corpus = tmp_path / "bom.tsv"
+        corpus.write_bytes(raw)
+        offset = raw.index(b"\xed")   # in the file, the mark's 3 bytes included
+        assert main(["parse", "--corpus", str(corpus), "--format", "tsv",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith(f"at byte {offset})\n")
+
+    def test_directory_corpus_is_data_error(self, tmp_path, capsys):
+        assert main(["parse", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read corpus {tmp_path}: Is a directory\n"
+
 
 class TestParse:
     def test_writes_products(self, corpus_file, tmp_path):
@@ -100,6 +115,28 @@ class TestParse:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sentences"] == 3
         assert manifest["corpus_sha256"]
+
+    def test_byte_order_mark_keeps_first_sentence(self, tmp_path, caplog):
+        raw = ("\ufeff" + CONLLU_FIG3).encode("utf-8")
+        corpus = tmp_path / "bom.conllu"
+        corpus.write_bytes(raw)
+        out = tmp_path / "run"
+        assert main(["parse", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        trees, _ = parse_corpus((out / "parsed.conllu").read_text())
+        assert trees == parse_corpus(CONLLU_FIG3)[0]
+        assert (out / "diagnostics.csv").read_text().splitlines() == ["line,reason"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["corpus_sha256"] == hashlib.sha256(raw).hexdigest()
+
+    def test_exclude_punct_strips_before_writing(self, tmp_path):
+        corpus = tmp_path / "punct.tsv"
+        corpus.write_text("1\thi\t2\tdep\n2\tthere\t0\troot\n3\t.\t2\tpunct\n")
+        out = tmp_path / "run"
+        assert main(["parse", "--corpus", str(corpus), "--format", "tsv",
+                     "--exclude-punct", "--out", str(out)]) == 0
+        (tree,), _ = parse_corpus((out / "parsed.conllu").read_text())
+        assert tree.forms == ("hi", "there")
 
     def test_input_not_mutated(self, corpus_file, tmp_path):
         before = corpus_file.read_bytes()

@@ -1,7 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deplen import treebank
 from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree,
                              NonProjectiveError, is_projective, parse_corpus,
                              strip_punct, subtree_yield, to_conllu, to_tsv)
@@ -301,3 +305,71 @@ def test_strip_punct_matches_token_list(seed, n, data):
                for i, (head, rel) in enumerate(zip(stripped.heads, stripped.deprels), 1))
     kept = [int(form[1:]) for form in stripped.forms]   # forms are w1..wn
     assert kept == sorted(kept)
+
+
+PUNCT_OR_DEP = st.sampled_from(["punct", "rsym", "SYM", "dep"])
+
+# Every character that str.splitlines() breaks at ("\r\n" comes from "\r"
+# then "\n"), and characters of blank and non-blank lines.
+LINE_ALPHABET = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029", " ", "\t", "a", "#"]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.text(st.sampled_from(LINE_ALPHABET), max_size=60), chunk=st.integers(1, 7))
+def test_chunked_lines_match_splitlines(text, chunk):
+    with mock.patch.object(treebank, "LINE_CHUNK", chunk):
+        assert list(treebank._iter_lines(text)) == list(enumerate(text.splitlines(), 1))
+
+
+# Lines that spoil their block in either format, or split it ("   ").
+MALFORMED_LINES = ["garbage", "1\ta\tb", "x\ty\t0\troot", "   ", "# note",
+                   "\t".join(["2", "b", "_", "_", "_", "_", "h", "dep", "_", "_"])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(format=st.sampled_from(sorted(FORMATS)), data=st.data(),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+def test_exclude_punct_matches_strip_punct(format, data, seeds):
+    """Random trees with punctuation deprels, some with one head moved
+    anywhere in -1..n+1 and some with a malformed line: stripping on the
+    columns gives the trees and diagnostics of parsing, then `strip_punct`."""
+    blocks = []
+    for seed in seeds:
+        tree = random_tree(np.random.default_rng(seed), data.draw(st.integers(1, 10)))
+        heads, n = list(tree.heads), len(tree)
+        rels = data.draw(st.lists(PUNCT_OR_DEP, min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            heads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, n + 1))
+        lines = _lines(format, zip(range(1, n + 1), tree.forms, heads, rels))
+        if data.draw(st.booleans()):
+            lines.insert(data.draw(st.integers(0, n)), data.draw(st.sampled_from(MALFORMED_LINES)))
+        blocks.append("\n".join(lines))
+    text = "\n\n".join(blocks) + "\n"
+    trees, diagnostics = parse_corpus(text, format)
+    assert parse_corpus(text, format, exclude_punct=True) == \
+        ([strip_punct(t) for t in trees], diagnostics)
+    assert [strip_punct(t) for t in trees] == [_strip_punct_by_token_list(t) for t in trees]
+
+
+def test_parse_transient_memory_is_small():
+    """Parsing holds a few lines at a time, not the whole text as lines:
+    what it allocates beyond the trees it returns stays under half the
+    text's size (the whole-text line list alone was about 3 times it)."""
+    rng = np.random.default_rng(5)
+    blocks = []
+    for i in range(200):
+        tree = random_tree(rng, int(rng.integers(5, 30)))
+        rels = rng.choice(["punct", "dep", "dep", "dep"], size=len(tree)).tolist()
+        blocks.append(to_conllu(DependencyTree(tree.heads, tree.forms, rels), f"s{i}"))
+    unit = "\n".join(blocks) + "\n"
+    text = unit * -(-2_000_000 // len(unit))
+    tracemalloc.start()
+    try:
+        trees, diagnostics = parse_corpus(text, "conllu", exclude_punct=True)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) >= 2_000_000
+    assert diagnostics == [] and len(trees) == 200 * (len(text) // len(unit))
+    assert peak - retained <= 0.5 * len(text)

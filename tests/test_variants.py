@@ -90,10 +90,13 @@ class TestDeriveRng:
                 assert got.permutation(6).tolist() == expected.permutation(6).tolist()
 
     def test_seed_sequence_pads_words_with_zeros(self):
-        # a digest whose high words are zero: the int seeds fewer words
-        words = np.array([5, 0, 0, 0], dtype=np.uint32)
-        assert (np.random.SeedSequence(5).generate_state(8).tolist()
-                == np.random.SeedSequence(words).generate_state(8).tolist())
+        # digests whose high words are zero: the int seeds fewer words
+        for words in ([5, 0, 0, 0], [1, 2, 3, 0], [0, 7, 0, 0], [2**32 - 1] * 3 + [0],
+                      [0, 0, 0, 0]):
+            seed = int.from_bytes(np.array(words, dtype="<u4").tobytes(), "little")
+            assert (np.random.SeedSequence(seed).generate_state(8).tolist()
+                    == np.random.SeedSequence(np.array(words, dtype=np.uint32))
+                    .generate_state(8).tolist())
 
 
 class TestOrderings:
