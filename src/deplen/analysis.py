@@ -47,7 +47,8 @@ SCALAR_FEATURES = ["total_dl", "dl_2ndlast", "dl_last", "len_2ndlast", "len_last
 
 
 class InsufficientDataError(ValueError):
-    pass
+    """The corpus cannot support a table: too few pairs for it or for its
+    folds, or a row whose predictors are collinear in every pair."""
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,19 @@ def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float
         return None
 
 
+def _least_effort_moves(lengths: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """`variants.least_effort_move` of every order: orders[s] holds (m x k)
+    orders of the plan whose constituent lengths are lengths[s]. The last
+    of an order's shortest constituents moves to its end."""
+    k = orders.shape[2]
+    in_order = np.take_along_axis(lengths[:, None, :], orders, axis=2)
+    shortest = in_order == lengths.min(axis=1)[:, None, None]
+    moved = k - 1 - np.argmax(shortest[..., ::-1], axis=2)
+    kept = np.arange(k - 1)
+    source = np.concatenate([kept + (kept >= moved[..., None]), moved[..., None]], axis=2)
+    return np.take_along_axis(orders, source, axis=2)
+
+
 def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
                     random_draws: int = 10, k_range=(2, 6),
                     convention: str = "intervening") -> dict:
@@ -130,36 +144,33 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
     strategy and per constituent count.
 
     Random and least-effort values average `random_draws` seeded draws per
-    sentence.
+    sentence. Each k's sentences are scored at once, in corpus order: the
+    reference, ascending and descending orders, the draws, and the draws'
+    least-effort moves, as one (sentences x orders x k) array.
     """
-    sums = {s: {} for s in STRATEGIES}
-    counts = {}
+    by_k = {}
     for e in corpus.entries:
-        plan = e.plan
-        k = plan.k
-        if not (k_range[0] <= k <= k_range[1]):
-            continue
-        n = len(plan.tree)
-        def norm_dl(order):
-            return constituency.order_dl(plan, order, convention)[1] / n
-        values = {
-            "reference": norm_dl(variants.order_identity(plan)),
-            "ascending": norm_dl(variants.order_ascending(plan)),
-            "descending": norm_dl(variants.order_descending(plan)),
-        }
-        rand_vals, le_vals = [], []
-        for d in range(random_draws):
-            rng = derive_rng(seed, e.sentence_id, "random", d)
-            start = variants.order_random(plan, rng)
-            rand_vals.append(norm_dl(start))
-            le_vals.append(norm_dl(variants.least_effort_move(plan, start)))
-        values["random"] = float(np.mean(rand_vals))
-        values["least_effort"] = float(np.mean(le_vals))
-        counts[k] = counts.get(k, 0) + 1
-        for s, v in values.items():
-            sums[s][k] = sums[s].get(k, 0.0) + v
-    return {s: {k: sums[s][k] / counts[k] for k in sorted(sums[s])}
-            for s in STRATEGIES}
+        if k_range[0] <= e.plan.k <= k_range[1]:
+            by_k.setdefault(e.plan.k, []).append(e)
+    curves = {s: {} for s in STRATEGIES}
+    for k in sorted(by_k):
+        entries = by_k[k]
+        table = constituency.PlanTable.of([e.plan for e in entries])
+        draws = np.array([[derive_rng(seed, e.sentence_id, "random", d).permutation(k)
+                           for d in range(random_draws)] for e in entries])
+        orders = np.concatenate([
+            np.broadcast_to(np.arange(k), (len(entries), 1, k)),
+            np.argsort(table.lengths, axis=1, kind="stable")[:, None],
+            np.argsort(-table.lengths, axis=1, kind="stable")[:, None],
+            draws, _least_effort_moves(table.lengths, draws)], axis=1)
+        values = table.score(orders, convention)[1] / table.words[:, None]
+        per_sentence = np.column_stack([   # the draws' means, as np.mean of each list
+            values[:, :3], values[:, 3:].reshape(-1, 2, random_draws).mean(axis=2)])
+        # summed one sentence after the other, in corpus order
+        means = np.cumsum(per_sentence, axis=0)[-1] / len(entries)
+        for s, mean in zip(STRATEGIES, means.tolist()):
+            curves[s][k] = mean
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +247,9 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
     """
     if len(dataset) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 pairs")
+    if len(dataset) < folds:
+        raise InsufficientDataError(
+            f"insufficient data: {len(dataset)} pairs for {folds} folds")
     scalars = dataset.scalar_matrix()
     y = dataset.labels
     col = {name: j for j, name in enumerate(SCALAR_FEATURES)}
@@ -244,8 +258,14 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
         prev_pred = None
         for name, predictors in specs:
             X = scalars[:, [col[p] for p in predictors]]
-            report = stats.crossval_accuracy(X, y, folds=folds, seed=seed,
-                                             zscore_mode=zscore_mode)
+            try:
+                report = stats.crossval_accuracy(X, y, folds=folds, seed=seed,
+                                                 zscore_mode=zscore_mode)
+            except stats.RankDeficientError:
+                # k = 2 alone: swapping two constituents makes len_last == -len_2ndlast
+                raise InsufficientDataError(
+                    f"{table} row {name!r}: its predictors {', '.join(predictors)} "
+                    "are collinear in this corpus") from None
             row = {
                 "table": table,
                 "predictors": name,
@@ -291,6 +311,9 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     if len(y) < min_pairs:
         return {"k": k, "family": family, "status": "insufficient data",
                 "n": int(len(y))}
+    if len(y) < folds:
+        raise InsufficientDataError(
+            f"insufficient data: {len(y)} pairs with k={k} for {folds} folds")
     suffix = "deplen" if family == "deplen" else "length"
     names = [f"const{i}_{suffix}" for i in range(1, k + 1)]
     X, names, dropped = _drop_collinear(X, names)

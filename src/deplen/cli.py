@@ -318,11 +318,8 @@ def cmd_fit(args):
 
 
 def _write_suite(out: Path, args, dataset):
-    try:
-        rows = analysis.run_classification_suite(
-            dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
-    except analysis.InsufficientDataError as e:
-        raise DataError(str(e))
+    rows = analysis.run_classification_suite(
+        dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
     flagged, margins = {}, {}
     for table, filename in (("table3", "table3_accuracy.csv"),
                             ("table4", "table4_accuracy.csv")):
@@ -429,7 +426,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except DataError as e:
+    except (DataError, analysis.InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,11 +11,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .treebank import DependencyTree, NonProjectiveError, subtree_spans
+import numpy as np
+
+from .treebank import DependencyTree, NonProjectiveError, is_projective, subtree_spans
 
 __all__ = [
     "Constituent",
     "SentencePlan",
+    "PlanTable",
     "Ineligible",
     "decompose",
     "arc_distance",
@@ -98,6 +101,40 @@ class SentencePlan:
         return len(spans), sum(spans)
 
 
+@dataclass(frozen=True)
+class PlanTable:
+    """Plans of one constituent count k as arrays, row s for plan s: the
+    (S x k) constituent lengths and head offsets, the (S,) verb positions
+    and word counts, and the (S x 2) `fixed_arcs`."""
+    lengths: np.ndarray
+    offsets: np.ndarray
+    verbs: np.ndarray
+    words: np.ndarray
+    fixed_arcs: np.ndarray
+
+    @classmethod
+    def of(cls, plans: Sequence[SentencePlan]) -> "PlanTable":
+        return cls(np.array([p.lengths for p in plans], dtype=np.int64),
+                   np.array([p.head_offsets for p in plans], dtype=np.int64),
+                   np.array([p.verb_index for p in plans], dtype=np.int64),
+                   np.array([len(p.tree) for p in plans], dtype=np.int64),
+                   np.array([p.fixed_arcs for p in plans], dtype=np.int64))
+
+    def score(self, orders: np.ndarray, convention: str = "intervening") -> tuple:
+        """`order_dl` of every order at once: orders[s] holds plan s's (m x k)
+        orders. Returns the (S x m x k) per-position head-to-verb distances
+        and the (S x m) total DLs."""
+        if convention not in CONVENTIONS:
+            raise ValueError(f"unknown distance convention: {convention!r}")
+        gap = 1 if convention == "positional" else 0
+        lengths = np.take_along_axis(self.lengths[:, None, :], orders, axis=2)
+        offsets = np.take_along_axis(self.offsets[:, None, :], orders, axis=2)
+        start = np.cumsum(lengths, axis=2) - lengths + 1   # exclusive, from position 1
+        dls = self.verbs[:, None, None] - start - offsets - 1 + gap
+        count, span_sum = self.fixed_arcs.T
+        return dls, dls.sum(axis=2) + (span_sum - count + gap * count)[:, None]
+
+
 def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     """Split a projective tree into preverbal constituents + frozen suffix.
 
@@ -106,20 +143,23 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     clauses, punctuation) stay frozen in the suffix. In a projective tree a
     root child's yield is contiguous and excludes the root, so the preverbal
     yields tile the positions before the verb.
+
+    The verb's left dependents come from the heads column; only a tree with
+    at least 2 of them has its yields computed.
     """
-    spans = subtree_spans(tree)
-    if spans is None:
+    if not is_projective(tree):
         raise NonProjectiveError("decompose requires a projective tree")
     verb = tree.root_index
-    constituents = []
-    for i in range(1, verb):
-        if tree.heads[i - 1] == verb:
-            lo, hi = spans[i]
-            constituents.append(Constituent(i, (lo, hi), tree.forms[lo - 1:hi]))
-    if not constituents:
+    heads = [i for i, h in enumerate(tree.heads[:verb - 1], start=1) if h == verb]
+    if not heads:
         return Ineligible("no preverbal constituents")
-    if len(constituents) < 2:
+    if len(heads) < 2:
         return Ineligible("fewer than 2 constituents")
+    spans = subtree_spans(tree)
+    constituents = []
+    for i in heads:
+        lo, hi = spans[i]
+        constituents.append(Constituent(i, (lo, hi), tree.forms[lo - 1:hi]))
     return SentencePlan(tree, tuple(constituents), verb)
 
 

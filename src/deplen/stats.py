@@ -394,6 +394,8 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
     if X.ndim == 1 or X.shape[1] < 2:
         raise ValueError("rfecv needs at least 2 candidate features")
     y = np.asarray(y, dtype=int)
+    if len(y) < folds:
+        raise ValueError("need at least one example per fold")
     p = X.shape[1]
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
     rep, cell = _distinct_cells(X, y)

@@ -149,17 +149,18 @@ def _iter_lines(text: str):
 
 
 def _iter_blocks(text: str):
-    """Yield (first_line_number, list of (lineno, line)) per sentence block."""
-    block, start = [], None
+    """Yield (first_line_number, lines) per sentence block. No blank line
+    falls inside a block, so its lines are numbered on from the first."""
+    block, start = [], 0
     for lineno, line in _iter_lines(text):
-        if line.strip() == "":
+        if not line or line.isspace():   # line.strip() == ""
             if block:
                 yield start, block
-                block, start = [], None
+                block = []
         else:
-            if start is None:
+            if not block:
                 start = lineno
-            block.append((lineno, line))
+            block.append(line)
     if block:
         yield start, block
 
@@ -182,7 +183,7 @@ def parse_corpus(text: str, format: str = "conllu", exclude_punct: bool = False)
     trees, diagnostics, labels = [], [], {}
     for start, block in _iter_blocks(text):
         heads, forms, deprels, contiguous, bad = [], [], [], True, None
-        for lineno, line in block:
+        for lineno, line in enumerate(block, start):
             if line.startswith("#"):
                 continue
             cols = line.split("\t")
@@ -271,8 +272,20 @@ def subtree_spans(tree: DependencyTree) -> Optional[list]:
 
 
 def is_projective(tree: DependencyTree) -> bool:
-    """True iff every subtree's yield is a contiguous span."""
-    return subtree_spans(tree) is not None
+    """True iff no two arcs cross, the root's arc from position 0 included,
+    which holds iff every subtree's yield is contiguous. The arcs, sorted by
+    left end and longest first, go through one stack pass of the right ends
+    still open."""
+    arcs = sorted((h, -d) if h < d else (d, -h)
+                  for d, h in enumerate(tree.heads, start=1))
+    open_ends = [len(tree) + 1]   # a sentinel no arc closes
+    for lo, neg_hi in arcs:
+        while open_ends[-1] <= lo:
+            open_ends.pop()
+        if -neg_hi > open_ends[-1]:
+            return False
+        open_ends.append(-neg_hi)
+    return True
 
 
 def subtree_yield(tree: DependencyTree, head: int) -> tuple:

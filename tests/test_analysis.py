@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deplen.analysis import (InsufficientDataError, SyntheticSpec,
+from deplen.analysis import (CorpusEntry, DecomposedCorpus, InsufficientDataError, SyntheticSpec,
                              build_pairwise_dataset, constituent_count_histogram,
                              decompose_corpus, generate_synthetic_corpus,
                              position_length_profile, regression_table,
                              run_classification_suite,
                              sentence_length_constituent_corr, strategy_curves)
-from deplen.constituency import decompose
+from deplen.constituency import CONVENTIONS, decompose
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
 from deplen.variants import generate_variants
 
-from conftest import heads_tree
+import oracles
+from conftest import eligible_plans, heads_tree
 
 
 def synthetic_corpus(n, p_least_effort, seed, **kw):
@@ -95,6 +97,27 @@ class TestStrategyCurves:
             spread = curves["ascending"][k] - curves["descending"][k]
             if spread > 0:
                 assert abs(ref - rand) < 0.25 * spread
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(plans=st.lists(eligible_plans(), min_size=0, max_size=12),
+           seed=st.integers(0, 2**16), random_draws=st.sampled_from([1, 8, 9, 17]),
+           k_range=st.sampled_from([(2, 6), (2, 2), (3, 5), (4, 6), (6, 7)]),
+           convention=st.sampled_from(CONVENTIONS))
+    def test_matches_per_order_oracle(self, plans, seed, random_draws, k_range, convention):
+        """Bit for bit the per-sentence, per-order values, means and sums.
+        From 8 draws on, numpy's pairwise summation unrolls by 8."""
+        corpus = DecomposedCorpus([CorpusEntry(f"s{i}", p) for i, p in enumerate(plans)])
+        got = strategy_curves(corpus, seed, random_draws, k_range, convention)
+        expected = oracles.strategy_curves(corpus, seed, random_draws, k_range, convention)
+        assert list(got) == list(expected)
+        assert {s: {k: v.hex() for k, v in per_k.items()} for s, per_k in got.items()} == \
+            {s: {k: v.hex() for k, v in per_k.items()} for s, per_k in expected.items()}
+        assert all(type(v) is float for per_k in got.values() for v in per_k.values())
+
+    def test_matches_oracle_on_synthetic_corpus(self):
+        corpus = synthetic_corpus(300, 0.5, seed=4)
+        assert repr(strategy_curves(corpus, seed=2, random_draws=10)) == \
+            repr(oracles.strategy_curves(corpus, seed=2, random_draws=10))
 
     def test_deterministic(self):
         corpus = synthetic_corpus(50, 1.0, seed=2)

@@ -15,6 +15,8 @@ from deplen.variants import generate_variants
 from test_treebank import CONLLU_FIG3
 
 SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
+CORPUS_COMMANDS = ("parse", "decompose", "variants", "strategies", "features", "fit",
+                   "classify", "report-all")
 
 
 @pytest.fixture
@@ -22,6 +24,13 @@ def corpus_file(tmp_path):
     path = tmp_path / "tiny.conllu"
     # three copies of the worked example, distinct sent_ids on reparse
     path.write_text("\n".join([CONLLU_FIG3] * 3))
+    return path
+
+
+def spec_corpus(path, sentences, k, seed=1):
+    """`sentences` synthetic k-constituent sentences with random references."""
+    spec = SyntheticSpec(n_sentences=sentences, k_weights=((k, 1.0),), p_least_effort=0.0)
+    path.write_text("\n".join(to_conllu(t) for t in generate_synthetic_corpus(spec, seed=seed)))
     return path
 
 
@@ -293,6 +302,55 @@ class TestReportAll:
             assert "insufficient data" in capsys.readouterr().err
             # neither leaves a product behind: report-all writes all or none
             assert list(out.iterdir()) == []
+
+
+class TestDegenerateCorpora:
+    @pytest.mark.parametrize("command", ["classify", "report-all"])
+    def test_k2_only_corpus_names_collinear_row(self, tmp_path, capsys, command):
+        # swapping two constituents makes len_last exactly -len_2ndlast
+        corpus = spec_corpus(tmp_path / "k2.conllu", 60, k=2)
+        out = tmp_path / command
+        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: table4 row 'last + 2nd last preverbal constituent length': "
+            "its predictors len_last, len_2ndlast are collinear in this corpus\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, sentences, k, folds, message", [
+        ("classify", 2, 2, 10, "2 pairs for 10 folds"),
+        ("report-all", 2, 2, 10, "2 pairs for 10 folds"),
+        ("fit", 100, 3, 600, "500 pairs with k=3 for 600 folds"),
+        ("report-all", 100, 3, 600, "500 pairs with k=3 for 600 folds")])
+    def test_fewer_pairs_than_folds_is_data_error(self, tmp_path, capsys, command,
+                                                  sentences, k, folds, message):
+        corpus = spec_corpus(tmp_path / "c.conllu", sentences, k)
+        out = tmp_path / command
+        assert main([command, "--corpus", str(corpus), "--folds", str(folds),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: insufficient data: {message}\n"
+        if command == "report-all":
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("corpus", ["k2-only", "one-eligible", "folds-above-pairs"])
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_never_a_traceback(self, tmp_path, capsys, command, corpus):
+        """Every corpus subcommand exits 0, or 2 with one line, on corpora
+        that leave a table without the data it needs."""
+        path, flags = tmp_path / "c.conllu", []
+        if corpus == "k2-only":
+            spec_corpus(path, 60, k=2)
+        elif corpus == "one-eligible":   # beside a verb-initial sentence
+            path.write_text(CONLLU_FIG3 + "\n1\tv\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                            "2\to\t_\t_\t_\t_\t1\tobj\t_\t_\n")
+        else:                            # 3 x 23 pairs
+            path.write_text("\n".join([CONLLU_FIG3] * 3))
+            flags = ["--folds", "70"]
+        code = main([command, "--corpus", str(path), *flags, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestConfigFile:

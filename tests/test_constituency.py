@@ -1,15 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deplen.constituency import (CONVENTIONS, Ineligible, arc_distance,
+from deplen.constituency import (CONVENTIONS, Ineligible, PlanTable, arc_distance,
                                  constituent_dl, decompose, main_verb_dl,
                                  main_verb_dl_closed_form, order_dl,
                                  total_dependency_length)
 from deplen.treebank import NonProjectiveError, is_projective
 from deplen.variants import linearize, order_ascending, order_descending, order_identity
 
+import oracles
 from conftest import FIG3_RANDOM_ORDER, eligible_plans, heads_tree, random_plans, random_tree
+
+
+def assert_decompose_matches_oracle(tree):
+    try:
+        expected = oracles.decompose(tree)
+    except NonProjectiveError:
+        with pytest.raises(NonProjectiveError):
+            decompose(tree)
+        return
+    assert decompose(tree) == expected
 
 
 class TestDecompose:
@@ -38,6 +51,28 @@ class TestDecompose:
         tree = heads_tree([3, 4, 0, 3])
         with pytest.raises(NonProjectiveError):
             decompose(tree)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_matches_span_oracle(self, seed, n):
+        """The same plan or skip reason as decomposing from every token's
+        yield, non-projective trees included."""
+        assert_decompose_matches_oracle(random_tree(np.random.default_rng(seed), n))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(plan=eligible_plans(), data=st.data())
+    def test_matches_span_oracle_near_eligible(self, plan, data):
+        """Eligible trees with one head moved: arcs that cross, subtrees
+        that leave a constituent and constituents that merge."""
+        heads = list(plan.tree.heads)
+        n = len(heads)
+        dependent = data.draw(st.sampled_from([i for i in range(1, n + 1) if heads[i - 1]]))
+        heads[dependent - 1] = data.draw(st.integers(1, n).filter(lambda h: h != dependent))
+        try:
+            tree = heads_tree(heads)
+        except ValueError:   # a cycle
+            return
+        assert_decompose_matches_oracle(tree)
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
@@ -142,3 +177,26 @@ class TestInvariants:
             order = tuple(int(i) for i in rng.permutation(plan.k))
             assert (main_verb_dl(plan, order)
                     == main_verb_dl_closed_form(plan, order))
+
+
+class TestPlanTable:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(plans=st.lists(eligible_plans(k_max=5), min_size=1, max_size=6),
+           convention=st.sampled_from(CONVENTIONS))
+    def test_score_matches_order_dl(self, plans, convention):
+        """Every order of every plan, scored per k in one array, as
+        `order_dl` scores it alone."""
+        for k in {plan.k for plan in plans}:
+            group = [plan for plan in plans if plan.k == k]
+            orders = list(itertools.permutations(range(k)))
+            dls, totals = PlanTable.of(group).score(
+                np.array([orders] * len(group)), convention)
+            for s, plan in enumerate(group):
+                for m, order in enumerate(orders):
+                    expected_dls, expected_total = order_dl(plan, order, convention)
+                    assert dls[s, m].tolist() == list(expected_dls)
+                    assert totals[s, m] == expected_total
+
+    def test_unknown_convention(self, fig3_plan):
+        with pytest.raises(ValueError, match="unknown distance convention: 'manhattan'"):
+            PlanTable.of([fig3_plan]).score(np.arange(4)[None, None], "manhattan")

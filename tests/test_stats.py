@@ -555,6 +555,15 @@ class TestRfecv:
         with pytest.raises(ValueError):
             rfecv(np.zeros((10, 1)), np.zeros(10, dtype=int))
 
+    def test_fewer_rows_than_folds_rejected(self):
+        # an empty fold would give a NaN accuracy to the curve
+        X = np.arange(16.0).reshape(8, 2)
+        y = np.arange(8) % 2
+        with pytest.raises(ValueError, match="need at least one example per fold"):
+            rfecv(X, y, folds=9)
+        with pytest.raises(ValueError, match="need at least one example per fold"):
+            crossval_accuracy(X, y, folds=9)
+
 
 class TestPearson:
     def test_perfect_correlation(self):

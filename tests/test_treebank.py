@@ -93,6 +93,33 @@ class TestParseCorpus:
         assert diags == []
         assert len(trees[0]) == 2
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("exclude_punct", [False, True])
+    def test_diagnostics_keep_line_numbers_across_skipped_lines(self, newline, exclude_punct):
+        """Comments, multiword-token and empty-node lines and whitespace-only
+        separators are lines too: each diagnostic names its own line."""
+        row = lambda *cols: "\t".join([cols[0], cols[1], "_", "_", "_", "_", *cols[2:], "_", "_"])
+        lines = [
+            "# sent_id = a", "# text = du le",
+            row("1-2", "du", "_", "_"), row("1", "de", "2", "case"),
+            row("1.1", "ghost", "_", "_"), row("2", "le", "0", "root"),
+            " \t ",                                                        # 7
+            "# sent_id = b", row("1-2", "du", "_", "_"),
+            row("1", "de", "zz", "case"), row("2", "le", "0", "root"),    # 10: bad head
+            "", "   ",
+            "# sent_id = c", row("1", "a", "0", "root"),
+            row("2", ".", "2", "punct"),                                  # 16: own head
+            "\t",
+            "# sent_id = d", row("1-2", "du", "_", "_"),                  # 18: block start
+            row("1", "a", "0", "root"), row("3", "b", "1", "dep"),
+            "", row("1", "x", "0", "root"), row("2", "y", "1", "dep"),
+        ]
+        trees, diags = parse_corpus(newline.join(lines) + newline, "conllu", exclude_punct)
+        assert [t.forms for t in trees] == [("de", "le"), ("x", "y")]
+        assert [(d.line, d.reason) for d in diags] == [
+            (10, "non-integer head 'zz'"), (16, "token 2 is its own head"),
+            (18, "token indices not contiguous 1..n")]
+
     def test_tsv_roundtrip(self, fig3_tree):
         trees, diags = parse_corpus(to_tsv(fig3_tree), "tsv")
         assert diags == []
