@@ -179,17 +179,26 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
 @dataclass
 class PairwiseDataset:
     """Balanced pairwise differences, one row per (reference, variant) pair
-    in corpus order. Integer deltas: `total_dl` (n,), and the per-position
-    `dl` and `length` (n, width), right-aligned so that the last column is
-    the verb-adjacent position, and zero to the left of each row's k."""
+    in corpus order. Integer deltas, in the narrowest signed type that holds
+    them: `total_dl` (n,), and the per-position `dl` and `length` (n, width),
+    right-aligned so that the last column is the verb-adjacent position, and
+    zero to the left of each row's k. Each pair's k is `ks` (n,), unsigned,
+    and its sentence is `sentence` (n,), an int32 index into the
+    per-sentence `ids`."""
     total_dl: np.ndarray
     dl: np.ndarray
     length: np.ndarray
     ks: np.ndarray
-    sentence_ids: np.ndarray
+    sentence: np.ndarray
+    ids: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ks)
+
+    @property
+    def sentence_ids(self) -> np.ndarray:
+        """Each pair's sentence id."""
+        return self.ids[self.sentence]
 
     @property
     def labels(self) -> np.ndarray:
@@ -210,29 +219,51 @@ class PairwiseDataset:
         return cols[rows, cols.shape[1] - k:].astype(float), self.labels[rows]
 
 
+def _delta_dtype(bound: int):
+    """The narrowest signed integer type that holds -bound..bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
+
+
 def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT_CAP,
                            seed: int = 0, convention: str = "intervening") -> PairwiseDataset:
     """Variant generation, feature extraction and the pairwise transformation
     for the whole corpus, one sentence at a time. Deterministic in
-    (corpus, cap, seed)."""
-    width = max((e.plan.k for e in corpus.entries), default=2)
-    blocks = [np.zeros((0, 1 + 2 * width), dtype=np.int64)]
-    for e in corpus.entries:
+    (corpus, cap, seed).
+
+    The arrays are allocated once, from each sentence's min(k!, cap) - 1
+    pairs, and each sentence's deltas are written into its rows. Only the k
+    head-to-verb arcs move under reordering, each by less than the verb's
+    position, so no delta exceeds k * verb_index: that bound sets the type.
+    """
+    if cap < 2:   # before it sizes the arrays
+        raise ValueError(f"variant cap must be >= 2, got {cap}")
+    entries = corpus.entries
+    ks = [e.plan.k for e in entries]
+    width = max(ks, default=2)
+    counts = [min(math.factorial(k), cap) - 1 for k in ks]
+    dtype = _delta_dtype(max((e.plan.k * e.plan.verb_index for e in entries), default=0))
+    n = sum(counts)
+    total_dl = np.empty(n, dtype=dtype)
+    dl = np.zeros((n, width), dtype=dtype)
+    length = np.zeros((n, width), dtype=dtype)
+    stop = 0
+    for e, count in zip(entries, counts):
         plan, k = e.plan, e.plan.k
         vset = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
         rows = np.array([features.extract_features(plan, order, convention)
                          for order in (vset.reference_order, *vset.sampled_variants)])
-        block = np.zeros((len(rows) - 1, 1 + 2 * width), dtype=np.int64)
-        block[:, np.r_[0, 1 + width - k:1 + width, 1 + 2 * width - k:1 + 2 * width]] = \
-            rows[0] - rows[1:]
-        blocks.append(block)
-    deltas = np.concatenate(blocks)
-    deltas[1::2] *= -1        # odd rows: variant minus reference
-    counts = [len(b) for b in blocks[1:]]
+        delta = rows[0] - rows[1:]
+        start, stop = stop, stop + count
+        total_dl[start:stop] = delta[:, 0]
+        dl[start:stop, width - k:] = delta[:, 1:1 + k]
+        length[start:stop, width - k:] = delta[:, 1 + k:]
+    for column in (total_dl, dl, length):
+        np.negative(column[1::2], out=column[1::2])   # odd rows: variant minus reference
     return PairwiseDataset(
-        deltas[:, 0], deltas[:, 1:1 + width], deltas[:, 1 + width:],
-        np.repeat(np.array([e.plan.k for e in corpus.entries], dtype=int), counts),
-        np.repeat(np.array([e.sentence_id for e in corpus.entries], dtype=str), counts))
+        total_dl, dl, length,
+        np.repeat(np.array(ks, dtype=np.min_scalar_type(width)), counts),
+        np.repeat(np.arange(len(entries), dtype=np.int32), counts),
+        np.array([e.sentence_id for e in entries], dtype=str))
 
 
 def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,

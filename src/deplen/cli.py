@@ -26,7 +26,8 @@ log = logging.getLogger("deplen")
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 # inclusive (low, high) bounds; synth's options are absent from other subcommands
 BOUNDS = {"cap": (2, None), "folds": (2, None), "random_draws": (1, None), "k_min": (2, None),
-          "sentences": (1, None), "p_least_effort": (0.0, 1.0), "noise_temperature": (0.0, None)}
+          "seed": (0, None), "sentences": (1, None), "p_least_effort": (0.0, 1.0),
+          "noise_temperature": (0.0, None)}
 SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 

@@ -208,16 +208,44 @@ class CvReport:
     min_margin: float = math.inf    # smallest |p - 0.5| over the test predictions
 
 
+def _packed_key(keys):
+    """One int64 per row whose stable sort is `np.lexsort(keys)`, the last
+    key most significant; None if a key holds a value that is not an
+    integer, or the product of the keys' ranges exceeds 2**63."""
+    packed, scale = np.zeros(len(keys[0]), dtype=np.int64), 1
+    for col in keys:
+        lo, hi = col.min(), col.max()
+        if not (-2.0 ** 63 <= lo and hi < 2.0 ** 63):   # NaN and inf fail too
+            return None
+        if col.dtype.kind == "f" and not np.array_equal(col, np.trunc(col)):
+            return None
+        lo, span = int(lo), int(hi) - int(lo) + 1
+        if span == 1:
+            continue
+        if scale * span > 2 ** 63:
+            return None
+        packed += (col.astype(np.int64) - lo) * scale
+        scale *= span
+    return packed
+
+
 def _distinct_cells(X: np.ndarray, y: np.ndarray):
     """Group the rows of (X, y) into distinct cells: the first row of each
-    cell in sort order, and each row's cell number."""
+    cell in sort order (X[:, -1] first, y last), and each row's cell number.
+    Integer-valued rows sort on one packed key; others by `np.lexsort`."""
     keys = (y, *X.T)
-    order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
+    packed = _packed_key(keys) if len(y) else None
+    new = np.zeros(len(y), dtype=bool)
     new[:1] = True
-    for col in keys:
-        sorted_col = col[order]
-        new[1:] |= sorted_col[1:] != sorted_col[:-1]
+    if packed is None:
+        order = np.lexsort(keys)
+        for col in keys:
+            sorted_col = col[order]
+            new[1:] |= sorted_col[1:] != sorted_col[:-1]
+    else:
+        order = np.argsort(packed, kind="stable")
+        sorted_key = packed[order]
+        new[1:] = sorted_key[1:] != sorted_key[:-1]
     cell = np.empty(len(order), dtype=np.intp)
     cell[order] = np.cumsum(new) - 1
     return order[new], cell
@@ -249,20 +277,25 @@ def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _check_fits(design: np.ndarray, weights: np.ndarray, maps: np.ndarray) -> None:
+def _check_fits(design: np.ndarray, weights: np.ndarray, maps: np.ndarray,
+                names=()) -> None:
     """Raise RankDeficientError if a fit f of `_fit_folds` is rank deficient:
     its rows (weights[:, f] > 0) in the coordinates of maps[f], less the
-    columns that map drops."""
+    columns that map drops. The error names the columns from `names`,
+    intercept first; a column past them is colN."""
     # a Gram matrix far from singular means a full-rank fit; check the rest
     hess = _hessians(design, weights, maps, np.triu_indices(design.shape[1]))
     for f in np.flatnonzero(np.linalg.cond(hess) > 1e8):
-        _check_rank((design[weights[:, f] > 0] @ maps[f])[:, maps[f].any(axis=0)], ["intercept"])
+        kept = maps[f].any(axis=0)
+        _check_rank((design[weights[:, f] > 0] @ maps[f])[:, kept],
+                    [name for name, keep in zip(names, kept) if keep])
 
 
 def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standardize: bool,
-                    all_cells: bool = False):
+                    names, all_cells: bool = False):
     """CV on cells: cell c (design row design[c], label y[c]) is test[c, f]
-    rows of fold f's test set. With `standardize`, each fold fits its
+    rows of fold f's test set; names are the predictors, which a
+    RankDeficientError names. With `standardize`, each fold fits its
     training rows z-scored (see `_standardizing_maps`). With `all_cells`,
     the stack also fits every row, unpenalized, as a fold with no test rows.
     Returns a CvReport without predictions, the (cells x folds) test
@@ -272,7 +305,7 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standar
     train = test.sum(axis=1, keepdims=True) - held_out
     maps = (_standardizing_maps(design[:, 1:], train) if standardize
             else np.repeat(np.eye(design.shape[1])[None], train.shape[1], axis=0))
-    _check_fits(design, train, maps)
+    _check_fits(design, train, maps, ["intercept", *names])
     positives = y @ train
     one_label = (positives == 0) | (positives == train.sum(axis=0))
     one_label[F:] = False    # the all-cells fit starts unpenalized
@@ -308,12 +341,14 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
     if zscore_mode not in ("fold", "global"):
         raise ValueError(f"unknown zscore mode: {zscore_mode!r}")
 
+    names = [f"x{j}" for j in range(X.shape[1])]   # as RegressionFit.to_dict names them
     if zscore_mode == "global":
-        X, _, _ = zscore(X)
+        X, scaling, _ = zscore(X)
+        names = [names[j] for j in scaling.kept]
     rep, cell = _distinct_cells(X, y)
     fold, test = _folds(cell, len(rep), folds, seed)
     report, prob, _ = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
-                                      test, zscore_mode == "fold")
+                                      test, zscore_mode == "fold", names)
     report.predictions = (prob[cell, fold] > 0.5).astype(int)
     return report
 
@@ -364,16 +399,17 @@ class RfecvResult:
     min_margin: float = math.inf         # smallest CvReport.min_margin of the curve
 
 
-def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray):
-    """One RFECV size on cells X, y with test counts `test`, regrouped: the
-    CV report, and the column of smallest |standardized coefficient|."""
+def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray, names):
+    """One RFECV size on cells X, y (columns `names`) with test counts
+    `test`, regrouped: the CV report, and the column of smallest
+    |standardized coefficient|."""
     sub, merged = _distinct_cells(X, y)
     counts = np.zeros((len(sub), test.shape[1]), dtype=test.dtype)
     np.add.at(counts, merged, test)
     design = np.column_stack([np.ones(len(sub)), X[sub]])
     del X, merged    # the design holds the cells now; free them before the fits
     report, _, beta = _crossval_cells(design, y[sub], counts, standardize=True,
-                                      all_cells=design.shape[1] > 2)
+                                      names=names, all_cells=design.shape[1] > 2)
     if beta is None:
         return report, 0
     # a constant column's map column is 0: held at 0, it goes first
@@ -403,9 +439,10 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
     active = list(range(p))
     curve, sets_by_size, margin = {}, {}, math.inf
     while active:
-        report, weakest = _rfecv_step(X[np.ix_(rep, active)], y[rep], test)
-        curve[len(active)] = report.mean_accuracy
         sets_by_size[len(active)] = [names[j] for j in active]
+        report, weakest = _rfecv_step(X[np.ix_(rep, active)], y[rep], test,
+                                      sets_by_size[len(active)])
+        curve[len(active)] = report.mean_accuracy
         margin = min(margin, report.min_margin)
         active.pop(weakest)
     best = max(curve.values())

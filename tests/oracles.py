@@ -6,8 +6,8 @@ only as the reference that tests compare against.
 
 import numpy as np
 
-from deplen import constituency, variants
-from deplen.analysis import STRATEGIES
+from deplen import constituency, features, variants
+from deplen.analysis import STRATEGIES, PairwiseDataset
 from deplen.constituency import Constituent, Ineligible, SentencePlan
 from deplen.seeding import derive_rng
 from deplen.treebank import NonProjectiveError, subtree_spans
@@ -62,3 +62,42 @@ def decompose(tree):
     if len(constituents) < 2:
         return Ineligible("fewer than 2 constituents")
     return SentencePlan(tree, tuple(constituents), verb)
+
+
+def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0,
+                           convention="intervening"):
+    """`analysis.build_pairwise_dataset` from one int64 block per sentence,
+    concatenated."""
+    width = max((e.plan.k for e in corpus.entries), default=2)
+    blocks = [np.zeros((0, 1 + 2 * width), dtype=np.int64)]
+    for e in corpus.entries:
+        plan, k = e.plan, e.plan.k
+        vset = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
+        rows = np.array([features.extract_features(plan, order, convention)
+                         for order in (vset.reference_order, *vset.sampled_variants)])
+        block = np.zeros((len(rows) - 1, 1 + 2 * width), dtype=np.int64)
+        block[:, np.r_[0, 1 + width - k:1 + width, 1 + 2 * width - k:1 + 2 * width]] = \
+            rows[0] - rows[1:]
+        blocks.append(block)
+    deltas = np.concatenate(blocks)
+    deltas[1::2] *= -1        # odd rows: variant minus reference
+    counts = [len(b) for b in blocks[1:]]
+    return PairwiseDataset(
+        deltas[:, 0], deltas[:, 1:1 + width], deltas[:, 1 + width:],
+        np.repeat(np.array([e.plan.k for e in corpus.entries], dtype=int), counts),
+        np.repeat(np.arange(len(corpus.entries)), counts),
+        np.array([e.sentence_id for e in corpus.entries], dtype=str))
+
+
+def distinct_cells(X, y):
+    """`stats._distinct_cells` by `np.lexsort` on every column."""
+    keys = (y, *X.T)
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for col in keys:
+        sorted_col = col[order]
+        new[1:] |= sorted_col[1:] != sorted_col[:-1]
+    cell = np.empty(len(order), dtype=np.intp)
+    cell[order] = np.cumsum(new) - 1
+    return order[new], cell

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deplen.analysis import (CorpusEntry, DecomposedCorpus, InsufficientDataError, SyntheticSpec,
-                             build_pairwise_dataset, constituent_count_histogram,
+                             _delta_dtype, build_pairwise_dataset, constituent_count_histogram,
                              decompose_corpus, generate_synthetic_corpus,
                              position_length_profile, regression_table,
                              run_classification_suite,
@@ -16,7 +17,7 @@ from deplen.seeding import derive_rng
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import eligible_plans, heads_tree
+from conftest import eligible_plans, heads_tree, random_plans
 
 
 def synthetic_corpus(n, p_least_effort, seed, **kw):
@@ -158,6 +159,76 @@ class TestPairwiseDataset:
             assert not dataset.length[rows, :width - k].any()
         with pytest.raises(ValueError, match="family"):
             dataset.positional_matrix(2, "bogus")
+
+
+class TestPairwiseBuild:
+    """The dataset built in place, against the per-sentence block oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(corpus, cap, seed, convention):
+        got = build_pairwise_dataset(corpus, cap, seed, convention)
+        want = oracles.build_pairwise_dataset(corpus, cap, seed, convention)
+        bound = max((e.plan.k * e.plan.verb_index for e in corpus.entries), default=0)
+        for name in ("total_dl", "dl", "length"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and np.array_equal(a, b)
+            assert a.dtype == _delta_dtype(bound) and a.dtype.kind == "i"
+        assert got.ks.dtype.kind == "u" and np.array_equal(got.ks, want.ks)
+        assert got.sentence.dtype == np.int32 and np.array_equal(got.sentence, want.sentence)
+        assert got.sentence_ids.tolist() == want.sentence_ids.tolist()
+        return got
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(plans=st.lists(eligible_plans(k_max=7), min_size=0, max_size=6),
+           ids=st.lists(st.sampled_from(["a", "b", "s10", "long-sentence-id"]),
+                        min_size=6, max_size=6),
+           cap=st.sampled_from([2, 24, 100, 150]), seed=st.integers(0, 2**16),
+           convention=st.sampled_from(CONVENTIONS))
+    def test_matches_block_oracle(self, plans, ids, cap, seed, convention):
+        corpus = DecomposedCorpus([CorpusEntry(sid, p) for sid, p in zip(ids, plans)])
+        self.assert_matches_oracle(corpus, cap, seed, convention)
+
+    def test_matches_block_oracle_on_synthetic_corpus(self):
+        corpus = synthetic_corpus(200, 0.5, seed=5)
+        dataset = self.assert_matches_oracle(corpus, 100, 3, "intervening")
+        assert dataset.dl.dtype == np.int16
+
+    @pytest.mark.parametrize("bound, dtype", [
+        (0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16),
+        (32768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_delta_dtype_holds_the_bound(self, bound, dtype):
+        assert _delta_dtype(bound) == dtype
+
+    def test_long_sentence_widens_the_type(self):
+        # a flat L-word constituent headed at its left edge, then one word:
+        # swapping them moves the short one's head L words from the verb
+        L = 40000
+        tree = heads_tree([L + 2] + [1] * (L - 1) + [L + 2, 0])
+        corpus = decompose_corpus([tree])
+        assert corpus.entries[0].plan.k * corpus.entries[0].plan.verb_index > 32767
+        dataset = self.assert_matches_oracle(corpus, 100, 0, "intervening")
+        assert dataset.dl.dtype == np.int32
+        # int16 would wrap 1 - L to 25537, silently
+        assert dataset.total_dl.tolist() == [1 - L]
+        assert dataset.dl.tolist() == [[0, 1 - L]]
+        assert dataset.length.tolist() == [[L - 1, 1 - L]]
+
+    def test_peak_memory_is_the_arrays_and_one_sentence(self):
+        plans = random_plans(seed=5, count=300)
+        corpus = DecomposedCorpus([CorpusEntry(f"p{i}", p) for i, p in enumerate(plans)])
+        cap, width = 100, max(p.k for p in plans)
+        build_pairwise_dataset(corpus, cap)   # the plans' cached properties
+        tracemalloc.start()
+        try:
+            dataset = build_pairwise_dataset(corpus, cap)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained >= dataset.dl.nbytes + dataset.length.nbytes
+        # one sentence: its variants, feature tuples, int64 rows and their
+        # differences, each a few times cap x (1 + 2 width) words; the
+        # oracle's per-sentence blocks take 13 times this bound here
+        assert peak - retained <= 10 * cap * (1 + 2 * width) * 8
 
 
 class TestClassificationSuite:

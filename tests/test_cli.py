@@ -92,6 +92,20 @@ class TestExitCodes:
                      *argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: argument --jobs: ")
 
+    @pytest.mark.parametrize("command", ["report-all", "classify"])
+    @pytest.mark.parametrize("argv, config", [(["--seed", "-1"], ""), ([], "seed=-1\n")],
+                             ids=["flag", "config"])
+    def test_negative_seed_is_usage_error(self, corpus_file, tmp_path, capsys,
+                                          command, argv, config):
+        # numpy's default_rng rejects a negative seed with a traceback
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_text(config)
+        assert main([command, "--corpus", str(corpus_file), "--config", str(cfg),
+                     *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: argument --seed: must be >= 0, got -1"
+        assert "Traceback" not in err and not out.exists()
+
     def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "latin1.conllu"
         corpus.write_bytes("1\tmaa\t2\tdep\n2\td\xed\t0\troot\n".encode("latin-1"))

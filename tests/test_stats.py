@@ -11,8 +11,10 @@ from deplen.analysis import (SCALAR_FEATURES, SyntheticSpec, build_pairwise_data
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
 from deplen.stats import (GRAM_CHUNK, SEPARATION_RIDGE, RankDeficientError, _check_fits,
-                          _fit_folds, _grams, crossval_accuracy, fit_logistic, mcnemar, pearson,
-                          predict_proba, rfecv)
+                          _distinct_cells, _fit_folds, _grams, _packed_key, crossval_accuracy,
+                          fit_logistic, mcnemar, pearson, predict_proba, rfecv)
+
+import oracles
 
 
 def simulate_logistic(rng, n, beta, intercept=0.0):
@@ -262,28 +264,84 @@ class TestGramKernel:
         assert peak <= 2 * cells * folds * 8
 
 
+# column values near the ends of int64, as floats: 2**63 - 1024 is the
+# largest float below 2**63
+HUGE_VALUES = [-2.0 ** 63, -2.0 ** 62, -1.0, 0.0, 2.0 ** 31, 2.0 ** 62, 2.0 ** 63 - 1024]
+
+
+@st.composite
+def cell_designs(draw):
+    """(X, y) with repeated rows: small integers, huge integers near the ends
+    of int64 (as floats), fractional values, z-scored integers, or a mix of
+    these with infinities."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["small", "huge", "fractional", "zscored", "mixed"]))
+    pools = {"small": st.integers(-3, 3).map(float),
+             "huge": st.sampled_from(HUGE_VALUES),
+             "fractional": st.sampled_from([-1.5, -0.25, 0.0, 1 / 3, 2.0]),
+             "mixed": st.sampled_from([-np.inf, -2.0, 0.0, 7.0, np.inf, 2.0 ** 62])}
+    pool = pools.get(kind, pools["small"])
+    X = np.array(draw(st.lists(st.lists(pool, min_size=p, max_size=p),
+                               min_size=n, max_size=n))).reshape(n, p)
+    if kind == "zscored":
+        sd = X.std(axis=0)
+        X = (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return X, y
+
+
+class TestDistinctCells:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(design=cell_designs())
+    def test_packed_key_matches_lexsort(self, design):
+        X, y = design
+        rep, cell = _distinct_cells(X, y)
+        want_rep, want_cell = oracles.distinct_cells(X, y)
+        assert np.array_equal(rep, want_rep) and np.array_equal(cell, want_cell)
+
+    @pytest.mark.parametrize("column, y, packed", [
+        ([0.0, 5.0, -3.0], [0, 1, 0], True),
+        (np.array([0, 2 ** 62 - 1, 5]), [0, 1, 0], True),   # spans 2**62 x 2 = 2**63: the most
+        (np.array([0, 2 ** 62, 5]), [0, 1, 0], False),
+        ([2.0 ** 63 - 1024, 2.0 ** 62, 2.0 ** 63 - 2048], [1, 1, 1], True),
+        ([-2.0 ** 63, -2.0 ** 63 + 4096, -2.0 ** 63 + 1024], [1, 1, 1], True),
+        ([-2.0 ** 63, 2.0 ** 63 - 1024, 0.0], [1, 1, 1], False),
+        ([0.5, 1.0, 2.0], [0, 1, 0], False),
+        ([0.0, np.inf, 1.0], [0, 1, 0], False),
+        ([0.0, np.nan, 1.0], [0, 1, 0], False)])
+    def test_packed_key_only_when_exact(self, column, y, packed):
+        X, y = np.asarray(column)[:, None], np.array(y)
+        key = _packed_key((y, *X.T))
+        assert (key is not None) == packed
+        if packed:
+            assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((y, *X.T)))
+
+
 def crossval_all_rows(X, y, folds, seed, zscore_mode):
     """The fold loop fitted on every training row: the reference for the
     grouped fits of crossval_accuracy."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n = len(y)
+    names = np.array([f"x{j}" for j in range(X.shape[1])])   # as the fits name them
     if zscore_mode == "global":
-        X, _, _ = zscore(X)
+        X, stats, _ = zscore(X)
+        names = names[stats.kept]
     perm = np.random.default_rng(seed).permutation(n)
     accuracies, predictions, flagged = np.empty(folds), np.empty(n, dtype=int), []
     for f, test_idx in enumerate(np.array_split(perm, folds)):
         train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
-        Xtr, Xte = X[train_idx], X[test_idx]
+        Xtr, Xte, fold_names = X[train_idx], X[test_idx], names
         if zscore_mode == "fold":
             Xtr, stats, _ = zscore(Xtr)
             Xte, _, _ = zscore(Xte, stats)
+            fold_names = names[stats.kept]
         ytr = y[train_idx]
         if ytr.min() == ytr.max():
-            fit = fit_logistic(Xtr, ytr, ridge=SEPARATION_RIDGE)
+            fit = fit_logistic(Xtr, ytr, ridge=SEPARATION_RIDGE, feature_names=fold_names.tolist())
             flagged.append(f)
         else:
-            fit = fit_logistic(Xtr, ytr)
+            fit = fit_logistic(Xtr, ytr, feature_names=fold_names.tolist())
             if fit.separation:
                 flagged.append(f)
         pred = (predict_proba(fit, Xte) > 0.5).astype(int)
@@ -381,7 +439,7 @@ class TestCrossvalOracle:
         X[test_rows, 1] = rng.integers(-3, 4, size=len(test_rows))
         y = self.noisy_labels(rng, X)
         assert assert_matches_all_rows(X, y, 5, 6, zscore_mode) is None
-        with pytest.raises(RankDeficientError, match=r"collinear columns: \['col1', 'col2'\]"):
+        with pytest.raises(RankDeficientError, match=r"collinear columns: \['x0', 'x1'\]"):
             crossval_accuracy(X, y, folds=5, seed=6, zscore_mode=zscore_mode)
 
 
@@ -550,6 +608,17 @@ class TestRfecv:
         assert crossval_accuracy(X, y, folds=2, seed=8).mean_accuracy > 0
         with pytest.raises(RankDeficientError, match="collinear"):
             rfecv(X, y, folds=2, seed=8)
+
+    def test_rank_deficiency_names_the_features(self):
+        # "flat" is constant, so every fit drops it: the names must skip it too
+        rng = np.random.default_rng(35)
+        a = rng.integers(-3, 4, size=60).astype(float)
+        y = (a + rng.normal(scale=2.0, size=60) > 0).astype(int)
+        X = np.column_stack([np.full(60, 2.0), a, 2 * a])
+        with pytest.raises(RankDeficientError, match=r"collinear columns: \['a', 'b'\]$"):
+            rfecv(X, y, folds=5, seed=1, feature_names=["flat", "a", "b"])
+        with pytest.raises(RankDeficientError, match=r"collinear columns: \['x1', 'x2'\]$"):
+            crossval_accuracy(X, y, folds=5, seed=1)
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
