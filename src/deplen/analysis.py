@@ -68,7 +68,11 @@ class DecomposedCorpus:
 
 
 def decompose_corpus(trees, sentence_ids=None) -> DecomposedCorpus:
-    """Decompose every projective, eligible tree; count the rest by reason."""
+    """Decompose every projective, eligible tree; count the rest by reason.
+
+    `trees` may be any iterable, a generator of trees as they are parsed
+    included; it is consumed once, and only the eligible trees' plans are
+    kept."""
     entries, skipped = [], {}
     for i, tree in enumerate(trees):
         sid = sentence_ids[i] if sentence_ids is not None else f"s{i + 1}"

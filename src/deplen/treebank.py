@@ -13,6 +13,7 @@ __all__ = [
     "DependencyTree",
     "Diagnostic",
     "parse_corpus",
+    "iter_trees",
     "to_conllu",
     "to_tsv",
     "subtree_spans",
@@ -23,8 +24,8 @@ __all__ = [
 ]
 
 PUNCT_DEPRELS = frozenset({"punct", "rsym", "SYM"})
-# Characters of corpus text split into lines at a time; each chunk ends just
-# after a "\n", so no line is cut and the whole text is never held as lines.
+# Characters of a text that `parse_corpus` hands the parser at a time, so
+# the whole text is never held as lines.
 LINE_CHUNK = 64 * 1024
 
 
@@ -132,27 +133,32 @@ def _root_walk(heads) -> list:
 FORMATS = {"conllu": (10, (0, 1, 6, 7)), "tsv": (4, (0, 1, 2, 3))}
 
 
-def _line_chunks(text: str):
-    """`text.splitlines()` one chunk of about LINE_CHUNK characters at a
-    time. A chunk ends just after a "\n", which ends a line whatever
-    precedes it, so the chunks' lines are the text's lines."""
-    pos, end = 0, len(text)
-    while pos < end:
-        cut = text.find("\n", pos + LINE_CHUNK) + 1 or end
-        yield text[pos:cut].splitlines()
-        pos = cut
+def _line_chunks(pieces):
+    """The lines of the text that the string `pieces` join into, as one
+    list per piece that holds a "\n". Each list ends at the last "\n" of the
+    text pending, which ends a line whatever precedes it, so the lists join
+    into `"".join(pieces).splitlines()`."""
+    pending = ""
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield (pending + piece[:cut]).splitlines()
+            pending = piece[cut:]
+        else:
+            pending += piece
+    yield pending.splitlines()
 
 
-def _iter_lines(text: str):
-    """(lineno, line) pairs, as `enumerate(text.splitlines(), 1)`."""
-    return enumerate(chain.from_iterable(_line_chunks(text)), 1)
+def _iter_lines(pieces):
+    """(lineno, line) pairs, as `enumerate("".join(pieces).splitlines(), 1)`."""
+    return enumerate(chain.from_iterable(_line_chunks(pieces)), 1)
 
 
-def _iter_blocks(text: str):
+def _iter_blocks(pieces):
     """Yield (first_line_number, lines) per sentence block. No blank line
     falls inside a block, so its lines are numbered on from the first."""
     block, start = [], 0
-    for lineno, line in _iter_lines(text):
+    for lineno, line in _iter_lines(pieces):
         if not line or line.isspace():   # line.strip() == ""
             if block:
                 yield start, block
@@ -166,12 +172,25 @@ def _iter_blocks(text: str):
 
 
 def parse_corpus(text: str, format: str = "conllu", exclude_punct: bool = False):
-    """Parse a corpus from its text.
+    """Parse a corpus from its text: (trees, diagnostics), the lists of what
+    `iter_trees` yields and records, the text fed to it LINE_CHUNK
+    characters at a time."""
+    diagnostics = []
+    pieces = (text[i:i + LINE_CHUNK] for i in range(0, len(text), LINE_CHUNK))
+    return list(iter_trees(pieces, diagnostics, format, exclude_punct)), diagnostics
 
-    Returns (trees, diagnostics). Malformed blocks are skipped with a
-    Diagnostic recording the offending line, or the block's first line
-    when the tree as a whole is invalid (indices not 1..n included), and
-    the reason. A bad line takes precedence over a fault of the whole tree.
+
+def iter_trees(pieces: Iterable[str], diagnostics: list, format: str = "conllu",
+               exclude_punct: bool = False) -> Iterator[DependencyTree]:
+    """Yield the trees of a corpus whose text arrives as `pieces`, any split
+    of it, one tree per valid block as the block is read. Only the lines of
+    one piece and one block are held at a time. An unknown format raises
+    ValueError when iteration starts.
+
+    Each malformed block is skipped, and a Diagnostic appended to
+    `diagnostics` records the offending line, or the block's first line when
+    the tree as a whole is invalid (indices not 1..n included), and the
+    reason. A bad line takes precedence over a fault of the whole tree.
 
     With `exclude_punct`, each valid block loses its punctuation as
     `strip_punct` removes it, on the parsed columns, before its one tree is
@@ -180,8 +199,8 @@ def parse_corpus(text: str, format: str = "conllu", exclude_punct: bool = False)
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     width, (i_index, i_form, i_head, i_deprel) = FORMATS[format]
-    trees, diagnostics, labels = [], [], {}
-    for start, block in _iter_blocks(text):
+    labels = {}
+    for start, block in _iter_blocks(pieces):
         heads, forms, deprels, contiguous, bad = [], [], [], True, None
         for lineno, line in enumerate(block, start):
             if line.startswith("#"):
@@ -219,15 +238,30 @@ def parse_corpus(text: str, format: str = "conllu", exclude_punct: bool = False)
             bad = Diagnostic(start, "token indices not contiguous 1..n")
         if bad is None:
             try:
-                if exclude_punct:   # the raw heads are validated first
-                    heads, forms, deprels = _strip_columns(
-                        heads, forms, deprels, _root_walk(heads), PUNCT_DEPRELS)
-                trees.append(DependencyTree(heads, forms, deprels))
+                tree = (_stripped_tree(heads, forms, deprels) if exclude_punct
+                        else DependencyTree(heads, forms, deprels))
             except ValueError as e:
                 bad = Diagnostic(start, str(e))
-        if bad is not None:
+        if bad is None:
+            yield tree
+        else:
             diagnostics.append(bad)
-    return trees, diagnostics
+
+
+def _stripped_tree(heads, forms, deprels) -> DependencyTree:
+    """The tree of a block's columns without their punctuation, validated
+    once, by the constructor. With every head in 0..n the raw columns are
+    valid iff the stripped ones are: the strip keeps every root, and a
+    token on a cycle always keeps a dependent. So the raw heads are walked
+    only to name the raw fault: of a head past n, or of a stripped tree
+    that fails."""
+    if heads and max(heads) > len(heads):
+        _root_walk(heads)   # raises the raw block's fault
+    try:
+        return DependencyTree(*_strip_columns(heads, forms, deprels, PUNCT_DEPRELS))
+    except ValueError:
+        _root_walk(heads)   # raises the raw block's own fault
+        raise
 
 
 def to_conllu(tree: DependencyTree, sent_id: Optional[str] = None) -> str:
@@ -299,21 +333,25 @@ def subtree_yield(tree: DependencyTree, head: int) -> tuple:
     return spans[head]
 
 
-def _strip_columns(heads, forms, deprels, order, punct):
-    """The columns without their punctuation, heads renumbered. `order` is
-    the heads' breadth-first order from the root. In one pass over it
-    reversed, dependents before heads, a non-root token whose deprel is in
-    `punct` goes when all of its dependents have gone."""
+def _strip_columns(heads, forms, deprels, punct):
+    """The columns without their punctuation, heads renumbered. A non-root
+    token whose deprel is in `punct` goes once all of its dependents have
+    gone: such leaves are peeled off by counting dependents, with no walk
+    order, so the heads (each in 0..n) need not form a tree."""
     if punct.isdisjoint(deprels):
         return heads, forms, deprels
     n = len(heads)
-    kept_dependents, keep = [0] * (n + 1), [True] * (n + 1)
-    for node in reversed(order):
+    dependents, keep = [0] * (n + 1), [True] * (n + 1)
+    for head in heads:
+        dependents[head] += 1
+    leaves = [i for i, (head, rel) in enumerate(zip(heads, deprels), start=1)
+              if head and rel in punct and not dependents[i]]
+    for node in leaves:   # grows as heads lose their last dependent
+        keep[node] = False
         head = heads[node - 1]
-        if head and not kept_dependents[node] and deprels[node - 1] in punct:
-            keep[node] = False
-        else:
-            kept_dependents[head] += 1
+        dependents[head] -= 1
+        if not dependents[head] and heads[head - 1] and deprels[head - 1] in punct:
+            leaves.append(head)
     kept = [i for i in range(1, n + 1) if keep[i]]
     renumber = [0] * (n + 1)
     for new, old in enumerate(kept, start=1):
@@ -329,4 +367,4 @@ def strip_punct(tree: DependencyTree, deprels=PUNCT_DEPRELS) -> DependencyTree:
     punctuation goes too. The root is always kept, whatever its deprel.
     """
     return DependencyTree(*_strip_columns(tree.heads, tree.forms, tree.deprels,
-                                          _root_walk(tree.heads), frozenset(deprels)))
+                                          frozenset(deprels)))

@@ -1,18 +1,25 @@
 import csv
 import hashlib
 import json
+import logging
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from deplen import cli, treebank
 from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec, decompose_corpus,
                              generate_synthetic_corpus)
 from deplen.cli import main
 from deplen.features import extract_features, feature_names
 from deplen.seeding import derive_rng
-from deplen.treebank import parse_corpus, to_conllu
+from deplen.treebank import DependencyTree, parse_corpus, to_conllu
 from deplen.variants import generate_variants
 
-from test_treebank import CONLLU_FIG3
+from conftest import random_tree
+from test_treebank import CONLLU_FIG3, LINE_ALPHABET
 
 SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
 CORPUS_COMMANDS = ("parse", "decompose", "variants", "strategies", "features", "fit",
@@ -32,6 +39,26 @@ def spec_corpus(path, sentences, k, seed=1):
     spec = SyntheticSpec(n_sentences=sentences, k_weights=((k, 1.0),), p_least_effort=0.0)
     path.write_text("\n".join(to_conllu(t) for t in generate_synthetic_corpus(spec, seed=seed)))
     return path
+
+
+def mixed_corpus(seed, sentences):
+    """CoNLL-U text shaped like a treebank: one block in twenty an eligible
+    synthetic sentence, the others random trees (most not projective), one
+    in fifty spoilt by a bad first line. Every block has a punctuation leaf
+    and Devanagari forms, whose characters take 3 bytes each."""
+    rng = np.random.default_rng(seed)
+    eligible = iter(generate_synthetic_corpus(SyntheticSpec(n_sentences=-(-sentences // 20)),
+                                              seed=seed))
+    blocks = []
+    for i in range(sentences):
+        tree = next(eligible) if i % 20 == 0 else random_tree(rng, int(rng.integers(8, 30)))
+        n = len(tree)
+        tree = DependencyTree([*tree.heads, int(rng.integers(1, n + 1))],
+                              [*(f"शब्द{j}" for j in range(1, n + 1)), "।"],
+                              [*tree.deprels, "punct"])
+        block = to_conllu(tree, f"s{i}")
+        blocks.append("garbage\n" + block if i % 50 == 49 else block)
+    return "\n".join(blocks)
 
 
 def synth_corpus(tmp_path, sentences=60, seed=3, p=1.0):
@@ -124,6 +151,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.endswith(f"at byte {offset})\n")
 
+    @pytest.mark.parametrize("command", ["parse", "report-all"])
+    def test_bad_byte_past_the_first_read_is_data_error(self, tmp_path, capsys, caplog,
+                                                        command):
+        """The file is read one READ_SIZE block at a time; a bad byte in a
+        later block still stops the run before anything is logged or written."""
+        raw = mixed_corpus(1, 300).encode() + b"\n1\td\xed\t0\troot\n"
+        corpus, out = tmp_path / "late.conllu", tmp_path / "o"
+        corpus.write_bytes(raw)
+        offset = raw.index(b"\xed")
+        assert offset > 2 * cli.READ_SIZE
+        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {corpus}: not UTF-8 (invalid continuation byte at byte {offset})\n"
+        assert not caplog.records and not out.exists()
+
     def test_directory_corpus_is_data_error(self, tmp_path, capsys):
         assert main(["parse", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == \
@@ -165,6 +207,106 @@ class TestParse:
         before = corpus_file.read_bytes()
         main(["parse", "--corpus", str(corpus_file), "--out", str(tmp_path / "o")])
         assert corpus_file.read_bytes() == before
+
+
+# The corpus file in bytes: a byte-order mark, every line break that
+# str.splitlines() knows (LINE_ALPHABET's) and "\r\n", characters of 2, 3
+# and 4 bytes; and bytes that are not UTF-8: a stray continuation byte, bad
+# start bytes, a surrogate, overlong and truncated sequences, and a code
+# point past U+10FFFF.
+UTF8_PIECES = [b"\xef\xbb\xbf", b"\r\n", *(c.encode() for c in LINE_ALPHABET),
+               *(c.encode() for c in "é।😀")]
+BAD_PIECES = [b"\x80", b"\xff", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe0\x80",
+              b"\xe2\x82", b"\xf0\x9f", b"\xf4\x90\x80\x80"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pieces=st.lists(st.sampled_from(UTF8_PIECES), max_size=40), data=st.data(),
+       bom=st.booleans(), read_size=st.integers(1, 9))
+def test_streamed_reader_matches_whole_file_decode(tmp_path_factory, pieces, data,
+                                                   bom, read_size):
+    """Read READ_SIZE bytes at a time, the file gives the lines of its whole
+    decoded text, byte-order mark removed, and its SHA-256; or, on bytes
+    that are not UTF-8, the error that decoding it whole names, at the same
+    offset in the file."""
+    if data.draw(st.booleans()):
+        pieces.insert(data.draw(st.integers(0, len(pieces))), data.draw(st.sampled_from(BAD_PIECES)))
+    raw = b"\xef\xbb\xbf" * bom + b"".join(pieces)
+    path = tmp_path_factory.mktemp("reader") / "corpus.conllu"
+    path.write_bytes(raw)
+    try:
+        want = raw.decode("utf-8").removeprefix("\ufeff").splitlines()
+    except UnicodeDecodeError as e:
+        want = f"{path}: not UTF-8 ({e.reason} at byte {e.start})"
+    digest = hashlib.sha256()
+    with mock.patch.object(cli, "READ_SIZE", read_size):
+        try:
+            got = [line for _, line in treebank._iter_lines(cli._corpus_text(path, digest))]
+        except cli.DataError as e:
+            got = str(e)
+    assert got == want
+    if isinstance(want, list):
+        assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+def _decompose_args(path, *flags):
+    return cli._parse_args(cli.build_parser(), ["decompose", "--corpus", str(path), *flags])
+
+
+class TestStreamedCorpus:
+    @pytest.mark.parametrize("read_size", [1, 7, 4096, cli.READ_SIZE])
+    @pytest.mark.parametrize("flags", [(), ("--exclude-punct",)])
+    def test_matches_parse_then_decompose(self, tmp_path, read_size, flags):
+        text = "\ufeff" + mixed_corpus(2, 120)
+        path = tmp_path / "mixed.conllu"
+        path.write_text(text)
+        with mock.patch.object(cli, "READ_SIZE", read_size):
+            corpus, diagnostics, corpus_hash = cli._decomposed(_decompose_args(path, *flags))
+        trees, want_diagnostics = parse_corpus(text[1:], exclude_punct=bool(flags))
+        want = decompose_corpus(trees)
+        assert corpus.entries and diagnostics
+        assert corpus.entries == want.entries and corpus.skipped == want.skipped
+        assert diagnostics == want_diagnostics
+        assert corpus_hash == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_warnings_once_in_line_order_before_parsed(self, tmp_path, caplog):
+        text = mixed_corpus(3, 200)
+        path = tmp_path / "mixed.conllu"
+        path.write_text(text)
+        caplog.set_level(logging.INFO, logger="deplen")
+        with mock.patch.object(cli, "READ_SIZE", 1000):
+            assert main(["decompose", "--corpus", str(path), "--exclude-punct",
+                         "--out", str(tmp_path / "o")]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        _, diagnostics = parse_corpus(text, exclude_punct=True)
+        warnings = [f"line {d.line}: {d.reason} (block skipped)" for d in diagnostics]
+        assert len(warnings) == 4 and [d.line for d in diagnostics] == \
+            sorted(d.line for d in diagnostics)
+        assert messages[:len(warnings) + 1] == \
+            [*warnings, f"parsed 196 sentences, {len(warnings)} blocks skipped"]
+
+    def test_memory_grows_with_the_eligible_plans(self, tmp_path):
+        """Each block's tree is decomposed as the block is read, so an
+        ineligible one is dropped with its block, and only one READ_SIZE
+        block of the file is held at a time. On a 2 MB corpus in which one
+        sentence in twenty is eligible, what `_decomposed` keeps (those
+        sentences' trees and plans) stays under a quarter of the file, and
+        what it allocates beyond that under half of it. Reading the file
+        whole held its bytes, its text and every tree: over 4 times it."""
+        path = tmp_path / "mixed.conllu"
+        path.write_text(mixed_corpus(4, 3000))
+        size = path.stat().st_size
+        args = _decompose_args(path, "--exclude-punct")
+        tracemalloc.start()
+        try:
+            corpus, diagnostics, _ = cli._decomposed(args)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size >= 2_000_000
+        assert len(corpus.entries) == 150 and len(diagnostics) == 60
+        assert retained <= 0.25 * size
+        assert peak - retained <= 0.5 * size
 
 
 class TestDecomposeAndVariants:

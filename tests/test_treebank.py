@@ -343,10 +343,26 @@ LINE_ALPHABET = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.text(st.sampled_from(LINE_ALPHABET), max_size=60), data=st.data())
+def test_chunked_lines_match_splitlines(text, data):
+    """Any split of the text into pieces, empty ones and a "\r\n" cut in two
+    included, gives the text's lines."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=10)))
+    pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    assert "".join(pieces) == text
+    assert list(treebank._iter_lines(pieces)) == list(enumerate(text.splitlines(), 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(text=st.text(st.sampled_from(LINE_ALPHABET), max_size=60), chunk=st.integers(1, 7))
-def test_chunked_lines_match_splitlines(text, chunk):
+def test_parse_corpus_chunks_match_one_piece(text, chunk):
+    """`parse_corpus` feeds the parser LINE_CHUNK characters at a time; the
+    size does not change what it parses."""
+    text = CONLLU_FIG3 + text + "\n1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n" + text
     with mock.patch.object(treebank, "LINE_CHUNK", chunk):
-        assert list(treebank._iter_lines(text)) == list(enumerate(text.splitlines(), 1))
+        chunked = parse_corpus(text)
+    diagnostics = []
+    assert chunked == (list(treebank.iter_trees([text], diagnostics)), diagnostics)
 
 
 # Lines that spoil their block in either format, or split it ("   ").
@@ -359,15 +375,31 @@ MALFORMED_LINES = ["garbage", "1\ta\tb", "x\ty\t0\troot", "   ", "# note",
        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
 def test_exclude_punct_matches_strip_punct(format, data, seeds):
     """Random trees with punctuation deprels, some with one head moved
-    anywhere in -1..n+1 and some with a malformed line: stripping on the
-    columns gives the trees and diagnostics of parsing, then `strip_punct`."""
+    anywhere in -1..n+1, some with a cycle through punctuation tokens, some
+    with a punctuation leaf whose head is n + 1, and some with a malformed
+    line: stripping on the columns gives the trees and diagnostics of
+    parsing, then `strip_punct`."""
     blocks = []
     for seed in seeds:
         tree = random_tree(np.random.default_rng(seed), data.draw(st.integers(1, 10)))
         heads, n = list(tree.heads), len(tree)
         rels = data.draw(st.lists(PUNCT_OR_DEP, min_size=n, max_size=n))
-        if data.draw(st.booleans()):
+        fault = data.draw(st.sampled_from(["none", "head", "punct cycle", "punct leaf past n"]))
+        non_root = [i for i in range(n) if heads[i]]
+        if fault == "head":
             heads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, n + 1))
+        elif fault == "punct cycle" and len(non_root) >= 2:
+            # each token on the cycle heads the next; the first is punctuation
+            cycle = data.draw(st.lists(st.sampled_from(non_root), min_size=2,
+                                       max_size=4, unique=True))
+            for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                heads[i] = j + 1
+            rels[cycle[0]] = "punct"
+        elif fault == "punct leaf past n":
+            leaves = [i for i in non_root if i + 1 not in heads]
+            if leaves:
+                leaf = data.draw(st.sampled_from(leaves))
+                heads[leaf], rels[leaf] = n + 1, "punct"
         lines = _lines(format, zip(range(1, n + 1), tree.forms, heads, rels))
         if data.draw(st.booleans()):
             lines.insert(data.draw(st.integers(0, n)), data.draw(st.sampled_from(MALFORMED_LINES)))
