@@ -7,10 +7,11 @@ and prints the main-verb dependency length under each ordering strategy.
 Run: python3 demos/worked_example.py
 """
 
-from deplen.constituency import constituent_dl, decompose, main_verb_dl
+from itertools import islice
+
+from deplen.constituency import decompose, order_dl
 from deplen.treebank import DependencyTree
-from deplen.variants import (least_effort_move, linearize, order_ascending,
-                             order_descending)
+from deplen.variants import least_effort_move, order_ascending, order_descending
 
 WORDS = [
     ("maa", 11, "subj"), ("ne", 1, "case"),
@@ -26,9 +27,10 @@ plan = decompose(tree)
 print("sentence: ", " ".join(tree.forms))
 print("verb:     ", tree.forms[plan.verb_index - 1])
 print("preverbal constituents:")
-for c in plan.preverbal:
-    print(f"  {' '.join(c.forms):28s} length {c.length}, "
-          f"head offset from right {c.head_right_offset}")
+words = iter(tree.forms)   # the constituents tile the words before the verb
+for length, offset in zip(plan.lengths, plan.head_offsets):
+    print(f"  {' '.join(islice(words, length)):28s} length {length}, "
+          f"head offset from right {length - 1 - offset}")
 
 orders = {
     "ascending (maximal DL)": order_ascending(plan),
@@ -38,8 +40,8 @@ orders = {
 }
 print()
 for label, order in orders.items():
-    sentence = " ".join(linearize(plan, order).forms)
-    arcs = [constituent_dl(plan, order, ci) for ci in order]
+    sentence = " ".join(tree.forms[p - 1] for p in plan.positions(order))
+    arcs = list(order_dl(plan, order)[0])
     print(f"{label}:")
     print(f"  {sentence}")
-    print(f"  main-verb DL = {main_verb_dl(plan, order)}   arcs {arcs}")
+    print(f"  main-verb DL = {sum(arcs)}   arcs {arcs}")

@@ -51,7 +51,7 @@ class InsufficientDataError(ValueError):
     folds, or a row whose predictors are collinear in every pair."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusEntry:
     sentence_id: str
     plan: SentencePlan
@@ -67,15 +67,15 @@ class DecomposedCorpus:
         return [e.plan for e in self.entries]
 
 
-def decompose_corpus(trees, sentence_ids=None) -> DecomposedCorpus:
+def decompose_corpus(trees) -> DecomposedCorpus:
     """Decompose every projective, eligible tree; count the rest by reason.
+    The i-th tree (from 1) has sentence id `s{i}`.
 
     `trees` may be any iterable, a generator of trees as they are parsed
     included; it is consumed once, and only the eligible trees' plans are
     kept."""
     entries, skipped = [], {}
-    for i, tree in enumerate(trees):
-        sid = sentence_ids[i] if sentence_ids is not None else f"s{i + 1}"
+    for i, tree in enumerate(trees, start=1):
         try:
             plan = decompose(tree)
         except NonProjectiveError:
@@ -83,7 +83,7 @@ def decompose_corpus(trees, sentence_ids=None) -> DecomposedCorpus:
         if isinstance(plan, Ineligible):
             skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
             continue
-        entries.append(CorpusEntry(sid, plan))
+        entries.append(CorpusEntry(f"s{i}", plan))
     return DecomposedCorpus(entries, skipped)
 
 
@@ -145,13 +145,15 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
                     random_draws: int = 10, k_range=(2, 6),
                     convention: str = "intervening") -> dict:
     """Mean total dependency length, normalized by sentence word count, per
-    strategy and per constituent count.
+    strategy and per constituent count. A sentence of n words has n - 1
+    arcs, so the positional convention adds n - 1 to each total.
 
     Random and least-effort values average `random_draws` seeded draws per
     sentence. Each k's sentences are scored at once, in corpus order: the
     reference, ascending and descending orders, the draws, and the draws'
     least-effort moves, as one (sentences x orders x k) array.
     """
+    gap = constituency.arc_gap(convention)
     by_k = {}
     for e in corpus.entries:
         if k_range[0] <= e.plan.k <= k_range[1]:
@@ -167,7 +169,8 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
             np.argsort(table.lengths, axis=1, kind="stable")[:, None],
             np.argsort(-table.lengths, axis=1, kind="stable")[:, None],
             draws, _least_effort_moves(table.lengths, draws)], axis=1)
-        values = table.score(orders, convention)[1] / table.words[:, None]
+        totals = table.score(orders)[1] + gap * (table.words - 1)[:, None]
+        values = totals / table.words[:, None]
         per_sentence = np.column_stack([   # the draws' means, as np.mean of each list
             values[:, :3], values[:, 3:].reshape(-1, 2, random_draws).mean(axis=2)])
         # summed one sentence after the other, in corpus order
@@ -229,10 +232,11 @@ def _delta_dtype(bound: int):
 
 
 def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT_CAP,
-                           seed: int = 0, convention: str = "intervening") -> PairwiseDataset:
+                           seed: int = 0) -> PairwiseDataset:
     """Variant generation, feature extraction and the pairwise transformation
     for the whole corpus, one sentence at a time. Deterministic in
-    (corpus, cap, seed).
+    (corpus, cap, seed). Both orders of a pair have the same arcs, so the
+    deltas in positional differences, 1 more per arc, would be the same.
 
     The arrays are allocated once, from each sentence's min(k!, cap) - 1
     pairs, and each sentence's deltas are written into its rows. Only the k
@@ -254,7 +258,7 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     for e, count in zip(entries, counts):
         plan, k = e.plan, e.plan.k
         vset = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
-        rows = np.array([features.extract_features(plan, order, convention)
+        rows = np.array([features.extract_features(plan, order)
                          for order in (vset.reference_order, *vset.sampled_variants)])
         delta = rows[0] - rows[1:]
         start, stop = stop, stop + count
@@ -427,7 +431,7 @@ def _pick_reference_order(plan: SentencePlan, spec: SyntheticSpec, rng) -> tuple
     if spec.noise_temperature == 0.0:
         return variants.least_effort_move(plan, start)
     # soft least-effort: move a length-weighted sampled constituent instead
-    lengths = np.array([plan.preverbal[ci].length for ci in start], dtype=float)
+    lengths = np.array([plan.lengths[ci] for ci in start], dtype=float)
     # shifted by the shortest, whose weight stays 1 at any temperature
     w = np.exp(-(lengths - lengths.min()) / spec.noise_temperature)
     pick = int(rng.choice(len(start), p=w / w.sum()))

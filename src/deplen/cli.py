@@ -69,7 +69,7 @@ def _add_common(p):
     p.add_argument("--exclude-punct", action="store_true",
                    help="drop punctuation tokens before all distance metrics")
     p.add_argument("--convention", default="intervening",
-                   choices=["intervening", "positional"])
+                   choices=list(constituency.ARC_GAP))
 
 
 def build_parser() -> _Parser:
@@ -269,19 +269,20 @@ def cmd_decompose(args):
 def cmd_variants(args):
     corpus, diagnostics, corpus_hash = _decomposed(args)
     out = _outdir(args)
+    gap = constituency.arc_gap(args.convention)
     with (out / "variants.jsonl").open("w") as f:
         for e in corpus.entries:
+            plan, forms = e.plan, e.plan.tree.forms
             vset = variants.generate_variants(
-                e.plan, args.cap, derive_rng(args.seed, e.sentence_id, "variants"))
+                plan, args.cap, derive_rng(args.seed, e.sentence_id, "variants"))
             for order in (vset.reference_order,) + vset.sampled_variants:
-                dls, total = constituency.order_dl(e.plan, order, args.convention)
+                dls, total = constituency.order_dl(plan, order)
                 record = {
                     "sentence_id": e.sentence_id,
                     "permutation": list(order),
-                    "main_verb_dl": sum(dls),
-                    "total_dl": total,
-                    "tokens": [form for ci in order for form in e.plan.preverbal[ci].forms]
-                              + list(e.plan.postverbal_suffix),
+                    "main_verb_dl": sum(dls) + gap * plan.k,
+                    "total_dl": total + gap * (len(forms) - 1),
+                    "tokens": [forms[p - 1] for p in plan.positions(order)],
                 }
                 f.write(json.dumps(record) + "\n")
     _write_manifest(out, args, corpus_hash,
@@ -307,17 +308,12 @@ def cmd_strategies(args):
     return EXIT_OK
 
 
-def _dataset(args, corpus):
-    return analysis.build_pairwise_dataset(
-        corpus, cap=args.cap, seed=args.seed, convention=args.convention)
-
-
 def _dataset_command(args, write):
     """features, fit and classify: the pairwise dataset, `write`'s products,
     and the manifest entries `write` returns."""
     corpus, _, corpus_hash = _decomposed(args)
     out = _outdir(args)
-    dataset = _dataset(args, corpus)
+    dataset = analysis.build_pairwise_dataset(corpus, args.cap, args.seed)
     extra = write(out, args, dataset) or {}
     _write_manifest(out, args, corpus_hash, {"pairs": len(dataset), **extra})
     return EXIT_OK
@@ -423,7 +419,7 @@ def _write_report(out: Path, args, corpus, diagnostics, corpus_hash):
     _write_csv(out / "fig2_profile.csv", ["k", "position", "mean_length"], profile_rows)
 
     _write_curves(out, args, corpus)
-    dataset = _dataset(args, corpus)
+    dataset = analysis.build_pairwise_dataset(corpus, args.cap, args.seed)
     log.info("pairwise dataset: %d examples", len(dataset))
     fit_health = {**_write_regressions(out, args, dataset),
                   **_write_suite(out, args, dataset)}

@@ -2,13 +2,15 @@
 dependency-length metrics.
 
 Distance convention: an arc between positions a and b contributes the number
-of intervening words, |a - b| - 1. A positional-difference convention
-(|a - b|) is available behind the `convention` argument for cross-study
-comparison but is never the default.
+of intervening words, |a - b| - 1 (Gibson 2000), and every distance here is
+in those units. The positional difference |a - b| (Futrell et al. 2015) is
+the same count plus 1 per arc, `arc_gap("positional")`; only the products
+that report an absolute length add it. A reference-minus-variant delta
+counts the same arcs on both sides, so the offset cancels there.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
@@ -16,51 +18,24 @@ import numpy as np
 from .treebank import DependencyTree, NonProjectiveError, is_projective, subtree_spans
 
 __all__ = [
-    "Constituent",
     "SentencePlan",
     "PlanTable",
     "Ineligible",
+    "arc_gap",
     "decompose",
-    "arc_distance",
-    "total_dependency_length",
     "order_dl",
-    "constituent_dl",
-    "main_verb_dl",
-    "main_verb_dl_closed_form",
 ]
 
-CONVENTIONS = ("intervening", "positional")
+# What one arc adds to its intervening-word count, per distance convention.
+ARC_GAP = {"intervening": 0, "positional": 1}
 
 
-def arc_distance(a: int, b: int, convention: str = "intervening") -> int:
-    d = abs(a - b)
-    if convention == "intervening":
-        return d - 1
-    if convention == "positional":
-        return d
-    raise ValueError(f"unknown distance convention: {convention!r}")
-
-
-@dataclass(frozen=True)
-class Constituent:
-    head_index: int       # token position of the constituent head (original order)
-    span: tuple           # (lo, hi) inclusive token range, original order
-    forms: tuple          # surface forms of the span, for reporting
-
-    def __post_init__(self):
-        lo, hi = self.span
-        if not (lo <= self.head_index <= hi):
-            raise ValueError("constituent head outside its span")
-
-    @property
-    def length(self) -> int:
-        lo, hi = self.span
-        return hi - lo + 1
-
-    @property
-    def head_right_offset(self) -> int:
-        """Number of span tokens strictly after the head."""
-        return self.span[1] - self.head_index
+def arc_gap(convention: str) -> int:
+    """The per-arc offset of `convention` over intervening words."""
+    try:
+        return ARC_GAP[convention]
+    except KeyError:
+        raise ValueError(f"unknown distance convention: {convention!r}") from None
 
 
 @dataclass(frozen=True)
@@ -68,49 +43,41 @@ class Ineligible:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentencePlan:
+    """A decomposed sentence: its k preverbal constituents tile positions
+    1..verb_index-1, left to right, with `lengths[c]` words each and their
+    heads `head_offsets[c]` words into the span (from 0). `fixed_dl` sums
+    the intervening words of the arcs that no reordering of the
+    constituents moves: all but the k head-to-verb arcs."""
     tree: DependencyTree
-    preverbal: tuple          # Constituents, original left-to-right order
     verb_index: int           # root token position
+    lengths: tuple
+    head_offsets: tuple
+    fixed_dl: int
 
     @property
     def k(self) -> int:
-        return len(self.preverbal)
+        return len(self.lengths)
 
-    @property
-    def postverbal_suffix(self) -> tuple:
-        """Surface forms at and after the verb, frozen under permutation."""
-        return self.tree.forms[self.verb_index - 1:]
-
-    @cached_property
-    def lengths(self) -> tuple:
-        return tuple(c.length for c in self.preverbal)
-
-    @cached_property
-    def head_offsets(self) -> tuple:
-        """Each constituent's head position within its span, from 0."""
-        return tuple(c.head_index - c.span[0] for c in self.preverbal)
-
-    @cached_property
-    def fixed_arcs(self) -> tuple:
-        """(count, summed |head - dependent|) of the arcs that no reordering
-        of the preverbal constituents moves: all but the head-to-verb arcs."""
-        heads = {c.head_index for c in self.preverbal}
-        spans = [abs(h - d) for h, d in self.tree.arcs() if d not in heads]
-        return len(spans), sum(spans)
+    def positions(self, order: Sequence[int]) -> list:
+        """The original position of each word of the sentence with its
+        constituents in `order`, the verb and its suffix unmoved."""
+        starts = list(accumulate(self.lengths, initial=1))
+        return [p for ci in order for p in range(starts[ci], starts[ci + 1])] \
+            + list(range(self.verb_index, len(self.tree) + 1))
 
 
 @dataclass(frozen=True)
 class PlanTable:
     """Plans of one constituent count k as arrays, row s for plan s: the
-    (S x k) constituent lengths and head offsets, the (S,) verb positions
-    and word counts, and the (S x 2) `fixed_arcs`."""
+    (S x k) constituent lengths and head offsets, and the (S,) verb
+    positions, word counts and `fixed_dl`."""
     lengths: np.ndarray
     offsets: np.ndarray
     verbs: np.ndarray
     words: np.ndarray
-    fixed_arcs: np.ndarray
+    fixed_dl: np.ndarray
 
     @classmethod
     def of(cls, plans: Sequence[SentencePlan]) -> "PlanTable":
@@ -118,21 +85,17 @@ class PlanTable:
                    np.array([p.head_offsets for p in plans], dtype=np.int64),
                    np.array([p.verb_index for p in plans], dtype=np.int64),
                    np.array([len(p.tree) for p in plans], dtype=np.int64),
-                   np.array([p.fixed_arcs for p in plans], dtype=np.int64))
+                   np.array([p.fixed_dl for p in plans], dtype=np.int64))
 
-    def score(self, orders: np.ndarray, convention: str = "intervening") -> tuple:
+    def score(self, orders: np.ndarray) -> tuple:
         """`order_dl` of every order at once: orders[s] holds plan s's (m x k)
         orders. Returns the (S x m x k) per-position head-to-verb distances
         and the (S x m) total DLs."""
-        if convention not in CONVENTIONS:
-            raise ValueError(f"unknown distance convention: {convention!r}")
-        gap = 1 if convention == "positional" else 0
         lengths = np.take_along_axis(self.lengths[:, None, :], orders, axis=2)
         offsets = np.take_along_axis(self.offsets[:, None, :], orders, axis=2)
         start = np.cumsum(lengths, axis=2) - lengths + 1   # exclusive, from position 1
-        dls = self.verbs[:, None, None] - start - offsets - 1 + gap
-        count, span_sum = self.fixed_arcs.T
-        return dls, dls.sum(axis=2) + (span_sum - count + gap * count)[:, None]
+        dls = self.verbs[:, None, None] - start - offsets - 1
+        return dls, dls.sum(axis=2) + self.fixed_dl[:, None]
 
 
 def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
@@ -156,55 +119,19 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     if len(heads) < 2:
         return Ineligible("fewer than 2 constituents")
     spans = subtree_spans(tree)
-    constituents = []
-    for i in heads:
-        lo, hi = spans[i]
-        constituents.append(Constituent(i, (lo, hi), tree.forms[lo - 1:hi]))
-    return SentencePlan(tree, tuple(constituents), verb)
+    fixed_dl = sum(abs(h - d) - 1 for d, h in enumerate(tree.heads, start=1)
+                   if h and not (h == verb and d < verb))   # not a head-to-verb arc
+    return SentencePlan(tree, verb, tuple(spans[i][1] - spans[i][0] + 1 for i in heads),
+                        tuple(i - spans[i][0] for i in heads), fixed_dl)
 
 
-def total_dependency_length(tree: DependencyTree,
-                            convention: str = "intervening") -> int:
-    """Sum of head-dependent distances over all arcs of the tree."""
-    return sum(arc_distance(h, d, convention) for h, d in tree.arcs())
-
-
-def order_dl(plan: SentencePlan, order: Sequence[int],
-             convention: str = "intervening") -> tuple:
+def order_dl(plan: SentencePlan, order: Sequence[int]) -> tuple:
     """(per-position head-to-verb distances, total DL) under `order`, in one
     pass over the constituents: only these k arcs move under permutation,
-    every other arc adds the same length, from the plan's `fixed_arcs`."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown distance convention: {convention!r}")
-    gap = 1 if convention == "positional" else 0   # added to intervening words
+    every other arc adds the same length, the plan's `fixed_dl`."""
     dls, start = [], 1
     lengths, offsets, verb = plan.lengths, plan.head_offsets, plan.verb_index
     for ci in order:   # every preverbal head precedes the verb
-        dls.append(verb - start - offsets[ci] - 1 + gap)
+        dls.append(verb - start - offsets[ci] - 1)
         start += lengths[ci]
-    count, span_sum = plan.fixed_arcs
-    return tuple(dls), sum(dls) + span_sum - count + gap * count
-
-
-def constituent_dl(plan: SentencePlan, order: Sequence[int], which: int,
-                   convention: str = "intervening") -> int:
-    """Distance between constituent `which`'s head and the verb under `order`;
-    ValueError if `which` is not in `order`."""
-    return order_dl(plan, order, convention)[0][list(order).index(which)]
-
-
-def main_verb_dl(plan: SentencePlan, order: Sequence[int],
-                 convention: str = "intervening") -> int:
-    """Sum of head-to-verb distances over all preverbal constituents."""
-    return sum(order_dl(plan, order, convention)[0])
-
-
-def main_verb_dl_closed_form(plan: SentencePlan, order: Sequence[int]) -> int:
-    """Equivalent closed form: sum_i length(C_order[i]) * i + sum_j offset(C_j).
-
-    Holds for the intervening-words convention only; must agree with
-    main_verb_dl on every plan and order.
-    """
-    total = sum(i * plan.preverbal[ci].length for i, ci in enumerate(order))
-    total += sum(c.head_right_offset for c in plan.preverbal)
-    return total
+    return tuple(dls), sum(dls) + plan.fixed_dl

@@ -29,12 +29,11 @@ def feature_names(k: int) -> list:
             + [f"len_pos{i}" for i in range(1, k + 1)])
 
 
-def extract_features(plan: SentencePlan, order,
-                     convention: str = "intervening") -> tuple:
+def extract_features(plan: SentencePlan, order) -> tuple:
     """Predictors of one linearization in `feature_names(k)` order: total DL,
     then the per-position constituent dependency lengths and word counts
-    (position k adjacent to the verb)."""
-    dls, total = order_dl(plan, order, convention)
+    (position k adjacent to the verb), distances in intervening words."""
+    dls, total = order_dl(plan, order)
     lengths = plan.lengths
     return (total, *dls, *(lengths[ci] for ci in order))
 

@@ -1,7 +1,8 @@
 """Counterfactual word-order variants and the four named ordering strategies.
 
 A variant is a permutation of a plan's preverbal constituents, represented
-as a tuple of indices into plan.preverbal (front of the sentence first).
+as a tuple of their indices in the original left-to-right order, the order
+of `plan.lengths` (front of the sentence first).
 Permutations, not surface strings, are the unit: two permutations that
 happen to produce the same string are distinct variants.
 """
@@ -35,8 +36,6 @@ DEFAULT_CAP = 100
 class VariantSet:
     reference_order: tuple
     sampled_variants: tuple   # pairwise distinct, never contains the reference
-    cap: int
-    seed: object
 
 
 def order_identity(plan: SentencePlan) -> tuple:
@@ -70,7 +69,7 @@ def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP,
             block = rng.permuted(rows, axis=1).tolist()
             distinct.update(dict.fromkeys(map(tuple, block)))
         variants = tuple(itertools.islice(distinct, 1, cap))
-    return VariantSet(reference, variants, cap, seed)
+    return VariantSet(reference, variants)
 
 
 def order_ascending(plan: SentencePlan) -> tuple:
@@ -115,11 +114,7 @@ def linearize(plan: SentencePlan, order) -> DependencyTree:
     """
     if sorted(order) != list(range(plan.k)):
         raise ValueError("order is not a permutation of the preverbal constituents")
-    old_positions = []
-    for ci in order:
-        lo, hi = plan.preverbal[ci].span
-        old_positions.extend(range(lo, hi + 1))
-    old_positions.extend(range(plan.verb_index, len(plan.tree) + 1))
+    old_positions = plan.positions(order)
     remap = {old: new for new, old in enumerate(old_positions, start=1)}
     remap[0] = 0
     heads, forms, deprels = plan.tree.heads, plan.tree.forms, plan.tree.deprels

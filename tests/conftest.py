@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from deplen.treebank import DependencyTree
-from deplen.constituency import SentencePlan, decompose
+from deplen.constituency import SentencePlan, decompose, order_dl
 from deplen.analysis import SyntheticSpec, generate_synthetic_corpus
 
 # The worked 11-token example: four preverbal constituents
@@ -37,6 +37,11 @@ def fig3_plan(fig3_tree) -> SentencePlan:
     plan = decompose(fig3_tree)
     assert isinstance(plan, SentencePlan)
     return plan
+
+
+def main_verb_dl(plan, order) -> int:
+    """Sum of the head-to-verb distances under `order`."""
+    return sum(order_dl(plan, order)[0])
 
 
 def random_tree(rng, n: int) -> DependencyTree:

@@ -6,16 +6,41 @@ only as the reference that tests compare against.
 
 import numpy as np
 
-from deplen import constituency, features, variants
+from deplen import features, variants
 from deplen.analysis import STRATEGIES, PairwiseDataset
-from deplen.constituency import Constituent, Ineligible, SentencePlan
+from deplen.constituency import Ineligible, SentencePlan
 from deplen.seeding import derive_rng
 from deplen.treebank import NonProjectiveError, subtree_spans
 
 
+def arc_distance(a: int, b: int, convention: str = "intervening") -> int:
+    """One arc's length: the words between a and b, or |a - b|."""
+    d = abs(a - b)
+    if convention == "intervening":
+        return d - 1
+    if convention == "positional":
+        return d
+    raise ValueError(f"unknown distance convention: {convention!r}")
+
+
+def total_dependency_length(tree, convention="intervening") -> int:
+    """Sum of head-dependent distances over all arcs of the tree."""
+    return sum(arc_distance(h, d, convention) for h, d in tree.arcs())
+
+
+def main_verb_dl_closed_form(plan, order) -> int:
+    """The summed head-to-verb distances in intervening words, in closed
+    form: sum_i length(C_order[i]) * i + sum_j (words of C_j after its head)."""
+    total = sum(i * plan.lengths[ci] for i, ci in enumerate(order))
+    total += sum(length - 1 - offset
+                 for length, offset in zip(plan.lengths, plan.head_offsets))
+    return total
+
+
 def strategy_curves(corpus, seed=0, random_draws=10, k_range=(2, 6),
                     convention="intervening") -> dict:
-    """`analysis.strategy_curves` one sentence and one order at a time."""
+    """`analysis.strategy_curves` one sentence and one order at a time, each
+    order's total arc by arc on the rebuilt tree."""
     sums = {s: {} for s in STRATEGIES}
     counts = {}
     for e in corpus.entries:
@@ -25,7 +50,7 @@ def strategy_curves(corpus, seed=0, random_draws=10, k_range=(2, 6),
             continue
         n = len(plan.tree)
         def norm_dl(order):
-            return constituency.order_dl(plan, order, convention)[1] / n
+            return total_dependency_length(variants.linearize(plan, order), convention) / n
         values = {
             "reference": norm_dl(variants.order_identity(plan)),
             "ascending": norm_dl(variants.order_ascending(plan)),
@@ -47,25 +72,24 @@ def strategy_curves(corpus, seed=0, random_draws=10, k_range=(2, 6),
 
 
 def decompose(tree):
-    """`constituency.decompose` from every token's yield, computed first."""
+    """`constituency.decompose` from every token's yield, computed first;
+    `fixed_dl` is the arc-by-arc total less the k head-to-verb arcs."""
     spans = subtree_spans(tree)
     if spans is None:
         raise NonProjectiveError("decompose requires a projective tree")
     verb = tree.root_index
-    constituents = []
-    for i in range(1, verb):
-        if tree.heads[i - 1] == verb:
-            lo, hi = spans[i]
-            constituents.append(Constituent(i, (lo, hi), tree.forms[lo - 1:hi]))
-    if not constituents:
+    heads = [i for i in range(1, verb) if tree.heads[i - 1] == verb]
+    if not heads:
         return Ineligible("no preverbal constituents")
-    if len(constituents) < 2:
+    if len(heads) < 2:
         return Ineligible("fewer than 2 constituents")
-    return SentencePlan(tree, tuple(constituents), verb)
+    lengths = tuple(spans[i][1] - spans[i][0] + 1 for i in heads)
+    offsets = tuple(i - spans[i][0] for i in heads)
+    fixed_dl = total_dependency_length(tree) - sum(arc_distance(i, verb) for i in heads)
+    return SentencePlan(tree, verb, lengths, offsets, fixed_dl)
 
 
-def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0,
-                           convention="intervening"):
+def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0):
     """`analysis.build_pairwise_dataset` from one int64 block per sentence,
     concatenated."""
     width = max((e.plan.k for e in corpus.entries), default=2)
@@ -73,7 +97,7 @@ def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0,
     for e in corpus.entries:
         plan, k = e.plan, e.plan.k
         vset = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
-        rows = np.array([features.extract_features(plan, order, convention)
+        rows = np.array([features.extract_features(plan, order)
                          for order in (vset.reference_order, *vset.sampled_variants)])
         block = np.zeros((len(rows) - 1, 1 + 2 * width), dtype=np.int64)
         block[:, np.r_[0, 1 + width - k:1 + width, 1 + 2 * width - k:1 + 2 * width]] = \

@@ -13,18 +13,19 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
-                             decompose_corpus, generate_synthetic_corpus,
-                             position_length_profile, regression_table,
-                             run_classification_suite)
-from deplen.constituency import constituent_dl, main_verb_dl, main_verb_dl_closed_form
+from deplen.analysis import (DecomposedCorpus, SyntheticSpec,
+                             build_pairwise_dataset, decompose_corpus,
+                             generate_synthetic_corpus, position_length_profile,
+                             regression_table, run_classification_suite)
+from deplen.constituency import order_dl
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
 from deplen.stats import crossval_accuracy, fit_logistic, mcnemar
 from deplen.variants import (generate_variants, least_effort_move, order_ascending,
                              order_descending, order_random)
 
-from conftest import FIG3_RANDOM_ORDER, random_plans
+import oracles
+from conftest import FIG3_RANDOM_ORDER, main_verb_dl, random_plans
 
 
 def report(criterion, message):
@@ -41,7 +42,7 @@ def test_criterion_1_figure3_fixture(fig3_plan):
     ]
     for order, dl, arcs in expected:
         assert main_verb_dl(fig3_plan, order) == dl
-        assert [constituent_dl(fig3_plan, order, ci) for ci in order] == arcs
+        assert list(order_dl(fig3_plan, order)[0]) == arcs
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(1, f"worked example reproduces DL 23/13/20/17 and all arc "
@@ -94,7 +95,7 @@ def test_criterion_4_closed_form_equivalence():
     rng = np.random.default_rng(1003)
     for plan in random_plans(seed=1004, count=1000, k_max=6):
         order = tuple(int(i) for i in rng.permutation(plan.k))
-        assert main_verb_dl(plan, order) == main_verb_dl_closed_form(plan, order)
+        assert main_verb_dl(plan, order) == oracles.main_verb_dl_closed_form(plan, order)
     report(4, "closed form equals arc-by-arc main-verb DL on 1,000 random "
               "plans, exactly")
 
@@ -110,7 +111,7 @@ def test_criterion_5_pairwise_transform():
 
     # the first sentence twice under one id: one variant, oriented both ways
     entry = corpus.entries[0]
-    twice = decompose_corpus([entry.plan.tree] * 2, sentence_ids=[entry.sentence_id] * 2)
+    twice = DecomposedCorpus([entry] * 2)
     pair = build_pairwise_dataset(twice, cap=2, seed=6)
     vset = generate_variants(entry.plan, 2, derive_rng(6, entry.sentence_id, "variants"))
     delta = np.subtract(extract_features(entry.plan, vset.reference_order),

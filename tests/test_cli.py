@@ -13,11 +13,13 @@ from deplen import cli, treebank
 from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec, decompose_corpus,
                              generate_synthetic_corpus)
 from deplen.cli import main
+from deplen.constituency import ARC_GAP
 from deplen.features import extract_features, feature_names
 from deplen.seeding import derive_rng
 from deplen.treebank import DependencyTree, parse_corpus, to_conllu
-from deplen.variants import generate_variants
+from deplen.variants import generate_variants, linearize
 
+import oracles
 from conftest import random_tree
 from test_treebank import CONLLU_FIG3, LINE_ALPHABET
 
@@ -507,6 +509,65 @@ class TestDegenerateCorpora:
         assert "Traceback" not in err
         if code == 2:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestConvention:
+    """A positional distance is the intervening words plus 1, on every arc:
+    --convention changes the absolute lengths, and no pairwise delta."""
+
+    def test_report_all_changes_only_the_curves(self, tmp_path):
+        corpus = synth_corpus(tmp_path, sentences=60, p=0.5)
+        outs = {c: tmp_path / c for c in ARC_GAP}
+        for convention, out in outs.items():
+            assert main(["report-all", "--corpus", str(corpus), "--seed", "5", "--folds", "5",
+                         "--convention", convention, "--out", str(out)]) == 0
+        a, b = outs["intervening"], outs["positional"]
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir()) and len(names) == 9
+        for name in names:
+            if name == "manifest.json":
+                ma, mb = (json.loads((out / name).read_text()) for out in (a, b))
+                ca, cb = ma.pop("config"), mb.pop("config")
+                assert (ca.pop("convention"), cb.pop("convention")) == ("intervening",
+                                                                        "positional")
+                assert (ca.pop("out"), cb.pop("out")) == (str(a), str(b))
+                assert ca == cb and ma == mb
+            elif name != "fig4_curves.csv":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        corpus = decompose_corpus(parse_corpus(corpus.read_text())[0])
+        for convention, out in outs.items():
+            curves = oracles.strategy_curves(corpus, seed=5, convention=convention)
+            with (out / "fig4_curves.csv").open() as f:
+                rows = list(csv.DictReader(f))
+            assert len(rows) == sum(map(len, curves.values()))
+            for row in rows:
+                assert row["mean_normalized_dl"] == \
+                    f"{curves[row['strategy']][int(row['k'])]:.6f}"
+
+    def test_variants_offset_by_k_and_n_minus_1(self, tmp_path):
+        corpus = synth_corpus(tmp_path, sentences=12, p=0.5)
+        records = {}
+        for convention in ARC_GAP:
+            out = tmp_path / convention
+            assert main(["variants", "--corpus", str(corpus), "--seed", "2", "--cap", "30",
+                         "--convention", convention, "--out", str(out)]) == 0
+            records[convention] = [json.loads(line) for line in
+                                   (out / "variants.jsonl").read_text().splitlines()]
+        plans = {e.sentence_id: e.plan
+                 for e in decompose_corpus(parse_corpus(corpus.read_text())[0]).entries}
+        assert len(records["intervening"]) == len(records["positional"]) > 12
+        for inter, pos in zip(records["intervening"], records["positional"]):
+            plan = plans[inter["sentence_id"]]
+            assert pos == {**inter, "main_verb_dl": inter["main_verb_dl"] + plan.k,
+                           "total_dl": inter["total_dl"] + len(plan.tree) - 1}
+            tree = linearize(plan, inter["permutation"])   # checked arc by arc
+            assert inter["tokens"] == list(tree.forms)
+            verb = tree.root_index
+            for convention, record in (("intervening", inter), ("positional", pos)):
+                assert record["main_verb_dl"] == sum(
+                    oracles.arc_distance(d, verb, convention)
+                    for d in range(1, verb) if tree.heads[d - 1] == verb)
+                assert record["total_dl"] == oracles.total_dependency_length(tree, convention)
 
 
 class TestConfigFile:

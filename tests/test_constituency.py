@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deplen.constituency import (CONVENTIONS, Ineligible, PlanTable, arc_distance,
-                                 constituent_dl, decompose, main_verb_dl,
-                                 main_verb_dl_closed_form, order_dl,
-                                 total_dependency_length)
+from deplen.constituency import (ARC_GAP, Ineligible, PlanTable, SentencePlan, arc_gap,
+                                 decompose, order_dl)
 from deplen.treebank import NonProjectiveError, is_projective
 from deplen.variants import linearize, order_ascending, order_descending, order_identity
 
 import oracles
-from conftest import FIG3_RANDOM_ORDER, eligible_plans, heads_tree, random_plans, random_tree
+from conftest import (FIG3_RANDOM_ORDER, eligible_plans, heads_tree, main_verb_dl,
+                      random_plans, random_tree)
 
 
 def assert_decompose_matches_oracle(tree):
@@ -27,13 +26,15 @@ def assert_decompose_matches_oracle(tree):
 
 class TestDecompose:
     def test_fig3(self, fig3_plan):
-        assert sorted(fig3_plan.lengths) == [1, 2, 3, 4]
-        assert fig3_plan.verb_index == 11
-        assert fig3_plan.postverbal_suffix == ("di",)
-        forms = [c.forms for c in fig3_plan.preverbal]
-        assert forms == [("maa", "ne"), ("baajaar", "jaate", "samaye"),
-                         ("rote", "hue", "bacche", "ko"), ("toffee",)]
-        assert [c.head_right_offset for c in fig3_plan.preverbal] == [1, 1, 1, 0]
+        assert fig3_plan.lengths == (2, 3, 4, 1)
+        assert fig3_plan.verb_index == len(fig3_plan.tree) == 11
+        forms = fig3_plan.tree.forms
+        starts = list(itertools.accumulate(fig3_plan.lengths, initial=1))
+        assert [forms[lo - 1:hi - 1] for lo, hi in zip(starts, starts[1:])] == \
+            [("maa", "ne"), ("baajaar", "jaate", "samaye"),
+             ("rote", "hue", "bacche", "ko"), ("toffee",)]
+        assert fig3_plan.head_offsets == (0, 1, 2, 0)
+        assert fig3_plan.fixed_dl == 0   # every other arc joins neighbours
 
     def test_verb_initial(self):
         tree = heads_tree([0, 1, 1])
@@ -91,32 +92,31 @@ class TestDecompose:
             assert result == Ineligible("no preverbal constituents" if not heads
                                         else "fewer than 2 constituents")
             return
-        assert [c.head_index for c in result.preverbal] == heads
-        starts = [c.span[0] for c in result.preverbal]
-        ends = [c.span[1] for c in result.preverbal]
-        assert starts == [1] + [end + 1 for end in ends[:-1]]
-        assert ends[-1] == verb - 1
-        for c in result.preverbal:
-            assert c.forms == tree.forms[c.span[0] - 1:c.span[1]]
-            for pos in range(c.span[0], c.span[1] + 1):   # descends from the head
+        starts = list(itertools.accumulate(result.lengths, initial=1))
+        assert starts[-1] == verb
+        assert [lo + offset for lo, offset in zip(starts, result.head_offsets)] == heads
+        for lo, hi, head in zip(starts, starts[1:], heads):
+            for pos in range(lo, hi):   # descends from the head
                 node = pos
                 while tree.heads[node - 1] != verb:
                     node = tree.heads[node - 1]
-                assert node == c.head_index
+                assert node == head
 
 
 class TestTotalDependencyLength:
+    """The arc-by-arc oracle."""
+
     def test_adjacent_arc_is_zero(self):
         tree = heads_tree([2, 0])
-        assert total_dependency_length(tree) == 0
+        assert oracles.total_dependency_length(tree) == 0
 
     def test_chain_tree(self):
         tree = heads_tree([2, 3, 0])
-        assert total_dependency_length(tree) == 0
+        assert oracles.total_dependency_length(tree) == 0
 
     def test_positional_convention(self):
         tree = heads_tree([2, 3, 0])
-        assert total_dependency_length(tree, "positional") == 2
+        assert oracles.total_dependency_length(tree, "positional") == 2
 
     def test_fig3_descending_main_verb_arcs(self, fig3_plan):
         assert main_verb_dl(fig3_plan, order_descending(fig3_plan)) == 13
@@ -130,22 +130,24 @@ class TestMainVerbDl:
 
     def test_fig3b_constituent_arcs(self, fig3_plan):
         desc = order_descending(fig3_plan)
-        assert [constituent_dl(fig3_plan, desc, ci) for ci in desc] == [7, 4, 2, 0]
+        dls = order_dl(fig3_plan, desc)[0]
+        assert list(dls) == [7, 4, 2, 0]
         # "maa ne" sits third in the descending order
-        assert constituent_dl(fig3_plan, desc, 0) == 2
+        assert dls[desc.index(0)] == 2
 
     def test_single_constituent_offset(self):
         tree = heads_tree([2, 4, 2, 0, 4])
-        # treat as one-constituent order over an artificial 1-element plan
-        from deplen.constituency import Constituent, SentencePlan
-        plan = SentencePlan(tree, (Constituent(2, (1, 3), ("a", "b", "c")),), 4)
-        assert main_verb_dl(plan, (0,)) == plan.preverbal[0].head_right_offset == 1
+        # treat as one-constituent order over an artificial 1-element plan:
+        # words 1..3 headed by word 2, one word after the head
+        plan = SentencePlan(tree, 4, (3,), (1,), 0)
+        assert main_verb_dl(plan, (0,)) == 1
 
-    def test_unknown_convention(self, fig3_plan):
+    def test_unknown_convention(self):
+        assert ARC_GAP == {"intervening": 0, "positional": 1}
         with pytest.raises(ValueError):
-            arc_distance(1, 5, "manhattan")
+            oracles.arc_distance(1, 5, "manhattan")
         with pytest.raises(ValueError, match="unknown distance convention: 'manhattan'"):
-            order_dl(fig3_plan, (0, 1, 2, 3), "manhattan")
+            arc_gap("manhattan")
 
 
 class TestInvariants:
@@ -154,49 +156,45 @@ class TestInvariants:
         assert relin == fig3_tree
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(plan=eligible_plans(), convention=st.sampled_from(CONVENTIONS),
+    @given(plan=eligible_plans(), convention=st.sampled_from(list(ARC_GAP)),
            data=st.data())
     def test_total_minus_main_verb_constant(self, plan, convention, data):
         """order_dl against the rebuilt tree, arc by arc: only the k
-        head-to-verb arcs move, so total - main-verb DL is the plan's own."""
+        head-to-verb arcs move, so total - main-verb DL is the plan's own
+        `fixed_dl`. The positional convention is 1 more per arc."""
         order = data.draw(st.permutations(range(plan.k)))
         tree = linearize(plan, order)
         verb = tree.root_index
-        arcs = [arc_distance(i, verb, convention) for i in range(1, verb)
+        arcs = [oracles.arc_distance(i, verb, convention) for i in range(1, verb)
                 if tree.heads[i - 1] == verb]
-        dls, total = order_dl(plan, order, convention)
-        assert list(dls) == arcs
-        assert total == total_dependency_length(tree, convention)
-        assert (total - main_verb_dl(plan, order, convention)
-                == total_dependency_length(plan.tree, convention)
-                - main_verb_dl(plan, order_identity(plan), convention))
+        gap = arc_gap(convention)
+        dls, total = order_dl(plan, order)
+        assert [dl + gap for dl in dls] == arcs
+        assert total + gap * (len(tree) - 1) == oracles.total_dependency_length(tree, convention)
+        assert (total - sum(dls) == plan.fixed_dl
+                == oracles.total_dependency_length(plan.tree)
+                - main_verb_dl(plan, order_identity(plan)))
 
     def test_closed_form_on_1000_random_plans(self):
         rng = np.random.default_rng(7)
         for plan in random_plans(seed=11, count=1000):
             order = tuple(int(i) for i in rng.permutation(plan.k))
             assert (main_verb_dl(plan, order)
-                    == main_verb_dl_closed_form(plan, order))
+                    == oracles.main_verb_dl_closed_form(plan, order))
 
 
 class TestPlanTable:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(plans=st.lists(eligible_plans(k_max=5), min_size=1, max_size=6),
-           convention=st.sampled_from(CONVENTIONS))
-    def test_score_matches_order_dl(self, plans, convention):
+    @given(plans=st.lists(eligible_plans(k_max=5), min_size=1, max_size=6))
+    def test_score_matches_order_dl(self, plans):
         """Every order of every plan, scored per k in one array, as
         `order_dl` scores it alone."""
         for k in {plan.k for plan in plans}:
             group = [plan for plan in plans if plan.k == k]
             orders = list(itertools.permutations(range(k)))
-            dls, totals = PlanTable.of(group).score(
-                np.array([orders] * len(group)), convention)
+            dls, totals = PlanTable.of(group).score(np.array([orders] * len(group)))
             for s, plan in enumerate(group):
                 for m, order in enumerate(orders):
-                    expected_dls, expected_total = order_dl(plan, order, convention)
+                    expected_dls, expected_total = order_dl(plan, order)
                     assert dls[s, m].tolist() == list(expected_dls)
                     assert totals[s, m] == expected_total
-
-    def test_unknown_convention(self, fig3_plan):
-        with pytest.raises(ValueError, match="unknown distance convention: 'manhattan'"):
-            PlanTable.of([fig3_plan]).score(np.arange(4)[None, None], "manhattan")

@@ -71,9 +71,9 @@ class TestJoachimsTransform:
             dataset = build_pairwise_dataset(decompose_corpus([fig3_tree] * n), cap=2)
             assert abs(dataset.labels.mean() - 0.5) <= 1 / n
 
-    def test_antisymmetry(self, fig3_tree):
+    def test_antisymmetry(self, fig3_plan):
         # one sentence id twice: the same variant drawn, oriented both ways
-        corpus = decompose_corpus([fig3_tree] * 2, sentence_ids=["a", "a"])
+        corpus = DecomposedCorpus([CorpusEntry("a", fig3_plan)] * 2)
         dataset = build_pairwise_dataset(corpus, cap=2)
         first, second = dataset_rows(dataset)
         assert np.array_equal(first, -second)
