@@ -20,6 +20,7 @@ __all__ = [
     "PairwiseDataset",
     "SyntheticSpec",
     "InsufficientDataError",
+    "eligible_plans",
     "decompose_corpus",
     "constituent_count_histogram",
     "position_length_profile",
@@ -62,19 +63,12 @@ class DecomposedCorpus:
     entries: list
     skipped: dict = field(default_factory=dict)   # reason -> count
 
-    @property
-    def plans(self) -> list:
-        return [e.plan for e in self.entries]
 
-
-def decompose_corpus(trees) -> DecomposedCorpus:
-    """Decompose every projective, eligible tree; count the rest by reason.
-    The i-th tree (from 1) has sentence id `s{i}`.
-
-    `trees` may be any iterable, a generator of trees as they are parsed
-    included; it is consumed once, and only the eligible trees' plans are
-    kept."""
-    entries, skipped = [], {}
+def eligible_plans(trees, skipped: dict):
+    """Yield (sentence_id, tree, plan) for every projective, eligible tree,
+    and count the rest by reason in `skipped`. The i-th tree (from 1) has
+    sentence id `s{i}`. `trees` may be any iterable, a generator of trees as
+    they are parsed included; it is consumed once."""
     for i, tree in enumerate(trees, start=1):
         try:
             plan = decompose(tree)
@@ -82,8 +76,16 @@ def decompose_corpus(trees) -> DecomposedCorpus:
             plan = Ineligible("non-projective")
         if isinstance(plan, Ineligible):
             skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
-            continue
-        entries.append(CorpusEntry(f"s{i}", plan))
+        else:
+            yield f"s{i}", tree, plan
+
+
+def decompose_corpus(trees) -> DecomposedCorpus:
+    """Each eligible sentence's id and plan from `eligible_plans(trees)`,
+    and the skip counts; no tree is kept past its decomposition."""
+    skipped = {}
+    entries = [CorpusEntry(sentence_id, plan)
+               for sentence_id, _, plan in eligible_plans(trees, skipped)]
     return DecomposedCorpus(entries, skipped)
 
 
@@ -111,7 +113,7 @@ def constituent_count_histogram(corpus: DecomposedCorpus, cap: int = variants.DE
 def position_length_profile(corpus: DecomposedCorpus, k: int) -> np.ndarray:
     """Mean constituent length per preverbal position, over reference
     sentences with exactly k constituents. Position k is verb-adjacent."""
-    rows = [plan.lengths for plan in corpus.plans if plan.k == k]
+    rows = [e.plan.lengths for e in corpus.entries if e.plan.k == k]
     if not rows:
         raise InsufficientDataError(f"no reference sentences with k={k}")
     return np.array(rows, dtype=float).mean(axis=0)
@@ -120,7 +122,7 @@ def position_length_profile(corpus: DecomposedCorpus, k: int) -> np.ndarray:
 def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float]:
     """Pearson correlation between sentence length and preverbal constituent
     count over reference sentences; None where undefined (e.g. a single k)."""
-    n_words = [len(e.plan.tree) for e in corpus.entries]
+    n_words = [e.plan.words for e in corpus.entries]
     n_consts = [e.plan.k for e in corpus.entries]
     try:
         return stats.pearson(n_words, n_consts)
@@ -363,7 +365,7 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     else:
         selected, curve, margin = list(names), {}, None
     keep = [j for j, nm in enumerate(names) if nm in selected]
-    Z, _, _ = features.zscore(X[:, keep])
+    Z, _ = features.zscore(X[:, keep])
     fit = stats.fit_logistic(Z, y, feature_names=[names[j] for j in keep])
     return {"k": k, "family": family, "status": "ok", "n": int(len(y)),
             "selected": selected, "dropped_collinear": dropped,
@@ -461,5 +463,5 @@ def generate_synthetic_corpus(spec: SyntheticSpec, seed: int = 0) -> list:
         plan = decompose(base)
         assert isinstance(plan, SentencePlan)
         order = _pick_reference_order(plan, spec, rng)
-        trees.append(variants.linearize(plan, order))
+        trees.append(variants.linearize(base, plan, order))
     return trees

@@ -242,14 +242,18 @@ def cmd_parse(args):
     return EXIT_OK
 
 
+def _log_corpus(diagnostics, eligible: int, skipped: dict):
+    _log_parse(eligible + sum(skipped.values()), diagnostics)
+    log.info("eligible %d sentences; skipped: %s", eligible, skipped)
+
+
 def _decomposed(args):
     """The decomposed corpus, its parse diagnostics and its SHA-256. Each
-    tree is decomposed as its block is parsed, so an ineligible tree is
-    dropped with its block: memory grows with the eligible sentences."""
+    tree is decomposed as its block is parsed and then dropped, so memory
+    grows with the eligible sentences' plans."""
     trees, diagnostics, digest = _corpus_trees(args)
     corpus = analysis.decompose_corpus(trees)
-    _log_parse(len(corpus.entries) + sum(corpus.skipped.values()), diagnostics)
-    log.info("eligible %d sentences; skipped: %s", len(corpus.entries), corpus.skipped)
+    _log_corpus(diagnostics, len(corpus.entries), corpus.skipped)
     return corpus, diagnostics, digest.hexdigest()
 
 
@@ -267,26 +271,28 @@ def cmd_decompose(args):
 
 
 def cmd_variants(args):
-    corpus, diagnostics, corpus_hash = _decomposed(args)
+    trees, diagnostics, digest = _corpus_trees(args)
+    skipped = {}
+    sentences = list(analysis.eligible_plans(trees, skipped))   # trees too: it prints words
+    _log_corpus(diagnostics, len(sentences), skipped)
     out = _outdir(args)
     gap = constituency.arc_gap(args.convention)
     with (out / "variants.jsonl").open("w") as f:
-        for e in corpus.entries:
-            plan, forms = e.plan, e.plan.tree.forms
+        for sentence_id, tree, plan in sentences:
             vset = variants.generate_variants(
-                plan, args.cap, derive_rng(args.seed, e.sentence_id, "variants"))
+                plan, args.cap, derive_rng(args.seed, sentence_id, "variants"))
             for order in (vset.reference_order,) + vset.sampled_variants:
                 dls, total = constituency.order_dl(plan, order)
                 record = {
-                    "sentence_id": e.sentence_id,
+                    "sentence_id": sentence_id,
                     "permutation": list(order),
                     "main_verb_dl": sum(dls) + gap * plan.k,
-                    "total_dl": total + gap * (len(forms) - 1),
-                    "tokens": [forms[p - 1] for p in plan.positions(order)],
+                    "total_dl": total + gap * (plan.words - 1),
+                    "tokens": [tree.forms[p - 1] for p in plan.positions(order)],
                 }
                 f.write(json.dumps(record) + "\n")
-    _write_manifest(out, args, corpus_hash,
-                    {"eligible": len(corpus.entries), "skipped": corpus.skipped})
+    _write_manifest(out, args, digest.hexdigest(),
+                    {"eligible": len(sentences), "skipped": skipped})
     return EXIT_OK
 
 

@@ -45,16 +45,16 @@ class Ineligible:
 
 @dataclass(frozen=True, slots=True)
 class SentencePlan:
-    """A decomposed sentence: its k preverbal constituents tile positions
-    1..verb_index-1, left to right, with `lengths[c]` words each and their
-    heads `head_offsets[c]` words into the span (from 0). `fixed_dl` sums
-    the intervening words of the arcs that no reordering of the
-    constituents moves: all but the k head-to-verb arcs."""
-    tree: DependencyTree
+    """A decomposed sentence of `words` words, as integers: its k preverbal
+    constituents tile positions 1..verb_index-1, left to right, with
+    `lengths[c]` words each and their heads `head_offsets[c]` words into the
+    span (from 0). `fixed_dl` sums the intervening words of the arcs that no
+    reordering moves: all but the k head-to-verb arcs."""
     verb_index: int           # root token position
     lengths: tuple
     head_offsets: tuple
     fixed_dl: int
+    words: int
 
     @property
     def k(self) -> int:
@@ -65,7 +65,7 @@ class SentencePlan:
         constituents in `order`, the verb and its suffix unmoved."""
         starts = list(accumulate(self.lengths, initial=1))
         return [p for ci in order for p in range(starts[ci], starts[ci + 1])] \
-            + list(range(self.verb_index, len(self.tree) + 1))
+            + list(range(self.verb_index, self.words + 1))
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class PlanTable:
         return cls(np.array([p.lengths for p in plans], dtype=np.int64),
                    np.array([p.head_offsets for p in plans], dtype=np.int64),
                    np.array([p.verb_index for p in plans], dtype=np.int64),
-                   np.array([len(p.tree) for p in plans], dtype=np.int64),
+                   np.array([p.words for p in plans], dtype=np.int64),
                    np.array([p.fixed_dl for p in plans], dtype=np.int64))
 
     def score(self, orders: np.ndarray) -> tuple:
@@ -121,8 +121,8 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     spans = subtree_spans(tree)
     fixed_dl = sum(abs(h - d) - 1 for d, h in enumerate(tree.heads, start=1)
                    if h and not (h == verb and d < verb))   # not a head-to-verb arc
-    return SentencePlan(tree, verb, tuple(spans[i][1] - spans[i][0] + 1 for i in heads),
-                        tuple(i - spans[i][0] for i in heads), fixed_dl)
+    return SentencePlan(verb, tuple(spans[i][1] - spans[i][0] + 1 for i in heads),
+                        tuple(i - spans[i][0] for i in heads), fixed_dl, len(tree))
 
 
 def order_dl(plan: SentencePlan, order: Sequence[int]) -> tuple:

@@ -7,19 +7,14 @@ reference-minus-variant with label 1, odd pairs variant-minus-reference with
 label 0.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .constituency import SentencePlan, order_dl
 
 __all__ = [
-    "ZScoreStats",
     "extract_features",
     "feature_names",
     "zscore",
-    "zscore_stats",
 ]
 
 
@@ -38,41 +33,16 @@ def extract_features(plan: SentencePlan, order) -> tuple:
     return (total, *dls, *(lengths[ci] for ci in order))
 
 
-@dataclass(frozen=True)
-class ZScoreStats:
-    mean: np.ndarray
-    sd: np.ndarray
-    kept: np.ndarray          # indices of retained (non-constant) columns
+def zscore(X: np.ndarray):
+    """Column-standardize a design matrix by its means and sample (n-1)
+    standard deviations, zero-variance columns dropped.
 
-
-def zscore_stats(X: np.ndarray):
-    """Means and sample (n-1) standard deviations of the columns of X, with
-    zero-variance columns dropped and named in the diagnostics.
-
-    Returns (stats, diagnostics).
+    Returns (Z, kept): the standardized columns and their indices in X.
     """
     X = np.asarray(X, dtype=float)
-    mean = X.mean(axis=0)
     sd = X.std(axis=0, ddof=1)
     kept = np.flatnonzero(sd > 0)
-    diagnostics = [f"column {j} has zero variance; dropped" for j in np.flatnonzero(sd == 0)]
-    return ZScoreStats(mean[kept], sd[kept], kept), diagnostics
-
-
-def zscore(X: np.ndarray, stats: Optional[ZScoreStats] = None):
-    """Column-standardize a design matrix.
-
-    Without `stats`, the statistics come from X itself (`zscore_stats`).
-    With `stats` (held-out folds), the stored statistics and column set are
-    reused unchanged.
-
-    Returns (Z, stats, diagnostics).
-    """
-    X = np.asarray(X, dtype=float)
-    diagnostics = []
-    if stats is None:
-        stats, diagnostics = zscore_stats(X)
-    Z = X[:, stats.kept]      # a copy: standardized in place
-    Z -= stats.mean
-    Z /= stats.sd
-    return Z, stats, diagnostics
+    Z = X[:, kept]      # a copy: standardized in place
+    Z -= X.mean(axis=0)[kept]
+    Z /= sd[kept]
+    return Z, kept

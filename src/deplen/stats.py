@@ -22,7 +22,6 @@ __all__ = [
     "RfecvResult",
     "RankDeficientError",
     "fit_logistic",
-    "predict_proba",
     "crossval_accuracy",
     "mcnemar",
     "rfecv",
@@ -191,14 +190,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
                          feature_names=list(feature_names) if feature_names else None)
 
 
-def predict_proba(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    design = np.column_stack([np.ones(X.shape[0]), X])
-    return _sigmoid(design @ fit.coefficients)
-
-
 @dataclass
 class CvReport:
     fold_accuracies: np.ndarray
@@ -343,8 +334,8 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
 
     names = [f"x{j}" for j in range(X.shape[1])]   # as RegressionFit.to_dict names them
     if zscore_mode == "global":
-        X, scaling, _ = zscore(X)
-        names = [names[j] for j in scaling.kept]
+        X, kept = zscore(X)
+        names = [names[j] for j in kept]
     rep, cell = _distinct_cells(X, y)
     fold, test = _folds(cell, len(rep), folds, seed)
     report, prob, _ = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],

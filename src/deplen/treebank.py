@@ -5,7 +5,7 @@ format (index, form, head, deprel), both read by one parser. Malformed
 sentence blocks are skipped with a diagnostic instead of aborting the run.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -15,11 +15,8 @@ __all__ = [
     "parse_corpus",
     "iter_trees",
     "to_conllu",
-    "to_tsv",
     "subtree_spans",
     "is_projective",
-    "subtree_yield",
-    "strip_punct",
     "NonProjectiveError",
 ]
 
@@ -39,61 +36,36 @@ class Diagnostic:
     reason: str
 
 
+@dataclass(frozen=True, slots=True)
 class DependencyTree:
     """A single sentence as three columns over positions 1..n: `heads[i - 1]`
     is position i's head (0 for the root), `forms[i - 1]` its surface form and
-    `deprels[i - 1]` its dependency relation. Immutable after construction.
+    `deprels[i - 1]` its dependency relation. Immutable: the columns are
+    kept as tuples.
 
     Validates that exactly one token has head 0, every head lies in 0..n,
     and head links form a connected acyclic structure.
     """
+    heads: tuple
+    forms: tuple
+    deprels: tuple
+    root_index: int = field(init=False)
 
-    def __init__(self, heads: Iterable[int], forms: Iterable[str],
-                 deprels: Iterable[str]):
-        heads, forms, deprels = tuple(heads), tuple(forms), tuple(deprels)
+    def __post_init__(self):
+        heads, forms, deprels = tuple(self.heads), tuple(self.forms), tuple(self.deprels)
         if not len(heads) == len(forms) == len(deprels):
             raise ValueError("heads, forms and deprels differ in length")
         _root_walk(heads)
-        self._heads, self._forms, self._deprels = heads, forms, deprels
-        self._root = heads.index(0) + 1
-
-    @property
-    def heads(self) -> tuple:
-        return self._heads
-
-    @property
-    def forms(self) -> tuple:
-        return self._forms
-
-    @property
-    def deprels(self) -> tuple:
-        return self._deprels
-
-    @property
-    def root_index(self) -> int:
-        return self._root
+        for name, value in (("heads", heads), ("forms", forms), ("deprels", deprels),
+                            ("root_index", heads.index(0) + 1)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self._heads)
-
-    def _columns(self) -> tuple:
-        return self._heads, self._forms, self._deprels
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DependencyTree) and self._columns() == other._columns()
-
-    def __hash__(self) -> int:
-        return hash(self._columns())
+        return len(self.heads)
 
     def __repr__(self) -> str:
-        words = " ".join(self._forms)
+        words = " ".join(self.forms)
         return f"DependencyTree({words!r})"
-
-    def arcs(self) -> Iterator[tuple]:
-        """(head, dependent) pairs, excluding the artificial root arc."""
-        for dependent, head in enumerate(self._heads, start=1):
-            if head != 0:
-                yield head, dependent
 
 
 def _root_walk(heads) -> list:
@@ -192,9 +164,9 @@ def iter_trees(pieces: Iterable[str], diagnostics: list, format: str = "conllu",
     the tree as a whole is invalid (indices not 1..n included), and the
     reason. A bad line takes precedence over a fault of the whole tree.
 
-    With `exclude_punct`, each valid block loses its punctuation as
-    `strip_punct` removes it, on the parsed columns, before its one tree is
-    built. Every tree shares its deprel strings with the others.
+    With `exclude_punct`, each valid block loses its punctuation
+    (`_strip_columns`) on the parsed columns, before its one tree is built.
+    Every tree shares its deprel strings with the others.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
@@ -258,7 +230,7 @@ def _stripped_tree(heads, forms, deprels) -> DependencyTree:
     if heads and max(heads) > len(heads):
         _root_walk(heads)   # raises the raw block's fault
     try:
-        return DependencyTree(*_strip_columns(heads, forms, deprels, PUNCT_DEPRELS))
+        return DependencyTree(*_strip_columns(heads, forms, deprels))
     except ValueError:
         _root_walk(heads)   # raises the raw block's own fault
         raise
@@ -268,16 +240,10 @@ def to_conllu(tree: DependencyTree, sent_id: Optional[str] = None) -> str:
     lines = []
     if sent_id is not None:
         lines.append(f"# sent_id = {sent_id}")
-    for i, (head, form, deprel) in enumerate(zip(*tree._columns()), start=1):
+    for i, (head, form, deprel) in enumerate(zip(tree.heads, tree.forms, tree.deprels), start=1):
         lines.append(
             "\t".join([str(i), form, "_", "_", "_", "_", str(head), deprel, "_", "_"])
         )
-    return "\n".join(lines) + "\n"
-
-
-def to_tsv(tree: DependencyTree) -> str:
-    lines = ["\t".join([str(i), form, str(head), deprel])
-             for i, (head, form, deprel) in enumerate(zip(*tree._columns()), start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -322,35 +288,25 @@ def is_projective(tree: DependencyTree) -> bool:
     return True
 
 
-def subtree_yield(tree: DependencyTree, head: int) -> tuple:
-    """[min, max] token positions of head's transitive-dependent closure.
-
-    Only meaningful on projective trees, where the yield is gap-free.
-    """
-    spans = subtree_spans(tree)
-    if spans is None:
-        raise NonProjectiveError("subtree_yield requires a projective tree")
-    return spans[head]
-
-
-def _strip_columns(heads, forms, deprels, punct):
+def _strip_columns(heads, forms, deprels):
     """The columns without their punctuation, heads renumbered. A non-root
-    token whose deprel is in `punct` goes once all of its dependents have
-    gone: such leaves are peeled off by counting dependents, with no walk
-    order, so the heads (each in 0..n) need not form a tree."""
-    if punct.isdisjoint(deprels):
+    token whose deprel is in PUNCT_DEPRELS goes once all of its dependents
+    have gone, so punctuation attached to punctuation goes too: such leaves
+    are peeled off by counting dependents, with no walk order, so the heads
+    (each in 0..n) need not form a tree."""
+    if PUNCT_DEPRELS.isdisjoint(deprels):
         return heads, forms, deprels
     n = len(heads)
     dependents, keep = [0] * (n + 1), [True] * (n + 1)
     for head in heads:
         dependents[head] += 1
     leaves = [i for i, (head, rel) in enumerate(zip(heads, deprels), start=1)
-              if head and rel in punct and not dependents[i]]
+              if head and rel in PUNCT_DEPRELS and not dependents[i]]
     for node in leaves:   # grows as heads lose their last dependent
         keep[node] = False
         head = heads[node - 1]
         dependents[head] -= 1
-        if not dependents[head] and heads[head - 1] and deprels[head - 1] in punct:
+        if not dependents[head] and heads[head - 1] and deprels[head - 1] in PUNCT_DEPRELS:
             leaves.append(head)
     kept = [i for i in range(1, n + 1) if keep[i]]
     renumber = [0] * (n + 1)
@@ -358,13 +314,3 @@ def _strip_columns(heads, forms, deprels, punct):
         renumber[old] = new
     return ([renumber[heads[i - 1]] for i in kept], [forms[i - 1] for i in kept],
             [deprels[i - 1] for i in kept])
-
-
-def strip_punct(tree: DependencyTree, deprels=PUNCT_DEPRELS) -> DependencyTree:
-    """Remove tokens with a punctuation deprel and reindex.
-
-    A token goes when all of its dependents go, so punctuation attached to
-    punctuation goes too. The root is always kept, whatever its deprel.
-    """
-    return DependencyTree(*_strip_columns(tree.heads, tree.forms, tree.deprels,
-                                          frozenset(deprels)))

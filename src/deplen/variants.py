@@ -20,11 +20,9 @@ from .treebank import DependencyTree
 __all__ = [
     "VariantSet",
     "generate_variants",
-    "order_identity",
     "order_ascending",
     "order_descending",
     "order_random",
-    "order_least_effort",
     "least_effort_move",
     "linearize",
 ]
@@ -36,10 +34,6 @@ DEFAULT_CAP = 100
 class VariantSet:
     reference_order: tuple
     sampled_variants: tuple   # pairwise distinct, never contains the reference
-
-
-def order_identity(plan: SentencePlan) -> tuple:
-    return tuple(range(plan.k))
 
 
 def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP,
@@ -101,13 +95,9 @@ def least_effort_move(plan: SentencePlan, order) -> tuple:
     return tuple(ci for ci in order if ci != moved) + (moved,)
 
 
-def order_least_effort(plan: SentencePlan, seed=None) -> tuple:
-    """Random order, then the shortest constituent moves next to the verb."""
-    return least_effort_move(plan, order_random(plan, seed))
-
-
-def linearize(plan: SentencePlan, order) -> DependencyTree:
-    """Rebuild the tree with preverbal constituents in the given order.
+def linearize(tree: DependencyTree, plan: SentencePlan, order) -> DependencyTree:
+    """Rebuild `tree`, decomposed as `plan`, with its preverbal constituents
+    in the given order.
 
     Heads are remapped so intra-constituent and postverbal arcs keep their
     structure; output length equals input length.
@@ -117,7 +107,7 @@ def linearize(plan: SentencePlan, order) -> DependencyTree:
     old_positions = plan.positions(order)
     remap = {old: new for new, old in enumerate(old_positions, start=1)}
     remap[0] = 0
-    heads, forms, deprels = plan.tree.heads, plan.tree.forms, plan.tree.deprels
+    heads, forms, deprels = tree.heads, tree.forms, tree.deprels
     return DependencyTree([remap[heads[old - 1]] for old in old_positions],
                           [forms[old - 1] for old in old_positions],
                           [deprels[old - 1] for old in old_positions])

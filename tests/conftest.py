@@ -65,9 +65,15 @@ def random_plans(seed: int, count: int, k_max: int = 6) -> list:
     return plans
 
 
+def to_tsv(tree: DependencyTree) -> str:
+    """The tree as a block of the 4-column TSV format."""
+    return "".join(f"{i}\t{form}\t{head}\t{rel}\n" for i, (head, form, rel)
+                   in enumerate(zip(tree.heads, tree.forms, tree.deprels), start=1))
+
+
 @st.composite
-def eligible_plans(draw, k_max: int = 6, max_length: int = 8) -> SentencePlan:
-    """Projective trees, decomposed: k preverbal constituents,
+def eligible_trees(draw, k_max: int = 6, max_length: int = 8) -> DependencyTree:
+    """Projective trees with k preverbal constituents,
     each head anywhere in its span with the other tokens attached to their
     inward neighbour or to the head, then the verb and up to 3 postverbal
     tokens attached to the verb or to their left neighbour."""
@@ -91,7 +97,12 @@ def eligible_plans(draw, k_max: int = 6, max_length: int = 8) -> SentencePlan:
     for pos in range(verb + 1, verb + 1 + draw(st.integers(0, 3))):
         heads.append(draw(st.sampled_from([verb, pos - 1])))
         deprels.append("post")
-    plan = decompose(DependencyTree(heads, [f"w{i}" for i in range(1, len(heads) + 1)],
-                                    deprels))
+    tree = DependencyTree(heads, [f"w{i}" for i in range(1, len(heads) + 1)], deprels)
+    plan = decompose(tree)
     assert isinstance(plan, SentencePlan) and plan.k == k
-    return plan
+    return tree
+
+
+def eligible_plans(k_max: int = 6, max_length: int = 8):
+    """The plans of `eligible_trees`."""
+    return eligible_trees(k_max, max_length).map(decompose)

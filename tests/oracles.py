@@ -10,6 +10,7 @@ from deplen import features, variants
 from deplen.analysis import STRATEGIES, PairwiseDataset
 from deplen.constituency import Ineligible, SentencePlan
 from deplen.seeding import derive_rng
+from deplen.stats import _sigmoid
 from deplen.treebank import NonProjectiveError, subtree_spans
 
 
@@ -25,7 +26,8 @@ def arc_distance(a: int, b: int, convention: str = "intervening") -> int:
 
 def total_dependency_length(tree, convention="intervening") -> int:
     """Sum of head-dependent distances over all arcs of the tree."""
-    return sum(arc_distance(h, d, convention) for h, d in tree.arcs())
+    return sum(arc_distance(h, d, convention)
+               for d, h in enumerate(tree.heads, start=1) if h)
 
 
 def main_verb_dl_closed_form(plan, order) -> int:
@@ -37,28 +39,32 @@ def main_verb_dl_closed_form(plan, order) -> int:
     return total
 
 
-def strategy_curves(corpus, seed=0, random_draws=10, k_range=(2, 6),
+def strategy_curves(trees, seed=0, random_draws=10, k_range=(2, 6),
                     convention="intervening") -> dict:
-    """`analysis.strategy_curves` one sentence and one order at a time, each
-    order's total arc by arc on the rebuilt tree."""
+    """`analysis.strategy_curves` of `analysis.decompose_corpus(trees)`, one
+    sentence and one order at a time, each order's total arc by arc on the
+    rebuilt tree; the plans come from `decompose` below."""
     sums = {s: {} for s in STRATEGIES}
     counts = {}
-    for e in corpus.entries:
-        plan = e.plan
-        k = plan.k
-        if not (k_range[0] <= k <= k_range[1]):
+    for i, tree in enumerate(trees, start=1):
+        try:
+            plan = decompose(tree)
+        except NonProjectiveError:
             continue
-        n = len(plan.tree)
+        if isinstance(plan, Ineligible) or not k_range[0] <= plan.k <= k_range[1]:
+            continue
+        k, n = plan.k, len(tree)
         def norm_dl(order):
-            return total_dependency_length(variants.linearize(plan, order), convention) / n
+            return total_dependency_length(variants.linearize(tree, plan, order),
+                                           convention) / n
         values = {
-            "reference": norm_dl(variants.order_identity(plan)),
+            "reference": norm_dl(tuple(range(k))),
             "ascending": norm_dl(variants.order_ascending(plan)),
             "descending": norm_dl(variants.order_descending(plan)),
         }
         rand_vals, le_vals = [], []
         for d in range(random_draws):
-            rng = derive_rng(seed, e.sentence_id, "random", d)
+            rng = derive_rng(seed, f"s{i}", "random", d)
             start = variants.order_random(plan, rng)
             rand_vals.append(norm_dl(start))
             le_vals.append(norm_dl(variants.least_effort_move(plan, start)))
@@ -86,7 +92,7 @@ def decompose(tree):
     lengths = tuple(spans[i][1] - spans[i][0] + 1 for i in heads)
     offsets = tuple(i - spans[i][0] for i in heads)
     fixed_dl = total_dependency_length(tree) - sum(arc_distance(i, verb) for i in heads)
-    return SentencePlan(tree, verb, lengths, offsets, fixed_dl)
+    return SentencePlan(verb, lengths, offsets, fixed_dl, len(tree))
 
 
 def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0):
@@ -125,3 +131,8 @@ def distinct_cells(X, y):
     cell = np.empty(len(order), dtype=np.intp)
     cell[order] = np.cumsum(new) - 1
     return order[new], cell
+
+
+def predict_proba(fit, X):
+    """The probability of label 1 that `fit` gives each row of X."""
+    return _sigmoid(np.column_stack([np.ones(len(X)), X]) @ fit.coefficients)

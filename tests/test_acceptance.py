@@ -105,7 +105,7 @@ def test_criterion_5_pairwise_transform():
         SyntheticSpec(n_sentences=120, p_least_effort=0.5), seed=1005))
     dataset = build_pairwise_dataset(corpus, cap=100, seed=6)
     n_pairs = sum(
-        min(math.factorial(p.k) - 1, 99) for p in corpus.plans)
+        min(math.factorial(e.plan.k) - 1, 99) for e in corpus.entries)
     assert len(dataset) == n_pairs
     assert abs(dataset.labels.mean() - 0.5) <= 1 / n_pairs
 

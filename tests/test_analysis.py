@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deplen import analysis
 from deplen.analysis import (CorpusEntry, DecomposedCorpus, InsufficientDataError, SyntheticSpec,
                              _delta_dtype, build_pairwise_dataset, constituent_count_histogram,
                              decompose_corpus, generate_synthetic_corpus,
@@ -14,17 +16,28 @@ from deplen.analysis import (CorpusEntry, DecomposedCorpus, InsufficientDataErro
 from deplen.constituency import ARC_GAP, decompose
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
-from deplen.treebank import parse_corpus, to_conllu
+from deplen.treebank import DependencyTree, iter_trees, parse_corpus, to_conllu
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import eligible_plans, heads_tree, random_plans
+from conftest import eligible_plans, eligible_trees, heads_tree, random_plans
 
 
 def synthetic_corpus(n, p_least_effort, seed, **kw):
     spec = SyntheticSpec(n_sentences=n, p_least_effort=p_least_effort, **kw)
     trees = generate_synthetic_corpus(spec, seed=seed)
     return decompose_corpus(trees)
+
+
+def synthetic_conllu(n, seed) -> str:
+    """`n` sentences of the default synthetic shape, as CoNLL-U text."""
+    trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=n), seed=seed)
+    return "\n".join(to_conllu(tree) for tree in trees)
+
+
+def live_trees() -> int:
+    gc.collect()
+    return sum(isinstance(o, DependencyTree) for o in gc.get_objects())
 
 
 class TestDecomposeCorpus:
@@ -41,14 +54,29 @@ class TestDecomposeCorpus:
         assert corpus.entries == []
         assert corpus.skipped == {"no preverbal constituents": 1}
 
+    def test_keeps_no_tree(self):
+        """The corpus holds integers: every tree parsed for it is gone once
+        its plan is taken."""
+        text = synthetic_conllu(800, seed=1)
+        before = live_trees()
+        corpus = decompose_corpus(iter_trees([text], []))
+        assert len(corpus.entries) == 800
+        assert live_trees() == before
+
+    def test_eligible_plans_yield_each_tree_with_its_plan(self):
+        trees = [heads_tree([4, 4, 4, 0]), heads_tree([0, 1]), heads_tree([3, 3, 0, 3])]
+        skipped = {}
+        assert list(analysis.eligible_plans(trees, skipped)) == \
+            [("s1", trees[0], decompose(trees[0])), ("s3", trees[2], decompose(trees[2]))]
+        assert skipped == {"no preverbal constituents": 1}
+
     def test_retains_less_than_the_trees(self):
         """A plan holds a few integers per constituent, not a copy of its
         words: over 800 eligible trees, k 2-6 with short constituents, the
         corpus retains at most the trees' own size beyond them (about half
         of it; an object per constituent with its own forms tuple retained
         1.4 times)."""
-        trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=800), seed=1)
-        text = "\n".join(to_conllu(tree) for tree in trees)
+        text = synthetic_conllu(800, seed=1)
         tracemalloc.start()
         try:
             trees = parse_corpus(text)[0]   # trees that share no strings with the text
@@ -76,8 +104,8 @@ class TestHistogram:
         corpus = synthetic_corpus(10, 1.0, seed=1,
                                   k_weights=((2, 0.5), (5, 0.5)))
         ref, var = constituent_count_histogram(corpus, cap=100)
-        k2 = sum(1 for p in corpus.plans if p.k == 2)
-        k5 = len(corpus.plans) - k2
+        k2 = sum(1 for e in corpus.entries if e.plan.k == 2)
+        k5 = len(corpus.entries) - k2
         total = k2 * 1 + k5 * 99
         assert math.isclose(var[2], 100.0 * k2 / total)
         assert math.isclose(var[5], 100.0 * k5 * 99 / total)
@@ -120,26 +148,26 @@ class TestStrategyCurves:
                 assert abs(ref - rand) < 0.25 * spread
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(plans=st.lists(eligible_plans(), min_size=0, max_size=12),
+    @given(trees=st.lists(eligible_trees(), min_size=0, max_size=12),
            seed=st.integers(0, 2**16), random_draws=st.sampled_from([1, 8, 9, 17]),
            k_range=st.sampled_from([(2, 6), (2, 2), (3, 5), (4, 6), (6, 7)]),
            convention=st.sampled_from(list(ARC_GAP)))
-    def test_matches_per_order_oracle(self, plans, seed, random_draws, k_range, convention):
+    def test_matches_per_order_oracle(self, trees, seed, random_draws, k_range, convention):
         """Bit for bit the per-sentence, per-order values, means and sums,
         each order's total counted arc by arc on its rebuilt tree. From 8
         draws on, numpy's pairwise summation unrolls by 8."""
-        corpus = DecomposedCorpus([CorpusEntry(f"s{i}", p) for i, p in enumerate(plans)])
-        got = strategy_curves(corpus, seed, random_draws, k_range, convention)
-        expected = oracles.strategy_curves(corpus, seed, random_draws, k_range, convention)
+        got = strategy_curves(decompose_corpus(trees), seed, random_draws, k_range, convention)
+        expected = oracles.strategy_curves(trees, seed, random_draws, k_range, convention)
         assert list(got) == list(expected)
         assert {s: {k: v.hex() for k, v in per_k.items()} for s, per_k in got.items()} == \
             {s: {k: v.hex() for k, v in per_k.items()} for s, per_k in expected.items()}
         assert all(type(v) is float for per_k in got.values() for v in per_k.values())
 
     def test_matches_oracle_on_synthetic_corpus(self):
-        corpus = synthetic_corpus(300, 0.5, seed=4)
-        assert repr(strategy_curves(corpus, seed=2, random_draws=10)) == \
-            repr(oracles.strategy_curves(corpus, seed=2, random_draws=10))
+        trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=300, p_least_effort=0.5),
+                                          seed=4)
+        assert repr(strategy_curves(decompose_corpus(trees), seed=2, random_draws=10)) == \
+            repr(oracles.strategy_curves(trees, seed=2, random_draws=10))
 
     def test_deterministic(self):
         corpus = synthetic_corpus(50, 1.0, seed=2)
@@ -152,7 +180,7 @@ class TestPairwiseDataset:
     def test_counts_and_balance(self):
         corpus = synthetic_corpus(60, 1.0, seed=11)
         dataset = build_pairwise_dataset(corpus, cap=100, seed=0)
-        expected = sum(min(math.factorial(p.k) - 1, 99) for p in corpus.plans)
+        expected = sum(min(math.factorial(e.plan.k) - 1, 99) for e in corpus.entries)
         assert len(dataset) == expected
         assert abs(dataset.labels.mean() - 0.5) <= 1 / len(dataset)
 
@@ -313,7 +341,7 @@ class TestSyntheticGenerator:
     def test_k2_all_eligible(self):
         corpus = synthetic_corpus(50, 1.0, seed=25, k_weights=((2, 1.0),))
         assert len(corpus.entries) == 50
-        assert all(p.k == 2 for p in corpus.plans)
+        assert all(e.plan.k == 2 for e in corpus.entries)
 
     def test_deterministic(self):
         spec = SyntheticSpec(n_sentences=20)
@@ -323,10 +351,11 @@ class TestSyntheticGenerator:
 
     def test_trees_are_projective_and_verb_final_suffix(self):
         from deplen.treebank import is_projective
-        corpus = synthetic_corpus(100, 0.3, seed=26)
-        for e in corpus.entries:
-            assert is_projective(e.plan.tree)
-            assert e.plan.verb_index == len(e.plan.tree)
+        trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=100, p_least_effort=0.3),
+                                          seed=26)
+        for tree in trees:
+            assert is_projective(tree)
+            assert decompose(tree).verb_index == len(tree)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from deplen import cli, treebank
 from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec, decompose_corpus,
-                             generate_synthetic_corpus)
+                             eligible_plans, generate_synthetic_corpus)
 from deplen.cli import main
 from deplen.constituency import ARC_GAP
 from deplen.features import extract_features, feature_names
@@ -153,7 +153,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.endswith(f"at byte {offset})\n")
 
-    @pytest.mark.parametrize("command", ["parse", "report-all"])
+    @pytest.mark.parametrize("command", ["parse", "variants", "report-all"])
     def test_bad_byte_past_the_first_read_is_data_error(self, tmp_path, capsys, caplog,
                                                         command):
         """The file is read one READ_SIZE block at a time; a bad byte in a
@@ -292,7 +292,7 @@ class TestStreamedCorpus:
         ineligible one is dropped with its block, and only one READ_SIZE
         block of the file is held at a time. On a 2 MB corpus in which one
         sentence in twenty is eligible, what `_decomposed` keeps (those
-        sentences' trees and plans) stays under a quarter of the file, and
+        sentences' plans) stays under a quarter of the file, and
         what it allocates beyond that under half of it. Reading the file
         whole held its bytes, its text and every tree: over 4 times it."""
         path = tmp_path / "mixed.conllu"
@@ -534,9 +534,9 @@ class TestConvention:
                 assert ca == cb and ma == mb
             elif name != "fig4_curves.csv":
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        corpus = decompose_corpus(parse_corpus(corpus.read_text())[0])
+        trees = parse_corpus(corpus.read_text())[0]
         for convention, out in outs.items():
-            curves = oracles.strategy_curves(corpus, seed=5, convention=convention)
+            curves = oracles.strategy_curves(trees, seed=5, convention=convention)
             with (out / "fig4_curves.csv").open() as f:
                 rows = list(csv.DictReader(f))
             assert len(rows) == sum(map(len, curves.values()))
@@ -546,6 +546,10 @@ class TestConvention:
 
     def test_variants_offset_by_k_and_n_minus_1(self, tmp_path):
         corpus = synth_corpus(tmp_path, sentences=12, p=0.5)
+        # a last sentence with two words after the verb, which no order moves
+        suffixed = DependencyTree([2, 4, 4, 0, 4, 5], ["a", "b", "c", "V", "d", "e"],
+                                  ["dep", "arg", "arg", "root", "obj", "dep"])
+        corpus.write_text(corpus.read_text() + "\n" + to_conllu(suffixed))
         records = {}
         for convention in ARC_GAP:
             out = tmp_path / convention
@@ -553,21 +557,23 @@ class TestConvention:
                          "--convention", convention, "--out", str(out)]) == 0
             records[convention] = [json.loads(line) for line in
                                    (out / "variants.jsonl").read_text().splitlines()]
-        plans = {e.sentence_id: e.plan
-                 for e in decompose_corpus(parse_corpus(corpus.read_text())[0]).entries}
+        sentences = {sentence_id: (tree, plan) for sentence_id, tree, plan
+                     in eligible_plans(parse_corpus(corpus.read_text())[0], {})}
         assert len(records["intervening"]) == len(records["positional"]) > 12
         for inter, pos in zip(records["intervening"], records["positional"]):
-            plan = plans[inter["sentence_id"]]
+            base, plan = sentences[inter["sentence_id"]]
             assert pos == {**inter, "main_verb_dl": inter["main_verb_dl"] + plan.k,
-                           "total_dl": inter["total_dl"] + len(plan.tree) - 1}
-            tree = linearize(plan, inter["permutation"])   # checked arc by arc
-            assert inter["tokens"] == list(tree.forms)
+                           "total_dl": inter["total_dl"] + len(base) - 1}
+            tree = linearize(base, plan, inter["permutation"])   # checked arc by arc
             verb = tree.root_index
             for convention, record in (("intervening", inter), ("positional", pos)):
+                assert record["tokens"] == list(tree.forms)
                 assert record["main_verb_dl"] == sum(
                     oracles.arc_distance(d, verb, convention)
                     for d in range(1, verb) if tree.heads[d - 1] == verb)
                 assert record["total_dl"] == oracles.total_dependency_length(tree, convention)
+        assert [r["tokens"] for r in records["positional"] if r["sentence_id"] == "s13"] == \
+            [["a", "b", "c", "V", "d", "e"], ["c", "a", "b", "V", "d", "e"]]
 
 
 class TestConfigFile:

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from deplen.constituency import (ARC_GAP, Ineligible, PlanTable, SentencePlan, arc_gap,
                                  decompose, order_dl)
 from deplen.treebank import NonProjectiveError, is_projective
-from deplen.variants import linearize, order_ascending, order_descending, order_identity
+from deplen.variants import linearize, order_ascending, order_descending
 
 import oracles
-from conftest import (FIG3_RANDOM_ORDER, eligible_plans, heads_tree, main_verb_dl,
-                      random_plans, random_tree)
+from conftest import (FIG3_RANDOM_ORDER, eligible_plans, eligible_trees, heads_tree,
+                      main_verb_dl, random_plans, random_tree)
 
 
 def assert_decompose_matches_oracle(tree):
@@ -25,10 +25,10 @@ def assert_decompose_matches_oracle(tree):
 
 
 class TestDecompose:
-    def test_fig3(self, fig3_plan):
+    def test_fig3(self, fig3_plan, fig3_tree):
         assert fig3_plan.lengths == (2, 3, 4, 1)
-        assert fig3_plan.verb_index == len(fig3_plan.tree) == 11
-        forms = fig3_plan.tree.forms
+        assert fig3_plan.verb_index == fig3_plan.words == 11
+        forms = fig3_tree.forms
         starts = list(itertools.accumulate(fig3_plan.lengths, initial=1))
         assert [forms[lo - 1:hi - 1] for lo, hi in zip(starts, starts[1:])] == \
             [("maa", "ne"), ("baajaar", "jaate", "samaye"),
@@ -61,11 +61,11 @@ class TestDecompose:
         assert_decompose_matches_oracle(random_tree(np.random.default_rng(seed), n))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(plan=eligible_plans(), data=st.data())
-    def test_matches_span_oracle_near_eligible(self, plan, data):
+    @given(tree=eligible_trees(), data=st.data())
+    def test_matches_span_oracle_near_eligible(self, tree, data):
         """Eligible trees with one head moved: arcs that cross, subtrees
         that leave a constituent and constituents that merge."""
-        heads = list(plan.tree.heads)
+        heads = list(tree.heads)
         n = len(heads)
         dependent = data.draw(st.sampled_from([i for i in range(1, n + 1) if heads[i - 1]]))
         heads[dependent - 1] = data.draw(st.integers(1, n).filter(lambda h: h != dependent))
@@ -139,7 +139,7 @@ class TestMainVerbDl:
         tree = heads_tree([2, 4, 2, 0, 4])
         # treat as one-constituent order over an artificial 1-element plan:
         # words 1..3 headed by word 2, one word after the head
-        plan = SentencePlan(tree, 4, (3,), (1,), 0)
+        plan = SentencePlan(4, (3,), (1,), 0, len(tree))
         assert main_verb_dl(plan, (0,)) == 1
 
     def test_unknown_convention(self):
@@ -152,18 +152,18 @@ class TestMainVerbDl:
 
 class TestInvariants:
     def test_reconstruction(self, fig3_plan, fig3_tree):
-        relin = linearize(fig3_plan, order_identity(fig3_plan))
-        assert relin == fig3_tree
+        assert linearize(fig3_tree, fig3_plan, tuple(range(fig3_plan.k))) == fig3_tree
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(plan=eligible_plans(), convention=st.sampled_from(list(ARC_GAP)),
+    @given(base=eligible_trees(), convention=st.sampled_from(list(ARC_GAP)),
            data=st.data())
-    def test_total_minus_main_verb_constant(self, plan, convention, data):
+    def test_total_minus_main_verb_constant(self, base, convention, data):
         """order_dl against the rebuilt tree, arc by arc: only the k
         head-to-verb arcs move, so total - main-verb DL is the plan's own
         `fixed_dl`. The positional convention is 1 more per arc."""
+        plan = decompose(base)
         order = data.draw(st.permutations(range(plan.k)))
-        tree = linearize(plan, order)
+        tree = linearize(base, plan, order)
         verb = tree.root_index
         arcs = [oracles.arc_distance(i, verb, convention) for i in range(1, verb)
                 if tree.heads[i - 1] == verb]
@@ -172,8 +172,8 @@ class TestInvariants:
         assert [dl + gap for dl in dls] == arcs
         assert total + gap * (len(tree) - 1) == oracles.total_dependency_length(tree, convention)
         assert (total - sum(dls) == plan.fixed_dl
-                == oracles.total_dependency_length(plan.tree)
-                - main_verb_dl(plan, order_identity(plan)))
+                == oracles.total_dependency_length(base)
+                - main_verb_dl(plan, tuple(range(plan.k))))
 
     def test_closed_form_on_1000_random_plans(self):
         rng = np.random.default_rng(7)

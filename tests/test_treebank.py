@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deplen import treebank
-from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree,
-                             NonProjectiveError, is_projective, parse_corpus,
-                             strip_punct, subtree_yield, to_conllu, to_tsv)
+from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree, is_projective,
+                             parse_corpus, subtree_spans, to_conllu)
 
-from conftest import heads_tree, random_tree
+from conftest import heads_tree, random_tree, to_tsv
 
 CONLLU_FIG3 = """\
 # sent_id = fig3a
@@ -188,19 +187,18 @@ class TestStructure:
         assert not is_projective(tree)
 
     def test_subtree_yields(self, fig3_tree):
-        assert subtree_yield(fig3_tree, 8) == (6, 9)   # rote hue bacche ko
-        assert subtree_yield(fig3_tree, 10) == (10, 10)
-        assert subtree_yield(fig3_tree, 11) == (1, 11)
+        spans = subtree_spans(fig3_tree)
+        assert spans[8] == (6, 9)   # rote hue bacche ko
+        assert spans[10] == (10, 10)
+        assert spans[11] == (1, 11)
 
-    def test_subtree_yield_nonprojective_rejected(self):
-        tree = heads_tree([3, 4, 0, 3])
-        with pytest.raises(NonProjectiveError):
-            subtree_yield(tree, 3)
+    def test_nonprojective_tree_has_no_spans(self):
+        assert subtree_spans(heads_tree([3, 4, 0, 3])) is None
 
 
 def brute_force_projective(tree) -> bool:
     """O(n^2) pairwise arc-interleaving check, root arc included."""
-    arcs = [(min(h, d), max(h, d)) for h, d in tree.arcs()]
+    arcs = [(min(h, d), max(h, d)) for d, h in enumerate(tree.heads, start=1) if h]
     arcs.append((0, tree.root_index))
     for i, (a, b) in enumerate(arcs):
         for c, d in arcs[i + 1:]:
@@ -225,8 +223,9 @@ def test_yield_members_pass_through_head():
         tree = random_tree(rng, int(rng.integers(2, 10)))
         if not is_projective(tree):
             continue
+        spans = subtree_spans(tree)
         for h in range(1, len(tree) + 1):
-            lo, hi = subtree_yield(tree, h)
+            lo, hi = spans[h]
             for pos in range(lo, hi + 1):
                 path, cur = [], pos
                 while cur != 0:
@@ -290,11 +289,16 @@ def test_columns_of_unequal_length_rejected():
         DependencyTree([2, 0], ["a", "b"], ["dep"])
 
 
+def stripped(tree) -> DependencyTree:
+    """The tree parsed back with `exclude_punct`."""
+    (tree,), _ = parse_corpus(to_conllu(tree), exclude_punct=True)
+    return tree
+
+
 def test_strip_punct():
-    tree = DependencyTree([2, 0, 2], ["hi", "there", "."], ["dep", "root", "punct"])
-    stripped = strip_punct(tree)
-    assert stripped.forms == ("hi", "there")
-    assert stripped.root_index == 2
+    tree = stripped(DependencyTree([2, 0, 2], ["hi", "there", "."], ["dep", "root", "punct"]))
+    assert tree.forms == ("hi", "there")
+    assert tree.root_index == 2
 
 
 def _strip_punct_by_token_list(tree, deprels=PUNCT_DEPRELS):
@@ -325,12 +329,12 @@ def test_strip_punct_matches_token_list(seed, n, data):
     rels = data.draw(st.lists(st.sampled_from(["punct", "rsym", "SYM", "dep"]),
                               min_size=n, max_size=n))
     tree = DependencyTree(base.heads, base.forms, rels)
-    stripped = strip_punct(tree)
-    assert stripped == _strip_punct_by_token_list(tree)
-    has_dep = set(stripped.heads)
+    got = stripped(tree)
+    assert got == _strip_punct_by_token_list(tree)
+    has_dep = set(got.heads)
     assert all(rel not in PUNCT_DEPRELS or i in has_dep or head == 0
-               for i, (head, rel) in enumerate(zip(stripped.heads, stripped.deprels), 1))
-    kept = [int(form[1:]) for form in stripped.forms]   # forms are w1..wn
+               for i, (head, rel) in enumerate(zip(got.heads, got.deprels), 1))
+    kept = [int(form[1:]) for form in got.forms]   # forms are w1..wn
     assert kept == sorted(kept)
 
 
@@ -373,12 +377,12 @@ MALFORMED_LINES = ["garbage", "1\ta\tb", "x\ty\t0\troot", "   ", "# note",
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(format=st.sampled_from(sorted(FORMATS)), data=st.data(),
        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-def test_exclude_punct_matches_strip_punct(format, data, seeds):
+def test_exclude_punct_matches_token_list(format, data, seeds):
     """Random trees with punctuation deprels, some with one head moved
     anywhere in -1..n+1, some with a cycle through punctuation tokens, some
     with a punctuation leaf whose head is n + 1, and some with a malformed
     line: stripping on the columns gives the trees and diagnostics of
-    parsing, then `strip_punct`."""
+    parsing, then stripping each tree's token list."""
     blocks = []
     for seed in seeds:
         tree = random_tree(np.random.default_rng(seed), data.draw(st.integers(1, 10)))
@@ -407,8 +411,7 @@ def test_exclude_punct_matches_strip_punct(format, data, seeds):
     text = "\n\n".join(blocks) + "\n"
     trees, diagnostics = parse_corpus(text, format)
     assert parse_corpus(text, format, exclude_punct=True) == \
-        ([strip_punct(t) for t in trees], diagnostics)
-    assert [strip_punct(t) for t in trees] == [_strip_punct_by_token_list(t) for t in trees]
+        ([_strip_punct_by_token_list(t) for t in trees], diagnostics)
 
 
 def test_parse_transient_memory_is_small():
