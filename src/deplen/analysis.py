@@ -12,7 +12,7 @@ import numpy as np
 from . import constituency, features, stats, variants
 from .constituency import Ineligible, SentencePlan, decompose
 from .seeding import derive_rng
-from .treebank import DependencyTree, NonProjectiveError
+from .treebank import DependencyTree
 
 __all__ = [
     "CorpusEntry",
@@ -44,7 +44,6 @@ TABLE4_ROWS = [
     ("last preverbal constituent length", ["len_last"]),
     ("last + 2nd last preverbal constituent length", ["len_last", "len_2ndlast"]),
 ]
-SCALAR_FEATURES = ["total_dl", "dl_2ndlast", "dl_last", "len_2ndlast", "len_last"]
 
 
 class InsufficientDataError(ValueError):
@@ -65,15 +64,12 @@ class DecomposedCorpus:
 
 
 def eligible_plans(trees, skipped: dict):
-    """Yield (sentence_id, tree, plan) for every projective, eligible tree,
-    and count the rest by reason in `skipped`. The i-th tree (from 1) has
+    """Yield (sentence_id, tree, plan) for every eligible tree, and count
+    the rest by `decompose`'s reason in `skipped`. The i-th tree (from 1) has
     sentence id `s{i}`. `trees` may be any iterable, a generator of trees as
     they are parsed included; it is consumed once."""
     for i, tree in enumerate(trees, start=1):
-        try:
-            plan = decompose(tree)
-        except NonProjectiveError:
-            plan = Ineligible("non-projective")
+        plan = decompose(tree)
         if isinstance(plan, Ineligible):
             skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
         else:
@@ -214,11 +210,6 @@ class PairwiseDataset:
         """1 on the even rows (reference minus variant), 0 on the odd."""
         return (np.arange(len(self)) % 2 == 0).astype(int)
 
-    def scalar_matrix(self) -> np.ndarray:
-        """Columns SCALAR_FEATURES."""
-        return np.column_stack([self.total_dl, self.dl[:, -2], self.dl[:, -1],
-                                self.length[:, -2], self.length[:, -1]]).astype(float)
-
     def positional_matrix(self, k: int, family: str):
         """(X, y) for the exactly-k subset; family 'deplen' or 'length'."""
         if family not in ("deplen", "length"):
@@ -259,9 +250,9 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     stop = 0
     for e, count in zip(entries, counts):
         plan, k = e.plan, e.plan.k
-        vset = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
+        orders = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
         rows = np.array([features.extract_features(plan, order)
-                         for order in (vset.reference_order, *vset.sampled_variants)])
+                         for order in (tuple(range(k)), *orders)])
         delta = rows[0] - rows[1:]
         start, stop = stop, stop + count
         total_dl[start:stop] = delta[:, 0]
@@ -291,14 +282,15 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
     if len(dataset) < folds:
         raise InsufficientDataError(
             f"insufficient data: {len(dataset)} pairs for {folds} folds")
-    scalars = dataset.scalar_matrix()
     y = dataset.labels
-    col = {name: j for j, name in enumerate(SCALAR_FEATURES)}
+    column = {"total_dl": dataset.total_dl,
+              "dl_2ndlast": dataset.dl[:, -2], "dl_last": dataset.dl[:, -1],
+              "len_2ndlast": dataset.length[:, -2], "len_last": dataset.length[:, -1]}
     rows = []
     for table, specs in (("table3", TABLE3_ROWS), ("table4", TABLE4_ROWS)):
         prev_pred = None
         for name, predictors in specs:
-            X = scalars[:, [col[p] for p in predictors]]
+            X = np.column_stack([column[p] for p in predictors]).astype(float)
             try:
                 report = stats.crossval_accuracy(X, y, folds=folds, seed=seed,
                                                  zscore_mode=zscore_mode)

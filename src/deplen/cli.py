@@ -94,7 +94,8 @@ def _config_defaults(path: Path, subparser) -> dict:
         raise DataError(f"config file not found: {path}")
     defaults = vars(subparser.parse_args([]))
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    text = "".join(_read_text(path, "config file"))
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -141,18 +142,20 @@ def _parse_args(parser, argv):
     return args
 
 
-def _corpus_text(path: Path, digest):
-    """The file's text as it is read, one READ_SIZE block of bytes at a
-    time: each block goes into `digest` and an incremental UTF-8 decoder,
-    and a leading byte-order mark is removed. A decode error names its
-    offset in the file, the mark's 3 bytes included."""
+def _read_text(path: Path, kind: str, digest=None):
+    """The text of the `kind` file as it is read, one READ_SIZE block of
+    bytes at a time: each block goes into `digest`, if given, and an
+    incremental UTF-8 decoder, and a leading byte-order mark is removed. A
+    decode error names its offset in the file, the mark's 3 bytes
+    included; it and a failed read are one-line DataErrors."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     read, started = 0, False
     try:
         with path.open("rb") as f:
             while True:
                 block = f.read(READ_SIZE)
-                digest.update(block)
+                if digest is not None:
+                    digest.update(block)
                 held = len(decoder.getstate()[0])   # bytes of a split character
                 try:
                     text = decoder.decode(block, final=not block)
@@ -166,7 +169,7 @@ def _corpus_text(path: Path, digest):
                 if not block:
                     return
     except OSError as e:
-        raise DataError(f"cannot read corpus {path}: {e.strerror}")
+        raise DataError(f"cannot read {kind} {path}: {e.strerror}")
 
 
 def _corpus_trees(args):
@@ -179,7 +182,7 @@ def _corpus_trees(args):
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
     digest, diagnostics = hashlib.sha256(), []
-    trees = treebank.iter_trees(_corpus_text(path, digest), diagnostics,
+    trees = treebank.iter_trees(_read_text(path, "corpus", digest), diagnostics,
                                 args.format, args.exclude_punct)
     return trees, diagnostics, digest
 
@@ -279,9 +282,9 @@ def cmd_variants(args):
     gap = constituency.arc_gap(args.convention)
     with (out / "variants.jsonl").open("w") as f:
         for sentence_id, tree, plan in sentences:
-            vset = variants.generate_variants(
+            orders = variants.generate_variants(
                 plan, args.cap, derive_rng(args.seed, sentence_id, "variants"))
-            for order in (vset.reference_order,) + vset.sampled_variants:
+            for order in (tuple(range(plan.k)), *orders):
                 dls, total = constituency.order_dl(plan, order)
                 record = {
                     "sentence_id": sentence_id,

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .treebank import DependencyTree, NonProjectiveError, is_projective, subtree_spans
+from .treebank import DependencyTree, is_projective, subtree_spans
 
 __all__ = [
     "SentencePlan",
@@ -99,7 +99,9 @@ class PlanTable:
 
 
 def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
-    """Split a projective tree into preverbal constituents + frozen suffix.
+    """Split a projective tree into preverbal constituents + frozen suffix,
+    or name why the tree has no such split: non-projective, no preverbal
+    constituents, or fewer than 2 of them.
 
     Preverbal constituents are the yields of root children before the root,
     left to right. Root children after the root (auxiliaries, complement
@@ -111,7 +113,7 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     at least 2 of them has its yields computed.
     """
     if not is_projective(tree):
-        raise NonProjectiveError("decompose requires a projective tree")
+        return Ineligible("non-projective")
     verb = tree.root_index
     heads = [i for i, h in enumerate(tree.heads[:verb - 1], start=1) if h == verb]
     if not heads:

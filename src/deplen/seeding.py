@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_rng", "as_rng"]
+__all__ = ["derive_rng"]
 
 
 def derive_rng(seed: int, *keys) -> np.random.Generator:
@@ -24,8 +24,3 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
     # pads them with zeros to four, so these words seed the same stream as
     # int.from_bytes(digest[:16], "little"), without the conversion.
     return np.random.Generator(np.random.PCG64(np.frombuffer(digest[:16], dtype="<u4")))
-
-
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Accept an int seed, a Generator, or None (fresh entropy)."""
-    return np.random.default_rng(seed_or_rng)

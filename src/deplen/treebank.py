@@ -12,22 +12,13 @@ from typing import Iterable, Iterator, Optional
 __all__ = [
     "DependencyTree",
     "Diagnostic",
-    "parse_corpus",
     "iter_trees",
     "to_conllu",
     "subtree_spans",
     "is_projective",
-    "NonProjectiveError",
 ]
 
 PUNCT_DEPRELS = frozenset({"punct", "rsym", "SYM"})
-# Characters of a text that `parse_corpus` hands the parser at a time, so
-# the whole text is never held as lines.
-LINE_CHUNK = 64 * 1024
-
-
-class NonProjectiveError(ValueError):
-    """Raised when an operation requiring projectivity gets a non-projective tree."""
 
 
 @dataclass(frozen=True)
@@ -141,15 +132,6 @@ def _iter_blocks(pieces):
             block.append(line)
     if block:
         yield start, block
-
-
-def parse_corpus(text: str, format: str = "conllu", exclude_punct: bool = False):
-    """Parse a corpus from its text: (trees, diagnostics), the lists of what
-    `iter_trees` yields and records, the text fed to it LINE_CHUNK
-    characters at a time."""
-    diagnostics = []
-    pieces = (text[i:i + LINE_CHUNK] for i in range(0, len(text), LINE_CHUNK))
-    return list(iter_trees(pieces, diagnostics, format, exclude_punct)), diagnostics
 
 
 def iter_trees(pieces: Iterable[str], diagnostics: list, format: str = "conllu",

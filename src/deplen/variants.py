@@ -9,16 +9,13 @@ happen to produce the same string are distinct variants.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constituency import SentencePlan
-from .seeding import as_rng
 from .treebank import DependencyTree
 
 __all__ = [
-    "VariantSet",
     "generate_variants",
     "order_ascending",
     "order_descending",
@@ -30,16 +27,11 @@ __all__ = [
 DEFAULT_CAP = 100
 
 
-@dataclass(frozen=True)
-class VariantSet:
-    reference_order: tuple
-    sampled_variants: tuple   # pairwise distinct, never contains the reference
-
-
-def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP,
-                      seed=None) -> VariantSet:
-    """All non-reference permutations when k! <= cap, else cap-1 distinct
-    permutations sampled uniformly without replacement.
+def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP, seed=None) -> tuple:
+    """The variant orders: all non-reference permutations when k! <= cap,
+    else cap-1 distinct ones sampled uniformly without replacement. The
+    reference order, `tuple(range(k))`, is never among them. `seed` is
+    anything `np.random.default_rng` takes, a Generator included.
 
     Sampling draws blocks of 2*cap rows, each shuffled by the same
     Fisher-Yates draws as one `rng.permutation(k)` call, and keeps the first
@@ -51,19 +43,15 @@ def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP,
     k = plan.k
     if k < 2:
         raise ValueError("plan has fewer than 2 preverbal constituents")
-    reference = tuple(range(k))
-    if math.factorial(k) <= cap:
-        variants = tuple(p for p in itertools.permutations(range(k))
-                         if p != reference)
-    else:
-        rng = as_rng(seed)
-        rows = np.tile(np.arange(k), (2 * cap, 1))
-        distinct = dict.fromkeys([reference])   # keys keep draw order
-        while len(distinct) < cap:
-            block = rng.permuted(rows, axis=1).tolist()
-            distinct.update(dict.fromkeys(map(tuple, block)))
-        variants = tuple(itertools.islice(distinct, 1, cap))
-    return VariantSet(reference, variants)
+    if math.factorial(k) <= cap:   # the reference comes first
+        return tuple(itertools.permutations(range(k)))[1:]
+    rng = np.random.default_rng(seed)
+    rows = np.tile(np.arange(k), (2 * cap, 1))
+    distinct = dict.fromkeys([tuple(range(k))])   # keys keep draw order
+    while len(distinct) < cap:
+        block = rng.permuted(rows, axis=1).tolist()
+        distinct.update(dict.fromkeys(map(tuple, block)))
+    return tuple(itertools.islice(distinct, 1, cap))
 
 
 def order_ascending(plan: SentencePlan) -> tuple:
@@ -77,8 +65,7 @@ def order_descending(plan: SentencePlan) -> tuple:
 
 
 def order_random(plan: SentencePlan, seed=None) -> tuple:
-    rng = as_rng(seed)
-    return tuple(int(i) for i in rng.permutation(plan.k))
+    return tuple(int(i) for i in np.random.default_rng(seed).permutation(plan.k))
 
 
 def least_effort_move(plan: SentencePlan, order) -> tuple:

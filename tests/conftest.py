@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from deplen.treebank import DependencyTree
+from deplen.treebank import DependencyTree, iter_trees
 from deplen.constituency import SentencePlan, decompose, order_dl
 from deplen.analysis import SyntheticSpec, generate_synthetic_corpus
 
@@ -69,6 +69,13 @@ def to_tsv(tree: DependencyTree) -> str:
     """The tree as a block of the 4-column TSV format."""
     return "".join(f"{i}\t{form}\t{head}\t{rel}\n" for i, (head, form, rel)
                    in enumerate(zip(tree.heads, tree.forms, tree.deprels), start=1))
+
+
+def parse_text(text: str, format: str = "conllu", exclude_punct: bool = False):
+    """(trees, diagnostics): the lists of what `iter_trees` yields and
+    records for the text as one piece."""
+    diagnostics = []
+    return list(iter_trees([text], diagnostics, format, exclude_punct)), diagnostics
 
 
 @st.composite

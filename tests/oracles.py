@@ -11,7 +11,7 @@ from deplen.analysis import STRATEGIES, PairwiseDataset
 from deplen.constituency import Ineligible, SentencePlan
 from deplen.seeding import derive_rng
 from deplen.stats import _sigmoid
-from deplen.treebank import NonProjectiveError, subtree_spans
+from deplen.treebank import subtree_spans
 
 
 def arc_distance(a: int, b: int, convention: str = "intervening") -> int:
@@ -47,10 +47,7 @@ def strategy_curves(trees, seed=0, random_draws=10, k_range=(2, 6),
     sums = {s: {} for s in STRATEGIES}
     counts = {}
     for i, tree in enumerate(trees, start=1):
-        try:
-            plan = decompose(tree)
-        except NonProjectiveError:
-            continue
+        plan = decompose(tree)
         if isinstance(plan, Ineligible) or not k_range[0] <= plan.k <= k_range[1]:
             continue
         k, n = plan.k, len(tree)
@@ -82,7 +79,7 @@ def decompose(tree):
     `fixed_dl` is the arc-by-arc total less the k head-to-verb arcs."""
     spans = subtree_spans(tree)
     if spans is None:
-        raise NonProjectiveError("decompose requires a projective tree")
+        return Ineligible("non-projective")
     verb = tree.root_index
     heads = [i for i in range(1, verb) if tree.heads[i - 1] == verb]
     if not heads:
@@ -102,9 +99,9 @@ def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0):
     blocks = [np.zeros((0, 1 + 2 * width), dtype=np.int64)]
     for e in corpus.entries:
         plan, k = e.plan, e.plan.k
-        vset = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
+        orders = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
         rows = np.array([features.extract_features(plan, order)
-                         for order in (vset.reference_order, *vset.sampled_variants)])
+                         for order in (tuple(range(k)), *orders)])
         block = np.zeros((len(rows) - 1, 1 + 2 * width), dtype=np.int64)
         block[:, np.r_[0, 1 + width - k:1 + width, 1 + 2 * width - k:1 + 2 * width]] = \
             rows[0] - rows[1:]

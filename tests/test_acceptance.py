@@ -113,10 +113,10 @@ def test_criterion_5_pairwise_transform():
     entry = corpus.entries[0]
     twice = DecomposedCorpus([entry] * 2)
     pair = build_pairwise_dataset(twice, cap=2, seed=6)
-    vset = generate_variants(entry.plan, 2, derive_rng(6, entry.sentence_id, "variants"))
-    delta = np.subtract(extract_features(entry.plan, vset.reference_order),
-                        extract_features(entry.plan, vset.sampled_variants[0]))
     k = entry.plan.k
+    (variant,) = generate_variants(entry.plan, 2, derive_rng(6, entry.sentence_id, "variants"))
+    delta = np.subtract(extract_features(entry.plan, tuple(range(k))),
+                        extract_features(entry.plan, variant))
     assert pair.total_dl.tolist() == [delta[0], -delta[0]]
     assert np.array_equal(pair.dl[0, -k:], delta[1:1 + k])
     assert np.array_equal(pair.length[0, -k:], delta[1 + k:])
@@ -209,10 +209,11 @@ def test_criterion_8_end_to_end_synthetic():
     last_acc = acc["last preverbal constituent's deplen"]
     assert last_acc > total_acc
 
-    scalars = dataset.scalar_matrix()
     y = dataset.labels
-    pred_total = crossval_accuracy(scalars[:, [0]], y, folds=10, seed=9).predictions
-    pred_last = crossval_accuracy(scalars[:, [2]], y, folds=10, seed=9).predictions
+    pred_total = crossval_accuracy(dataset.total_dl[:, None].astype(float), y,
+                                   folds=10, seed=9).predictions
+    pred_last = crossval_accuracy(dataset.dl[:, -1:].astype(float), y,
+                                  folds=10, seed=9).predictions
     res = mcnemar(pred_total, pred_last, y)
     assert res.p_two_tailed < 0.001
 
@@ -226,11 +227,10 @@ def test_criterion_8_end_to_end_synthetic():
 @pytest.mark.skipif("DEPLEN_HUTB" not in os.environ,
                     reason="set DEPLEN_HUTB to a licensed treebank export")
 def test_criterion_9_hutb_replication():
-    from deplen.treebank import parse_corpus
+    from deplen.treebank import iter_trees
 
     with open(os.environ["DEPLEN_HUTB"], encoding="utf-8") as f:
-        trees, _ = parse_corpus(f.read(), "conllu")
-    corpus = decompose_corpus(trees)
+        corpus = decompose_corpus(iter_trees(f, []))
     n_ref = len(corpus.entries)
     assert abs(n_ref - 7586) <= 0.01 * 7586
 

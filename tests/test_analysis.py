@@ -16,11 +16,11 @@ from deplen.analysis import (CorpusEntry, DecomposedCorpus, InsufficientDataErro
 from deplen.constituency import ARC_GAP, decompose
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
-from deplen.treebank import DependencyTree, iter_trees, parse_corpus, to_conllu
+from deplen.treebank import DependencyTree, iter_trees, to_conllu
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import eligible_plans, eligible_trees, heads_tree, random_plans
+from conftest import eligible_plans, eligible_trees, heads_tree, parse_text, random_plans
 
 
 def synthetic_corpus(n, p_least_effort, seed, **kw):
@@ -79,7 +79,7 @@ class TestDecomposeCorpus:
         text = synthetic_conllu(800, seed=1)
         tracemalloc.start()
         try:
-            trees = parse_corpus(text)[0]   # trees that share no strings with the text
+            trees = parse_text(text)[0]   # trees that share no strings with the text
             size = tracemalloc.get_traced_memory()[0]
             corpus = decompose_corpus(trees)
             retained = tracemalloc.get_traced_memory()[0] - size
@@ -184,25 +184,24 @@ class TestPairwiseDataset:
         assert len(dataset) == expected
         assert abs(dataset.labels.mean() - 0.5) <= 1 / len(dataset)
 
-    def test_scalar_matrix_layout(self):
+    def test_column_layout(self):
         corpus = synthetic_corpus(10, 1.0, seed=13)
         dataset = build_pairwise_dataset(corpus, cap=24, seed=0)
-        scalars = dataset.scalar_matrix()
         entry = corpus.entries[0]
         k = entry.plan.k
-        vset = generate_variants(entry.plan, 24, derive_rng(0, entry.sentence_id, "variants"))
-        delta = np.subtract(extract_features(entry.plan, vset.reference_order),
-                            extract_features(entry.plan, vset.sampled_variants[0]))
+        variant = generate_variants(entry.plan, 24, derive_rng(0, entry.sentence_id, "variants"))[0]
+        delta = np.subtract(extract_features(entry.plan, tuple(range(k))),
+                            extract_features(entry.plan, variant))
         # total_dl, dl_2ndlast, dl_last, len_2ndlast, len_last
-        assert scalars[0].tolist() == [delta[0], delta[k - 1], delta[k],
-                                       delta[2 * k - 1], delta[2 * k]]
+        assert [dataset.total_dl[0], *dataset.dl[0, -2:], *dataset.length[0, -2:]] == \
+            [delta[0], delta[k - 1], delta[k], delta[2 * k - 1], delta[2 * k]]
         width = dataset.dl.shape[1]
         for k in set(dataset.ks.tolist()):
             rows = dataset.ks == k
-            for family, col in (("deplen", 2), ("length", 4)):
+            for family, cols in (("deplen", dataset.dl), ("length", dataset.length)):
                 X, y = dataset.positional_matrix(k, family)
                 assert X.shape == (rows.sum(), k)
-                assert np.array_equal(X[:, -1], scalars[rows, col])
+                assert np.array_equal(X[:, -1], cols[rows, -1])
                 assert np.array_equal(y, dataset.labels[rows])
             assert not dataset.dl[rows, :width - k].any()
             assert not dataset.length[rows, :width - k].any()

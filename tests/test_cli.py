@@ -1,7 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import importlib
+import inspect
+import io
 import json
 import logging
+import math
+import pkgutil
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,18 +16,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deplen import cli, treebank
+import deplen
+from deplen import cli, features, seeding, treebank, variants
 from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec, decompose_corpus,
                              eligible_plans, generate_synthetic_corpus)
 from deplen.cli import main
 from deplen.constituency import ARC_GAP
 from deplen.features import extract_features, feature_names
 from deplen.seeding import derive_rng
-from deplen.treebank import DependencyTree, parse_corpus, to_conllu
+from deplen.treebank import DependencyTree, to_conllu
 from deplen.variants import generate_variants, linearize
 
 import oracles
-from conftest import random_tree
+from conftest import parse_text, random_tree
 from test_treebank import CONLLU_FIG3, LINE_ALPHABET
 
 SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
@@ -190,8 +198,8 @@ class TestParse:
         out = tmp_path / "run"
         assert main(["parse", "--corpus", str(corpus), "--out", str(out)]) == 0
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
-        trees, _ = parse_corpus((out / "parsed.conllu").read_text())
-        assert trees == parse_corpus(CONLLU_FIG3)[0]
+        trees, _ = parse_text((out / "parsed.conllu").read_text())
+        assert trees == parse_text(CONLLU_FIG3)[0]
         assert (out / "diagnostics.csv").read_text().splitlines() == ["line,reason"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["corpus_sha256"] == hashlib.sha256(raw).hexdigest()
@@ -202,7 +210,7 @@ class TestParse:
         out = tmp_path / "run"
         assert main(["parse", "--corpus", str(corpus), "--format", "tsv",
                      "--exclude-punct", "--out", str(out)]) == 0
-        (tree,), _ = parse_corpus((out / "parsed.conllu").read_text())
+        (tree,), _ = parse_text((out / "parsed.conllu").read_text())
         assert tree.forms == ("hi", "there")
 
     def test_input_not_mutated(self, corpus_file, tmp_path):
@@ -243,7 +251,8 @@ def test_streamed_reader_matches_whole_file_decode(tmp_path_factory, pieces, dat
     digest = hashlib.sha256()
     with mock.patch.object(cli, "READ_SIZE", read_size):
         try:
-            got = [line for _, line in treebank._iter_lines(cli._corpus_text(path, digest))]
+            text = cli._read_text(path, "corpus", digest)
+            got = [line for _, line in treebank._iter_lines(text)]
         except cli.DataError as e:
             got = str(e)
     assert got == want
@@ -264,7 +273,7 @@ class TestStreamedCorpus:
         path.write_text(text)
         with mock.patch.object(cli, "READ_SIZE", read_size):
             corpus, diagnostics, corpus_hash = cli._decomposed(_decompose_args(path, *flags))
-        trees, want_diagnostics = parse_corpus(text[1:], exclude_punct=bool(flags))
+        trees, want_diagnostics = parse_text(text[1:], exclude_punct=bool(flags))
         want = decompose_corpus(trees)
         assert corpus.entries and diagnostics
         assert corpus.entries == want.entries and corpus.skipped == want.skipped
@@ -280,7 +289,7 @@ class TestStreamedCorpus:
             assert main(["decompose", "--corpus", str(path), "--exclude-punct",
                          "--out", str(tmp_path / "o")]) == 0
         messages = [r.getMessage() for r in caplog.records]
-        _, diagnostics = parse_corpus(text, exclude_punct=True)
+        _, diagnostics = parse_text(text, exclude_punct=True)
         warnings = [f"line {d.line}: {d.reason} (block skipped)" for d in diagnostics]
         assert len(warnings) == 4 and [d.line for d in diagnostics] == \
             sorted(d.line for d in diagnostics)
@@ -349,13 +358,12 @@ class TestFeatures:
         out = tmp_path / "run"
         assert main(["features", "--corpus", str(corpus), "--seed", "4",
                      "--cap", "30", "--out", str(out)]) == 0
-        trees, _ = parse_corpus(corpus.read_text())
+        trees, _ = parse_text(corpus.read_text())
         entries = decompose_corpus(trees).entries
         expected, ordinal = {}, 0      # k -> rows in corpus order
         for e in entries:
-            vset = generate_variants(e.plan, 30, derive_rng(4, e.sentence_id, "variants"))
-            ref = extract_features(e.plan, vset.reference_order)
-            for order in vset.sampled_variants:
+            ref = extract_features(e.plan, tuple(range(e.plan.k)))
+            for order in generate_variants(e.plan, 30, derive_rng(4, e.sentence_id, "variants")):
                 sign = 1 if ordinal % 2 == 0 else -1
                 delta = [sign * (r - v) for r, v in
                          zip(ref, extract_features(e.plan, order))]
@@ -511,6 +519,157 @@ class TestDegenerateCorpora:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# A small corpus of k 2-6 sentences, and a config file of the options that
+# report-all reads, for the mutations below.
+ROBUST_CORPUS = "".join(to_conllu(t, f"r{i}") + "\n" for i, t in enumerate(
+    generate_synthetic_corpus(SyntheticSpec(n_sentences=12), seed=2)))
+ROBUST_CONFIG = ("# report settings\nseed=3\ncap=20\nrandom-draws=2\nk-min=2\nk-max=6\n"
+                 "zscore=fold\nformat=conllu\nexclude-punct=no\nconvention=intervening\n")
+FIELD_VALUES = ["_", "-1", "999", "1.1", "nan"]
+REPORT_PRODUCTS = {"diagnostics.csv", "fig1_counts.csv", "fig2_profile.csv",
+                   "fig4_curves.csv", "table1_regression.json", "table2_regression.json",
+                   "table3_accuracy.csv", "table4_accuracy.csv", "manifest.json"}
+
+
+@st.composite
+def mutated(draw, text: str, sep: str) -> bytes:
+    """`text` after 1-3 line mutations, each a field (split at `sep`) set
+    to one of FIELD_VALUES, or a line deleted, duplicated or truncated; then
+    perhaps a byte-order mark, "\r\n" endings, and one invalid byte."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["field", "delete", "duplicate", "truncate"]))
+        if kind == "field":
+            fields = lines[i].split(sep)
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_VALUES))
+            lines[i] = sep.join(fields)
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    text = "\n".join(lines)
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    raw = b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(BAD_PIECES)) + raw[at:]
+    return raw
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError):   # not a number
+        return True
+
+
+def _assert_run_outcome(command, code, err, out, usage_error_allowed=False):
+    """Exit 0 with every product, finite values and one diagnostics row per
+    block skipped; or exit 2 (or 1 for a config value out of its bounds)
+    with one message line, no traceback and no product."""
+    assert "Traceback" not in err
+    if code == 0:
+        products = {"parsed.conllu", "diagnostics.csv", "manifest.json"} \
+            if command == "parse" else REPORT_PRODUCTS
+        assert {p.name for p in out.iterdir()} == products
+        for path in out.glob("*.csv"):
+            with path.open() as f:
+                assert all(_finite(cell) for row in csv.reader(f) for cell in row), path.name
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=pytest.fail)   # NaN, Infinity
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = len((out / "diagnostics.csv").read_text().splitlines()) - 1
+        assert manifest["skipped_blocks" if command == "parse" else "parse_diagnostics"] == rows
+        return
+    if code == 1 and usage_error_allowed:
+        assert re.match(r"error: argument --[a-z-]+: must be ", err)
+    else:
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+class TestRobustInputs:
+    """Mutated corpora and config files never end in a traceback, a partial
+    report or a NaN."""
+
+    @staticmethod
+    def run(tmp, corpus: bytes, config: bytes = None) -> dict:
+        (tmp / "c.conllu").write_bytes(corpus)
+        flags = ["--corpus", str(tmp / "c.conllu")]
+        if config is not None:
+            (tmp / "run.cfg").write_bytes(config)
+            flags += ["--config", str(tmp / "run.cfg")]
+        outcomes = {}
+        for command, extra in (("parse", []), ("report-all", ["--folds", "2"])):
+            out, err = tmp / command, io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, *flags, *extra, "--out", str(out)])
+            outcomes[command] = code, err.getvalue(), out
+        return outcomes
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(corpus=mutated(ROBUST_CORPUS, "\t"))
+    def test_mutated_corpus(self, tmp_path_factory, corpus):
+        outcomes = self.run(tmp_path_factory.mktemp("corpus"), corpus)
+        for command, (code, err, out) in outcomes.items():
+            _assert_run_outcome(command, code, err, out)
+        (parsed, _, a), (reported, _, b) = outcomes.values()
+        if parsed == reported == 0:
+            assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(config=mutated(ROBUST_CONFIG, "="))
+    def test_mutated_config(self, tmp_path_factory, config):
+        outcomes = self.run(tmp_path_factory.mktemp("config"),
+                            ROBUST_CORPUS.encode("utf-8"), config)
+        for command, (code, err, out) in outcomes.items():
+            _assert_run_outcome(command, code, err, out, usage_error_allowed=True)
+
+
+class TestTracedCounts:
+    """The call counts that the benchmark's traced run checks in closed form
+    (`checks.trace_counts` in perfbench/), counted as its tracer counts
+    them: each function wrapped in every deplen module that holds it, by
+    name or as a module attribute."""
+
+    def test_report_all_call_counts(self, tmp_path, monkeypatch):
+        trees = [*generate_synthetic_corpus(SyntheticSpec(n_sentences=12), seed=5),
+                 # k = 7 is outside the curves' k range, and 7! > cap
+                 *generate_synthetic_corpus(SyntheticSpec(n_sentences=1,
+                                                          k_weights=((7, 1.0),)), seed=5),
+                 DependencyTree([3, 4, 0, 3], list("abcd"), ["dep"] * 4)]
+        corpus = tmp_path / "c.conllu"
+        corpus.write_text("\n".join(map(to_conllu, trees)))
+        ks = [plan.k for _, _, plan in eligible_plans(trees, {})]
+        cap, draws = 30, 3
+        assert len(ks) == len(trees) - 1 and set(ks) == {2, 3, 4, 5, 6, 7}
+
+        calls = {fn: 0 for fn in (features.extract_features, variants.generate_variants,
+                                  seeding.derive_rng)}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for info in pkgutil.iter_modules(deplen.__path__):
+            module = importlib.import_module(f"deplen.{info.name}")
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in calls:
+                    monkeypatch.setattr(module, attr, counted(value))
+        assert main(["report-all", "--corpus", str(corpus), "--cap", str(cap), "--folds", "2",
+                     "--random-draws", str(draws), "--out", str(tmp_path / "o")]) == 0
+        assert list(calls.values()) == [
+            sum(min(math.factorial(k), cap) for k in ks),
+            len(ks),
+            len(ks) + sum(2 <= k <= 6 for k in ks) * draws]
+
+
 class TestConvention:
     """A positional distance is the intervening words plus 1, on every arc:
     --convention changes the absolute lengths, and no pairwise delta."""
@@ -534,7 +693,7 @@ class TestConvention:
                 assert ca == cb and ma == mb
             elif name != "fig4_curves.csv":
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        trees = parse_corpus(corpus.read_text())[0]
+        trees = parse_text(corpus.read_text())[0]
         for convention, out in outs.items():
             curves = oracles.strategy_curves(trees, seed=5, convention=convention)
             with (out / "fig4_curves.csv").open() as f:
@@ -558,7 +717,7 @@ class TestConvention:
             records[convention] = [json.loads(line) for line in
                                    (out / "variants.jsonl").read_text().splitlines()]
         sentences = {sentence_id: (tree, plan) for sentence_id, tree, plan
-                     in eligible_plans(parse_corpus(corpus.read_text())[0], {})}
+                     in eligible_plans(parse_text(corpus.read_text())[0], {})}
         assert len(records["intervening"]) == len(records["positional"]) > 12
         for inter, pos in zip(records["intervening"], records["positional"]):
             base, plan = sentences[inter["sentence_id"]]
@@ -631,6 +790,31 @@ class TestConfigFile:
         cfg.write_text("caps_lock=1\n")
         assert main(["variants", "--corpus", str(corpus_file),
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_utf8_file_is_data_error(self, corpus_file, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_bytes(b"seed=1\ncap=5\xff\n")
+        assert main(["decompose", "--corpus", str(corpus_file), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: not UTF-8 (invalid start byte at byte 12)\n"
+        assert not out.exists()
+
+    def test_directory_is_data_error(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["decompose", "--corpus", str(corpus_file), "--config", str(tmp_path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read config file {tmp_path}: Is a directory\n"
+        assert not out.exists()
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, corpus_file, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_bytes("\ufeffseed=5\ncap=7\n".encode("utf-8"))
+        assert main(["decompose", "--corpus", str(corpus_file), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["seed"], config["cap"]) == (5, 7)
 
 
 class TestSynth:

@@ -35,9 +35,9 @@ class TestExtractFeatures:
 
 def pair_deltas(entry, cap, seed=0):
     """reference - variant rows from extract_features, in sampling order."""
-    vset = generate_variants(entry.plan, cap, derive_rng(seed, entry.sentence_id, "variants"))
-    ref = np.array(extract_features(entry.plan, vset.reference_order))
-    return [ref - extract_features(entry.plan, order) for order in vset.sampled_variants]
+    orders = generate_variants(entry.plan, cap, derive_rng(seed, entry.sentence_id, "variants"))
+    ref = np.array(extract_features(entry.plan, tuple(range(entry.plan.k))))
+    return [ref - extract_features(entry.plan, order) for order in orders]
 
 
 def dataset_rows(dataset):
@@ -86,7 +86,8 @@ class TestJoachimsTransform:
         for arr in (dataset.total_dl, dataset.dl, dataset.length):
             assert arr.dtype.kind == "i" and not arr.any()
         # integer deltas: the flipped odd row prints as 0, never -0
-        assert [f"{v:g}" for v in dataset.scalar_matrix()[1]] == ["0"] * 5
+        row = np.column_stack([dataset.total_dl, dataset.dl, dataset.length])[1]
+        assert [f"{v:g}" for v in row.astype(float)] == ["0"] * 5
 
     def test_corpus_scale_balance(self):
         plans = random_plans(seed=4, count=40)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sps
 
-from deplen.analysis import (SCALAR_FEATURES, SyntheticSpec, build_pairwise_dataset,
+from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
 from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientError, _check_fits,
@@ -393,9 +393,9 @@ class TestCrossvalOracle:
     @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
     def test_grouped_folds_match_all_rows_folds(self, dataset, zscore_mode):
         y = dataset.labels
-        designs = [dataset.scalar_matrix()[:, [SCALAR_FEATURES.index(c) for c in cols]]
-                   for cols in (["total_dl"], ["dl_last"], ["dl_last", "dl_2ndlast"],
-                                ["len_last", "len_2ndlast"])]
+        dl, length = dataset.dl.astype(float), dataset.length.astype(float)
+        designs = [dataset.total_dl[:, None].astype(float), dl[:, -1:], dl[:, [-1, -2]],
+                   length[:, [-1, -2]]]
         for k in (2, 3):
             for family in ("deplen", "length"):
                 Xk, yk = dataset.positional_matrix(k, family)

@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from deplen import treebank
 from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree, is_projective,
-                             parse_corpus, subtree_spans, to_conllu)
+                             iter_trees, subtree_spans, to_conllu)
 
-from conftest import heads_tree, random_tree, to_tsv
+from conftest import heads_tree, parse_text, random_tree, to_tsv
 
 CONLLU_FIG3 = """\
 # sent_id = fig3a
@@ -52,7 +51,7 @@ ROW_DIAGNOSTICS = [
 
 class TestParseCorpus:
     def test_fig3_block(self):
-        trees, diags = parse_corpus(CONLLU_FIG3, "conllu")
+        trees, diags = parse_text(CONLLU_FIG3, "conllu")
         assert diags == []
         assert len(trees) == 1
         tree = trees[0]
@@ -61,25 +60,25 @@ class TestParseCorpus:
         assert tree.forms[10] == "di"
 
     def test_empty_stream(self):
-        trees, diags = parse_corpus("", "conllu")
+        trees, diags = parse_text("", "conllu")
         assert trees == [] and diags == []
 
     def test_multiple_roots_skipped(self):
         block = "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
-        trees, diags = parse_corpus(block, "conllu")
+        trees, diags = parse_text(block, "conllu")
         assert trees == []
         assert len(diags) == 1
         assert "multiple roots" in diags[0].reason
 
     def test_cycle_skipped(self):
         block = "1\ta\t_\t_\t_\t_\t2\tdep\t_\t_\n2\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
-        trees, diags = parse_corpus(block, "conllu")
+        trees, diags = parse_text(block, "conllu")
         assert trees == []
         assert len(diags) == 1
 
     def test_bad_block_does_not_abort_run(self):
         text = CONLLU_FIG3 + "\n1\tonly\tthree\tcols\n\n" + CONLLU_FIG3
-        trees, diags = parse_corpus(text, "conllu")
+        trees, diags = parse_text(text, "conllu")
         assert len(trees) == 2
         assert len(diags) == 1
 
@@ -88,7 +87,7 @@ class TestParseCorpus:
                  "1\tde\t_\t_\t_\t_\t2\tcase\t_\t_\n"
                  "1.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n"
                  "2\tle\t_\t_\t_\t_\t0\troot\t_\t_\n")
-        trees, diags = parse_corpus(block, "conllu")
+        trees, diags = parse_text(block, "conllu")
         assert diags == []
         assert len(trees[0]) == 2
 
@@ -113,29 +112,29 @@ class TestParseCorpus:
             row("1", "a", "0", "root"), row("3", "b", "1", "dep"),
             "", row("1", "x", "0", "root"), row("2", "y", "1", "dep"),
         ]
-        trees, diags = parse_corpus(newline.join(lines) + newline, "conllu", exclude_punct)
+        trees, diags = parse_text(newline.join(lines) + newline, "conllu", exclude_punct)
         assert [t.forms for t in trees] == [("de", "le"), ("x", "y")]
         assert [(d.line, d.reason) for d in diags] == [
             (10, "non-integer head 'zz'"), (16, "token 2 is its own head"),
             (18, "token indices not contiguous 1..n")]
 
     def test_tsv_roundtrip(self, fig3_tree):
-        trees, diags = parse_corpus(to_tsv(fig3_tree), "tsv")
+        trees, diags = parse_text(to_tsv(fig3_tree), "tsv")
         assert diags == []
         assert trees[0] == fig3_tree
 
     def test_conllu_roundtrip(self, fig3_tree):
-        trees, diags = parse_corpus(to_conllu(fig3_tree, "x"), "conllu")
+        trees, diags = parse_text(to_conllu(fig3_tree, "x"), "conllu")
         assert diags == []
         assert trees[0] == fig3_tree
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            parse_corpus("", "xml")
+            parse_text("", "xml")
 
     def test_tsv_minimal_alias_gone(self):
         with pytest.raises(ValueError, match="unknown corpus format"):
-            parse_corpus("1\tw\t0\troot\n", "tsv-minimal")
+            parse_text("1\tw\t0\troot\n", "tsv-minimal")
 
     @pytest.mark.parametrize("format, lines, diagnostic", [
         ("conllu", ["1\ta\t_\t_\t_\t_\t0\troot\t_\t_", "2\tb\t1\tdep"],
@@ -154,7 +153,7 @@ class TestParseCorpus:
         fig3 = to_conllu(fig3_tree, "fig3") if format == "conllu" \
             else "# fig3\n" + to_tsv(fig3_tree)
         text = fig3 + "\n# sent_id = bad\n" + "\n".join(lines) + "\n\n" + fig3
-        trees, diags = parse_corpus(text, format)
+        trees, diags = parse_text(text, format)
         assert trees == [fig3_tree, fig3_tree]
         assert [(d.line, d.reason) for d in diags] == [diagnostic]
 
@@ -166,8 +165,8 @@ class TestParseCorpus:
         trees = [random_tree(rng, n) for n in sizes]
         conllu = "\n".join(to_conllu(t, f"s{i}") for i, t in enumerate(trees))
         tsv = "\n".join(to_tsv(t) for t in trees)
-        assert parse_corpus(conllu) == (trees, [])
-        assert parse_corpus(tsv, "tsv") == (trees, [])
+        assert parse_text(conllu) == (trees, [])
+        assert parse_text(tsv, "tsv") == (trees, [])
 
 
 class TestStructure:
@@ -291,7 +290,7 @@ def test_columns_of_unequal_length_rejected():
 
 def stripped(tree) -> DependencyTree:
     """The tree parsed back with `exclude_punct`."""
-    (tree,), _ = parse_corpus(to_conllu(tree), exclude_punct=True)
+    (tree,), _ = parse_text(to_conllu(tree), exclude_punct=True)
     return tree
 
 
@@ -359,14 +358,13 @@ def test_chunked_lines_match_splitlines(text, data):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(text=st.text(st.sampled_from(LINE_ALPHABET), max_size=60), chunk=st.integers(1, 7))
-def test_parse_corpus_chunks_match_one_piece(text, chunk):
-    """`parse_corpus` feeds the parser LINE_CHUNK characters at a time; the
-    size does not change what it parses."""
+def test_iter_trees_chunks_match_one_piece(text, chunk):
+    """The size of the pieces the text arrives in does not change what
+    `iter_trees` parses."""
     text = CONLLU_FIG3 + text + "\n1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n" + text
-    with mock.patch.object(treebank, "LINE_CHUNK", chunk):
-        chunked = parse_corpus(text)
     diagnostics = []
-    assert chunked == (list(treebank.iter_trees([text], diagnostics)), diagnostics)
+    pieces = (text[i:i + chunk] for i in range(0, len(text), chunk))
+    assert (list(iter_trees(pieces, diagnostics)), diagnostics) == parse_text(text)
 
 
 # Lines that spoil their block in either format, or split it ("   ").
@@ -409,15 +407,16 @@ def test_exclude_punct_matches_token_list(format, data, seeds):
             lines.insert(data.draw(st.integers(0, n)), data.draw(st.sampled_from(MALFORMED_LINES)))
         blocks.append("\n".join(lines))
     text = "\n\n".join(blocks) + "\n"
-    trees, diagnostics = parse_corpus(text, format)
-    assert parse_corpus(text, format, exclude_punct=True) == \
+    trees, diagnostics = parse_text(text, format)
+    assert parse_text(text, format, exclude_punct=True) == \
         ([_strip_punct_by_token_list(t) for t in trees], diagnostics)
 
 
 def test_parse_transient_memory_is_small():
-    """Parsing holds a few lines at a time, not the whole text as lines:
-    what it allocates beyond the trees it returns stays under half the
-    text's size (the whole-text line list alone was about 3 times it)."""
+    """Parsing a text that arrives in 64 KiB pieces holds a few lines at a
+    time, not the whole text as lines: what it allocates beyond the trees
+    it returns stays under half the text's size (the whole-text line list
+    alone was about 3 times it)."""
     rng = np.random.default_rng(5)
     blocks = []
     for i in range(200):
@@ -428,7 +427,9 @@ def test_parse_transient_memory_is_small():
     text = unit * -(-2_000_000 // len(unit))
     tracemalloc.start()
     try:
-        trees, diagnostics = parse_corpus(text, "conllu", exclude_punct=True)
+        diagnostics = []
+        pieces = (text[i:i + 64 * 1024] for i in range(0, len(text), 64 * 1024))
+        trees = list(iter_trees(pieces, diagnostics, "conllu", exclude_punct=True))
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
