@@ -11,7 +11,7 @@ from itertools import islice
 
 from deplen.constituency import decompose, order_dl
 from deplen.treebank import DependencyTree
-from deplen.variants import least_effort_move, order_ascending, order_descending
+from deplen.variants import ascending_orders, descending_orders, least_effort_moves
 
 WORDS = [
     ("maa", 11, "subj"), ("ne", 1, "case"),
@@ -33,10 +33,10 @@ for length, offset in zip(plan.lengths, plan.head_offsets):
           f"head offset from right {length - 1 - offset}")
 
 orders = {
-    "ascending (maximal DL)": order_ascending(plan),
-    "descending (global minimum)": order_descending(plan),
+    "ascending (maximal DL)": ascending_orders(plan.lengths),
+    "descending (global minimum)": descending_orders(plan.lengths),
     "a random order": (0, 1, 3, 2),
-    "least-effort from that order": least_effort_move(plan, (0, 1, 3, 2)),
+    "least-effort from that order": least_effort_moves(plan.lengths, (0, 1, 3, 2)),
 }
 print()
 for label, order in orders.items():

@@ -126,19 +126,6 @@ def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float
         return None
 
 
-def _least_effort_moves(lengths: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """`variants.least_effort_move` of every order: orders[s] holds (m x k)
-    orders of the plan whose constituent lengths are lengths[s]. The last
-    of an order's shortest constituents moves to its end."""
-    k = orders.shape[2]
-    in_order = np.take_along_axis(lengths[:, None, :], orders, axis=2)
-    shortest = in_order == lengths.min(axis=1)[:, None, None]
-    moved = k - 1 - np.argmax(shortest[..., ::-1], axis=2)
-    kept = np.arange(k - 1)
-    source = np.concatenate([kept + (kept >= moved[..., None]), moved[..., None]], axis=2)
-    return np.take_along_axis(orders, source, axis=2)
-
-
 def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
                     random_draws: int = 10, k_range=(2, 6),
                     convention: str = "intervening") -> dict:
@@ -164,9 +151,9 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
                            for d in range(random_draws)] for e in entries])
         orders = np.concatenate([
             np.broadcast_to(np.arange(k), (len(entries), 1, k)),
-            np.argsort(table.lengths, axis=1, kind="stable")[:, None],
-            np.argsort(-table.lengths, axis=1, kind="stable")[:, None],
-            draws, _least_effort_moves(table.lengths, draws)], axis=1)
+            variants.ascending_orders(table.lengths)[:, None],
+            variants.descending_orders(table.lengths)[:, None],
+            draws, variants.least_effort_moves(table.lengths[:, None], draws)], axis=1)
         totals = table.score(orders)[1] + gap * (table.words - 1)[:, None]
         values = totals / table.words[:, None]
         per_sentence = np.column_stack([   # the draws' means, as np.mean of each list
@@ -387,73 +374,74 @@ class SyntheticSpec:
         total = sum(w for _, w in self.k_weights)
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValueError("k_weights must sum to 1")
-        if self.length_dist[0] not in ("geometric", "uniform"):
-            raise ValueError(f"unknown length distribution: {self.length_dist[0]!r}")
+        if any(k < 2 for k, _ in self.k_weights):
+            raise ValueError("k_weights: every k must be >= 2")
+        if self.max_constituent_length < 1:
+            raise ValueError("max_constituent_length must be >= 1")
+        kind, *bounds = self.length_dist
+        if kind not in ("geometric", "uniform"):
+            raise ValueError(f"length_dist: unknown length distribution: {kind!r}")
+        if not (0.0 < bounds[0] <= 1.0 if kind == "geometric" else 1 <= bounds[0] <= bounds[1]):
+            raise ValueError("length_dist: needs 0 < p <= 1 (geometric) or 1 <= lo <= hi "
+                             f"(uniform), got {self.length_dist}")   # NaN fails too
 
     def sample_lengths(self, rng, k: int) -> np.ndarray:
-        kind = self.length_dist[0]
+        kind, *bounds = self.length_dist
         if kind == "geometric":
-            lengths = rng.geometric(self.length_dist[1], size=k)
+            lengths = rng.geometric(bounds[0], size=k)
         else:
-            lo, hi = self.length_dist[1:]
-            lengths = rng.integers(lo, hi + 1, size=k)
+            lengths = rng.integers(bounds[0], bounds[1] + 1, size=k)
         return np.minimum(lengths, self.max_constituent_length)
 
 
-def _random_constituent_heads(rng, length, start, verb_index):
-    """Heads of a projective constituent spanning [start, start+length): its
-    head uniform in the span and attached to the verb, other tokens attached
-    to their inward neighbor or straight to the head."""
-    head_off = int(rng.integers(length))
-    head_pos = start + head_off
-    heads = []
-    for off in range(length):
-        pos = start + off
-        if off == head_off:
-            heads.append(verb_index)
-        elif off < head_off:
-            heads.append(pos + 1 if rng.random() < 0.5 else head_pos)
-        else:
-            heads.append(pos - 1 if rng.random() < 0.5 else head_pos)
-    return heads
+def _constituent_heads(rng, length: int) -> list:
+    """The head of each word of a projective constituent of `length` words,
+    as an offset into it, None for the constituent's head: that is uniform in
+    the span, and every other word attaches to its inward neighbor or
+    straight to the head."""
+    head = int(rng.integers(length))
+    return [None if off == head else
+            ((off + 1 if off < head else off - 1) if rng.random() < 0.5 else head)
+            for off in range(length)]
 
 
-def _pick_reference_order(plan: SentencePlan, spec: SyntheticSpec, rng) -> tuple:
-    start = variants.order_random(plan, rng)
+def _pick_reference_order(lengths: np.ndarray, spec: SyntheticSpec, rng) -> np.ndarray:
+    start = rng.permutation(len(lengths))
     if rng.random() >= spec.p_least_effort:
         return start
     if spec.noise_temperature == 0.0:
-        return variants.least_effort_move(plan, start)
+        return variants.least_effort_moves(lengths, start)
     # soft least-effort: move a length-weighted sampled constituent instead
-    lengths = np.array([plan.lengths[ci] for ci in start], dtype=float)
+    in_order = lengths[start].astype(float)
     # shifted by the shortest, whose weight stays 1 at any temperature
-    w = np.exp(-(lengths - lengths.min()) / spec.noise_temperature)
+    w = np.exp(-(in_order - in_order.min()) / spec.noise_temperature)
     pick = int(rng.choice(len(start), p=w / w.sum()))
-    moved = start[pick]
-    return tuple(ci for ci in start if ci != moved) + (moved,)
+    return np.append(np.delete(start, pick), start[pick])
 
 
 def generate_synthetic_corpus(spec: SyntheticSpec, seed: int = 0) -> list:
     """Random projective verb-final sentences whose reference order follows
-    the configured selection rule. Returns DependencyTrees."""
-    ks = [k for k, _ in spec.k_weights]
-    kw = [w for _, w in spec.k_weights]
+    the configured selection rule. Returns DependencyTrees. Each sentence's
+    constituents are drawn, heads included, and then laid out in the drawn
+    reference order; word i of the original order is named w{i}."""
+    ks, kw = zip(*spec.k_weights)
     trees = []
     for i in range(spec.n_sentences):
         rng = derive_rng(seed, "synth", i)
         k = int(rng.choice(ks, p=kw))
         lengths = spec.sample_lengths(rng, k)
-        verb_index = int(lengths.sum()) + 1
-        heads, start = [], 1
-        for length in lengths:
-            heads.extend(_random_constituent_heads(rng, int(length), start, verb_index))
-            start += int(length)
-        # constituent heads are the only tokens attached to the verb
-        deprels = ["arg" if h == verb_index else "mod" for h in heads] + ["root"]
-        base = DependencyTree(heads + [0], [f"w{i}" for i in range(1, verb_index + 1)],
-                              deprels)
-        plan = decompose(base)
-        assert isinstance(plan, SentencePlan)
-        order = _pick_reference_order(plan, spec, rng)
-        trees.append(variants.linearize(base, plan, order))
+        heads = [_constituent_heads(rng, int(length)) for length in lengths]
+        order = _pick_reference_order(lengths, spec, rng)
+        starts = (np.cumsum(lengths) - lengths + 1).tolist()
+        verb = int(lengths.sum()) + 1
+        tree_heads, forms, deprels = [], [], []
+        for ci in order.tolist():
+            at = len(tree_heads) + 1   # where the constituent starts now
+            for off, head in enumerate(heads[ci]):
+                # constituent heads are the only words attached to the verb
+                tree_heads.append(verb if head is None else at + head)
+                forms.append(f"w{starts[ci] + off}")
+                deprels.append("arg" if head is None else "mod")
+        trees.append(DependencyTree(tree_heads + [0], forms + [f"w{verb}"],
+                                    deprels + ["root"]))
     return trees

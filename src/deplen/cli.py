@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -43,6 +44,12 @@ class UsageError(Exception):
 
 class DataError(Exception):
     pass
+
+
+class _Stderr(logging.StreamHandler):
+    """Writes each record to `sys.stderr` as it is then, so that every
+    `main` call in one process logs to its own stderr."""
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,10 +108,12 @@ def _config_defaults(path: Path, subparser) -> dict:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
+        written, value = (s.strip() for s in line.split("=", 1))
+        key = written.replace("-", "_")
         flag = f"--{key.replace('_', '-')}"
         if key not in defaults:
+            if not re.fullmatch(r"[A-Za-z][\w-]*", written):   # not spelled like an option
+                raise DataError(f"{path}:{lineno}: unknown config key {written!r}")
             raise DataError(f"{path}:{lineno}: argument {flag}: unknown config key")
         if key == "config":
             raise DataError(f"{path}:{lineno}: argument {flag}: "
@@ -458,10 +467,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=os.environ.get("DEPLEN_LOG", "INFO").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig is a no-op where the root logger already has a handler
+    logging.basicConfig(handlers=[_Stderr()], format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(os.environ.get("DEPLEN_LOG", "INFO").upper())
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)

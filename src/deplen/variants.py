@@ -1,10 +1,13 @@
-"""Counterfactual word-order variants and the four named ordering strategies.
+"""Counterfactual word-order variants and the ordering strategies.
 
 A variant is a permutation of a plan's preverbal constituents, represented
 as a tuple of their indices in the original left-to-right order, the order
 of `plan.lengths` (front of the sentence first).
 Permutations, not surface strings, are the unit: two permutations that
 happen to produce the same string are distinct variants.
+
+The strategies are array functions, the last axis over one plan's k
+constituents; a random order is one seeded `rng.permutation(k)`.
 """
 
 import itertools
@@ -13,15 +16,12 @@ import math
 import numpy as np
 
 from .constituency import SentencePlan
-from .treebank import DependencyTree
 
 __all__ = [
     "generate_variants",
-    "order_ascending",
-    "order_descending",
-    "order_random",
-    "least_effort_move",
-    "linearize",
+    "ascending_orders",
+    "descending_orders",
+    "least_effort_moves",
 ]
 
 DEFAULT_CAP = 100
@@ -54,47 +54,28 @@ def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP, seed=None) -> 
     return tuple(itertools.islice(distinct, 1, cap))
 
 
-def order_ascending(plan: SentencePlan) -> tuple:
-    """Shortest first; ties keep original left-to-right order."""
-    return tuple(sorted(range(plan.k), key=lambda i: (plan.lengths[i], i)))
+def ascending_orders(lengths) -> np.ndarray:
+    """Shortest first, ties in original left-to-right order: the order of
+    each plan whose constituent lengths are a row (..., k) of `lengths`."""
+    return np.argsort(lengths, axis=-1, kind="stable")
 
 
-def order_descending(plan: SentencePlan) -> tuple:
-    """Longest first; ties keep original left-to-right order."""
-    return tuple(sorted(range(plan.k), key=lambda i: (-plan.lengths[i], i)))
+def descending_orders(lengths) -> np.ndarray:
+    """Longest first, ties in original left-to-right order."""
+    return np.argsort(np.negative(lengths), axis=-1, kind="stable")
 
 
-def order_random(plan: SentencePlan, seed=None) -> tuple:
-    return tuple(int(i) for i in np.random.default_rng(seed).permutation(plan.k))
-
-
-def least_effort_move(plan: SentencePlan, order) -> tuple:
-    """Relocate the shortest constituent next to the verb.
-
-    Ties go to the shortest already nearest the verb, so a sentence whose
-    shortest constituent is verb-adjacent is left unchanged. All other
-    relative orders are preserved.
-    """
-    lengths = plan.lengths
-    shortest = min(lengths[ci] for ci in order)
-    pos = max(i for i, ci in enumerate(order) if lengths[ci] == shortest)
-    moved = order[pos]
-    return tuple(ci for ci in order if ci != moved) + (moved,)
-
-
-def linearize(tree: DependencyTree, plan: SentencePlan, order) -> DependencyTree:
-    """Rebuild `tree`, decomposed as `plan`, with its preverbal constituents
-    in the given order.
-
-    Heads are remapped so intra-constituent and postverbal arcs keep their
-    structure; output length equals input length.
-    """
-    if sorted(order) != list(range(plan.k)):
-        raise ValueError("order is not a permutation of the preverbal constituents")
-    old_positions = plan.positions(order)
-    remap = {old: new for new, old in enumerate(old_positions, start=1)}
-    remap[0] = 0
-    heads, forms, deprels = tree.heads, tree.forms, tree.deprels
-    return DependencyTree([remap[heads[old - 1]] for old in old_positions],
-                          [forms[old - 1] for old in old_positions],
-                          [deprels[old - 1] for old in old_positions])
+def least_effort_moves(lengths, orders) -> np.ndarray:
+    """Each order with its shortest constituent moved next to the verb, all
+    other relative orders kept: orders (..., k) of the plans whose
+    constituent lengths `lengths` broadcasts to. Ties go to the shortest
+    already nearest the verb, so an order whose shortest constituent is
+    verb-adjacent is left unchanged."""
+    orders = np.asarray(orders)
+    k = orders.shape[-1]
+    in_order = np.take_along_axis(np.broadcast_to(lengths, orders.shape), orders, axis=-1)
+    shortest = in_order == in_order.min(axis=-1, keepdims=True)
+    moved = k - 1 - np.argmax(shortest[..., ::-1], axis=-1)[..., None]
+    kept = np.arange(k - 1)
+    source = np.concatenate([kept + (kept >= moved), moved], axis=-1)
+    return np.take_along_axis(orders, source, axis=-1)

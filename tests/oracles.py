@@ -11,7 +11,7 @@ from deplen.analysis import STRATEGIES, PairwiseDataset
 from deplen.constituency import Ineligible, SentencePlan
 from deplen.seeding import derive_rng
 from deplen.stats import _sigmoid
-from deplen.treebank import subtree_spans
+from deplen.treebank import DependencyTree, subtree_spans
 
 
 def arc_distance(a: int, b: int, convention: str = "intervening") -> int:
@@ -39,6 +39,52 @@ def main_verb_dl_closed_form(plan, order) -> int:
     return total
 
 
+def order_ascending(plan) -> tuple:
+    """Shortest first; ties keep original left-to-right order."""
+    return tuple(sorted(range(plan.k), key=lambda i: (plan.lengths[i], i)))
+
+
+def order_descending(plan) -> tuple:
+    """Longest first; ties keep original left-to-right order."""
+    return tuple(sorted(range(plan.k), key=lambda i: (-plan.lengths[i], i)))
+
+
+def order_random(plan, seed=None) -> tuple:
+    return tuple(int(i) for i in np.random.default_rng(seed).permutation(plan.k))
+
+
+def least_effort_move(plan, order) -> tuple:
+    """Relocate the shortest constituent next to the verb.
+
+    Ties go to the shortest already nearest the verb, so a sentence whose
+    shortest constituent is verb-adjacent is left unchanged. All other
+    relative orders are preserved.
+    """
+    lengths = plan.lengths
+    shortest = min(lengths[ci] for ci in order)
+    pos = max(i for i, ci in enumerate(order) if lengths[ci] == shortest)
+    moved = order[pos]
+    return tuple(ci for ci in order if ci != moved) + (moved,)
+
+
+def linearize(tree, plan, order) -> DependencyTree:
+    """Rebuild `tree`, decomposed as `plan`, with its preverbal constituents
+    in the given order.
+
+    Heads are remapped so intra-constituent and postverbal arcs keep their
+    structure; output length equals input length.
+    """
+    if sorted(order) != list(range(plan.k)):
+        raise ValueError("order is not a permutation of the preverbal constituents")
+    old_positions = plan.positions(order)
+    remap = {old: new for new, old in enumerate(old_positions, start=1)}
+    remap[0] = 0
+    heads, forms, deprels = tree.heads, tree.forms, tree.deprels
+    return DependencyTree([remap[heads[old - 1]] for old in old_positions],
+                          [forms[old - 1] for old in old_positions],
+                          [deprels[old - 1] for old in old_positions])
+
+
 def strategy_curves(trees, seed=0, random_draws=10, k_range=(2, 6),
                     convention="intervening") -> dict:
     """`analysis.strategy_curves` of `analysis.decompose_corpus(trees)`, one
@@ -52,19 +98,19 @@ def strategy_curves(trees, seed=0, random_draws=10, k_range=(2, 6),
             continue
         k, n = plan.k, len(tree)
         def norm_dl(order):
-            return total_dependency_length(variants.linearize(tree, plan, order),
+            return total_dependency_length(linearize(tree, plan, order),
                                            convention) / n
         values = {
             "reference": norm_dl(tuple(range(k))),
-            "ascending": norm_dl(variants.order_ascending(plan)),
-            "descending": norm_dl(variants.order_descending(plan)),
+            "ascending": norm_dl(order_ascending(plan)),
+            "descending": norm_dl(order_descending(plan)),
         }
         rand_vals, le_vals = [], []
         for d in range(random_draws):
             rng = derive_rng(seed, f"s{i}", "random", d)
-            start = variants.order_random(plan, rng)
+            start = order_random(plan, rng)
             rand_vals.append(norm_dl(start))
-            le_vals.append(norm_dl(variants.least_effort_move(plan, start)))
+            le_vals.append(norm_dl(least_effort_move(plan, start)))
         values["random"] = float(np.mean(rand_vals))
         values["least_effort"] = float(np.mean(le_vals))
         counts[k] = counts.get(k, 0) + 1

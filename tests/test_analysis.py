@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import tracemalloc
 
@@ -336,7 +337,38 @@ class TestRegressionTable:
         assert all(abs(last["estimate"]) > v for v in others)
 
 
+# SHA-256 of the CoNLL-U text of 200 synthetic sentences, per spec and seed
+SYNTH_DIGESTS = [
+    ({}, 0, "00d94f3d79608f7b8484d7b12e0276b20f71eba95d03fe360b83252dac464d19"),
+    ({}, 1, "e52ff16ff9f60cf29c934eb4b4632f68602543250525c1087bdfef9de28d93d7"),
+    ({"p_least_effort": 0.5}, 0,
+     "000cff5db9d48e8c84dc5e3763caab97949e060e849d7af43406ccf566815fed"),
+    ({"p_least_effort": 0.5}, 1,
+     "df044f6ab9f3da5808c48334672427c32a8403ec713f8c5a2bdd7138a48e9f34"),
+    ({"noise_temperature": 0.7}, 0,
+     "289f270854e98c307bbda70f29045ae1844aa30e5799a4eba76ddc18b5a056d2"),
+    ({"noise_temperature": 0.7}, 1,
+     "4b3b353ab468bff6f30d7876ceb59f014eec7c34aae2e3c6a6cc66b05e132d74"),
+    ({"length_dist": ("uniform", 1, 6)}, 0,
+     "5501a72067678106691cf067a14e17c8eaad3a4aa1011bb22fb6f6d21ff06e54"),
+    ({"length_dist": ("uniform", 1, 6)}, 1,
+     "28935992aaee53e448a0ca7af61b370875e7d8ae11b3b37a6542974e5575015d"),
+    ({"k_weights": ((7, 0.5), (8, 0.5))}, 0,
+     "9fcf527d6094799c51d48ddf1c6a1bfb24abe71a3a9575b2f9b0a4882652364d"),
+    ({"k_weights": ((7, 0.5), (8, 0.5))}, 1,
+     "b27828560e563cd1bdc5185f266f5ce0c276efbd94fcadfecd29bf3ddda94ee6"),
+]
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("kw, seed, digest", SYNTH_DIGESTS)
+    def test_pinned_output(self, kw, seed, digest):
+        """The generator's output, byte for byte: a change to its draws or to
+        how it lays out a sentence changes every product made from it."""
+        trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=200, **kw), seed=seed)
+        text = "".join(map(to_conllu, trees))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_k2_all_eligible(self):
         corpus = synthetic_corpus(50, 1.0, seed=25, k_weights=((2, 1.0),))
         assert len(corpus.entries) == 50
@@ -366,6 +398,31 @@ class TestSyntheticGenerator:
         for n in (-3, 0):
             with pytest.raises(ValueError, match="n_sentences"):
                 SyntheticSpec(n_sentences=n)
+
+    @pytest.mark.parametrize("field, kw", [
+        ("k_weights", {"k_weights": ((1, 0.5), (3, 0.5))}),
+        ("k_weights", {"k_weights": ((0, 0.0), (2, 1.0))}),
+        ("max_constituent_length", {"max_constituent_length": 0}),
+        ("length_dist", {"length_dist": ("uniform", 0, 4)}),
+        ("length_dist", {"length_dist": ("uniform", 3, 2)}),
+        ("length_dist", {"length_dist": ("geometric", 0.0)}),
+        ("length_dist", {"length_dist": ("geometric", 1.5)}),
+        ("length_dist", {"length_dist": ("geometric", float("nan"))}),
+        ("length_dist", {"length_dist": ("poisson", 2.0)}),
+    ])
+    def test_spec_the_generator_cannot_honour(self, field, kw):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**kw)
+
+    def test_edge_specs_generate(self):
+        """The bounds that construction accepts, the one-word and geometric
+        p = 1 constituents included, generate eligible sentences."""
+        for kw in ({"length_dist": ("geometric", 1.0)}, {"max_constituent_length": 1},
+                   {"length_dist": ("uniform", 1, 1)}):
+            corpus = decompose_corpus(generate_synthetic_corpus(
+                SyntheticSpec(n_sentences=20, **kw), seed=4))
+            assert len(corpus.entries) == 20
+            assert all(set(e.plan.lengths) == {1} for e in corpus.entries)
 
     def test_tiny_noise_temperature_moves_a_shortest_constituent(self):
         # exp(-length / 1e-300) underflows to 0 for every length

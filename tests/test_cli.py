@@ -7,9 +7,13 @@ import io
 import json
 import logging
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,7 +29,7 @@ from deplen.constituency import ARC_GAP
 from deplen.features import extract_features, feature_names
 from deplen.seeding import derive_rng
 from deplen.treebank import DependencyTree, to_conllu
-from deplen.variants import generate_variants, linearize
+from deplen.variants import generate_variants
 
 import oracles
 from conftest import parse_text, random_tree
@@ -295,6 +299,29 @@ class TestStreamedCorpus:
             sorted(d.line for d in diagnostics)
         assert messages[:len(warnings) + 1] == \
             [*warnings, f"parsed 196 sentences, {len(warnings)} blocks skipped"]
+
+    def test_each_call_logs_to_its_own_stderr_at_its_own_level(self, corpus_file, tmp_path):
+        """Calls in one process, each under its own stderr and `DEPLEN_LOG`,
+        log to that stderr at that level. Run in a fresh interpreter: the
+        root-logger handlers that pytest installs would take the records and
+        hide where they go."""
+        script = (
+            "import contextlib, io, os, sys\n"
+            "from deplen.cli import main\n"
+            "for level in ('INFO', 'INFO', 'WARNING', 'info'):\n"
+            "    os.environ['DEPLEN_LOG'] = level\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        main(['decompose', '--corpus', sys.argv[1], '--out', sys.argv[2]])\n"
+            "    print(repr(err.getvalue()))\n")
+        src = str(Path(deplen.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(corpus_file), str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stderr == ""
+        info = repr("INFO deplen: parsed 3 sentences, 0 blocks skipped\n"
+                    "INFO deplen: eligible 3 sentences; skipped: {}\n")
+        assert proc.stdout.splitlines() == [info, info, repr(""), info]
 
     def test_memory_grows_with_the_eligible_plans(self, tmp_path):
         """Each block's tree is decomposed as the block is read, so an
@@ -723,7 +750,7 @@ class TestConvention:
             base, plan = sentences[inter["sentence_id"]]
             assert pos == {**inter, "main_verb_dl": inter["main_verb_dl"] + plan.k,
                            "total_dl": inter["total_dl"] + len(base) - 1}
-            tree = linearize(base, plan, inter["permutation"])   # checked arc by arc
+            tree = oracles.linearize(base, plan, inter["permutation"])   # checked arc by arc
             verb = tree.root_index
             for convention, record in (("intervening", inter), ("positional", pos)):
                 assert record["tokens"] == list(tree.forms)
@@ -783,6 +810,17 @@ class TestConfigFile:
         assert len(err) == 1
         key = line.split("=")[0]
         assert err[0].startswith(f"error: {cfg}:2: argument --{key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["_", "-1", ""])
+    def test_key_not_spelled_like_an_option_is_named_as_written(self, corpus_file, tmp_path,
+                                                                capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run settings\n{key}=5\n")
+        out = tmp_path / "o"
+        assert main(["report-all", "--corpus", str(corpus_file),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {key!r}\n"
         assert not out.exists()
 
     def test_unknown_key_rejected(self, corpus_file, tmp_path):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from deplen.constituency import (ARC_GAP, Ineligible, PlanTable, SentencePlan, arc_gap,
                                  decompose, order_dl)
 from deplen.treebank import is_projective
-from deplen.variants import linearize, order_ascending, order_descending
+from deplen.variants import ascending_orders, descending_orders
 
 import oracles
+from oracles import linearize
 from conftest import (FIG3_RANDOM_ORDER, eligible_plans, eligible_trees, heads_tree,
                       main_verb_dl, random_plans, random_tree)
 
@@ -108,17 +109,17 @@ class TestTotalDependencyLength:
         assert oracles.total_dependency_length(tree, "positional") == 2
 
     def test_fig3_descending_main_verb_arcs(self, fig3_plan):
-        assert main_verb_dl(fig3_plan, order_descending(fig3_plan)) == 13
+        assert main_verb_dl(fig3_plan, descending_orders(fig3_plan.lengths)) == 13
 
 
 class TestMainVerbDl:
     def test_fig3_strategies(self, fig3_plan):
-        assert main_verb_dl(fig3_plan, order_ascending(fig3_plan)) == 23
-        assert main_verb_dl(fig3_plan, order_descending(fig3_plan)) == 13
+        assert main_verb_dl(fig3_plan, ascending_orders(fig3_plan.lengths)) == 23
+        assert main_verb_dl(fig3_plan, descending_orders(fig3_plan.lengths)) == 13
         assert main_verb_dl(fig3_plan, FIG3_RANDOM_ORDER) == 20
 
     def test_fig3b_constituent_arcs(self, fig3_plan):
-        desc = order_descending(fig3_plan)
+        desc = descending_orders(fig3_plan.lengths).tolist()
         dls = order_dl(fig3_plan, desc)[0]
         assert list(dls) == [7, 4, 2, 0]
         # "maa ne" sits third in the descending order

@@ -55,3 +55,13 @@ def test_every_export_is_used_outside_the_tests(name):
     for attr in getattr(module, "__all__", []):
         assert attr in used or re.search(rf"\b{attr}\b", readme), \
             f"deplen.{name}.{attr} is exported, but only the tests use it"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "deplen").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    """`python -O` strips assert statements, so `src/` checks what it must
+    with an explicit raise."""
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts on lines {lines}"

@@ -7,20 +7,20 @@ from deplen.analysis import (CorpusEntry, DecomposedCorpus, build_pairwise_datas
 from deplen.constituency import order_dl
 from deplen.features import extract_features, feature_names, zscore
 from deplen.seeding import derive_rng
-from deplen.variants import generate_variants, order_ascending, order_descending
+from deplen.variants import ascending_orders, descending_orders, generate_variants
 
 from conftest import heads_tree, random_plans
 
 
 class TestExtractFeatures:
     def test_fig3b(self, fig3_plan):
-        row = extract_features(fig3_plan, order_descending(fig3_plan))
+        row = extract_features(fig3_plan, descending_orders(fig3_plan.lengths))
         assert row[1:5] == (7, 4, 2, 0)
         assert row[5:] == (4, 3, 2, 1)
         assert sum(row[1:5]) == 13
 
     def test_fig3a(self, fig3_plan):
-        row = extract_features(fig3_plan, order_ascending(fig3_plan))
+        row = extract_features(fig3_plan, ascending_orders(fig3_plan.lengths))
         assert row[1:5] == (9, 8, 5, 1)
 
     def test_array_layout(self, fig3_plan):

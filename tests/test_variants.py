@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from deplen.constituency import SentencePlan, decompose
 from deplen.seeding import derive_rng
-from deplen.variants import (generate_variants, least_effort_move, linearize,
-                             order_ascending, order_descending, order_random)
+from deplen.variants import (ascending_orders, descending_orders, generate_variants,
+                             least_effort_moves)
 
+import oracles
+from oracles import linearize
 from conftest import FIG3_RANDOM_ORDER, eligible_plans, heads_tree, main_verb_dl, random_plans
 
 
@@ -32,6 +34,17 @@ def flat_plan(k) -> SentencePlan:
     plan = decompose(heads_tree([k + 1] * k + [0]))
     assert isinstance(plan, SentencePlan) and plan.k == k
     return plan
+
+
+# rows of constituent lengths, one k for all, short enough to tie often
+length_rows = st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.integers(1, 3), min_size=k, max_size=k), min_size=1, max_size=5))
+
+
+def lengths_plan(lengths) -> SentencePlan:
+    """A plan with these constituent lengths, each headed by its first word."""
+    verb = sum(lengths) + 1
+    return SentencePlan(verb, tuple(lengths), (0,) * len(lengths), 0, verb)
 
 
 class TestGenerateVariants:
@@ -98,24 +111,33 @@ class TestDeriveRng:
 
 class TestOrderings:
     def test_fig3_ascending_descending(self, fig3_plan):
-        assert main_verb_dl(fig3_plan, order_ascending(fig3_plan)) == 23
-        assert main_verb_dl(fig3_plan, order_descending(fig3_plan)) == 13
+        assert main_verb_dl(fig3_plan, ascending_orders(fig3_plan.lengths)) == 23
+        assert main_verb_dl(fig3_plan, descending_orders(fig3_plan.lengths)) == 13
 
     def test_tie_break_is_stable(self):
         plan = next(p for p in random_plans(seed=21, count=400)
                     if len(set(p.lengths)) == 1 and p.k >= 3)
-        identity = tuple(range(plan.k))
-        assert order_ascending(plan) == identity
-        assert order_descending(plan) == identity
+        identity = list(range(plan.k))
+        assert ascending_orders(plan.lengths).tolist() == identity
+        assert descending_orders(plan.lengths).tolist() == identity
 
-    def test_random_is_seeded(self, fig3_plan):
-        assert order_random(fig3_plan, 42) == order_random(fig3_plan, 42)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=length_rows)
+    def test_rows_match_the_scalar_definitions(self, rows):
+        lengths = np.array(rows)
+        for row, up, down in zip(rows, ascending_orders(lengths).tolist(),
+                                 descending_orders(lengths).tolist()):
+            assert tuple(up) == oracles.order_ascending(lengths_plan(row))
+            assert tuple(down) == oracles.order_descending(lengths_plan(row))
+
+    def test_random_is_seeded(self):
+        # the random strategy is one derived stream's permutation per draw
+        assert derive_rng(42, "s1", "random", 0).permutation(4).tolist() == \
+            derive_rng(42, "s1", "random", 0).permutation(4).tolist()
 
     def test_random_uniform(self):
-        plan = random_plans(seed=2, count=30, k_max=3)[0]
-        assert plan.k in (2, 3)
-        plan = next(p for p in random_plans(seed=2, count=30, k_max=3) if p.k == 3)
-        counts = Counter(order_random(plan, seed) for seed in range(10_000))
+        counts = Counter(tuple(derive_rng(0, f"s{i}", "random", 0).permutation(3).tolist())
+                         for i in range(10_000))
         assert len(counts) == 6
         for freq in counts.values():
             assert abs(freq / 10_000 - 1 / 6) < 0.02
@@ -124,21 +146,22 @@ class TestOrderings:
 class TestLeastEffort:
     def test_fig3c_to_fig3d(self, fig3_plan):
         assert main_verb_dl(fig3_plan, FIG3_RANDOM_ORDER) == 20
-        moved = least_effort_move(fig3_plan, FIG3_RANDOM_ORDER)
+        moved = least_effort_moves(fig3_plan.lengths, FIG3_RANDOM_ORDER)
         assert main_verb_dl(fig3_plan, moved) == 17
 
     def test_noop_when_shortest_already_adjacent(self, fig3_plan):
         # constituent 3 ("toffee") is the shortest
         order = (1, 0, 2, 3)
-        assert least_effort_move(fig3_plan, order) == order
+        assert tuple(least_effort_moves(fig3_plan.lengths, order).tolist()) == order
 
     def test_k2_equals_descending(self):
         for plan in random_plans(seed=3, count=100, k_max=2):
             for seed in range(3):
-                result = least_effort_move(plan, order_random(plan, seed))
-                desc = order_descending(plan)
+                start = np.random.default_rng(seed).permutation(plan.k)
+                result = least_effort_moves(plan.lengths, start)
+                desc = descending_orders(plan.lengths)
                 if plan.lengths[0] != plan.lengths[1]:
-                    assert result == desc
+                    assert result.tolist() == desc.tolist()
                 else:
                     assert main_verb_dl(plan, result) == main_verb_dl(plan, desc)
 
@@ -146,17 +169,33 @@ class TestLeastEffort:
     @given(plan=eligible_plans(), data=st.data())
     def test_never_increases(self, plan, data):
         start = data.draw(st.permutations(range(plan.k)))
-        assert main_verb_dl(plan, least_effort_move(plan, start)) <= main_verb_dl(plan, start)
+        assert main_verb_dl(plan, least_effort_moves(plan.lengths, start)) <= \
+            main_verb_dl(plan, start)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=length_rows, data=st.data())
+    def test_broadcast_matches_the_scalar_definition(self, rows, data):
+        """(S x m x k) orders against (S x 1 x k) lengths, as the strategy
+        curves pass them, and one order against one plan's lengths."""
+        k = len(rows[0])
+        orders = np.array([[data.draw(st.permutations(range(k))) for _ in range(3)]
+                           for _ in rows])
+        moved = least_effort_moves(np.array(rows)[:, None], orders)
+        assert moved.shape == orders.shape
+        for row, row_orders, row_moved in zip(rows, orders.tolist(), moved.tolist()):
+            for order, got in zip(row_orders, row_moved):
+                assert tuple(got) == oracles.least_effort_move(lengths_plan(row), order)
+                assert least_effort_moves(row, order).tolist() == got
 
 
 class TestLinearize:
     def test_fig3_descending_string(self, fig3_plan, fig3_tree):
-        tree = linearize(fig3_tree, fig3_plan, order_descending(fig3_plan))
+        tree = linearize(fig3_tree, fig3_plan, descending_orders(fig3_plan.lengths))
         assert " ".join(tree.forms) == \
             "rote hue bacche ko baajaar jaate samaye maa ne toffee di"
 
     def test_fig3_ascending_string(self, fig3_plan, fig3_tree):
-        tree = linearize(fig3_tree, fig3_plan, order_ascending(fig3_plan))
+        tree = linearize(fig3_tree, fig3_plan, ascending_orders(fig3_plan.lengths))
         assert " ".join(tree.forms) == \
             "toffee maa ne baajaar jaate samaye rote hue bacche ko di"
 
@@ -176,5 +215,5 @@ def test_descending_is_argmin_ascending_argmax():
     for plan in random_plans(seed=31, count=120):
         values = {order: main_verb_dl(plan, order)
                   for order in itertools.permutations(range(plan.k))}
-        assert main_verb_dl(plan, order_descending(plan)) == min(values.values())
-        assert main_verb_dl(plan, order_ascending(plan)) == max(values.values())
+        assert main_verb_dl(plan, descending_orders(plan.lengths)) == min(values.values())
+        assert main_verb_dl(plan, ascending_orders(plan.lengths)) == max(values.values())
