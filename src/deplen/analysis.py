@@ -203,7 +203,7 @@ class PairwiseDataset:
             raise ValueError(f"unknown feature family: {family!r}")
         cols = self.dl if family == "deplen" else self.length
         rows = self.ks == k
-        return cols[rows, cols.shape[1] - k:].astype(float), self.labels[rows]
+        return cols[rows, cols.shape[1] - k:], (np.flatnonzero(rows) % 2 == 0).astype(int)
 
 
 def _delta_dtype(bound: int):
@@ -277,7 +277,7 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
     for table, specs in (("table3", TABLE3_ROWS), ("table4", TABLE4_ROWS)):
         prev_pred = None
         for name, predictors in specs:
-            X = np.column_stack([column[p] for p in predictors]).astype(float)
+            X = np.column_stack([column[p] for p in predictors])
             try:
                 report = stats.crossval_accuracy(X, y, folds=folds, seed=seed,
                                                  zscore_mode=zscore_mode)
@@ -344,8 +344,8 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     else:
         selected, curve, margin = list(names), {}, None
     keep = [j for j, nm in enumerate(names) if nm in selected]
-    Z, _ = features.zscore(X[:, keep])
-    fit = stats.fit_logistic(Z, y, feature_names=[names[j] for j in keep])
+    # not held here: fit_logistic frees the z-scored copy once its design holds it
+    fit = stats.fit_logistic(features.zscore(X[:, keep])[0], y, feature_names=selected)
     return {"k": k, "family": family, "status": "ok", "n": int(len(y)),
             "selected": selected, "dropped_collinear": dropped,
             "cv_curve": curve, "fit": fit.to_dict(), "rfecv_min_margin": margin}

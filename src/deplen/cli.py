@@ -469,7 +469,11 @@ COMMANDS = {
 def main(argv=None) -> int:
     # basicConfig is a no-op where the root logger already has a handler
     logging.basicConfig(handlers=[_Stderr()], format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(os.environ.get("DEPLEN_LOG", "INFO").upper())
+    try:
+        log.setLevel(os.environ.get("DEPLEN_LOG", "INFO").upper())
+    except ValueError:
+        print(f"error: DEPLEN_LOG={os.getenv('DEPLEN_LOG')!r} is not a log level", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)

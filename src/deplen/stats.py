@@ -162,18 +162,26 @@ def _fit_folds(design, y, weights, ridge, maps):
     return beta, iterations, converged, separation, ridge
 
 
+def _columns(X) -> np.ndarray:
+    """X as a matrix, a vector as one column: integer or bool values of at
+    most 32 bits as they are, since float64 holds them exactly; any other
+    dtype as float."""
+    X = np.asarray(X)
+    X = X if X.dtype.kind in "biu" and X.dtype.itemsize <= 4 else X.astype(float, copy=False)
+    return X[:, None] if X.ndim == 1 else X
+
+
 def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
                  feature_names: Optional[list] = None) -> RegressionFit:
     """Maximum-likelihood logit fit via IRLS. X excludes the intercept
     column, which is added internally; ridge > 0 is reserved for the
     documented fallback on detected separation."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _columns(X)
     y = np.asarray(y, dtype=float)
     if len(y) != X.shape[0]:
         raise ValueError("X and y length mismatch")
     design = np.column_stack([np.ones(len(y)), X])
+    del X    # the design holds the columns now: a temporary X is freed
     _check_rank(design, ["intercept"] + list(feature_names or []))
     beta, iterations, converged, separation, ridge = (
         v[0] for v in _fit_folds(design, y, np.ones((len(y), 1)), np.array([float(ridge)]),
@@ -293,7 +301,7 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standar
     probabilities, and the all-cells fit's coefficients (None without it)."""
     F = test.shape[1]
     held_out = np.pad(test, ((0, 0), (0, 1))) if all_cells else test
-    train = test.sum(axis=1, keepdims=True) - held_out
+    train = test.sum(axis=1, keepdims=True, dtype=test.dtype) - held_out   # no row sum exceeds n
     maps = (_standardizing_maps(design[:, 1:], train) if standardize
             else np.repeat(np.eye(design.shape[1])[None], train.shape[1], axis=0))
     _check_fits(design, train, maps, ["intercept", *names])
@@ -320,9 +328,7 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
     full data before splitting. Every fold is fitted on its counts of the
     distinct (row, label) cells.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _columns(X)
     y = np.asarray(y, dtype=int)
     n = len(y)
     if folds < 2:
@@ -417,8 +423,8 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
     cells once, with every column; each size regroups those cells, and fits
     its CV folds and its elimination fit in one stack on the cell counts.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1 or X.shape[1] < 2:
+    X = _columns(X)
+    if X.shape[1] < 2:
         raise ValueError("rfecv needs at least 2 candidate features")
     y = np.asarray(y, dtype=int)
     if len(y) < folds:

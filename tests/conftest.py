@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import strategies as st
 
@@ -63,6 +65,18 @@ def random_plans(seed: int, count: int, k_max: int = 6) -> list:
         assert isinstance(plan, SentencePlan)
         plans.append(plan)
     return plans
+
+
+def traced(fn, *args):
+    """(fn(*args), retained, peak): the bytes that tracemalloc counts as
+    allocated under the call when it returns, and at most during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 def to_tsv(tree: DependencyTree) -> str:

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +16,13 @@ from deplen.analysis import (CorpusEntry, DecomposedCorpus, InsufficientDataErro
 from deplen.constituency import ARC_GAP, decompose
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
+from deplen.stats import _distinct_cells
 from deplen.treebank import DependencyTree, iter_trees, to_conllu
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import eligible_plans, eligible_trees, heads_tree, parse_text, random_plans
+from conftest import (eligible_plans, eligible_trees, heads_tree, parse_text, random_plans,
+                      traced)
 
 
 def synthetic_corpus(n, p_least_effort, seed, **kw):
@@ -78,14 +79,9 @@ class TestDecomposeCorpus:
         of it; an object per constituent with its own forms tuple retained
         1.4 times)."""
         text = synthetic_conllu(800, seed=1)
-        tracemalloc.start()
-        try:
-            trees = parse_text(text)[0]   # trees that share no strings with the text
-            size = tracemalloc.get_traced_memory()[0]
-            corpus = decompose_corpus(trees)
-            retained = tracemalloc.get_traced_memory()[0] - size
-        finally:
-            tracemalloc.stop()
+        # trees that share no strings with the text
+        (trees, _), size, _ = traced(parse_text, text)
+        corpus, retained, _ = traced(decompose_corpus, trees)
         assert len(corpus.entries) == 800
         assert retained <= size
 
@@ -203,7 +199,8 @@ class TestPairwiseDataset:
                 X, y = dataset.positional_matrix(k, family)
                 assert X.shape == (rows.sum(), k)
                 assert np.array_equal(X[:, -1], cols[rows, -1])
-                assert np.array_equal(y, dataset.labels[rows])
+                assert X.dtype == cols.dtype    # not copied to float
+                assert np.array_equal(y, dataset.labels[rows]) and y.dtype == dataset.labels.dtype
             assert not dataset.dl[rows, :width - k].any()
             assert not dataset.length[rows, :width - k].any()
         with pytest.raises(ValueError, match="family"):
@@ -266,12 +263,7 @@ class TestPairwiseBuild:
         corpus = DecomposedCorpus([CorpusEntry(f"p{i}", p) for i, p in enumerate(plans)])
         cap, width = 100, max(p.k for p in plans)
         build_pairwise_dataset(corpus, cap)   # the plans' cached properties
-        tracemalloc.start()
-        try:
-            dataset = build_pairwise_dataset(corpus, cap)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        dataset, retained, peak = traced(build_pairwise_dataset, corpus, cap)
         assert retained >= dataset.dl.nbytes + dataset.length.nbytes
         # one sentence: its variants, feature tuples, int64 rows and their
         # differences, each a few times cap x (1 + 2 width) words; the
@@ -335,6 +327,20 @@ class TestRegressionTable:
         others = [abs(r["estimate"]) for name, r in rows.items()
                   if name not in ("intercept", "const4_deplen")]
         assert all(abs(last["estimate"]) > v for v in others)
+
+    def test_peak_memory_in_fold_buffers(self):
+        """On a table shaped like the long-k6 benchmark's (k = 6, lengths 1-30,
+        nearly one cell per pair), the peak, in RFECV's stacked fits, stays
+        under 4.5 buffers of (cells x (folds + 1)) floats: the fold counts keep
+        their narrow type, and the integer columns are not copied to float.
+        With uint64 training counts it was 4.9, with float columns too 5.3."""
+        corpus = synthetic_corpus(60, 1.0, seed=1, k_weights=((6, 1.0),),
+                                  length_dist=("uniform", 1, 30), max_constituent_length=30)
+        dataset, folds = build_pairwise_dataset(corpus, cap=100), 10
+        cells = len(_distinct_cells(*dataset.positional_matrix(6, "deplen"))[0])
+        table, _, peak = traced(regression_table, dataset, 6, "deplen", folds)
+        assert table["status"] == "ok" and cells >= 5_800
+        assert peak <= 4.5 * cells * (folds + 1) * 8
 
 
 # SHA-256 of the CoNLL-U text of 200 synthetic sentences, per spec and seed

@@ -12,7 +12,6 @@ import pkgutil
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -32,7 +31,7 @@ from deplen.treebank import DependencyTree, to_conllu
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import parse_text, random_tree
+from conftest import parse_text, random_tree, traced
 from test_treebank import CONLLU_FIG3, LINE_ALPHABET
 
 SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
@@ -93,6 +92,15 @@ class TestExitCodes:
 
     def test_unknown_subcommand_rejected(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("level", ["bogus", ""])
+    def test_unknown_log_level_is_usage_error(self, corpus_file, tmp_path, capsys,
+                                              monkeypatch, level):
+        monkeypatch.setenv("DEPLEN_LOG", level)
+        out = tmp_path / "o"
+        assert main(["decompose", "--corpus", str(corpus_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: DEPLEN_LOG={level!r} is not a log level\n"
+        assert not out.exists()
 
     def test_nonexistent_corpus_is_data_error(self, tmp_path):
         assert main(["decompose", "--corpus", str(tmp_path / "nope.conllu"),
@@ -335,12 +343,7 @@ class TestStreamedCorpus:
         path.write_text(mixed_corpus(4, 3000))
         size = path.stat().st_size
         args = _decompose_args(path, "--exclude-punct")
-        tracemalloc.start()
-        try:
-            corpus, diagnostics, _ = cli._decomposed(args)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (corpus, diagnostics, _), retained, peak = traced(cli._decomposed, args)
         assert size >= 2_000_000
         assert len(corpus.entries) == 150 and len(diagnostics) == 60
         assert retained <= 0.25 * size

@@ -1,6 +1,6 @@
+import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +11,11 @@ from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
 from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientError, _check_fits,
-                          _distinct_cells, _fit_folds, _grams, _packed_key, crossval_accuracy,
+                          _columns, _distinct_cells, _fit_folds, _grams, _packed_key, crossval_accuracy,
                           fit_logistic, mcnemar, pearson, rfecv)
 
 import oracles
+from conftest import traced
 
 
 def simulate_logistic(rng, n, beta, intercept=0.0):
@@ -61,6 +62,16 @@ class TestFitLogistic:
         fit = fit_logistic(X, y)
         assert fit.separation
         assert fit.ridge > 0
+
+    def test_a_temporary_matrix_is_not_held_beside_the_design(self):
+        """X is dropped once the design holds its columns: given a matrix
+        that nothing else refers to, the fit peaks no higher than on a matrix
+        held elsewhere. Holding X to the end added all of X.nbytes."""
+        rng = np.random.default_rng(3)
+        X, y = simulate_logistic(rng, 20_000, np.linspace(-1.0, 1.0, 6))
+        _, _, held = traced(fit_logistic, X, y)
+        _, _, temporary = traced(lambda: fit_logistic(X * 1.0, y))
+        assert temporary - held <= X.nbytes / 2
 
     def test_rank_deficiency_named(self):
         rng = np.random.default_rng(1)
@@ -265,12 +276,7 @@ class TestGramKernel:
         y = (rng.random(cells) < 1.0 / (1.0 + np.exp(-X @ np.linspace(-1, 1, 6)))).astype(float)
         counts = rng.integers(0, 3, size=(cells, folds)).astype(float)
         maps = np.broadcast_to(np.eye(7), (folds, 7, 7))
-        tracemalloc.start()
-        try:
-            _fit_folds(design, y, counts, np.zeros(folds), maps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(_fit_folds, design, y, counts, np.zeros(folds), maps)
         assert peak <= 2 * cells * folds * 8
 
 
@@ -643,6 +649,69 @@ class TestRfecv:
             rfecv(X, y, folds=9)
         with pytest.raises(ValueError, match="need at least one example per fold"):
             crossval_accuracy(X, y, folds=9)
+
+
+def exact_bits(value):
+    """value with each float and array as its bits, dataclasses as dicts."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: exact_bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return {key: exact_bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [exact_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def outcome(fn, X):
+    """fn(X) as `exact_bits`, or the type and message of what it raises."""
+    try:
+        return exact_bits(fn(X))
+    # RankDeficientError and LinAlgError are ValueErrors; the test settings
+    # raise a numpy warning, such as a one-row training fold's 0 / 0 sd
+    except (ValueError, RuntimeWarning) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def narrow_designs(draw):
+    """(X, y, folds, seed): an int8, int16 or int32 design with repeated
+    rows, of small values and the ends of its type, and random labels."""
+    dtype = np.dtype(draw(st.sampled_from([np.int8, np.int16, np.int32])))
+    info = np.iinfo(dtype)
+    folds = draw(st.integers(2, 4))
+    n, p = draw(st.integers(folds, 40)), draw(st.integers(2, 3))
+    values = st.one_of(st.integers(-3, 3), st.sampled_from([info.min, info.min + 1, info.max]))
+    X = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=dtype)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return X, y, folds, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestNarrowIntegerInput:
+    """Integer columns of at most 32 bits go into the fits as they are:
+    float64 holds each value exactly, so every result keeps its bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=narrow_designs())
+    def test_same_bits_as_float_input(self, case):
+        X, y, folds, seed = case
+        fits = [lambda X, mode=mode: crossval_accuracy(X, y, folds, seed, zscore_mode=mode)
+                for mode in ("fold", "global")]
+        fits += [lambda X: rfecv(X, y, folds, seed), lambda X: fit_logistic(X, y)]
+        for fit in fits:
+            assert outcome(fit, X) == outcome(fit, X.astype(float))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int16, np.int32, np.uint32])
+    def test_narrow_columns_are_kept(self, dtype):
+        X = np.zeros((4, 2), dtype=dtype)
+        assert _columns(X) is X
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.float32])
+    def test_other_columns_are_cast_to_float(self, dtype):
+        assert _columns(np.zeros((4, 2), dtype=dtype)).dtype == np.float64
+        assert _columns(np.zeros(4, dtype=dtype)).shape == (4, 1)
 
 
 class TestPearson:

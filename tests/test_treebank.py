@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +6,7 @@ from deplen import treebank
 from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree, is_projective,
                              iter_trees, subtree_spans, to_conllu)
 
-from conftest import heads_tree, parse_text, random_tree, to_tsv
+from conftest import heads_tree, parse_text, random_tree, to_tsv, traced
 
 CONLLU_FIG3 = """\
 # sent_id = fig3a
@@ -425,14 +423,11 @@ def test_parse_transient_memory_is_small():
         blocks.append(to_conllu(DependencyTree(tree.heads, tree.forms, rels), f"s{i}"))
     unit = "\n".join(blocks) + "\n"
     text = unit * -(-2_000_000 // len(unit))
-    tracemalloc.start()
-    try:
-        diagnostics = []
-        pieces = (text[i:i + 64 * 1024] for i in range(0, len(text), 64 * 1024))
-        trees = list(iter_trees(pieces, diagnostics, "conllu", exclude_punct=True))
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    diagnostics = []
+    pieces = (text[i:i + 64 * 1024] for i in range(0, len(text), 64 * 1024))
+    # the generators do no work before `list` consumes them
+    trees, retained, peak = traced(list, iter_trees(pieces, diagnostics, "conllu",
+                                                    exclude_punct=True))
     assert len(text) >= 2_000_000
     assert diagnostics == [] and len(trees) == 200 * (len(text) // len(unit))
     assert peak - retained <= 0.5 * len(text)
