@@ -1,13 +1,16 @@
 """Command-line entry point.
 
 Subcommands: parse, decompose, variants, strategies, features, fit,
-classify, synth, report-all. Progress goes to stderr; data products only
-under --out. Exit codes: 0 success, 1 usage error, 2 data error.
+classify, synth, report-all. Each writes its products and manifest.json
+under --out all or nothing: into a temporary directory there, moved into
+place, the manifest last, only once every product is written. Progress
+goes to stderr. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 import argparse
 import codecs
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -82,11 +85,9 @@ def _add_common(p):
 def build_parser() -> _Parser:
     parser = _Parser(prog="deplen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ["parse", "decompose", "variants", "strategies", "features",
-                 "fit", "classify", "report-all"]:
+    for name in PRODUCTS:
         _add_common(sub.add_parser(name))
-    synth = sub.add_parser("synth")
-    _add_common(synth)
+    synth = sub.choices["synth"]
     synth.add_argument("--sentences", type=int, default=1000)
     synth.add_argument("--p-least-effort", type=float, default=1.0)
     synth.add_argument("--noise-temperature", type=float, default=0.0)
@@ -181,25 +182,56 @@ def _read_text(path: Path, kind: str, digest=None):
         raise DataError(f"cannot read {kind} {path}: {e.strerror}")
 
 
-def _corpus_trees(args):
-    """(trees, diagnostics, digest): the corpus's trees, parsed as its file
-    is read, once; the list the parse appends its diagnostics to; and the
-    SHA-256 of the file, complete once the trees are."""
-    if not args.corpus:
-        raise UsageError("--corpus is required for this subcommand")
-    path = Path(args.corpus)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
-    digest, diagnostics = hashlib.sha256(), []
-    trees = treebank.iter_trees(_read_text(path, "corpus", digest), diagnostics,
-                                args.format, args.exclude_punct)
-    return trees, diagnostics, digest
+class _Run:
+    """A subcommand's input, read in full before --out is made: the parsed
+    trees (`reads` "trees"), the eligible (sentence_id, tree, plan) triples
+    ("plans": `variants` prints words), the decomposed corpus ("corpus"),
+    or nothing (None). It holds the parse diagnostics, the corpus file's
+    SHA-256 and the manifest entries they give. The corpus is parsed as its
+    file is read, and each tree is decomposed as its block is parsed and
+    then dropped, so memory grows with the eligible sentences' plans."""
 
+    def __init__(self, args, reads):
+        self.args, self.diagnostics, self.corpus_hash, self.manifest = args, [], None, {}
+        if reads is None:
+            return
+        if not args.corpus:
+            raise UsageError("--corpus is required for this subcommand")
+        path = Path(args.corpus)
+        if not path.exists():
+            raise DataError(f"corpus file not found: {path}")
+        digest = hashlib.sha256()
+        trees = treebank.iter_trees(_read_text(path, "corpus", digest), self.diagnostics,
+                                    args.format, args.exclude_punct)
+        if reads == "trees":
+            self.trees = list(trees)
+            sentences = len(self.trees)
+        else:
+            if reads == "plans":
+                skipped = {}
+                self.plans = list(analysis.eligible_plans(trees, skipped))
+                eligible = len(self.plans)
+            else:
+                self.corpus = analysis.decompose_corpus(trees)
+                eligible, skipped = len(self.corpus.entries), self.corpus.skipped
+            sentences = eligible + sum(skipped.values())
+            self.manifest = {"eligible": eligible, "skipped": skipped,
+                             "parse_diagnostics": len(self.diagnostics)}
+        for d in self.diagnostics:
+            log.warning("line %d: %s (block skipped)", d.line, d.reason)
+        log.info("parsed %d sentences, %d blocks skipped", sentences, len(self.diagnostics))
+        if reads != "trees":
+            log.info("eligible %d sentences; skipped: %s", eligible, skipped)
+        self.corpus_hash = digest.hexdigest()
 
-def _log_parse(sentences: int, diagnostics):
-    for d in diagnostics:
-        log.warning("line %d: %s (block skipped)", d.line, d.reason)
-    log.info("parsed %d sentences, %d blocks skipped", sentences, len(diagnostics))
+    @functools.cached_property
+    def dataset(self) -> analysis.PairwiseDataset:
+        """The corpus's pairwise dataset, built on first use; it adds `pairs`
+        to the manifest entries."""
+        dataset =analysis.build_pairwise_dataset(self.corpus, self.args.cap, self.args.seed)
+        log.info("pairwise dataset: %d examples", len(dataset))
+        self.manifest["pairs"] = len(dataset)
+        return dataset
 
 
 def _outdir(args) -> Path:
@@ -211,13 +243,6 @@ def _outdir(args) -> Path:
     except OSError as e:
         raise DataError(f"cannot create output directory {out}: {e.strerror}")
     return out
-
-
-def _write_manifest(out: Path, args, corpus_hash, extra):
-    resolved = {k: v for k, v in vars(args).items() if k != "config"}
-    manifest = {"version": __version__, "config": resolved,
-                "corpus_sha256": corpus_hash, **extra}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _write_csv(path: Path, header, rows):
@@ -234,63 +259,30 @@ def _write_conllu(path: Path, trees, id_prefix: str):
             f.write("\n")
 
 
-def _write_diagnostics(out: Path, diagnostics):
-    _write_csv(out / "diagnostics.csv", ["line", "reason"],
-               [(d.line, d.reason) for d in diagnostics])
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# products: each writer (out, args, run) writes one product under `out` and
+# returns its manifest entries, if any
 
-def cmd_parse(args):
-    trees, diagnostics, digest = _corpus_trees(args)
-    trees = list(trees)
-    _log_parse(len(trees), diagnostics)
-    out = _outdir(args)
-    _write_conllu(out / "parsed.conllu", trees, "s")
-    _write_diagnostics(out, diagnostics)
-    _write_manifest(out, args, digest.hexdigest(),
-                    {"sentences": len(trees), "skipped_blocks": len(diagnostics)})
-    return EXIT_OK
+def _write_parsed(out: Path, args, run):
+    _write_conllu(out / "parsed.conllu", run.trees, "s")
+    return {"sentences": len(run.trees), "skipped_blocks": len(run.diagnostics)}
 
 
-def _log_corpus(diagnostics, eligible: int, skipped: dict):
-    _log_parse(eligible + sum(skipped.values()), diagnostics)
-    log.info("eligible %d sentences; skipped: %s", eligible, skipped)
+def _write_diagnostics(out: Path, args, run):
+    _write_csv(out / "diagnostics.csv", ["line", "reason"],
+               [(d.line, d.reason) for d in run.diagnostics])
 
 
-def _decomposed(args):
-    """The decomposed corpus, its parse diagnostics and its SHA-256. Each
-    tree is decomposed as its block is parsed and then dropped, so memory
-    grows with the eligible sentences' plans."""
-    trees, diagnostics, digest = _corpus_trees(args)
-    corpus = analysis.decompose_corpus(trees)
-    _log_corpus(diagnostics, len(corpus.entries), corpus.skipped)
-    return corpus, diagnostics, digest.hexdigest()
+def _write_plans(out: Path, args, run):
+    _write_csv(out / "plans.csv", ["sentence_id", "n_constituents", "verb_index", "lengths"],
+               [(e.sentence_id, e.plan.k, e.plan.verb_index, " ".join(map(str, e.plan.lengths)))
+                for e in run.corpus.entries])
 
 
-def cmd_decompose(args):
-    corpus, diagnostics, corpus_hash = _decomposed(args)
-    out = _outdir(args)
-    rows = [(e.sentence_id, e.plan.k, e.plan.verb_index,
-             " ".join(map(str, e.plan.lengths))) for e in corpus.entries]
-    _write_csv(out / "plans.csv",
-               ["sentence_id", "n_constituents", "verb_index", "lengths"], rows)
-    _write_manifest(out, args, corpus_hash,
-                    {"eligible": len(corpus.entries), "skipped": corpus.skipped,
-                     "parse_diagnostics": len(diagnostics)})
-    return EXIT_OK
-
-
-def cmd_variants(args):
-    trees, diagnostics, digest = _corpus_trees(args)
-    skipped = {}
-    sentences = list(analysis.eligible_plans(trees, skipped))   # trees too: it prints words
-    _log_corpus(diagnostics, len(sentences), skipped)
-    out = _outdir(args)
+def _write_variants(out: Path, args, run):
     gap = constituency.arc_gap(args.convention)
     with (out / "variants.jsonl").open("w") as f:
-        for sentence_id, tree, plan in sentences:
+        for sentence_id, tree, plan in run.plans:
             orders = variants.generate_variants(
                 plan, args.cap, derive_rng(args.seed, sentence_id, "variants"))
             for order in (tuple(range(plan.k)), *orders):
@@ -303,14 +295,30 @@ def cmd_variants(args):
                     "tokens": [tree.forms[p - 1] for p in plan.positions(order)],
                 }
                 f.write(json.dumps(record) + "\n")
-    _write_manifest(out, args, digest.hexdigest(),
-                    {"eligible": len(sentences), "skipped": skipped})
-    return EXIT_OK
 
 
-def _write_curves(out: Path, args, corpus):
+def _write_figures(out: Path, args, run):
+    """Fig. 1's counts and Fig. 2's profile."""
+    ref_hist, var_hist = analysis.constituent_count_histogram(run.corpus, args.cap)
+    _write_csv(out / "fig1_counts.csv", ["k", "reference_pct", "variant_pct"],
+               [(k, f"{ref_hist.get(k, 0.0):.4f}", f"{var_hist.get(k, 0.0):.4f}")
+                for k in sorted(set(ref_hist) | set(var_hist))])
+    profile_rows = []
+    for k in range(args.k_min, args.k_max + 1):
+        try:
+            profile = analysis.position_length_profile(run.corpus, k)
+        except analysis.InsufficientDataError:
+            continue
+        profile_rows.extend(
+            (k, pos + 1, f"{mean:.4f}") for pos, mean in enumerate(profile))
+    _write_csv(out / "fig2_profile.csv", ["k", "position", "mean_length"], profile_rows)
+    return {"corr_sentence_length_vs_constituents":
+            analysis.sentence_length_constituent_corr(run.corpus)}
+
+
+def _write_curves(out: Path, args, run):
     curves = analysis.strategy_curves(
-        corpus, seed=args.seed, random_draws=args.random_draws,
+        run.corpus, seed=args.seed, random_draws=args.random_draws,
         k_range=(args.k_min, args.k_max), convention=args.convention)
     _write_csv(out / "fig4_curves.csv", ["k", "strategy", "mean_normalized_dl"],
                [(k, strategy, f"{value:.6f}")
@@ -318,26 +326,8 @@ def _write_curves(out: Path, args, corpus):
                 for k, value in per_k.items()])
 
 
-def cmd_strategies(args):
-    corpus, _, corpus_hash = _decomposed(args)
-    out = _outdir(args)
-    _write_curves(out, args, corpus)
-    _write_manifest(out, args, corpus_hash, {"eligible": len(corpus.entries)})
-    return EXIT_OK
-
-
-def _dataset_command(args, write):
-    """features, fit and classify: the pairwise dataset, `write`'s products,
-    and the manifest entries `write` returns."""
-    corpus, _, corpus_hash = _decomposed(args)
-    out = _outdir(args)
-    dataset = analysis.build_pairwise_dataset(corpus, args.cap, args.seed)
-    extra = write(out, args, dataset) or {}
-    _write_manifest(out, args, corpus_hash, {"pairs": len(dataset), **extra})
-    return EXIT_OK
-
-
-def _write_features(out: Path, args, dataset):
+def _write_features(out: Path, args, run):
+    dataset = run.dataset
     labels, width = dataset.labels, dataset.dl.shape[1]
     for k in sorted(set(dataset.ks.tolist())):
         rows = dataset.ks == k
@@ -350,29 +340,21 @@ def _write_features(out: Path, args, dataset):
                            dataset.sentence_ids[rows].tolist())])
 
 
-def cmd_features(args):
-    return _dataset_command(args, _write_features)
-
-
-def _write_regressions(out: Path, args, dataset):
+def _write_regressions(out: Path, args, run):
     margins = {}
     for family, filename in (("deplen", "table1_regression.json"),
                              ("length", "table2_regression.json")):
         per_k = {str(k): analysis.regression_table(
-                     dataset, k, family, folds=args.folds, seed=args.seed)
+                     run.dataset, k, family, folds=args.folds, seed=args.seed)
                  for k in range(args.k_min, args.k_max + 1)}
         margins[family] = {k: table.pop("rfecv_min_margin", None) for k, table in per_k.items()}
         (out / filename).write_text(json.dumps(per_k, indent=2))
     return {"rfecv_min_margin": margins}
 
 
-def cmd_fit(args):
-    return _dataset_command(args, _write_regressions)
-
-
-def _write_suite(out: Path, args, dataset):
+def _write_suite(out: Path, args, run):
     rows = analysis.run_classification_suite(
-        dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
+        run.dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
     flagged, margins = {}, {}
     for table, filename in (("table3", "table3_accuracy.csv"),
                             ("table4", "table4_accuracy.csv")):
@@ -387,31 +369,47 @@ def _write_suite(out: Path, args, dataset):
     return {"flagged_folds": flagged, "min_margin": margins}
 
 
-def cmd_classify(args):
-    return _dataset_command(args, _write_suite)
-
-
-def cmd_synth(args):
-    out = _outdir(args)
+def _write_synthetic(out: Path, args, run):
     spec = analysis.SyntheticSpec(
         n_sentences=args.sentences,
         p_least_effort=args.p_least_effort,
         noise_temperature=args.noise_temperature)
     trees = analysis.generate_synthetic_corpus(spec, seed=args.seed)
     _write_conllu(out / "synthetic.conllu", trees, "synth")
-    _write_manifest(out, args, None, {"sentences": len(trees)})
-    return EXIT_OK
+    return {"sentences": len(trees)}
 
 
-def cmd_report_all(args):
-    """All products or none: they are written into a temporary directory
-    under --out and moved into place, the manifest last, once every one of
-    them is written."""
-    corpus, diagnostics, corpus_hash = _decomposed(args)
+# subcommand -> (what `_Run` reads, the writers of its products)
+PRODUCTS = {
+    "parse": ("trees", [_write_parsed, _write_diagnostics]),
+    "decompose": ("corpus", [_write_plans]),
+    "variants": ("plans", [_write_variants]),
+    "strategies": ("corpus", [_write_curves]),
+    "features": ("corpus", [_write_features]),
+    "fit": ("corpus", [_write_regressions]),
+    "classify": ("corpus", [_write_suite]),
+    "report-all": ("corpus", [_write_diagnostics, _write_figures, _write_curves,
+                              _write_regressions, _write_suite]),
+    "synth": (None, [_write_synthetic]),
+}
+
+
+def _run(args):
+    """All of the subcommand's products or none: its writers write into a
+    temporary directory under --out, and the products are moved into place,
+    the manifest last, once every one of them is written."""
+    reads, writers = PRODUCTS[args.command]
+    run = _Run(args, reads)
     out = _outdir(args)
     staging = Path(tempfile.mkdtemp(prefix=".tmp-", dir=out))
     try:
-        _write_report(staging, args, corpus, diagnostics, corpus_hash)
+        entries = {}
+        for write in writers:
+            entries.update(write(staging, args, run) or {})
+        config = {k: v for k, v in vars(args).items() if k != "config"}
+        manifest = {"version": __version__, "config": config,
+                    "corpus_sha256": run.corpus_hash, **run.manifest, **entries}
+        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
             path.replace(out / path.name)
     finally:
@@ -419,51 +417,13 @@ def cmd_report_all(args):
     return EXIT_OK
 
 
-def _write_report(out: Path, args, corpus, diagnostics, corpus_hash):
-    _write_diagnostics(out, diagnostics)
-    ref_hist, var_hist = analysis.constituent_count_histogram(corpus, args.cap)
-    _write_csv(out / "fig1_counts.csv", ["k", "reference_pct", "variant_pct"],
-               [(k, f"{ref_hist.get(k, 0.0):.4f}", f"{var_hist.get(k, 0.0):.4f}")
-                for k in sorted(set(ref_hist) | set(var_hist))])
-
-    profile_rows = []
-    for k in range(args.k_min, args.k_max + 1):
-        try:
-            profile = analysis.position_length_profile(corpus, k)
-        except analysis.InsufficientDataError:
-            continue
-        profile_rows.extend(
-            (k, pos + 1, f"{mean:.4f}") for pos, mean in enumerate(profile))
-    _write_csv(out / "fig2_profile.csv", ["k", "position", "mean_length"], profile_rows)
-
-    _write_curves(out, args, corpus)
-    dataset = analysis.build_pairwise_dataset(corpus, args.cap, args.seed)
-    log.info("pairwise dataset: %d examples", len(dataset))
-    fit_health = {**_write_regressions(out, args, dataset),
-                  **_write_suite(out, args, dataset)}
-
-    _write_manifest(out, args, corpus_hash, {
-        **fit_health,
-        "eligible": len(corpus.entries),
-        "skipped": corpus.skipped,
-        "parse_diagnostics": len(diagnostics),
-        "pairs": len(dataset),
-        "corr_sentence_length_vs_constituents":
-            analysis.sentence_length_constituent_corr(corpus),
-    })
+def cmd_report_all(args):
+    """`report-all`, kept a module-level function by name: perfbench/tracer.py
+    times it as the span `cli.report_all`, through COMMANDS."""
+    return _run(args)
 
 
-COMMANDS = {
-    "parse": cmd_parse,
-    "decompose": cmd_decompose,
-    "variants": cmd_variants,
-    "strategies": cmd_strategies,
-    "features": cmd_features,
-    "fit": cmd_fit,
-    "classify": cmd_classify,
-    "synth": cmd_synth,
-    "report-all": cmd_report_all,
-}
+COMMANDS = {**dict.fromkeys(PRODUCTS, _run), "report-all": cmd_report_all}
 
 
 def main(argv=None) -> int:

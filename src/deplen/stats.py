@@ -269,7 +269,7 @@ def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
     n = counts.sum(axis=0)
     mean = np.stack([cf @ X for cf in counts.T]) / n[:, None]
     var = np.stack([cf @ np.square(d, out=d) for cf, d in zip(counts.T, (X - m for m in mean))])
-    sd = np.sqrt(var / (n - 1)[:, None])
+    sd = np.sqrt(var / np.maximum(n - 1, 1)[:, None])   # a one-row fold's variance is 0
     scale = np.divide(1.0, sd, out=np.zeros_like(sd), where=sd > 0)
     maps = np.repeat(np.eye(X.shape[1] + 1)[None], len(n), axis=0)
     maps[:, 0, 1:], maps[:, 1:, 1:] = -mean * scale, maps[:, 1:, 1:] * scale[:, None]

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib
 import inspect
@@ -284,7 +285,8 @@ class TestStreamedCorpus:
         path = tmp_path / "mixed.conllu"
         path.write_text(text)
         with mock.patch.object(cli, "READ_SIZE", read_size):
-            corpus, diagnostics, corpus_hash = cli._decomposed(_decompose_args(path, *flags))
+            run = cli._Run(_decompose_args(path, *flags), "corpus")
+        corpus, diagnostics, corpus_hash = run.corpus, run.diagnostics, run.corpus_hash
         trees, want_diagnostics = parse_text(text[1:], exclude_punct=bool(flags))
         want = decompose_corpus(trees)
         assert corpus.entries and diagnostics
@@ -335,7 +337,7 @@ class TestStreamedCorpus:
         """Each block's tree is decomposed as the block is read, so an
         ineligible one is dropped with its block, and only one READ_SIZE
         block of the file is held at a time. On a 2 MB corpus in which one
-        sentence in twenty is eligible, what `_decomposed` keeps (those
+        sentence in twenty is eligible, what the decomposed `_Run` keeps (those
         sentences' plans) stays under a quarter of the file, and
         what it allocates beyond that under half of it. Reading the file
         whole held its bytes, its text and every tree: over 4 times it."""
@@ -343,9 +345,9 @@ class TestStreamedCorpus:
         path.write_text(mixed_corpus(4, 3000))
         size = path.stat().st_size
         args = _decompose_args(path, "--exclude-punct")
-        (corpus, diagnostics, _), retained, peak = traced(cli._decomposed, args)
+        run, retained, peak = traced(cli._Run, args, "corpus")
         assert size >= 2_000_000
-        assert len(corpus.entries) == 150 and len(diagnostics) == 60
+        assert len(run.corpus.entries) == 150 and len(run.diagnostics) == 60
         assert retained <= 0.25 * size
         assert peak - retained <= 0.5 * size
 
@@ -426,18 +428,61 @@ class TestReportAll:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert not list(out1.glob(".tmp-*"))
 
-    def test_diagnostics_for_skipped_blocks(self, tmp_path):
+    def test_each_subcommand_writes_its_products_as_report_all_does(self, tmp_path):
+        """One writer per product: a subcommand's products are byte-equal to
+        report-all's of the same name, and every key that its manifest shares
+        with report-all's has the same value, apart from the output directory
+        and the subcommand's name."""
         corpus = tmp_path / "bad-first.conllu"
         corpus.write_text("1\tx\t_\t_\t_\t_\tzz\tdep\t_\t_\n\n"
                           + synth_corpus(tmp_path, sentences=40).read_text())
-        for command in ("parse", "report-all"):
-            assert main([command, "--corpus", str(corpus), "--folds", "3",
+        products = {"parse": ["diagnostics.csv"], "strategies": ["fig4_curves.csv"],
+                    "fit": ["table1_regression.json", "table2_regression.json"],
+                    "classify": ["table3_accuracy.csv", "table4_accuracy.csv"],
+                    "report-all": []}
+
+        def manifest(command):
+            manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+            del manifest["config"]["out"], manifest["config"]["command"]
+            return manifest
+
+        for command in products:
+            assert main([command, "--corpus", str(corpus), "--folds", "3", "--seed", "2",
                          "--out", str(tmp_path / command)]) == 0
         diagnostics = (tmp_path / "report-all" / "diagnostics.csv").read_text()
         assert diagnostics.splitlines() == ["line,reason", "1,non-integer head 'zz'"]
-        assert diagnostics == (tmp_path / "parse" / "diagnostics.csv").read_text()
-        manifest = json.loads((tmp_path / "report-all" / "manifest.json").read_text())
-        assert manifest["parse_diagnostics"] == 1
+        report = manifest("report-all")
+        for command, names in products.items():
+            for name in names:
+                assert (tmp_path / command / name).read_bytes() == \
+                    (tmp_path / "report-all" / name).read_bytes(), name
+            own = manifest(command)
+            assert {key: own[key] for key in own.keys() & report.keys()} == \
+                {key: report[key] for key in own.keys() & report.keys()}, command
+        assert report["parse_diagnostics"] == 1 and report["pairs"] > 0
+
+    def test_failed_rerun_leaves_the_previous_products(self, corpus_file, tmp_path):
+        """A rerun into the same --out that fails part way (here its second
+        sentence's variants, with a full disk) leaves the previous run's
+        products as they were, and no staging directory."""
+        out = tmp_path / "o"
+        assert main(["variants", "--corpus", str(corpus_file), "--seed", "1",
+                     "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        generate, calls = variants.generate_variants, []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return generate(*args)
+
+        with mock.patch.object(variants, "generate_variants", second_fails), \
+                pytest.raises(OSError):
+            main(["variants", "--corpus", str(corpus_file), "--seed", "2", "--out", str(out)])
+        assert len(calls) == 2
+        assert sorted(path.name for path in out.iterdir()) == sorted(before)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_manifest_records_flagged_folds(self, tmp_path):
         corpus = synth_corpus(tmp_path, sentences=60)
@@ -496,7 +541,7 @@ class TestReportAll:
             out = tmp_path / command
             assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
             assert "insufficient data" in capsys.readouterr().err
-            # neither leaves a product behind: report-all writes all or none
+            # neither leaves a product behind: every subcommand writes all or none
             assert list(out.iterdir()) == []
 
 
@@ -524,8 +569,23 @@ class TestDegenerateCorpora:
         assert main([command, "--corpus", str(corpus), "--folds", str(folds),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: insufficient data: {message}\n"
-        if command == "report-all":
-            assert list(out.iterdir()) == []
+        assert list(out.iterdir()) == []
+
+    def test_one_row_training_fold_warns_nothing(self, tmp_path):
+        """Two k = 2 sentences under --folds 2 train each fold on one row:
+        its sample variance is 0, not 0 / 0, so stderr holds only the log.
+        Run in a fresh interpreter, where numpy's warnings reach stderr as
+        they do from the shell."""
+        corpus = spec_corpus(tmp_path / "c.conllu", 2, k=2)
+        env = {k: v for k, v in os.environ.items() if k not in ("DEPLEN_LOG", "PYTHONWARNINGS")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "deplen.cli", "classify", "--corpus", str(corpus),
+             "--folds", "2", "--out", str(tmp_path / "o")], capture_output=True, text=True,
+            timeout=60, env={**env, "PYTHONPATH": str(Path(deplen.__file__).parents[1])})
+        assert proc.returncode == 0
+        assert proc.stderr == ("INFO deplen: parsed 2 sentences, 0 blocks skipped\n"
+                               "INFO deplen: eligible 2 sentences; skipped: {}\n"
+                               "INFO deplen: pairwise dataset: 2 examples\n")
 
     @pytest.mark.parametrize("corpus", ["k2-only", "one-eligible", "folds-above-pairs"])
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
@@ -556,9 +616,12 @@ ROBUST_CORPUS = "".join(to_conllu(t, f"r{i}") + "\n" for i, t in enumerate(
 ROBUST_CONFIG = ("# report settings\nseed=3\ncap=20\nrandom-draws=2\nk-min=2\nk-max=6\n"
                  "zscore=fold\nformat=conllu\nexclude-punct=no\nconvention=intervening\n")
 FIELD_VALUES = ["_", "-1", "999", "1.1", "nan"]
-REPORT_PRODUCTS = {"diagnostics.csv", "fig1_counts.csv", "fig2_profile.csv",
-                   "fig4_curves.csv", "table1_regression.json", "table2_regression.json",
-                   "table3_accuracy.csv", "table4_accuracy.csv", "manifest.json"}
+PRODUCT_FILES = {
+    "parse": {"parsed.conllu", "diagnostics.csv", "manifest.json"},
+    "classify": {"table3_accuracy.csv", "table4_accuracy.csv", "manifest.json"},
+    "report-all": {"diagnostics.csv", "fig1_counts.csv", "fig2_profile.csv", "fig4_curves.csv",
+                   "table1_regression.json", "table2_regression.json",
+                   "table3_accuracy.csv", "table4_accuracy.csv", "manifest.json"}}
 
 
 @st.composite
@@ -603,14 +666,14 @@ def _assert_run_outcome(command, code, err, out, usage_error_allowed=False):
     with one message line, no traceback and no product."""
     assert "Traceback" not in err
     if code == 0:
-        products = {"parsed.conllu", "diagnostics.csv", "manifest.json"} \
-            if command == "parse" else REPORT_PRODUCTS
-        assert {p.name for p in out.iterdir()} == products
+        assert {p.name for p in out.iterdir()} == PRODUCT_FILES[command]
         for path in out.glob("*.csv"):
             with path.open() as f:
                 assert all(_finite(cell) for row in csv.reader(f) for cell in row), path.name
         for path in out.glob("*.json"):
             json.loads(path.read_text(), parse_constant=pytest.fail)   # NaN, Infinity
+        if command == "classify":
+            return
         manifest = json.loads((out / "manifest.json").read_text())
         rows = len((out / "diagnostics.csv").read_text().splitlines()) - 1
         assert manifest["skipped_blocks" if command == "parse" else "parse_diagnostics"] == rows
@@ -627,14 +690,15 @@ class TestRobustInputs:
     report or a NaN."""
 
     @staticmethod
-    def run(tmp, corpus: bytes, config: bytes = None) -> dict:
+    def run(tmp, corpus: bytes, config: bytes = None,
+            commands=(("parse", []), ("report-all", ["--folds", "2"]))) -> dict:
         (tmp / "c.conllu").write_bytes(corpus)
         flags = ["--corpus", str(tmp / "c.conllu")]
         if config is not None:
             (tmp / "run.cfg").write_bytes(config)
             flags += ["--config", str(tmp / "run.cfg")]
         outcomes = {}
-        for command, extra in (("parse", []), ("report-all", ["--folds", "2"])):
+        for command, extra in commands:
             out, err = tmp / command, io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main([command, *flags, *extra, "--out", str(out)])
@@ -658,6 +722,22 @@ class TestRobustInputs:
                             ROBUST_CORPUS.encode("utf-8"), config)
         for command, (code, err, out) in outcomes.items():
             _assert_run_outcome(command, code, err, out, usage_error_allowed=True)
+
+    @pytest.mark.parametrize("ks", [(2,), (3,), (6,), (2, 2), (2, 3), (3, 3), (2, 2, 2),
+                                    (2, 4, 6)], ids=lambda ks: "k" + "-".join(map(str, ks)))
+    def test_tiny_corpus(self, tmp_path, ks):
+        """One to three eligible sentences under --folds 2, where a table
+        can have fewer pairs than folds and a training fold one row. The
+        test settings turn any numpy warning into an error."""
+        corpus = "".join(
+            to_conllu(tree, f"t{i}") + "\n" for i, k in enumerate(ks)
+            for tree in generate_synthetic_corpus(
+                SyntheticSpec(n_sentences=1, k_weights=((k, 1.0),), p_least_effort=0.0), seed=i))
+        outcomes = self.run(tmp_path, corpus.encode("utf-8"),
+                            commands=[(command, ["--folds", "2"])
+                                      for command in ("report-all", "classify")])
+        for command, (code, err, out) in outcomes.items():
+            _assert_run_outcome(command, code, err, out)
 
 
 class TestTracedCounts:

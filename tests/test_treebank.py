@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deplen import treebank
+from deplen.constituency import decompose
 from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree, is_projective,
                              iter_trees, subtree_spans, to_conllu)
 
+import oracles
 from conftest import heads_tree, parse_text, random_tree, to_tsv, traced
 
 CONLLU_FIG3 = """\
@@ -279,6 +283,55 @@ def test_validation_matches_walk_to_root(heads):
     except ValueError as e:
         reason = str(e)
     assert reason == _validate_by_walk(heads)
+
+
+def _yields(heads) -> list:
+    """Every token's yield of a valid heads column as a sorted list, found
+    by walking each token's head links to the root; index 0 unused."""
+    yields = [[] for _ in range(len(heads) + 1)]
+    for token in range(1, len(heads) + 1):
+        node = token
+        while node:
+            yields[node].append(token)
+            node = heads[node - 1]
+    return yields
+
+
+def test_every_head_array_up_to_six_tokens():
+    """The whole small domain, where the properties above draw samples:
+    every heads column of n <= 6 tokens with each head in 0..n, valid or
+    not, parsed as one CoNLL-U text. Each block is a tree or a diagnostic
+    as `_validate_by_walk` says (a token that is its own head is named at
+    its line first); each tree's yields, projectivity and plan match those
+    found from its head links, the pairwise arc check and `oracles.decompose`."""
+    columns = [heads for n in range(1, 7) for heads in itertools.product(range(n + 1), repeat=n)]
+    rows = [[f"{i}\tw\t_\t_\t_\t_\t{h}\tdep\t_\t_" for h in range(7)] for i in range(7)]
+    lines, starts = [], []
+    for heads in columns:
+        starts.append(len(lines) + 1)
+        lines.extend(rows[i][h] for i, h in enumerate(heads, start=1))
+        lines.append("")
+    trees, diagnostics = parse_text("\n".join(lines))
+    want_trees, want_diagnostics = [], []
+    for start, heads in zip(starts, columns):
+        own = next((i for i, h in enumerate(heads, start=1) if h == i), None)
+        reason = None if own is not None else _validate_by_walk(heads)
+        if own is not None:
+            want_diagnostics.append((start + own - 1, f"token {own} is its own head"))
+        elif reason is not None:
+            want_diagnostics.append((start, reason))
+        else:
+            want_trees.append(heads)
+    assert [(d.line, d.reason) for d in diagnostics] == want_diagnostics
+    assert [tree.heads for tree in trees] == want_trees
+    assert len(trees) == sum(n ** (n - 1) for n in range(1, 7))   # Cayley: rooted trees
+    for tree in trees:
+        yields = _yields(tree.heads)
+        contiguous = all(y[-1] - y[0] + 1 == len(y) for y in yields[1:])
+        assert is_projective(tree) == contiguous == brute_force_projective(tree)
+        assert subtree_spans(tree) == ([(0, 0), *((y[0], y[-1]) for y in yields[1:])]
+                                       if contiguous else None)
+        assert decompose(tree) == oracles.decompose(tree)
 
 
 def test_columns_of_unequal_length_rejected():
