@@ -9,7 +9,9 @@ Run: python3 demos/worked_example.py
 
 from itertools import islice
 
-from deplen.constituency import decompose, order_dl
+import numpy as np
+
+from deplen.constituency import PlanTable, decompose
 from deplen.treebank import DependencyTree
 from deplen.variants import ascending_orders, descending_orders, least_effort_moves
 
@@ -38,10 +40,11 @@ orders = {
     "a random order": (0, 1, 3, 2),
     "least-effort from that order": least_effort_moves(plan.lengths, (0, 1, 3, 2)),
 }
+# every order of the one plan scored at once: (1 plan x 4 orders x k) arcs
+arcs_per_order = PlanTable.of([plan]).score(np.array([list(orders.values())]))[0][0]
 print()
-for label, order in orders.items():
+for (label, order), arcs in zip(orders.items(), arcs_per_order.tolist()):
     sentence = " ".join(tree.forms[p - 1] for p in plan.positions(order))
-    arcs = list(order_dl(plan, order)[0])
     print(f"{label}:")
     print(f"  {sentence}")
     print(f"  main-verb DL = {sum(arcs)}   arcs {arcs}")

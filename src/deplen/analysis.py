@@ -5,6 +5,7 @@ corpus generator for desk-scale validation.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -260,9 +261,9 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
     families, each row McNemar-tested against the previous row of its table.
 
     Returns a list of row dicts: table, predictors, accuracy,
-    fold_accuracies, flagged_folds (folds fitted under the separation
-    ridge), min_margin (the smallest |p - 0.5| of a test prediction),
-    mcnemar vs previous row (None for first rows).
+    flagged_folds (folds fitted under the separation ridge), min_margin (the
+    smallest |p - 0.5| of a test prediction), and mcnemar_p against the
+    previous row (None for first rows).
     """
     if len(dataset) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 pairs")
@@ -290,16 +291,12 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
                 "table": table,
                 "predictors": name,
                 "accuracy": report.mean_accuracy,
-                "fold_accuracies": report.fold_accuracies.tolist(),
                 "flagged_folds": report.flagged_folds,
                 "min_margin": report.min_margin,
                 "mcnemar_p": None,
-                "mcnemar_statistic": None,
             }
             if prev_pred is not None:
-                res = stats.mcnemar(prev_pred, report.predictions, y)
-                row["mcnemar_p"] = res.p_two_tailed
-                row["mcnemar_statistic"] = res.statistic
+                row["mcnemar_p"] = stats.mcnemar(prev_pred, report.predictions, y).p_two_tailed
             prev_pred = report.predictions
             rows.append(row)
     return rows
@@ -307,10 +304,11 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
 
 def _drop_collinear(X: np.ndarray, names: list):
     """Drop leftmost exactly-dependent columns until X has full column rank
-    (intercept included). Verb-adjacent positions survive by construction."""
+    (intercept included), a constant last column too. Verb-adjacent
+    positions otherwise survive by construction."""
     design = lambda M: np.column_stack([np.ones(M.shape[0]), M])
     dropped = []
-    while X.shape[1] > 1 and (rank := np.linalg.matrix_rank(design(X))) < X.shape[1] + 1:
+    while (rank := np.linalg.matrix_rank(design(X))) < X.shape[1] + 1:
         for j in range(X.shape[1]):
             rest = np.delete(X, j, axis=1)
             if np.linalg.matrix_rank(design(rest)) == rank:
@@ -369,21 +367,25 @@ class SyntheticSpec:
             raise ValueError("p_least_effort must be in [0, 1]")
         if not self.noise_temperature >= 0.0:    # NaN fails too
             raise ValueError("noise_temperature must be >= 0")
-        if self.n_sentences < 1:
-            raise ValueError("n_sentences must be >= 1")
-        total = sum(w for _, w in self.k_weights)
-        if not math.isclose(total, 1.0, abs_tol=1e-9):
+        if not (isinstance(self.n_sentences, Integral) and self.n_sentences >= 1):
+            raise ValueError("n_sentences must be an integer >= 1")
+        if not all(isinstance(k, Integral) and k >= 2 for k, _ in self.k_weights):
+            raise ValueError("k_weights: every k must be an integer >= 2")
+        if not all(w >= 0 for _, w in self.k_weights):
+            raise ValueError("k_weights: every weight must be >= 0")
+        if not math.isclose(sum(w for _, w in self.k_weights), 1.0, abs_tol=1e-9):
             raise ValueError("k_weights must sum to 1")
-        if any(k < 2 for k, _ in self.k_weights):
-            raise ValueError("k_weights: every k must be >= 2")
-        if self.max_constituent_length < 1:
-            raise ValueError("max_constituent_length must be >= 1")
+        if not (isinstance(self.max_constituent_length, Integral)
+                and self.max_constituent_length >= 1):
+            raise ValueError("max_constituent_length must be an integer >= 1")
         kind, *bounds = self.length_dist
         if kind not in ("geometric", "uniform"):
             raise ValueError(f"length_dist: unknown length distribution: {kind!r}")
-        if not (0.0 < bounds[0] <= 1.0 if kind == "geometric" else 1 <= bounds[0] <= bounds[1]):
-            raise ValueError("length_dist: needs 0 < p <= 1 (geometric) or 1 <= lo <= hi "
-                             f"(uniform), got {self.length_dist}")   # NaN fails too
+        if not ((len(bounds) == 1 and 0.0 < bounds[0] <= 1.0) if kind == "geometric"
+                else (len(bounds) == 2 and all(isinstance(b, Integral) for b in bounds)
+                      and 1 <= bounds[0] <= bounds[1])):
+            raise ValueError("length_dist: needs 0 < p <= 1 (geometric) or integers "
+                             f"1 <= lo <= hi (uniform), got {self.length_dist}")   # NaN fails too
 
     def sample_lengths(self, rng, k: int) -> np.ndarray:
         kind, *bounds = self.length_dist

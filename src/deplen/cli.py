@@ -228,7 +228,7 @@ class _Run:
     def dataset(self) -> analysis.PairwiseDataset:
         """The corpus's pairwise dataset, built on first use; it adds `pairs`
         to the manifest entries."""
-        dataset =analysis.build_pairwise_dataset(self.corpus, self.args.cap, self.args.seed)
+        dataset = analysis.build_pairwise_dataset(self.corpus, self.args.cap, self.args.seed)
         log.info("pairwise dataset: %d examples", len(dataset))
         self.manifest["pairs"] = len(dataset)
         return dataset
@@ -283,14 +283,14 @@ def _write_variants(out: Path, args, run):
     gap = constituency.arc_gap(args.convention)
     with (out / "variants.jsonl").open("w") as f:
         for sentence_id, tree, plan in run.plans:
-            orders = variants.generate_variants(
-                plan, args.cap, derive_rng(args.seed, sentence_id, "variants"))
-            for order in (tuple(range(plan.k)), *orders):
-                dls, total = constituency.order_dl(plan, order)
+            orders = [tuple(range(plan.k)), *variants.generate_variants(
+                plan, args.cap, derive_rng(args.seed, sentence_id, "variants"))]
+            dls, totals = constituency.PlanTable.of([plan]).score(np.array([orders]))
+            for order, order_dls, total in zip(orders, dls[0].tolist(), totals[0].tolist()):
                 record = {
                     "sentence_id": sentence_id,
                     "permutation": list(order),
-                    "main_verb_dl": sum(dls) + gap * plan.k,
+                    "main_verb_dl": sum(order_dls) + gap * plan.k,
                     "total_dl": total + gap * (plan.words - 1),
                     "tokens": [tree.forms[p - 1] for p in plan.positions(order)],
                 }

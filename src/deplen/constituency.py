@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .treebank import DependencyTree, is_projective, subtree_spans
+from .treebank import DependencyTree, is_projective
 
 __all__ = [
     "SentencePlan",
@@ -23,7 +23,6 @@ __all__ = [
     "Ineligible",
     "arc_gap",
     "decompose",
-    "order_dl",
 ]
 
 # What one arc adds to its intervening-word count, per distance convention.
@@ -88,9 +87,9 @@ class PlanTable:
                    np.array([p.fixed_dl for p in plans], dtype=np.int64))
 
     def score(self, orders: np.ndarray) -> tuple:
-        """`order_dl` of every order at once: orders[s] holds plan s's (m x k)
-        orders. Returns the (S x m x k) per-position head-to-verb distances
-        and the (S x m) total DLs."""
+        """The (S x m x k) per-position head-to-verb distances and (S x m)
+        total DLs of orders[s], plan s's (m x k) orders, all at once: only
+        these k arcs move, every other arc adds the plan's `fixed_dl`."""
         lengths = np.take_along_axis(self.lengths[:, None, :], orders, axis=2)
         offsets = np.take_along_axis(self.offsets[:, None, :], orders, axis=2)
         start = np.cumsum(lengths, axis=2) - lengths + 1   # exclusive, from position 1
@@ -107,10 +106,10 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     left to right. Root children after the root (auxiliaries, complement
     clauses, punctuation) stay frozen in the suffix. In a projective tree a
     root child's yield is contiguous and excludes the root, so the preverbal
-    yields tile the positions before the verb.
-
-    The verb's left dependents come from the heads column; only a tree with
-    at least 2 of them has its yields computed.
+    yields tile the positions before the verb: each ends where the next
+    starts, the last at the verb. A projective yield starts where its head's
+    leftmost dependent's yield does, or at the head if that is to its right
+    or missing: a chain read off one pass over the heads column.
     """
     if not is_projective(tree):
         return Ineligible("non-projective")
@@ -120,20 +119,15 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
         return Ineligible("no preverbal constituents")
     if len(heads) < 2:
         return Ineligible("fewer than 2 constituents")
-    spans = subtree_spans(tree)
+    # each head's leftmost dependent: read right to left, so the last write wins
+    leftmost = dict(zip(reversed(tree.heads), range(len(tree), 0, -1)))
+    starts = []
+    for node in heads:
+        while leftmost.get(node, node) < node:
+            node = leftmost[node]
+        starts.append(node)
+    starts.append(verb)
     fixed_dl = sum(abs(h - d) - 1 for d, h in enumerate(tree.heads, start=1)
                    if h and not (h == verb and d < verb))   # not a head-to-verb arc
-    return SentencePlan(verb, tuple(spans[i][1] - spans[i][0] + 1 for i in heads),
-                        tuple(i - spans[i][0] for i in heads), fixed_dl, len(tree))
-
-
-def order_dl(plan: SentencePlan, order: Sequence[int]) -> tuple:
-    """(per-position head-to-verb distances, total DL) under `order`, in one
-    pass over the constituents: only these k arcs move under permutation,
-    every other arc adds the same length, the plan's `fixed_dl`."""
-    dls, start = [], 1
-    lengths, offsets, verb = plan.lengths, plan.head_offsets, plan.verb_index
-    for ci in order:   # every preverbal head precedes the verb
-        dls.append(verb - start - offsets[ci] - 1)
-        start += lengths[ci]
-    return tuple(dls), sum(dls) + plan.fixed_dl
+    return SentencePlan(verb, tuple(b - a for a, b in zip(starts, starts[1:])),
+                        tuple(h - a for h, a in zip(heads, starts)), fixed_dl, len(tree))

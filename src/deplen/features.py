@@ -9,7 +9,7 @@ label 0.
 
 import numpy as np
 
-from .constituency import SentencePlan, order_dl
+from .constituency import SentencePlan
 
 __all__ = [
     "extract_features",
@@ -27,10 +27,15 @@ def feature_names(k: int) -> list:
 def extract_features(plan: SentencePlan, order) -> tuple:
     """Predictors of one linearization in `feature_names(k)` order: total DL,
     then the per-position constituent dependency lengths and word counts
-    (position k adjacent to the verb), distances in intervening words."""
-    dls, total = order_dl(plan, order)
-    lengths = plan.lengths
-    return (total, *dls, *(lengths[ci] for ci in order))
+    (position k adjacent to the verb), distances in intervening words, as
+    `PlanTable.score` gives them. It stays a per-order scalar only because
+    the traced benchmark counts its calls, until ROADMAP items 2 and 3."""
+    dls, start = [], 1
+    lengths, offsets, verb = plan.lengths, plan.head_offsets, plan.verb_index
+    for ci in order:   # every preverbal head precedes the verb
+        dls.append(verb - start - offsets[ci] - 1)
+        start += lengths[ci]
+    return (sum(dls) + plan.fixed_dl, *dls, *(lengths[ci] for ci in order))
 
 
 def zscore(X: np.ndarray):

@@ -14,7 +14,6 @@ __all__ = [
     "Diagnostic",
     "iter_trees",
     "to_conllu",
-    "subtree_spans",
     "is_projective",
 ]
 
@@ -231,27 +230,6 @@ def to_conllu(tree: DependencyTree, sent_id: Optional[str] = None) -> str:
 
 # ---------------------------------------------------------------------------
 # structure
-
-def subtree_spans(tree: DependencyTree) -> Optional[list]:
-    """Every token's yield, the [min, max] positions of its transitive-
-    dependent closure: `spans[i]` is token i's (lo, hi), `spans[0]` unused.
-    None when some yield has a gap, i.e. the tree is not projective.
-
-    One bottom-up pass, dependents before their heads.
-    """
-    n = len(tree)
-    heads = (0, *tree.heads)
-    lo, hi, size = list(range(n + 1)), list(range(n + 1)), [1] * (n + 1)
-    for node in reversed(_root_walk(tree.heads)):
-        if hi[node] - lo[node] + 1 != size[node]:
-            return None
-        h = heads[node]
-        if h != 0:
-            lo[h] = min(lo[h], lo[node])
-            hi[h] = max(hi[h], hi[node])
-            size[h] += size[node]
-    return list(zip(lo, hi))
-
 
 def is_projective(tree: DependencyTree) -> bool:
     """True iff no two arcs cross, the root's arc from position 0 included,

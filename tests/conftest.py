@@ -4,8 +4,9 @@ import pytest
 from hypothesis import strategies as st
 
 from deplen.treebank import DependencyTree, iter_trees
-from deplen.constituency import SentencePlan, decompose, order_dl
+from deplen.constituency import SentencePlan, decompose
 from deplen.analysis import SyntheticSpec, generate_synthetic_corpus
+from oracles import order_dl
 
 # The worked 11-token example: four preverbal constituents
 # "maa ne" / "baajaar jaate samaye" / "rote hue bacche ko" / "toffee"

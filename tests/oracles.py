@@ -11,7 +11,7 @@ from deplen.analysis import STRATEGIES, PairwiseDataset
 from deplen.constituency import Ineligible, SentencePlan
 from deplen.seeding import derive_rng
 from deplen.stats import _sigmoid
-from deplen.treebank import DependencyTree, subtree_spans
+from deplen.treebank import DependencyTree, _root_walk
 
 
 def arc_distance(a: int, b: int, convention: str = "intervening") -> int:
@@ -28,6 +28,38 @@ def total_dependency_length(tree, convention="intervening") -> int:
     """Sum of head-dependent distances over all arcs of the tree."""
     return sum(arc_distance(h, d, convention)
                for d, h in enumerate(tree.heads, start=1) if h)
+
+
+def subtree_spans(tree):
+    """Every token's yield, the [min, max] positions of its transitive-
+    dependent closure: `spans[i]` is token i's (lo, hi), `spans[0]` unused.
+    None when some yield has a gap, i.e. the tree is not projective.
+
+    One bottom-up pass, dependents before their heads.
+    """
+    n = len(tree)
+    heads = (0, *tree.heads)
+    lo, hi, size = list(range(n + 1)), list(range(n + 1)), [1] * (n + 1)
+    for node in reversed(_root_walk(tree.heads)):
+        if hi[node] - lo[node] + 1 != size[node]:
+            return None
+        h = heads[node]
+        if h != 0:
+            lo[h] = min(lo[h], lo[node])
+            hi[h] = max(hi[h], hi[node])
+            size[h] += size[node]
+    return list(zip(lo, hi))
+
+
+def order_dl(plan, order) -> tuple:
+    """(per-position head-to-verb distances, total DL) under `order`, in one
+    pass over the constituents: only these k arcs move under permutation,
+    every other arc adds the same length, the plan's `fixed_dl`."""
+    dls, start = [], 1
+    for ci in order:   # every preverbal head precedes the verb
+        dls.append(plan.verb_index - start - plan.head_offsets[ci] - 1)
+        start += plan.lengths[ci]
+    return tuple(dls), sum(dls) + plan.fixed_dl
 
 
 def main_verb_dl_closed_form(plan, order) -> int:

@@ -17,7 +17,6 @@ from deplen.analysis import (DecomposedCorpus, SyntheticSpec,
                              build_pairwise_dataset, decompose_corpus,
                              generate_synthetic_corpus, position_length_profile,
                              regression_table, run_classification_suite)
-from deplen.constituency import order_dl
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
 from deplen.stats import crossval_accuracy, fit_logistic, mcnemar
@@ -25,6 +24,7 @@ from deplen.variants import (ascending_orders, descending_orders, generate_varia
                              least_effort_moves)
 
 import oracles
+from oracles import order_dl
 from conftest import FIG3_RANDOM_ORDER, main_verb_dl, random_plans
 
 

@@ -415,6 +415,14 @@ class TestSyntheticGenerator:
         ("length_dist", {"length_dist": ("geometric", 1.5)}),
         ("length_dist", {"length_dist": ("geometric", float("nan"))}),
         ("length_dist", {"length_dist": ("poisson", 2.0)}),
+        ("k_weights", {"k_weights": ((2, 1.5), (3, -0.5))}),
+        ("k_weights", {"k_weights": ((2.5, 1.0),)}),
+        ("max_constituent_length", {"max_constituent_length": 2.5}),
+        ("length_dist", {"length_dist": ("uniform", 1.5, 4)}),
+        ("length_dist", {"length_dist": ("uniform", 1, 4.5)}),
+        ("length_dist", {"length_dist": ("uniform", 2)}),
+        ("length_dist", {"length_dist": ("geometric", 0.5, 0.5)}),
+        ("n_sentences", {"n_sentences": 2.5}),
     ])
     def test_spec_the_generator_cannot_honour(self, field, kw):
         with pytest.raises(ValueError, match=field):

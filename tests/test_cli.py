@@ -571,6 +571,24 @@ class TestDegenerateCorpora:
         assert capsys.readouterr().err == f"error: insufficient data: {message}\n"
         assert list(out.iterdir()) == []
 
+    def test_fit_names_only_the_predictors_it_fitted(self, tmp_path):
+        """Two one-word constituents: a swap moves no arc and no word count,
+        so every positional delta is 0. Each constant column depends on the
+        intercept and is dropped, the last one too, so `selected` names just
+        the fit's predictors: none but the intercept."""
+        corpus = tmp_path / "c.conllu"
+        corpus.write_text("1\ta\t_\t_\t_\t_\t3\tdep\t_\t_\n2\tb\t_\t_\t_\t_\t3\tdep\t_\t_\n"
+                          "3\tV\t_\t_\t_\t_\t0\troot\t_\t_\n\n" * 600)
+        out = tmp_path / "o"
+        assert main(["fit", "--corpus", str(corpus), "--folds", "5", "--out", str(out)]) == 0
+        for filename, suffix in (("table1_regression.json", "deplen"),
+                                 ("table2_regression.json", "length")):
+            table = json.loads((out / filename).read_text())["2"]
+            fitted = [row["predictor"] for row in table["fit"]["rows"]]
+            assert fitted[0] == "intercept"
+            assert table["selected"] == fitted[1:] == []
+            assert table["dropped_collinear"] == [f"const1_{suffix}", f"const2_{suffix}"]
+
     def test_one_row_training_fold_warns_nothing(self, tmp_path):
         """Two k = 2 sentences under --folds 2 train each fold on one row:
         its sample variance is 0, not 0 / 0, so stderr holds only the log.

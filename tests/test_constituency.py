@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deplen.constituency import (ARC_GAP, Ineligible, PlanTable, SentencePlan, arc_gap,
-                                 decompose, order_dl)
+                                 decompose)
+from deplen.features import extract_features
 from deplen.treebank import is_projective
-from deplen.variants import ascending_orders, descending_orders
+from deplen.variants import ascending_orders, descending_orders, least_effort_moves
 
 import oracles
-from oracles import linearize
+from oracles import linearize, order_dl
 from conftest import (FIG3_RANDOM_ORDER, eligible_plans, eligible_trees, heads_tree,
                       main_verb_dl, random_plans, random_tree)
 
@@ -188,3 +189,55 @@ class TestPlanTable:
                     expected_dls, expected_total = order_dl(plan, order)
                     assert dls[s, m].tolist() == list(expected_dls)
                     assert totals[s, m] == expected_total
+
+
+def built_tree(lengths, offsets, suffix):
+    """A projective tree whose preverbal constituents have these word counts
+    and head offsets, then the verb and `suffix` postverbal words, each on
+    its left neighbour. In a constituent every other word attaches straight
+    to the head, the rest to their inward neighbour, so arcs other than the
+    head-to-verb ones have lengths other than 0 too."""
+    verb = sum(lengths) + 1
+    heads, start = [], 1
+    for length, offset in zip(lengths, offsets):
+        head = start + offset
+        heads += [verb if pos == head else head if pos % 2 else pos + (pos < head) - (pos > head)
+                  for pos in range(start, start + length)]
+        start += length
+    heads += [0, *range(verb, verb + suffix)]
+    return heads_tree(heads)
+
+
+def fixed_trees(k: int) -> list:
+    """Three trees of k preverbal constituents: one-word constituents (every
+    length tied); distinct-ish lengths, heads inside, a 2-word suffix; and
+    lengths falling from k, heads last, a 1-word suffix."""
+    mixed = [(3 * i) % 5 + 1 for i in range(k)]
+    return [built_tree([1] * k, [0] * k, 0),
+            built_tree(mixed, [i % length for i, length in enumerate(mixed)], 2),
+            built_tree(range(k, 0, -1), range(k - 1, -1, -1), 1)]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_every_order_of_fixed_plans(k):
+    """Every order of a few fixed plans of each k, and each order's
+    least-effort move, through the kernel and the per-order scalar, against
+    the rebuilt tree arc by arc: its head-to-verb arcs, its total and its
+    constituents' word counts; the moves against the per-order oracle."""
+    orders = np.array(list(itertools.permutations(range(k))))
+    for tree in fixed_trees(k):
+        plan = decompose(tree)
+        assert plan.k == k
+        moved = least_effort_moves(plan.lengths, orders)
+        assert [tuple(m) for m in moved.tolist()] == \
+            [oracles.least_effort_move(plan, order) for order in orders.tolist()]
+        dls, totals = PlanTable.of([plan]).score(np.array([orders, moved]))
+        for batch, batch_dls, batch_totals in zip((orders, moved), dls.tolist(), totals.tolist()):
+            for order, order_dls, total in zip(batch.tolist(), batch_dls, batch_totals):
+                rebuilt = linearize(tree, plan, order)
+                verb = rebuilt.root_index
+                arcs = [verb - i - 1 for i in range(1, verb) if rebuilt.heads[i - 1] == verb]
+                assert order_dls == arcs
+                assert total == oracles.total_dependency_length(rebuilt)
+                lengths = oracles.decompose(rebuilt).lengths
+                assert extract_features(plan, order) == (total, *arcs, *lengths)

@@ -4,12 +4,12 @@ import numpy as np
 
 from deplen.analysis import (CorpusEntry, DecomposedCorpus, build_pairwise_dataset,
                              decompose_corpus)
-from deplen.constituency import order_dl
 from deplen.features import extract_features, feature_names, zscore
 from deplen.seeding import derive_rng
 from deplen.variants import ascending_orders, descending_orders, generate_variants
 
 from conftest import heads_tree, random_plans
+from oracles import order_dl
 
 
 class TestExtractFeatures:

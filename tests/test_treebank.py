@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from deplen import treebank
 from deplen.constituency import decompose
 from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree, is_projective,
-                             iter_trees, subtree_spans, to_conllu)
+                             iter_trees, to_conllu)
 
 import oracles
+from oracles import subtree_spans
 from conftest import heads_tree, parse_text, random_tree, to_tsv, traced
 
 CONLLU_FIG3 = """\
