@@ -12,7 +12,7 @@ import numpy as np
 __all__ = ["derive_rng"]
 
 
-def derive_rng(seed: int, *keys) -> np.random.Generator:
+def derive_rng(seed: int, *keys) -> "np.random.Generator":
     """Generator for the stream identified by (seed, *keys).
 
     Keys are stringified, so any hashable identifiers (sentence ids,

@@ -182,10 +182,10 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
         raise ValueError("X and y length mismatch")
     design = np.column_stack([np.ones(len(y)), X])
     del X    # the design holds the columns now: a temporary X is freed
-    _check_rank(design, ["intercept"] + list(feature_names or []))
+    weights, maps = np.ones((len(y), 1)), np.eye(design.shape[1])[None]
+    _check_fits(design, weights, maps, ["intercept", *(feature_names or [])])
     beta, iterations, converged, separation, ridge = (
-        v[0] for v in _fit_folds(design, y, np.ones((len(y), 1)), np.array([float(ridge)]),
-                                 np.eye(design.shape[1])[None]))
+        v[0] for v in _fit_folds(design, y, weights, np.array([float(ridge)]), maps))
     mu = _sigmoid(design @ beta)
     w = np.clip(mu * (1.0 - mu), 1e-12, None)
     info = (design.T * w) @ design + ridge * np.eye(design.shape[1])
@@ -207,44 +207,17 @@ class CvReport:
     min_margin: float = math.inf    # smallest |p - 0.5| over the test predictions
 
 
-def _packed_key(keys):
-    """One int64 per row whose stable sort is `np.lexsort(keys)`, the last
-    key most significant; None if a key holds a value that is not an
-    integer, or the product of the keys' ranges exceeds 2**63."""
-    packed, scale = np.zeros(len(keys[0]), dtype=np.int64), 1
-    for col in keys:
-        lo, hi = col.min(), col.max()
-        if not (-2.0 ** 63 <= lo and hi < 2.0 ** 63):   # NaN and inf fail too
-            return None
-        if col.dtype.kind == "f" and not np.array_equal(col, np.trunc(col)):
-            return None
-        lo, span = int(lo), int(hi) - int(lo) + 1
-        if span == 1:
-            continue
-        if scale * span > 2 ** 63:
-            return None
-        packed += (col.astype(np.int64) - lo) * scale
-        scale *= span
-    return packed
-
-
 def _distinct_cells(X: np.ndarray, y: np.ndarray):
     """Group the rows of (X, y) into distinct cells: the first row of each
-    cell in sort order (X[:, -1] first, y last), and each row's cell number.
-    Integer-valued rows sort on one packed key; others by `np.lexsort`."""
+    cell in `np.lexsort` order (X[:, -1] first, y last), and each row's cell
+    number."""
     keys = (y, *X.T)
-    packed = _packed_key(keys) if len(y) else None
-    new = np.zeros(len(y), dtype=bool)
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
     new[:1] = True
-    if packed is None:
-        order = np.lexsort(keys)
-        for col in keys:
-            sorted_col = col[order]
-            new[1:] |= sorted_col[1:] != sorted_col[:-1]
-    else:
-        order = np.argsort(packed, kind="stable")
-        sorted_key = packed[order]
-        new[1:] = sorted_key[1:] != sorted_key[:-1]
+    for col in keys:
+        sorted_col = col[order]
+        new[1:] |= sorted_col[1:] != sorted_col[:-1]
     cell = np.empty(len(order), dtype=np.intp)
     cell[order] = np.cumsum(new) - 1
     return order[new], cell
@@ -260,6 +233,28 @@ def _folds(cell: np.ndarray, n_cells: int, folds: int, seed):
     test = np.bincount(cell * folds + fold, minlength=n_cells * folds)
     # no count exceeds the rows: the narrowest type that holds them saves memory
     return fold, test.astype(np.min_scalar_type(len(cell))).reshape(n_cells, folds)
+
+
+def _cv_cells(X, y, folds: int, seed, names=None, zscored: bool = False):
+    """The checks, cells and folds of a seeded k-fold CV of labels y on X:
+    (X, y, names, rep, cell, fold, test), names defaulting to x0, x1, ... as
+    RegressionFit.to_dict gives them. With `zscored`, X is z-scored on every
+    row (`zscore`) before it is grouped, and names keeps the kept columns'."""
+    X = _columns(X)
+    y = np.asarray(y, dtype=int)
+    if len(y) != X.shape[0]:
+        raise ValueError("X and y length mismatch")
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    if len(y) < folds:
+        raise ValueError("need at least one example per fold")
+    names = list(names) if names is not None else [f"x{j}" for j in range(X.shape[1])]
+    if zscored:
+        X, kept = zscore(X)
+        names = [names[j] for j in kept]
+    rep, cell = _distinct_cells(X, y)
+    fold, test = _folds(cell, len(rep), folds, seed)
+    return X, y, names, rep, cell, fold, test
 
 
 def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -328,22 +323,10 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
     full data before splitting. Every fold is fitted on its counts of the
     distinct (row, label) cells.
     """
-    X = _columns(X)
-    y = np.asarray(y, dtype=int)
-    n = len(y)
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if n < folds:
-        raise ValueError("need at least one example per fold")
     if zscore_mode not in ("fold", "global"):
         raise ValueError(f"unknown zscore mode: {zscore_mode!r}")
-
-    names = [f"x{j}" for j in range(X.shape[1])]   # as RegressionFit.to_dict names them
-    if zscore_mode == "global":
-        X, kept = zscore(X)
-        names = [names[j] for j in kept]
-    rep, cell = _distinct_cells(X, y)
-    fold, test = _folds(cell, len(rep), folds, seed)
+    X, y, names, rep, cell, fold, test = _cv_cells(X, y, folds, seed,
+                                                   zscored=zscore_mode == "global")
     report, prob, _ = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
                                       test, zscore_mode == "fold", names)
     report.predictions = (prob[cell, fold] > 0.5).astype(int)
@@ -426,14 +409,8 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
     X = _columns(X)
     if X.shape[1] < 2:
         raise ValueError("rfecv needs at least 2 candidate features")
-    y = np.asarray(y, dtype=int)
-    if len(y) < folds:
-        raise ValueError("need at least one example per fold")
-    p = X.shape[1]
-    names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
-    rep, cell = _distinct_cells(X, y)
-    _, test = _folds(cell, len(rep), folds, seed)
-    active = list(range(p))
+    X, y, names, rep, _, _, test = _cv_cells(X, y, folds, seed, feature_names)
+    active = list(range(X.shape[1]))
     curve, sets_by_size, margin = {}, {}, math.inf
     while active:
         sets_by_size[len(active)] = [names[j] for j in active]

@@ -195,17 +195,18 @@ def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0):
 
 
 def distinct_cells(X, y):
-    """`stats._distinct_cells` by `np.lexsort` on every column."""
-    keys = (y, *X.T)
-    order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for col in keys:
-        sorted_col = col[order]
-        new[1:] |= sorted_col[1:] != sorted_col[:-1]
-    cell = np.empty(len(order), dtype=np.intp)
-    cell[order] = np.cumsum(new) - 1
-    return order[new], cell
+    """`stats._distinct_cells` without `np.lexsort`: a stable sort of the row
+    indices on (X[r, -1], ..., X[r, 0], y[r]), NaN after every number, and a
+    new cell wherever a value changes (NaN equals nothing, itself included)."""
+    rows = [tuple(X[r, ::-1].tolist()) + (int(y[r]),) for r in range(len(y))]
+    order = sorted(range(len(rows)), key=lambda r: [(v != v, 0.0 if v != v else v)
+                                                    for v in rows[r]])
+    rep, cell = [], np.empty(len(order), dtype=np.intp)
+    for i, r in enumerate(order):
+        if not i or any(a != b for a, b in zip(rows[r], rows[order[i - 1]])):
+            rep.append(r)
+        cell[r] = len(rep) - 1
+    return np.array(rep, dtype=np.intp), cell
 
 
 def predict_proba(fit, X):

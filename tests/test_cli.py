@@ -798,6 +798,18 @@ class TestTracedCounts:
             len(ks) + sum(2 <= k <= 6 for k in ks) * draws]
 
 
+def test_import_leaves_numpy_random_unloaded():
+    """No module reaches numpy.random at import time: numpy 2 loads it,
+    19 modules, on the first attribute access, which an unquoted annotation
+    makes. The first draw loads it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, deplen.cli\n"
+                               "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(deplen.__file__).parents[1])})
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 class TestConvention:
     """A positional distance is the intervening words plus 1, on every arc:
     --convention changes the absolute lengths, and no pairwise delta."""

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
 from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientError, _check_fits,
-                          _columns, _distinct_cells, _fit_folds, _grams, _packed_key, crossval_accuracy,
+                          _columns, _distinct_cells, _fit_folds, _grams, crossval_accuracy,
                           fit_logistic, mcnemar, pearson, rfecv)
 
 import oracles
@@ -76,10 +77,26 @@ class TestFitLogistic:
     def test_rank_deficiency_named(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=200)
-        X = np.column_stack([x, 2 * x])
         y = (rng.random(200) < 0.5).astype(int)
-        with pytest.raises(RankDeficientError, match="collinear"):
-            fit_logistic(X, y, feature_names=["a", "a_doubled"])
+        cases = [(np.column_stack([x, 2 * x]), ["a", "a_doubled"], ["a", "a_doubled"]),
+                 (np.column_stack([x, 2 * x]), None, ["col1", "col2"]),
+                 (np.column_stack([x, np.full(200, 3.0)]), ["x", "flat"], ["intercept", "flat"]),
+                 (np.column_stack([x, x + 1.0, rng.normal(size=200)]), None,
+                  ["intercept", "col1", "col2"])]
+        for X, names, guilty in cases:
+            with pytest.raises(RankDeficientError) as err:
+                fit_logistic(X, y, feature_names=names)
+            assert str(err.value) == f"design matrix is rank deficient; collinear columns: {guilty}"
+
+    def test_full_rank_fit_skips_the_svd(self, monkeypatch):
+        """A well-conditioned design passes the Gram prefilter, so the rank
+        is never computed from the rows."""
+        calls, rank = [], np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda *a, **k: calls.append(1) or rank(*a, **k))
+        X, y = simulate_logistic(np.random.default_rng(2), 500, [1.0, -0.5, 0.25])
+        assert fit_logistic(X, y).converged
+        assert calls == []
 
     def test_std_errors_match_fd_hessian(self):
         # inverse observed information vs centered finite differences
@@ -309,28 +326,33 @@ def cell_designs(draw):
 class TestDistinctCells:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(design=cell_designs())
-    def test_packed_key_matches_lexsort(self, design):
+    def test_matches_sorted_oracle(self, design):
         X, y = design
         rep, cell = _distinct_cells(X, y)
         want_rep, want_cell = oracles.distinct_cells(X, y)
         assert np.array_equal(rep, want_rep) and np.array_equal(cell, want_cell)
 
-    @pytest.mark.parametrize("column, y, packed", [
-        ([0.0, 5.0, -3.0], [0, 1, 0], True),
-        (np.array([0, 2 ** 62 - 1, 5]), [0, 1, 0], True),   # spans 2**62 x 2 = 2**63: the most
-        (np.array([0, 2 ** 62, 5]), [0, 1, 0], False),
-        ([2.0 ** 63 - 1024, 2.0 ** 62, 2.0 ** 63 - 2048], [1, 1, 1], True),
-        ([-2.0 ** 63, -2.0 ** 63 + 4096, -2.0 ** 63 + 1024], [1, 1, 1], True),
-        ([-2.0 ** 63, 2.0 ** 63 - 1024, 0.0], [1, 1, 1], False),
-        ([0.5, 1.0, 2.0], [0, 1, 0], False),
-        ([0.0, np.inf, 1.0], [0, 1, 0], False),
-        ([0.0, np.nan, 1.0], [0, 1, 0], False)])
-    def test_packed_key_only_when_exact(self, column, y, packed):
+    @pytest.mark.parametrize("column, y", [
+        ([0.0, 5.0, -3.0], [0, 1, 0]),
+        (np.array([0, 2 ** 62 - 1, 5]), [0, 1, 0]),    # spans 2**62 x 2 labels = 2**63
+        (np.array([0, 2 ** 62, 5]), [0, 1, 0]),
+        ([2.0 ** 63 - 1024, 2.0 ** 62, 2.0 ** 63 - 2048], [1, 1, 1]),
+        ([-2.0 ** 63, -2.0 ** 63 + 4096, -2.0 ** 63 + 1024], [1, 1, 1]),
+        ([-2.0 ** 63, 2.0 ** 63 - 1024, 0.0], [1, 1, 1]),
+        ([0.5, 1.0, 2.0], [0, 1, 0]),
+        ([0.0, np.inf, 1.0], [0, 1, 0]),
+        ([0.0, np.nan, 1.0, np.nan], [0, 1, 0, 1])],
+        ids=["small", "span-2**62", "span-2**63", "near-2**63", "near-minus-2**63",
+             "full-int64", "fractions", "inf", "nan"])
+    def test_edge_columns(self, column, y):
         X, y = np.asarray(column)[:, None], np.array(y)
-        key = _packed_key((y, *X.T))
-        assert (key is not None) == packed
-        if packed:
-            assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((y, *X.T)))
+        rep, cell = _distinct_cells(X, y)
+        want_rep, want_cell = oracles.distinct_cells(X, y)
+        assert np.array_equal(rep, want_rep) and np.array_equal(cell, want_cell)
+        # NaN equals nothing: each NaN row is a cell of its own, after the numbers
+        nan = np.isnan(X[:, 0])
+        assert len(set(cell[nan])) == nan.sum()
+        assert (cell[nan][:, None] > cell[~nan][None, :]).all()
 
 
 def crossval_all_rows(X, y, folds, seed, zscore_mode):
@@ -501,6 +523,22 @@ class TestCrossval:
             crossval_accuracy(X, y, folds=10)
         with pytest.raises(ValueError):
             crossval_accuracy(X, y, folds=2, zscore_mode="nope")
+
+    @pytest.mark.parametrize("cv", [crossval_accuracy, rfecv])
+    @pytest.mark.parametrize("folds, short, message", [
+        (0, 0, "folds must be >= 2"), (1, 0, "folds must be >= 2"),
+        (5, 1, "X and y length mismatch")])
+    def test_bad_folds_and_labels_fail_in_one_line(self, cv, folds, short, message):
+        """folds below 2 and a y one row short end in a one-line ValueError,
+        with no warning, before any fit."""
+        rng = np.random.default_rng(200)
+        X = rng.integers(-3, 4, size=(200, 3))
+        y = rng.integers(0, 2, size=200 - short)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                cv(X, y, folds=folds)
+        assert str(err.value) == message
 
 
 class TestMcNemar:
