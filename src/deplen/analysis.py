@@ -204,7 +204,7 @@ class PairwiseDataset:
             raise ValueError(f"unknown feature family: {family!r}")
         cols = self.dl if family == "deplen" else self.length
         rows = self.ks == k
-        return cols[rows, cols.shape[1] - k:], (np.flatnonzero(rows) % 2 == 0).astype(int)
+        return cols[rows, cols.shape[1] - k:], self.labels[rows]
 
 
 def _delta_dtype(bound: int):
@@ -332,8 +332,7 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     if len(y) < folds:
         raise InsufficientDataError(
             f"insufficient data: {len(y)} pairs with k={k} for {folds} folds")
-    suffix = "deplen" if family == "deplen" else "length"
-    names = [f"const{i}_{suffix}" for i in range(1, k + 1)]
+    names = [f"const{i}_{family}" for i in range(1, k + 1)]
     X, names, dropped = _drop_collinear(X, names)
     if len(names) >= 2:
         selection = stats.rfecv(X, y, folds=folds, seed=seed, feature_names=names)

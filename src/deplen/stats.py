@@ -13,8 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import zscore
-
 __all__ = [
     "RegressionFit",
     "CvReport",
@@ -48,14 +46,13 @@ class RegressionFit:
     converged: bool
     iterations: int
     log_likelihood: float
+    feature_names: list         # one per column of X, intercept excluded
     ridge: float = 0.0
     separation: bool = False
-    feature_names: Optional[list] = None
 
     def to_dict(self) -> dict:
-        names = self.feature_names or [f"x{i}" for i in range(len(self.coefficients) - 1)]
         rows = []
-        for name, b, se, z in zip(["intercept"] + list(names),
+        for name, b, se, z in zip(["intercept", *self.feature_names],
                                   self.coefficients, self.std_errors, self.z_values):
             p = math.erfc(abs(z) / math.sqrt(2.0))
             rows.append({"predictor": name, "estimate": float(b),
@@ -81,8 +78,7 @@ def _check_rank(X: np.ndarray, names) -> None:
         # name the columns loading on the null space
         _, _, vt = np.linalg.svd(X, full_matrices=False)
         null = np.abs(vt[-1])
-        guilty = [names[j] if j < len(names) else f"col{j}"
-                  for j in np.flatnonzero(null > 0.1)]
+        guilty = [names[j] for j in np.flatnonzero(null > 0.1)]
         raise RankDeficientError(
             f"design matrix is rank deficient; collinear columns: {guilty}")
 
@@ -123,14 +119,19 @@ def _hessians(design: np.ndarray, counts: np.ndarray, maps: np.ndarray, triu,
     return hess
 
 
-def _fit_folds(design, y, weights, ridge, maps):
+def _fit_folds(design, y, weights, ridge, maps, names=None):
     """F logit fits of one design by one stacked IRLS loop, which a fit
     leaves once its step is below TOL. Fit f weights the rows by
     weights[:, f], has ridge[f] and solves for the coefficients that maps[f]
     takes to the design's. An unpenalized fit whose coefficients pass
     SEPARATION_COEF_BOUND before it converges is fitted again, from zero,
     under SEPARATION_RIDGE. Returns (beta, iterations, converged,
-    separation, ridge) per fit."""
+    separation, ridge) per fit.
+
+    Given the design's column `names`, intercept first, a fit whose rows
+    (weights[:, f] > 0) are rank deficient in the coordinates of maps[f],
+    less the columns that map drops, raises RankDeficientError naming its
+    collinear columns before any step."""
     F, q = weights.shape[1], design.shape[1]
     triu = np.triu_indices(q)
     beta, iterations = np.zeros((F, q)), np.full(F, MAX_ITER)
@@ -140,6 +141,13 @@ def _fit_folds(design, y, weights, ridge, maps):
         wts = weights if len(live) == F else weights[:, live]
         mu = _sigmoid(design @ (fold_maps @ b[..., None])[..., 0].T)
         hess = _hessians(design, wts, fold_maps, triu, mu)
+        if it == 1 and names is not None:
+            # at mu = 0.5 this is the Gram matrix / 4: one far from singular
+            # means a full-rank fit; check the rest on their rows
+            for f in np.flatnonzero(np.linalg.cond(hess) > 1e8):
+                kept = maps[f].any(axis=0)
+                _check_rank((design[weights[:, f] > 0] @ maps[f])[:, kept],
+                            [name for name, keep in zip(names, kept) if keep])
         np.subtract(y[:, None], mu, out=mu)    # the one (cells x fits) buffer
         mu *= wts
         grad = (design.T @ mu).T
@@ -171,31 +179,40 @@ def _columns(X) -> np.ndarray:
     return X[:, None] if X.ndim == 1 else X
 
 
+def _inputs(X, y, names, y_dtype):
+    """X as `_columns` gives it, y as a y_dtype vector of X's length, and
+    one name per column of X, x0, x1, ... by default."""
+    X = _columns(X)
+    y = np.asarray(y, dtype=y_dtype)
+    if len(y) != X.shape[0]:
+        raise ValueError("X and y length mismatch")
+    if names is None:
+        return X, y, [f"x{j}" for j in range(X.shape[1])]
+    if len(names) != X.shape[1]:
+        raise ValueError(f"{len(names)} feature names for {X.shape[1]} columns")
+    return X, y, list(names)
+
+
 def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
-                 feature_names: Optional[list] = None) -> RegressionFit:
+                 feature_names: Optional[Sequence] = None) -> RegressionFit:
     """Maximum-likelihood logit fit via IRLS. X excludes the intercept
     column, which is added internally; ridge > 0 is reserved for the
     documented fallback on detected separation."""
-    X = _columns(X)
-    y = np.asarray(y, dtype=float)
-    if len(y) != X.shape[0]:
-        raise ValueError("X and y length mismatch")
+    X, y, names = _inputs(X, y, feature_names, float)
     design = np.column_stack([np.ones(len(y)), X])
     del X    # the design holds the columns now: a temporary X is freed
     weights, maps = np.ones((len(y), 1)), np.eye(design.shape[1])[None]
-    _check_fits(design, weights, maps, ["intercept", *(feature_names or [])])
     beta, iterations, converged, separation, ridge = (
-        v[0] for v in _fit_folds(design, y, weights, np.array([float(ridge)]), maps))
+        v[0] for v in _fit_folds(design, y, weights, np.array([float(ridge)]), maps,
+                                 ["intercept", *names]))
     mu = _sigmoid(design @ beta)
-    w = np.clip(mu * (1.0 - mu), 1e-12, None)
-    info = (design.T * w) @ design + ridge * np.eye(design.shape[1])
+    info = _grams(design, weights, None, mu[:, None])[0] + ridge * np.eye(design.shape[1])
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     ll = float(np.sum(y * np.log(np.clip(mu, 1e-300, None))
                       + (1 - y) * np.log(np.clip(1 - mu, 1e-300, None))))
-    return RegressionFit(beta, se, beta / se, bool(converged), int(iterations), ll,
-                         ridge=float(ridge), separation=bool(separation),
-                         feature_names=list(feature_names) if feature_names else None)
+    return RegressionFit(beta, se, beta / se, bool(converged), int(iterations), ll, names,
+                         ridge=float(ridge), separation=bool(separation))
 
 
 @dataclass
@@ -235,23 +252,14 @@ def _folds(cell: np.ndarray, n_cells: int, folds: int, seed):
     return fold, test.astype(np.min_scalar_type(len(cell))).reshape(n_cells, folds)
 
 
-def _cv_cells(X, y, folds: int, seed, names=None, zscored: bool = False):
+def _cv_cells(X, y, folds: int, seed, names=None):
     """The checks, cells and folds of a seeded k-fold CV of labels y on X:
-    (X, y, names, rep, cell, fold, test), names defaulting to x0, x1, ... as
-    RegressionFit.to_dict gives them. With `zscored`, X is z-scored on every
-    row (`zscore`) before it is grouped, and names keeps the kept columns'."""
-    X = _columns(X)
-    y = np.asarray(y, dtype=int)
-    if len(y) != X.shape[0]:
-        raise ValueError("X and y length mismatch")
+    (X, y, names, rep, cell, fold, test), names as `_inputs` gives them."""
+    X, y, names = _inputs(X, y, names, int)
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if len(y) < folds:
         raise ValueError("need at least one example per fold")
-    names = list(names) if names is not None else [f"x{j}" for j in range(X.shape[1])]
-    if zscored:
-        X, kept = zscore(X)
-        names = [names[j] for j in kept]
     rep, cell = _distinct_cells(X, y)
     fold, test = _folds(cell, len(rep), folds, seed)
     return X, y, names, rep, cell, fold, test
@@ -271,40 +279,27 @@ def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _check_fits(design: np.ndarray, weights: np.ndarray, maps: np.ndarray,
-                names=()) -> None:
-    """Raise RankDeficientError if a fit f of `_fit_folds` is rank deficient:
-    its rows (weights[:, f] > 0) in the coordinates of maps[f], less the
-    columns that map drops. The error names the columns from `names`,
-    intercept first; a column past them is colN."""
-    # a Gram matrix far from singular means a full-rank fit; check the rest
-    hess = _hessians(design, weights, maps, np.triu_indices(design.shape[1]))
-    for f in np.flatnonzero(np.linalg.cond(hess) > 1e8):
-        kept = maps[f].any(axis=0)
-        _check_rank((design[weights[:, f] > 0] @ maps[f])[:, kept],
-                    [name for name, keep in zip(names, kept) if keep])
-
-
-def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, standardize: bool,
-                    names, all_cells: bool = False):
+def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
+                    pooled: bool = False, all_cells: bool = False):
     """CV on cells: cell c (design row design[c], label y[c]) is test[c, f]
     rows of fold f's test set; names are the predictors, which a
-    RankDeficientError names. With `standardize`, each fold fits its
-    training rows z-scored (see `_standardizing_maps`). With `all_cells`,
-    the stack also fits every row, unpenalized, as a fold with no test rows.
-    Returns a CvReport without predictions, the (cells x folds) test
-    probabilities, and the all-cells fit's coefficients (None without it)."""
+    RankDeficientError names. Each fold fits its training rows z-scored
+    (see `_standardizing_maps`) by their own statistics, or, `pooled`, by
+    those of every row. With `all_cells`, the stack also fits every row,
+    unpenalized, as a fold with no test rows. Returns a CvReport without
+    predictions, the (cells x folds) test probabilities, and the all-cells
+    fit's coefficients (None without it)."""
     F = test.shape[1]
     held_out = np.pad(test, ((0, 0), (0, 1))) if all_cells else test
-    train = test.sum(axis=1, keepdims=True, dtype=test.dtype) - held_out   # no row sum exceeds n
-    maps = (_standardizing_maps(design[:, 1:], train) if standardize
-            else np.repeat(np.eye(design.shape[1])[None], train.shape[1], axis=0))
-    _check_fits(design, train, maps, ["intercept", *names])
+    total = test.sum(axis=1, keepdims=True, dtype=test.dtype)   # no row sum exceeds n
+    train = total - held_out
+    maps = _standardizing_maps(design[:, 1:], total if pooled else train)
+    maps = np.broadcast_to(maps, (train.shape[1], *maps.shape[1:]))
     positives = y @ train
     one_label = (positives == 0) | (positives == train.sum(axis=0))
     one_label[F:] = False    # the all-cells fit starts unpenalized
     beta, _, _, separation, _ = _fit_folds(
-        design, y, train, np.where(one_label, SEPARATION_RIDGE, 0.0), maps)
+        design, y, train, np.where(one_label, SEPARATION_RIDGE, 0.0), maps, ["intercept", *names])
     del train
     prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
     accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)
@@ -319,16 +314,15 @@ def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
     """Seeded shuffled k-fold CV of the logistic model.
 
     zscore_mode "fold" standardizes each training fold and applies the
-    stored statistics to its test fold; "global" standardizes once on the
-    full data before splitting. Every fold is fitted on its counts of the
-    distinct (row, label) cells.
+    stored statistics to its test fold; "global" standardizes every fold by
+    the statistics of the full data. Every fold is fitted on its counts of
+    the distinct (row, label) cells.
     """
     if zscore_mode not in ("fold", "global"):
         raise ValueError(f"unknown zscore mode: {zscore_mode!r}")
-    X, y, names, rep, cell, fold, test = _cv_cells(X, y, folds, seed,
-                                                   zscored=zscore_mode == "global")
+    X, y, names, rep, cell, fold, test = _cv_cells(X, y, folds, seed)
     report, prob, _ = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
-                                      test, zscore_mode == "fold", names)
+                                      test, names, pooled=zscore_mode == "global")
     report.predictions = (prob[cell, fold] > 0.5).astype(int)
     return report
 
@@ -388,8 +382,8 @@ def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray, names):
     np.add.at(counts, merged, test)
     design = np.column_stack([np.ones(len(sub)), X[sub]])
     del X, merged    # the design holds the cells now; free them before the fits
-    report, _, beta = _crossval_cells(design, y[sub], counts, standardize=True,
-                                      names=names, all_cells=design.shape[1] > 2)
+    report, _, beta = _crossval_cells(design, y[sub], counts, names,
+                                      all_cells=design.shape[1] > 2)
     if beta is None:
         return report, 0
     # a constant column's map column is 0: held at 0, it goes first

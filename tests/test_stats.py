@@ -11,8 +11,9 @@ from scipy import stats as sps
 from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
                              decompose_corpus, generate_synthetic_corpus)
 from deplen.features import zscore
-from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientError, _check_fits,
-                          _columns, _distinct_cells, _fit_folds, _grams, crossval_accuracy,
+from deplen import stats
+from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientError, _columns,
+                          _distinct_cells, _fit_folds, _grams, crossval_accuracy,
                           fit_logistic, mcnemar, pearson, rfecv)
 
 import oracles
@@ -79,10 +80,10 @@ class TestFitLogistic:
         x = rng.normal(size=200)
         y = (rng.random(200) < 0.5).astype(int)
         cases = [(np.column_stack([x, 2 * x]), ["a", "a_doubled"], ["a", "a_doubled"]),
-                 (np.column_stack([x, 2 * x]), None, ["col1", "col2"]),
+                 (np.column_stack([x, 2 * x]), None, ["x0", "x1"]),
                  (np.column_stack([x, np.full(200, 3.0)]), ["x", "flat"], ["intercept", "flat"]),
                  (np.column_stack([x, x + 1.0, rng.normal(size=200)]), None,
-                  ["intercept", "col1", "col2"])]
+                  ["intercept", "x0", "x1"])]
         for X, names, guilty in cases:
             with pytest.raises(RankDeficientError) as err:
                 fit_logistic(X, y, feature_names=names)
@@ -97,6 +98,24 @@ class TestFitLogistic:
         X, y = simulate_logistic(np.random.default_rng(2), 500, [1.0, -0.5, 0.25])
         assert fit_logistic(X, y).converged
         assert calls == []
+
+    def test_one_gram_matrix_per_iteration_and_one_for_the_errors(self, monkeypatch):
+        """The rank check reads IRLS's first Hessian and the Wald information
+        is one more `_grams` call: every Gram matrix is an IRLS-weighted one,
+        and none is built twice."""
+        weighted, grams = [], stats._grams
+        monkeypatch.setattr(stats, "_grams",
+                            lambda *a: weighted.append(a[3] is not None) or grams(*a))
+        X, y = simulate_logistic(np.random.default_rng(2), 500, [1.0, -0.5, 0.25])
+        fit = fit_logistic(X, y)
+        assert fit.converged and not fit.separation
+        assert weighted == [True] * (fit.iterations + 1)
+
+    def test_unnamed_columns_are_x0_x1(self):
+        X, y = simulate_logistic(np.random.default_rng(4), 300, [1.0, -1.0])
+        fit = fit_logistic(X, y)
+        assert fit.feature_names == ["x0", "x1"]
+        assert [row["predictor"] for row in fit.to_dict()["rows"]] == ["intercept", "x0", "x1"]
 
     def test_std_errors_match_fd_hessian(self):
         # inverse observed information vs centered finite differences
@@ -165,17 +184,16 @@ class TestWeightedFit:
         X, y = design
         Xg, yg, counts = grouped(X, y)
         cells = np.column_stack([np.ones(len(yg)), Xg])
-        maps = np.eye(cells.shape[1])[None]
+        names = ["intercept", *(f"x{j}" for j in range(X.shape[1]))]
+        grouped_fit = lambda: _fit_folds(cells, yg, counts[:, None].astype(float), np.zeros(1),
+                                         np.eye(cells.shape[1])[None], names)
         try:
             full = fit_logistic(X, y)
         except RankDeficientError:
             with pytest.raises(RankDeficientError):
-                _check_fits(cells, counts[:, None], maps)
+                grouped_fit()
             return
-        _check_fits(cells, counts[:, None], maps)
-        beta, iterations, converged, separation, ridge = (
-            v[0] for v in _fit_folds(cells, yg, counts[:, None].astype(float),
-                                     np.zeros(1), maps))
+        beta, iterations, converged, separation, ridge = (v[0] for v in grouped_fit())
         assert (bool(converged), bool(separation)) == (full.converged, full.separation)
         assert iterations == full.iterations
         mu = 1.0 / (1.0 + np.exp(-(cells @ beta)))
@@ -220,17 +238,17 @@ class TestStackedFits:
         X, y, counts, ridge = case
         design = np.column_stack([np.ones(len(y)), X])
         folds, q = counts.shape[1], design.shape[1]
-        maps = np.broadcast_to(np.eye(q), (folds, q, q))
+        stacked_fit = lambda: _fit_folds(design, y, counts, np.full(folds, ridge),
+                                         np.broadcast_to(np.eye(q), (folds, q, q)),
+                                         ["intercept", *(f"x{j}" for j in range(q - 1))])
         try:
             fits = [fit_logistic(np.repeat(X, c, axis=0), np.repeat(y, c), ridge=ridge)
                     for c in counts.T]
         except RankDeficientError:
             with pytest.raises(RankDeficientError):
-                _check_fits(design, counts, maps)
+                stacked_fit()
             return
-        _check_fits(design, counts, maps)
-        beta, iterations, converged, separation, _ = _fit_folds(
-            design, y, counts, np.full(folds, ridge), maps)
+        beta, iterations, converged, separation, _ = stacked_fit()
         for f, fit in enumerate(fits):
             state = (iterations[f], converged[f], separation[f])
             assert state == (fit.iterations, fit.converged, fit.separation)
@@ -453,6 +471,15 @@ class TestCrossvalOracle:
         assert assert_matches_all_rows(X, y, 5, 4, "global") is None
 
     @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
+    def test_all_zero_column(self, zscore_mode):
+        # zero variance in every fold and overall: held at 0 by each map
+        rng = np.random.default_rng(36)
+        X = rng.integers(-3, 4, size=(90, 3)).astype(float)
+        X[:, 1] = 0.0
+        assert assert_matches_all_rows(X, self.noisy_labels(rng, X), 5, 2,
+                                       zscore_mode) is not None
+
+    @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
     def test_training_fold_with_one_label(self, zscore_mode):
         rng = np.random.default_rng(32)
         X = rng.integers(-3, 4, size=(60, 2)).astype(float)
@@ -539,6 +566,19 @@ class TestCrossval:
             with pytest.raises(ValueError) as err:
                 cv(X, y, folds=folds)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("fit", [fit_logistic, rfecv])
+    @pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]],
+                             ids=["too-few", "too-many"])
+    def test_wrong_name_count_fails_in_one_line(self, fit, names):
+        """Names one short or one over X's columns are a one-line
+        ValueError: no IndexError, and no table that drops a row."""
+        rng = np.random.default_rng(200)
+        X, y = rng.integers(-3, 4, size=(200, 3)), rng.integers(0, 2, size=200)
+        with pytest.raises(ValueError) as err:
+            fit(X, y, feature_names=names)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{len(names)} feature names for 3 columns"
 
 
 class TestMcNemar:
