@@ -13,7 +13,7 @@ from deplen.analysis import (SyntheticSpec, decompose_corpus,
                              strategy_curves)
 
 spec = SyntheticSpec(n_sentences=600, p_least_effort=1.0)
-corpus = decompose_corpus(generate_synthetic_corpus(spec, seed=7))
+corpus = decompose_corpus(tree.heads for tree in generate_synthetic_corpus(spec, seed=7))
 print(f"{len(corpus.entries)} sentences")
 
 curves = strategy_curves(corpus, seed=0, random_draws=10)

@@ -24,7 +24,7 @@ WORDS = [
 
 forms, heads, rels = zip(*WORDS)
 tree = DependencyTree(heads, forms, rels)
-plan = decompose(tree)
+plan = decompose(tree.heads)
 
 print("sentence: ", " ".join(tree.forms))
 print("verb:     ", tree.forms[plan.verb_index - 1])

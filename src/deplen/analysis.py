@@ -64,25 +64,33 @@ class DecomposedCorpus:
     skipped: dict = field(default_factory=dict)   # reason -> count
 
 
+def _plan(heads, skipped: dict):
+    """`decompose(heads)`'s plan, or None with its reason counted in `skipped`."""
+    plan = decompose(heads)
+    if isinstance(plan, Ineligible):
+        skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
+        return None
+    return plan
+
+
 def eligible_plans(trees, skipped: dict):
     """Yield (sentence_id, tree, plan) for every eligible tree, and count
     the rest by `decompose`'s reason in `skipped`. The i-th tree (from 1) has
     sentence id `s{i}`. `trees` may be any iterable, a generator of trees as
     they are parsed included; it is consumed once."""
     for i, tree in enumerate(trees, start=1):
-        plan = decompose(tree)
-        if isinstance(plan, Ineligible):
-            skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
-        else:
+        if (plan := _plan(tree.heads, skipped)) is not None:
             yield f"s{i}", tree, plan
 
 
-def decompose_corpus(trees) -> DecomposedCorpus:
-    """Each eligible sentence's id and plan from `eligible_plans(trees)`,
-    and the skip counts; no tree is kept past its decomposition."""
+def decompose_corpus(columns) -> DecomposedCorpus:
+    """Each eligible sentence's id and plan, as `eligible_plans` gives them
+    for the trees of these heads columns (`treebank.iter_heads`, or each
+    tree's `heads`), and the skip counts; no column is kept past its
+    decomposition."""
     skipped = {}
-    entries = [CorpusEntry(sentence_id, plan)
-               for sentence_id, _, plan in eligible_plans(trees, skipped)]
+    entries = [CorpusEntry(f"s{i}", plan) for i, heads in enumerate(columns, start=1)
+               if (plan := _plan(heads, skipped)) is not None]
     return DecomposedCorpus(entries, skipped)
 
 

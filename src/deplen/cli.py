@@ -188,8 +188,10 @@ class _Run:
     ("plans": `variants` prints words), the decomposed corpus ("corpus"),
     or nothing (None). It holds the parse diagnostics, the corpus file's
     SHA-256 and the manifest entries they give. The corpus is parsed as its
-    file is read, and each tree is decomposed as its block is parsed and
-    then dropped, so memory grows with the eligible sentences' plans."""
+    file is read. For the decomposed corpus each block's heads column alone
+    is parsed (`treebank.iter_heads`), with no tree, forms or deprels, and
+    decomposed as its block is read and then dropped, so memory grows with
+    the eligible sentences' plans."""
 
     def __init__(self, args, reads):
         self.args, self.diagnostics, self.corpus_hash, self.manifest = args, [], None, {}
@@ -201,18 +203,19 @@ class _Run:
         if not path.exists():
             raise DataError(f"corpus file not found: {path}")
         digest = hashlib.sha256()
-        trees = treebank.iter_trees(_read_text(path, "corpus", digest), self.diagnostics,
-                                    args.format, args.exclude_punct)
+        reader = treebank.iter_heads if reads == "corpus" else treebank.iter_trees
+        blocks = reader(_read_text(path, "corpus", digest), self.diagnostics,
+                        args.format, args.exclude_punct)
         if reads == "trees":
-            self.trees = list(trees)
+            self.trees = list(blocks)
             sentences = len(self.trees)
         else:
             if reads == "plans":
                 skipped = {}
-                self.plans = list(analysis.eligible_plans(trees, skipped))
+                self.plans = list(analysis.eligible_plans(blocks, skipped))
                 eligible = len(self.plans)
             else:
-                self.corpus = analysis.decompose_corpus(trees)
+                self.corpus = analysis.decompose_corpus(blocks)
                 eligible, skipped = len(self.corpus.entries), self.corpus.skipped
             sentences = eligible + sum(skipped.values())
             self.manifest = {"eligible": eligible, "skipped": skipped,

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .treebank import DependencyTree, is_projective
+from .treebank import is_projective
 
 __all__ = [
     "SentencePlan",
@@ -97,10 +97,11 @@ class PlanTable:
         return dls, dls.sum(axis=2) + self.fixed_dl[:, None]
 
 
-def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
-    """Split a projective tree into preverbal constituents + frozen suffix,
-    or name why the tree has no such split: non-projective, no preverbal
-    constituents, or fewer than 2 of them.
+def decompose(heads) -> Union[SentencePlan, Ineligible]:
+    """Split the projective tree of a valid heads column (item i - 1 is
+    position i's head, 0 for the root) into preverbal constituents + frozen
+    suffix, or name why the tree has no such split: non-projective, no
+    preverbal constituents, or fewer than 2 of them.
 
     Preverbal constituents are the yields of root children before the root,
     left to right. Root children after the root (auxiliaries, complement
@@ -111,23 +112,23 @@ def decompose(tree: DependencyTree) -> Union[SentencePlan, Ineligible]:
     leftmost dependent's yield does, or at the head if that is to its right
     or missing: a chain read off one pass over the heads column.
     """
-    if not is_projective(tree):
+    if not is_projective(heads):
         return Ineligible("non-projective")
-    verb = tree.root_index
-    heads = [i for i, h in enumerate(tree.heads[:verb - 1], start=1) if h == verb]
-    if not heads:
+    verb = heads.index(0) + 1
+    children = [i for i, h in enumerate(heads[:verb - 1], start=1) if h == verb]
+    if not children:
         return Ineligible("no preverbal constituents")
-    if len(heads) < 2:
+    if len(children) < 2:
         return Ineligible("fewer than 2 constituents")
     # each head's leftmost dependent: read right to left, so the last write wins
-    leftmost = dict(zip(reversed(tree.heads), range(len(tree), 0, -1)))
+    leftmost = dict(zip(reversed(heads), range(len(heads), 0, -1)))
     starts = []
-    for node in heads:
+    for node in children:
         while leftmost.get(node, node) < node:
             node = leftmost[node]
         starts.append(node)
     starts.append(verb)
-    fixed_dl = sum(abs(h - d) - 1 for d, h in enumerate(tree.heads, start=1)
+    fixed_dl = sum(abs(h - d) - 1 for d, h in enumerate(heads, start=1)
                    if h and not (h == verb and d < verb))   # not a head-to-verb arc
     return SentencePlan(verb, tuple(b - a for a, b in zip(starts, starts[1:])),
-                        tuple(h - a for h, a in zip(heads, starts)), fixed_dl, len(tree))
+                        tuple(h - a for h, a in zip(children, starts)), fixed_dl, len(heads))

@@ -5,6 +5,7 @@ format (index, form, head, deprel), both read by one parser. Malformed
 sentence blocks are skipped with a diagnostic instead of aborting the run.
 """
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional
@@ -12,6 +13,7 @@ from typing import Iterable, Iterator, Optional
 __all__ = [
     "DependencyTree",
     "Diagnostic",
+    "iter_heads",
     "iter_trees",
     "to_conllu",
     "is_projective",
@@ -116,29 +118,102 @@ def _iter_lines(pieces):
     return enumerate(chain.from_iterable(_line_chunks(pieces)), 1)
 
 
-def _iter_blocks(pieces):
-    """Yield (first_line_number, lines) per sentence block. No blank line
-    falls inside a block, so its lines are numbered on from the first."""
-    block, start = [], 0
-    for lineno, line in _iter_lines(pieces):
+def _integer(text: str):
+    """`text` as an int if it is ASCII decimal digits after an optional
+    "-", else None. `int` alone would also take " 0 ", "+0", "1_0" and an
+    Arabic-Indic zero."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isdigit() and digits.isascii() else None
+
+
+# The value of each ID and head of nearly every real sentence: a lookup here
+# is much cheaper than `_integer`.
+_SMALL_INTEGERS = {str(i): i for i in range(256)}
+
+
+# CoNLL-U IDs that are no token: multiword-token ranges (i-j) and empty nodes (i.j)
+_NON_TOKEN_ID = re.compile(r"[0-9]+[-.][0-9]+")
+
+
+def _parse(pieces, diagnostics, format, exclude_punct, words):
+    """`iter_heads`, or with `words` `iter_trees`, in one pass over the
+    numbered lines: a block's column or tree is yielded once the blank line
+    after it is read, and its later lines go unread once one is bad. Its
+    heads column is checked once, by `_root_walk` or by the tree's
+    constructor, stripped with `exclude_punct` (`_stripped`). Forms are
+    kept only for trees."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown corpus format: {format!r}")
+    width, (i_index, i_form, i_head, i_deprel) = FORMATS[format]
+    if words:
+        labels = {}
+        build = lambda heads, forms, deprels: DependencyTree(
+            heads, forms, tuple(map(labels.setdefault, deprels, deprels)))
+    else:
+        build = _walked
+    small, start = _SMALL_INTEGERS, 0
+    # a blank line after the last ends its block
+    for lineno, line in chain(_iter_lines(pieces), [(0, "")]):
         if not line or line.isspace():   # line.strip() == ""
-            if block:
-                yield start, block
-                block = []
+            if not start:
+                continue
+            if bad is None and not contiguous:
+                bad = Diagnostic(start, "token indices not contiguous 1..n")
+            if bad is None:
+                words_columns = (forms, deprels) if words else ()
+                try:
+                    item = (_stripped(build, heads, deprels, *words_columns) if exclude_punct
+                            else build(heads, *words_columns))
+                except ValueError as e:
+                    bad = Diagnostic(start, str(e))
+            start = 0
+            if bad is None:
+                yield item
+            else:
+                diagnostics.append(bad)
+            continue
+        if not start:
+            start, bad, contiguous, heads, forms, deprels = lineno, None, True, [], [], []
+        if bad is not None or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != width:
+            bad = Diagnostic(lineno, f"expected {width} columns, got {len(cols)}")
+            continue
+        text = cols[i_index]
+        index = small.get(text)
+        if index is None and (index := _integer(text)) is None:
+            if format == "conllu" and _NON_TOKEN_ID.fullmatch(text):
+                continue
+            bad = Diagnostic(lineno, f"non-integer index {text!r}")
+            continue
+        text = cols[i_head]
+        head = small.get(text)
+        if head is None and (head := _integer(text)) is None:
+            bad = Diagnostic(lineno, f"non-integer head {text!r}")
+            continue
+        if index < 1:
+            bad = Diagnostic(lineno, f"token index must be >= 1, got {index}")
+        elif head < 0:
+            bad = Diagnostic(lineno, f"head must be >= 0, got {head}")
+        elif head == index:
+            bad = Diagnostic(lineno, f"token {index} is its own head")
         else:
-            if not block:
-                start = lineno
-            block.append(line)
-    if block:
-        yield start, block
+            contiguous = contiguous and index == len(heads) + 1
+            heads.append(head)
+            deprels.append(cols[i_deprel])
+            if words:
+                forms.append(cols[i_form])
 
 
-def iter_trees(pieces: Iterable[str], diagnostics: list, format: str = "conllu",
-               exclude_punct: bool = False) -> Iterator[DependencyTree]:
-    """Yield the trees of a corpus whose text arrives as `pieces`, any split
-    of it, one tree per valid block as the block is read. Only the lines of
-    one piece and one block are held at a time. An unknown format raises
-    ValueError when iteration starts.
+def iter_heads(pieces: Iterable[str], diagnostics: list, format: str = "conllu",
+               exclude_punct: bool = False) -> Iterator[list]:
+    """Yield the heads column of each valid block of a corpus whose text
+    arrives as `pieces`, any split of it, as the block is read: a list whose
+    item i - 1 is position i's head, 0 for the root, checked to be a tree.
+    Only the lines of one piece and the columns of one block are held at a
+    time, and no tree, form or deprel column is built. An unknown format
+    raises ValueError when iteration starts.
 
     Each malformed block is skipped, and a Diagnostic appended to
     `diagnostics` records the offending line, or the block's first line when
@@ -146,72 +221,37 @@ def iter_trees(pieces: Iterable[str], diagnostics: list, format: str = "conllu",
     reason. A bad line takes precedence over a fault of the whole tree.
 
     With `exclude_punct`, each valid block loses its punctuation
-    (`_strip_columns`) on the parsed columns, before its one tree is built.
-    Every tree shares its deprel strings with the others.
+    (`_strip_columns`) before its column is checked.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown corpus format: {format!r}")
-    width, (i_index, i_form, i_head, i_deprel) = FORMATS[format]
-    labels = {}
-    for start, block in _iter_blocks(pieces):
-        heads, forms, deprels, contiguous, bad = [], [], [], True, None
-        for lineno, line in enumerate(block, start):
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != width:
-                bad = Diagnostic(lineno, f"expected {width} columns, got {len(cols)}")
-                break
-            try:
-                index = int(cols[i_index])
-            except ValueError:
-                # CoNLL-U multiword-token ranges (i-j) and empty nodes (i.1)
-                if format == "conllu":
-                    continue
-                bad = Diagnostic(lineno, f"non-integer index {cols[i_index]!r}")
-                break
-            try:
-                head = int(cols[i_head])
-            except ValueError:
-                bad = Diagnostic(lineno, f"non-integer head {cols[i_head]!r}")
-                break
-            reason = (f"token index must be >= 1, got {index}" if index < 1
-                      else f"head must be >= 0, got {head}" if head < 0
-                      else f"token {index} is its own head" if head == index
-                      else None)
-            if reason is not None:
-                bad = Diagnostic(lineno, reason)
-                break
-            contiguous = contiguous and index == len(heads) + 1
-            heads.append(head)
-            forms.append(cols[i_form])
-            deprel = cols[i_deprel]
-            deprels.append(labels.setdefault(deprel, deprel))
-        if bad is None and not contiguous:
-            bad = Diagnostic(start, "token indices not contiguous 1..n")
-        if bad is None:
-            try:
-                tree = (_stripped_tree(heads, forms, deprels) if exclude_punct
-                        else DependencyTree(heads, forms, deprels))
-            except ValueError as e:
-                bad = Diagnostic(start, str(e))
-        if bad is None:
-            yield tree
-        else:
-            diagnostics.append(bad)
+    return _parse(pieces, diagnostics, format, exclude_punct, words=False)
 
 
-def _stripped_tree(heads, forms, deprels) -> DependencyTree:
-    """The tree of a block's columns without their punctuation, validated
-    once, by the constructor. With every head in 0..n the raw columns are
-    valid iff the stripped ones are: the strip keeps every root, and a
-    token on a cycle always keeps a dependent. So the raw heads are walked
-    only to name the raw fault: of a head past n, or of a stripped tree
-    that fails."""
+def iter_trees(pieces: Iterable[str], diagnostics: list, format: str = "conllu",
+               exclude_punct: bool = False) -> Iterator[DependencyTree]:
+    """`iter_heads`, yielding each valid block's tree, forms and deprels
+    included, for the readers that print words. The same blocks give the
+    same diagnostics, and each tree's heads are the column `iter_heads`
+    yields. Every tree shares its deprel strings with the others."""
+    return _parse(pieces, diagnostics, format, exclude_punct, words=True)
+
+
+def _walked(heads) -> list:
+    """A heads column, once `_root_walk` finds it a tree."""
+    _root_walk(heads)
+    return heads
+
+
+def _stripped(build, heads, deprels, *columns):
+    """`build` of a block's heads and other `columns` without their
+    punctuation, the column checked once, by `build`. With every head in
+    0..n the raw column is a tree iff the stripped one is: the strip keeps
+    every root, and a token on a cycle always keeps a dependent. So the raw
+    heads are walked only to name the raw fault: of a head past n, or of a
+    stripped column that fails."""
     if heads and max(heads) > len(heads):
         _root_walk(heads)   # raises the raw block's fault
     try:
-        return DependencyTree(*_strip_columns(heads, forms, deprels))
+        return build(*_strip_columns(heads, deprels, *columns))
     except ValueError:
         _root_walk(heads)   # raises the raw block's own fault
         raise
@@ -231,14 +271,14 @@ def to_conllu(tree: DependencyTree, sent_id: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 # structure
 
-def is_projective(tree: DependencyTree) -> bool:
-    """True iff no two arcs cross, the root's arc from position 0 included,
-    which holds iff every subtree's yield is contiguous. The arcs, sorted by
-    left end and longest first, go through one stack pass of the right ends
-    still open."""
+def is_projective(heads) -> bool:
+    """True iff no two arcs of a valid heads column cross, the root's arc
+    from position 0 included, which holds iff every subtree's yield is
+    contiguous. The arcs, sorted by left end and longest first, go through
+    one stack pass of the right ends still open."""
     arcs = sorted((h, -d) if h < d else (d, -h)
-                  for d, h in enumerate(tree.heads, start=1))
-    open_ends = [len(tree) + 1]   # a sentinel no arc closes
+                  for d, h in enumerate(heads, start=1))
+    open_ends = [len(heads) + 1]   # a sentinel no arc closes
     for lo, neg_hi in arcs:
         while open_ends[-1] <= lo:
             open_ends.pop()
@@ -248,14 +288,15 @@ def is_projective(tree: DependencyTree) -> bool:
     return True
 
 
-def _strip_columns(heads, forms, deprels):
-    """The columns without their punctuation, heads renumbered. A non-root
-    token whose deprel is in PUNCT_DEPRELS goes once all of its dependents
-    have gone, so punctuation attached to punctuation goes too: such leaves
-    are peeled off by counting dependents, with no walk order, so the heads
-    (each in 0..n) need not form a tree."""
+def _strip_columns(heads, deprels, *columns):
+    """The heads column and `columns`, each over the same tokens, without
+    the punctuation tokens, heads renumbered. A non-root token whose deprel
+    is in PUNCT_DEPRELS goes once all of its dependents have gone, so
+    punctuation attached to punctuation goes too: such leaves are peeled off
+    by counting dependents, with no walk order, so the heads (each in 0..n)
+    need not form a tree."""
     if PUNCT_DEPRELS.isdisjoint(deprels):
-        return heads, forms, deprels
+        return (heads, *columns)
     n = len(heads)
     dependents, keep = [0] * (n + 1), [True] * (n + 1)
     for head in heads:
@@ -272,5 +313,5 @@ def _strip_columns(heads, forms, deprels):
     renumber = [0] * (n + 1)
     for new, old in enumerate(kept, start=1):
         renumber[old] = new
-    return ([renumber[heads[i - 1]] for i in kept], [forms[i - 1] for i in kept],
-            [deprels[i - 1] for i in kept])
+    return ([renumber[heads[i - 1]] for i in kept],
+            *([column[i - 1] for i in kept] for column in columns))

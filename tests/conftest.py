@@ -3,9 +3,9 @@ import tracemalloc
 import pytest
 from hypothesis import strategies as st
 
-from deplen.treebank import DependencyTree, iter_trees
+from deplen.treebank import DependencyTree, iter_heads, iter_trees
 from deplen.constituency import SentencePlan, decompose
-from deplen.analysis import SyntheticSpec, generate_synthetic_corpus
+from deplen.analysis import SyntheticSpec, decompose_corpus, generate_synthetic_corpus
 from oracles import order_dl
 
 # The worked 11-token example: four preverbal constituents
@@ -37,7 +37,7 @@ def heads_tree(heads) -> DependencyTree:
 
 @pytest.fixture
 def fig3_plan(fig3_tree) -> SentencePlan:
-    plan = decompose(fig3_tree)
+    plan = decompose(fig3_tree.heads)
     assert isinstance(plan, SentencePlan)
     return plan
 
@@ -62,10 +62,15 @@ def random_plans(seed: int, count: int, k_max: int = 6) -> list:
     spec = SyntheticSpec(n_sentences=count, k_weights=weights, p_least_effort=0.0)
     plans = []
     for tree in generate_synthetic_corpus(spec, seed=seed):
-        plan = decompose(tree)
+        plan = decompose(tree.heads)
         assert isinstance(plan, SentencePlan)
         plans.append(plan)
     return plans
+
+
+def corpus_of(trees):
+    """`decompose_corpus` of the trees' heads columns."""
+    return decompose_corpus(tree.heads for tree in trees)
 
 
 def traced(fn, *args):
@@ -88,9 +93,14 @@ def to_tsv(tree: DependencyTree) -> str:
 
 def parse_text(text: str, format: str = "conllu", exclude_punct: bool = False):
     """(trees, diagnostics): the lists of what `iter_trees` yields and
-    records for the text as one piece."""
-    diagnostics = []
-    return list(iter_trees([text], diagnostics, format, exclude_punct)), diagnostics
+    records for the text as one piece, once `iter_heads` is seen to yield
+    the trees' heads columns and record the same diagnostics."""
+    diagnostics, heads_diagnostics = [], []
+    trees = list(iter_trees([text], diagnostics, format, exclude_punct))
+    columns = list(iter_heads([text], heads_diagnostics, format, exclude_punct))
+    assert columns == [list(tree.heads) for tree in trees]
+    assert heads_diagnostics == diagnostics
+    return trees, diagnostics
 
 
 @st.composite
@@ -120,11 +130,11 @@ def eligible_trees(draw, k_max: int = 6, max_length: int = 8) -> DependencyTree:
         heads.append(draw(st.sampled_from([verb, pos - 1])))
         deprels.append("post")
     tree = DependencyTree(heads, [f"w{i}" for i in range(1, len(heads) + 1)], deprels)
-    plan = decompose(tree)
+    plan = decompose(tree.heads)
     assert isinstance(plan, SentencePlan) and plan.k == k
     return tree
 
 
 def eligible_plans(k_max: int = 6, max_length: int = 8):
     """The plans of `eligible_trees`."""
-    return eligible_trees(k_max, max_length).map(decompose)
+    return eligible_trees(k_max, max_length).map(lambda tree: decompose(tree.heads))

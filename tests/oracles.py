@@ -119,7 +119,7 @@ def linearize(tree, plan, order) -> DependencyTree:
 
 def strategy_curves(trees, seed=0, random_draws=10, k_range=(2, 6),
                     convention="intervening") -> dict:
-    """`analysis.strategy_curves` of `analysis.decompose_corpus(trees)`, one
+    """`analysis.strategy_curves` of the trees' decomposed corpus, one
     sentence and one order at a time, each order's total arc by arc on the
     rebuilt tree; the plans come from `decompose` below."""
     sums = {s: {} for s in STRATEGIES}

@@ -25,7 +25,7 @@ from deplen.variants import (ascending_orders, descending_orders, generate_varia
 
 import oracles
 from oracles import order_dl
-from conftest import FIG3_RANDOM_ORDER, main_verb_dl, random_plans
+from conftest import FIG3_RANDOM_ORDER, corpus_of, main_verb_dl, random_plans
 
 
 def report(criterion, message):
@@ -101,7 +101,7 @@ def test_criterion_4_closed_form_equivalence():
 
 
 def test_criterion_5_pairwise_transform():
-    corpus = decompose_corpus(generate_synthetic_corpus(
+    corpus = corpus_of(generate_synthetic_corpus(
         SyntheticSpec(n_sentences=120, p_least_effort=0.5), seed=1005))
     dataset = build_pairwise_dataset(corpus, cap=100, seed=6)
     n_pairs = sum(
@@ -195,7 +195,7 @@ def test_criterion_7_mcnemar_oracle():
 def test_criterion_8_end_to_end_synthetic():
     start = time.monotonic()
     spec = SyntheticSpec(n_sentences=2000, p_least_effort=1.0)
-    corpus = decompose_corpus(generate_synthetic_corpus(spec, seed=1008))
+    corpus = corpus_of(generate_synthetic_corpus(spec, seed=1008))
     assert len(corpus.entries) == 2000
 
     for k in range(2, 7):
@@ -227,10 +227,10 @@ def test_criterion_8_end_to_end_synthetic():
 @pytest.mark.skipif("DEPLEN_HUTB" not in os.environ,
                     reason="set DEPLEN_HUTB to a licensed treebank export")
 def test_criterion_9_hutb_replication():
-    from deplen.treebank import iter_trees
+    from deplen.treebank import iter_heads
 
     with open(os.environ["DEPLEN_HUTB"], encoding="utf-8") as f:
-        corpus = decompose_corpus(iter_trees(f, []))
+        corpus = decompose_corpus(iter_heads(f, []))
     n_ref = len(corpus.entries)
     assert abs(n_ref - 7586) <= 0.01 * 7586
 

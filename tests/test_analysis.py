@@ -17,18 +17,19 @@ from deplen.constituency import ARC_GAP, decompose
 from deplen.features import extract_features
 from deplen.seeding import derive_rng
 from deplen.stats import _distinct_cells
-from deplen.treebank import DependencyTree, iter_trees, to_conllu
+from deplen.treebank import FORMATS, DependencyTree, iter_heads, iter_trees, to_conllu
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import (eligible_plans, eligible_trees, heads_tree, parse_text, random_plans,
-                      traced)
+from test_treebank import MALFORMED_LINES, PUNCT_OR_DEP, _lines
+from conftest import (corpus_of, eligible_plans, eligible_trees, heads_tree, parse_text, random_plans,
+                      random_tree, traced)
 
 
 def synthetic_corpus(n, p_least_effort, seed, **kw):
     spec = SyntheticSpec(n_sentences=n, p_least_effort=p_least_effort, **kw)
     trees = generate_synthetic_corpus(spec, seed=seed)
-    return decompose_corpus(trees)
+    return corpus_of(trees)
 
 
 def synthetic_conllu(n, seed) -> str:
@@ -46,13 +47,13 @@ class TestDecomposeCorpus:
     def test_skips_nonprojective_with_count(self):
         good = heads_tree([4, 4, 4, 0])
         crossing = heads_tree([3, 4, 0, 3])
-        corpus = decompose_corpus([good, crossing])
+        corpus = corpus_of([good, crossing])
         assert len(corpus.entries) == 1
         assert corpus.skipped == {"non-projective": 1}
 
     def test_counts_ineligible(self):
         verb_initial = heads_tree([0, 1])
-        corpus = decompose_corpus([verb_initial])
+        corpus = corpus_of([verb_initial])
         assert corpus.entries == []
         assert corpus.skipped == {"no preverbal constituents": 1}
 
@@ -61,15 +62,49 @@ class TestDecomposeCorpus:
         its plan is taken."""
         text = synthetic_conllu(800, seed=1)
         before = live_trees()
-        corpus = decompose_corpus(iter_trees([text], []))
+        corpus = corpus_of(iter_trees([text], []))
         assert len(corpus.entries) == 800
         assert live_trees() == before
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(format=st.sampled_from(sorted(FORMATS)), exclude_punct=st.booleans(),
+           data=st.data())
+    def test_heads_columns_match_trees(self, format, exclude_punct, data):
+        """Mixed corpora of eligible and random trees, with punctuation
+        deprels, some with a head moved anywhere in -1..n+1 or a malformed
+        line, in either format and split into any pieces: decomposing the
+        heads columns of `iter_heads` gives the entries, skip counts and
+        diagnostics that `eligible_plans` gives over `iter_trees`."""
+        trees = st.one_of(eligible_trees(max_length=4), st.builds(
+            lambda seed, n: random_tree(np.random.default_rng(seed), n),
+            st.integers(0, 2**32 - 1), st.integers(1, 10)))
+        blocks = []
+        for tree in data.draw(st.lists(trees, min_size=1, max_size=6)):
+            heads, n = list(tree.heads), len(tree)
+            rels = data.draw(st.lists(PUNCT_OR_DEP, min_size=n, max_size=n))
+            if data.draw(st.integers(0, 3)) == 0:
+                heads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, n + 1))
+            lines = _lines(format, zip(range(1, n + 1), tree.forms, heads, rels))
+            if data.draw(st.integers(0, 3)) == 0:
+                lines.insert(data.draw(st.integers(0, n)),
+                             data.draw(st.sampled_from(MALFORMED_LINES)))
+            blocks.append("\n".join(lines))
+        text = "\n\n".join(blocks) + "\n"
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=8)))
+        pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+        diagnostics, want_diagnostics, skipped = [], [], {}
+        corpus = decompose_corpus(iter_heads(pieces, diagnostics, format, exclude_punct))
+        want = [CorpusEntry(sentence_id, plan) for sentence_id, _, plan in analysis.eligible_plans(
+            iter_trees([text], want_diagnostics, format, exclude_punct), skipped)]
+        assert corpus.entries == want
+        assert corpus.skipped == skipped
+        assert diagnostics == want_diagnostics
 
     def test_eligible_plans_yield_each_tree_with_its_plan(self):
         trees = [heads_tree([4, 4, 4, 0]), heads_tree([0, 1]), heads_tree([3, 3, 0, 3])]
         skipped = {}
         assert list(analysis.eligible_plans(trees, skipped)) == \
-            [("s1", trees[0], decompose(trees[0])), ("s3", trees[2], decompose(trees[2]))]
+            [("s1", trees[0], decompose(trees[0].heads)), ("s3", trees[2], decompose(trees[2].heads))]
         assert skipped == {"no preverbal constituents": 1}
 
     def test_retains_less_than_the_trees(self):
@@ -81,7 +116,7 @@ class TestDecomposeCorpus:
         text = synthetic_conllu(800, seed=1)
         # trees that share no strings with the text
         (trees, _), size, _ = traced(parse_text, text)
-        corpus, retained, _ = traced(decompose_corpus, trees)
+        corpus, retained, _ = traced(corpus_of, trees)
         assert len(corpus.entries) == 800
         assert retained <= size
 
@@ -94,7 +129,7 @@ class TestHistogram:
         assert var == {3: 100.0}
 
     def test_empty(self):
-        ref, var = constituent_count_histogram(decompose_corpus([]))
+        ref, var = constituent_count_histogram(corpus_of([]))
         assert ref == {} and var == {}
 
     def test_variant_mass_uses_cap(self):
@@ -111,7 +146,7 @@ class TestHistogram:
 class TestPositionLengthProfile:
     def test_single_sentence(self):
         tree = heads_tree([9, 1, 1, 1, 9, 5, 5, 9, 0])
-        corpus = decompose_corpus([tree])
+        corpus = corpus_of([tree])
         assert np.allclose(position_length_profile(corpus, 3), [4, 3, 1])
 
     def test_least_effort_min_at_last(self):
@@ -122,7 +157,7 @@ class TestPositionLengthProfile:
 
     def test_missing_k_raises(self):
         with pytest.raises(InsufficientDataError):
-            position_length_profile(decompose_corpus([]), 3)
+            position_length_profile(corpus_of([]), 3)
 
 
 class TestStrategyCurves:
@@ -153,7 +188,7 @@ class TestStrategyCurves:
         """Bit for bit the per-sentence, per-order values, means and sums,
         each order's total counted arc by arc on its rebuilt tree. From 8
         draws on, numpy's pairwise summation unrolls by 8."""
-        got = strategy_curves(decompose_corpus(trees), seed, random_draws, k_range, convention)
+        got = strategy_curves(corpus_of(trees), seed, random_draws, k_range, convention)
         expected = oracles.strategy_curves(trees, seed, random_draws, k_range, convention)
         assert list(got) == list(expected)
         assert {s: {k: v.hex() for k, v in per_k.items()} for s, per_k in got.items()} == \
@@ -163,7 +198,7 @@ class TestStrategyCurves:
     def test_matches_oracle_on_synthetic_corpus(self):
         trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=300, p_least_effort=0.5),
                                           seed=4)
-        assert repr(strategy_curves(decompose_corpus(trees), seed=2, random_draws=10)) == \
+        assert repr(strategy_curves(corpus_of(trees), seed=2, random_draws=10)) == \
             repr(oracles.strategy_curves(trees, seed=2, random_draws=10))
 
     def test_deterministic(self):
@@ -249,7 +284,7 @@ class TestPairwiseBuild:
         # swapping them moves the short one's head L words from the verb
         L = 40000
         tree = heads_tree([L + 2] + [1] * (L - 1) + [L + 2, 0])
-        corpus = decompose_corpus([tree])
+        corpus = corpus_of([tree])
         assert corpus.entries[0].plan.k * corpus.entries[0].plan.verb_index > 32767
         dataset = self.assert_matches_oracle(corpus, 100, 0)
         assert dataset.dl.dtype == np.int32
@@ -391,8 +426,8 @@ class TestSyntheticGenerator:
         trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=100, p_least_effort=0.3),
                                           seed=26)
         for tree in trees:
-            assert is_projective(tree)
-            assert decompose(tree).verb_index == len(tree)
+            assert is_projective(tree.heads)
+            assert decompose(tree.heads).verb_index == len(tree)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -433,7 +468,7 @@ class TestSyntheticGenerator:
         p = 1 constituents included, generate eligible sentences."""
         for kw in ({"length_dist": ("geometric", 1.0)}, {"max_constituent_length": 1},
                    {"length_dist": ("uniform", 1, 1)}):
-            corpus = decompose_corpus(generate_synthetic_corpus(
+            corpus = corpus_of(generate_synthetic_corpus(
                 SyntheticSpec(n_sentences=20, **kw), seed=4))
             assert len(corpus.entries) == 20
             assert all(set(e.plan.lengths) == {1} for e in corpus.entries)
@@ -442,7 +477,7 @@ class TestSyntheticGenerator:
         # exp(-length / 1e-300) underflows to 0 for every length
         spec = SyntheticSpec(n_sentences=20, noise_temperature=1e-300)
         for tree in generate_synthetic_corpus(spec, seed=3):
-            lengths = decompose(tree).lengths
+            lengths = decompose(tree.heads).lengths
             assert lengths[-1] == min(lengths)
 
     def test_correlation_helper(self):

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import deplen
 from deplen import cli, features, seeding, treebank, variants
-from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec, decompose_corpus,
+from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec,
                              eligible_plans, generate_synthetic_corpus)
 from deplen.cli import main
 from deplen.constituency import ARC_GAP
@@ -32,7 +32,7 @@ from deplen.treebank import DependencyTree, to_conllu
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import parse_text, random_tree, traced
+from conftest import corpus_of, parse_text, random_tree, traced
 from test_treebank import CONLLU_FIG3, LINE_ALPHABET
 
 SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
@@ -288,7 +288,7 @@ class TestStreamedCorpus:
             run = cli._Run(_decompose_args(path, *flags), "corpus")
         corpus, diagnostics, corpus_hash = run.corpus, run.diagnostics, run.corpus_hash
         trees, want_diagnostics = parse_text(text[1:], exclude_punct=bool(flags))
-        want = decompose_corpus(trees)
+        want = corpus_of(trees)
         assert corpus.entries and diagnostics
         assert corpus.entries == want.entries and corpus.skipped == want.skipped
         assert diagnostics == want_diagnostics
@@ -391,7 +391,7 @@ class TestFeatures:
         assert main(["features", "--corpus", str(corpus), "--seed", "4",
                      "--cap", "30", "--out", str(out)]) == 0
         trees, _ = parse_text(corpus.read_text())
-        entries = decompose_corpus(trees).entries
+        entries = corpus_of(trees).entries
         expected, ordinal = {}, 0      # k -> rows in corpus order
         for e in entries:
             ref = extract_features(e.plan, tuple(range(e.plan.k)))
@@ -796,6 +796,27 @@ class TestTracedCounts:
             sum(min(math.factorial(k), cap) for k in ks),
             len(ks),
             len(ks) + sum(2 <= k <= 6 for k in ks) * draws]
+
+    def test_report_all_builds_no_tree(self, tmp_path, monkeypatch):
+        """The subcommands that decompose read heads columns alone:
+        report-all builds no DependencyTree, counted as the tracer counts
+        them, while parse, which prints words, builds one per sentence."""
+        corpus = tmp_path / "c.conllu"
+        corpus.write_text(mixed_corpus(4, 400))
+        built = []
+        init = DependencyTree.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DependencyTree, "__init__", counted_init)
+        assert main(["report-all", "--corpus", str(corpus), "--folds", "2", "--exclude-punct",
+                     "--out", str(tmp_path / "r")]) == 0
+        assert built == []
+        assert main(["parse", "--corpus", str(corpus), "--out", str(tmp_path / "p")]) == 0
+        manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+        assert len(built) == manifest["sentences"] > 0
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -29,20 +29,17 @@ class TestDecompose:
         assert fig3_plan.fixed_dl == 0   # every other arc joins neighbours
 
     def test_verb_initial(self):
-        tree = heads_tree([0, 1, 1])
-        result = decompose(tree)
+        result = decompose([0, 1, 1])
         assert isinstance(result, Ineligible)
         assert result.reason == "no preverbal constituents"
 
     def test_single_constituent(self):
-        tree = heads_tree([2, 3, 0])
-        result = decompose(tree)
+        result = decompose([2, 3, 0])
         assert isinstance(result, Ineligible)
         assert "fewer than 2" in result.reason
 
     def test_nonprojective_rejected(self):
-        tree = heads_tree([3, 4, 0, 3])
-        assert decompose(tree) == Ineligible("non-projective")
+        assert decompose([3, 4, 0, 3]) == Ineligible("non-projective")
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
@@ -50,7 +47,7 @@ class TestDecompose:
         """The same plan or skip reason as decomposing from every token's
         yield, non-projective trees included."""
         tree = random_tree(np.random.default_rng(seed), n)
-        assert decompose(tree) == oracles.decompose(tree)
+        assert decompose(tree.heads) == oracles.decompose(tree)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(tree=eligible_trees(), data=st.data())
@@ -65,7 +62,7 @@ class TestDecompose:
             tree = heads_tree(heads)
         except ValueError:   # a cycle
             return
-        assert decompose(tree) == oracles.decompose(tree)
+        assert decompose(tree.heads) == oracles.decompose(tree)
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
@@ -73,12 +70,12 @@ class TestDecompose:
         """A projective tree's preverbal root-child yields tile 1..verb-1
         in order, so the only ineligible outcomes are k < 2."""
         tree = random_tree(np.random.default_rng(seed), n)
-        if not is_projective(tree):
-            assert decompose(tree) == Ineligible("non-projective")
+        if not is_projective(tree.heads):
+            assert decompose(tree.heads) == Ineligible("non-projective")
             return
         verb = tree.root_index
         heads = [i for i in range(1, verb) if tree.heads[i - 1] == verb]
-        result = decompose(tree)
+        result = decompose(tree.heads)
         if len(heads) < 2:
             assert result == Ineligible("no preverbal constituents" if not heads
                                         else "fewer than 2 constituents")
@@ -152,7 +149,7 @@ class TestInvariants:
         """order_dl against the rebuilt tree, arc by arc: only the k
         head-to-verb arcs move, so total - main-verb DL is the plan's own
         `fixed_dl`. The positional convention is 1 more per arc."""
-        plan = decompose(base)
+        plan = decompose(base.heads)
         order = data.draw(st.permutations(range(plan.k)))
         tree = linearize(base, plan, order)
         verb = tree.root_index
@@ -226,7 +223,7 @@ def test_every_order_of_fixed_plans(k):
     constituents' word counts; the moves against the per-order oracle."""
     orders = np.array(list(itertools.permutations(range(k))))
     for tree in fixed_trees(k):
-        plan = decompose(tree)
+        plan = decompose(tree.heads)
         assert plan.k == k
         moved = least_effort_moves(plan.lengths, orders)
         assert [tuple(m) for m in moved.tolist()] == \

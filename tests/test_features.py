@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 
-from deplen.analysis import (CorpusEntry, DecomposedCorpus, build_pairwise_dataset,
-                             decompose_corpus)
+from deplen.analysis import CorpusEntry, DecomposedCorpus, build_pairwise_dataset
 from deplen.features import extract_features, feature_names, zscore
 from deplen.seeding import derive_rng
 from deplen.variants import ascending_orders, descending_orders, generate_variants
 
-from conftest import heads_tree, random_plans
+from conftest import corpus_of, heads_tree, random_plans
 from oracles import order_dl
 
 
@@ -51,7 +50,7 @@ class TestJoachimsTransform:
     """The balanced pairwise transformation of build_pairwise_dataset."""
 
     def test_count_preserved(self, fig3_tree):
-        corpus = decompose_corpus([fig3_tree] * 7)
+        corpus = corpus_of([fig3_tree] * 7)
         for cap, per_sentence in ((2, 1), (24, 23)):
             dataset = build_pairwise_dataset(corpus, cap=cap)
             assert len(dataset) == 7 * per_sentence
@@ -59,15 +58,15 @@ class TestJoachimsTransform:
             assert len(dataset.total_dl) == len(dataset.sentence_ids) == len(dataset)
 
     def test_alternating_labels(self, fig3_tree):
-        dataset = build_pairwise_dataset(decompose_corpus([fig3_tree] * 6), cap=2)
+        dataset = build_pairwise_dataset(corpus_of([fig3_tree] * 6), cap=2)
         assert dataset.labels.tolist() == [1, 0, 1, 0, 1, 0]
         # 23 variants per sentence: orientation follows the global row ordinal
-        dataset = build_pairwise_dataset(decompose_corpus([fig3_tree] * 2), cap=24)
+        dataset = build_pairwise_dataset(corpus_of([fig3_tree] * 2), cap=24)
         assert dataset.labels.tolist() == [1, 0] * 23
 
     def test_label_balance(self, fig3_tree):
         for n in (5, 6, 101):
-            dataset = build_pairwise_dataset(decompose_corpus([fig3_tree] * n), cap=2)
+            dataset = build_pairwise_dataset(corpus_of([fig3_tree] * n), cap=2)
             assert abs(dataset.labels.mean() - 0.5) <= 1 / n
 
     def test_antisymmetry(self, fig3_plan):
@@ -81,7 +80,7 @@ class TestJoachimsTransform:
     def test_identical_vectors_zero_delta(self):
         # two one-word constituents: the swapped order has the same features
         tree = heads_tree([3, 3, 0])
-        dataset = build_pairwise_dataset(decompose_corpus([tree, tree]))
+        dataset = build_pairwise_dataset(corpus_of([tree, tree]))
         assert len(dataset) == 2 and dataset.labels.tolist() == [1, 0]
         for arr in (dataset.total_dl, dataset.dl, dataset.length):
             assert arr.dtype.kind == "i" and not arr.any()

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sps
 
-from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
-                             decompose_corpus, generate_synthetic_corpus)
+from deplen.analysis import SyntheticSpec, build_pairwise_dataset, generate_synthetic_corpus
 from deplen.features import zscore
 from deplen import stats
 from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientError, _columns,
@@ -17,7 +16,7 @@ from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientE
                           fit_logistic, mcnemar, pearson, rfecv)
 
 import oracles
-from conftest import traced
+from conftest import corpus_of, traced
 
 
 def simulate_logistic(rng, n, beta, intercept=0.0):
@@ -433,7 +432,7 @@ class TestCrossvalOracle:
     @pytest.fixture(scope="class")
     def dataset(self):
         spec = SyntheticSpec(n_sentences=120)
-        corpus = decompose_corpus(generate_synthetic_corpus(spec, seed=8))
+        corpus = corpus_of(generate_synthetic_corpus(spec, seed=8))
         return build_pairwise_dataset(corpus, cap=24, seed=3)
 
     @pytest.mark.parametrize("zscore_mode", ["fold", "global"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from deplen import treebank
 from deplen.constituency import decompose
 from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree, is_projective,
-                             iter_trees, to_conllu)
+                             iter_heads, iter_trees, to_conllu)
 
 import oracles
 from oracles import subtree_spans
@@ -94,6 +94,40 @@ class TestParseCorpus:
         assert diags == []
         assert len(trees[0]) == 2
 
+    @pytest.mark.parametrize("text", ["foo", "1-", "1.x", "1-2-3"])
+    def test_non_token_id_is_a_diagnostic(self, text):
+        """A CoNLL-U ID that is neither an integer, nor a multiword-token
+        range i-j, nor an empty node i.j spoils its block, as in the TSV
+        format."""
+        block = ("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                 f"{text}\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+                 "2\tc\t_\t_\t_\t_\t1\tdep\t_\t_\n")
+        trees, diags = parse_text(block, "conllu")
+        assert trees == []
+        assert [(d.line, d.reason) for d in diags] == [(2, f"non-integer index {text!r}")]
+
+    @pytest.mark.parametrize("format", sorted(FORMATS))
+    @pytest.mark.parametrize("column", ["index", "head"])
+    @pytest.mark.parametrize("text", [" 0 ", "+0", "1_0", "\u0660"],
+                             ids=["spaces", "plus", "underscore", "arabic-indic-zero"])
+    def test_integers_are_ascii_digits(self, format, column, text):
+        """IDs and heads that `int` takes and CoNLL-U does not (as a root
+        or as token 10) are non-integers."""
+        row = (text, "b", 1, "dep") if column == "index" else (2, "b", text, "dep")
+        lines = _lines(format, [(1, "a", 0, "root"), row])
+        trees, diags = parse_text("\n".join(lines) + "\n", format)
+        assert trees == []
+        assert [(d.line, d.reason) for d in diags] == [(2, f"non-integer {column} {text!r}")]
+
+    @pytest.mark.parametrize("format", sorted(FORMATS))
+    def test_negative_integers_keep_their_messages(self, format):
+        text = "\n\n".join("\n".join(_lines(format, [(1, "a", 0, "root"), row]))
+                           for row in [(-1, "b", 1, "dep"), (2, "b", -1, "dep")]) + "\n"
+        trees, diags = parse_text(text, format)
+        assert trees == []
+        assert [(d.line, d.reason) for d in diags] == [
+            (2, "token index must be >= 1, got -1"), (5, "head must be >= 0, got -1")]
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("exclude_punct", [False, True])
     def test_diagnostics_keep_line_numbers_across_skipped_lines(self, newline, exclude_punct):
@@ -174,19 +208,17 @@ class TestParseCorpus:
 
 class TestStructure:
     def test_fig3_projective(self, fig3_tree):
-        assert is_projective(fig3_tree)
+        assert is_projective(fig3_tree.heads)
 
     def test_single_token_projective(self):
-        assert is_projective(heads_tree([0]))
+        assert is_projective([0])
 
     def test_minimal_crossing(self):
         # arcs 1->3 and 2->4 cross
-        tree = heads_tree([3, 4, 0, 3])
-        assert not is_projective(tree)
+        assert not is_projective([3, 4, 0, 3])
 
     def test_arc_over_root_not_projective(self):
-        tree = heads_tree([3, 0, 2])
-        assert not is_projective(tree)
+        assert not is_projective([3, 0, 2])
 
     def test_subtree_yields(self, fig3_tree):
         spans = subtree_spans(fig3_tree)
@@ -214,7 +246,7 @@ def test_projectivity_matches_brute_force():
     agree = 0
     for _ in range(1000):
         tree = random_tree(rng, int(rng.integers(2, 13)))
-        assert is_projective(tree) == brute_force_projective(tree)
+        assert is_projective(tree.heads) == brute_force_projective(tree)
         agree += 1
     assert agree == 1000
 
@@ -223,7 +255,7 @@ def test_yield_members_pass_through_head():
     rng = np.random.default_rng(99)
     for _ in range(200):
         tree = random_tree(rng, int(rng.integers(2, 10)))
-        if not is_projective(tree):
+        if not is_projective(tree.heads):
             continue
         spans = subtree_spans(tree)
         for h in range(1, len(tree) + 1):
@@ -301,10 +333,11 @@ def _yields(heads) -> list:
 def test_every_head_array_up_to_six_tokens():
     """The whole small domain, where the properties above draw samples:
     every heads column of n <= 6 tokens with each head in 0..n, valid or
-    not, parsed as one CoNLL-U text. Each block is a tree or a diagnostic
-    as `_validate_by_walk` says (a token that is its own head is named at
-    its line first); each tree's yields, projectivity and plan match those
-    found from its head links, the pairwise arc check and `oracles.decompose`."""
+    not, parsed as one CoNLL-U text by both readers. Each block is a tree,
+    or a heads column, or a diagnostic as `_validate_by_walk` says (a token
+    that is its own head is named at its line first); each tree's yields,
+    projectivity and plan match those found from its head links, the
+    pairwise arc check and `oracles.decompose`."""
     columns = [heads for n in range(1, 7) for heads in itertools.product(range(n + 1), repeat=n)]
     rows = [[f"{i}\tw\t_\t_\t_\t_\t{h}\tdep\t_\t_" for h in range(7)] for i in range(7)]
     lines, starts = [], []
@@ -313,6 +346,8 @@ def test_every_head_array_up_to_six_tokens():
         lines.extend(rows[i][h] for i, h in enumerate(heads, start=1))
         lines.append("")
     trees, diagnostics = parse_text("\n".join(lines))
+    heads_diagnostics = []
+    parsed = list(iter_heads(["\n".join(lines)], heads_diagnostics))
     want_trees, want_diagnostics = [], []
     for start, heads in zip(starts, columns):
         own = next((i for i, h in enumerate(heads, start=1) if h == i), None)
@@ -324,15 +359,17 @@ def test_every_head_array_up_to_six_tokens():
         else:
             want_trees.append(heads)
     assert [(d.line, d.reason) for d in diagnostics] == want_diagnostics
+    assert heads_diagnostics == diagnostics
     assert [tree.heads for tree in trees] == want_trees
+    assert parsed == [list(heads) for heads in want_trees]
     assert len(trees) == sum(n ** (n - 1) for n in range(1, 7))   # Cayley: rooted trees
-    for tree in trees:
-        yields = _yields(tree.heads)
+    for tree, heads in zip(trees, parsed):
+        yields = _yields(heads)
         contiguous = all(y[-1] - y[0] + 1 == len(y) for y in yields[1:])
-        assert is_projective(tree) == contiguous == brute_force_projective(tree)
+        assert is_projective(heads) == contiguous == brute_force_projective(tree)
         assert subtree_spans(tree) == ([(0, 0), *((y[0], y[-1]) for y in yields[1:])]
                                        if contiguous else None)
-        assert decompose(tree) == oracles.decompose(tree)
+        assert decompose(heads) == oracles.decompose(tree)
 
 
 def test_columns_of_unequal_length_rejected():

@@ -31,7 +31,7 @@ def sequential_variants(k, cap, rng):
 
 def flat_plan(k) -> SentencePlan:
     """k one-word constituents before the verb."""
-    plan = decompose(heads_tree([k + 1] * k + [0]))
+    plan = decompose([k + 1] * k + [0])
     assert isinstance(plan, SentencePlan) and plan.k == k
     return plan
 
