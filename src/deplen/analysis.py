@@ -64,13 +64,17 @@ class DecomposedCorpus:
     skipped: dict = field(default_factory=dict)   # reason -> count
 
 
-def _plan(heads, skipped: dict):
-    """`decompose(heads)`'s plan, or None with its reason counted in `skipped`."""
-    plan = decompose(heads)
-    if isinstance(plan, Ineligible):
-        skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
-        return None
-    return plan
+def _eligible(pairs, skipped: dict):
+    """Yield (sentence_id, item, plan) for every (item, heads) pair whose
+    heads `decompose` finds eligible, and count the rest by its reason in
+    `skipped`. The i-th pair (from 1) has sentence id `s{i}`, eligible or
+    not."""
+    for i, (item, heads) in enumerate(pairs, start=1):
+        plan = decompose(heads)
+        if isinstance(plan, Ineligible):
+            skipped[plan.reason] = skipped.get(plan.reason, 0) + 1
+        else:
+            yield f"s{i}", item, plan
 
 
 def eligible_plans(trees, skipped: dict):
@@ -78,9 +82,7 @@ def eligible_plans(trees, skipped: dict):
     the rest by `decompose`'s reason in `skipped`. The i-th tree (from 1) has
     sentence id `s{i}`. `trees` may be any iterable, a generator of trees as
     they are parsed included; it is consumed once."""
-    for i, tree in enumerate(trees, start=1):
-        if (plan := _plan(tree.heads, skipped)) is not None:
-            yield f"s{i}", tree, plan
+    return _eligible(((tree, tree.heads) for tree in trees), skipped)
 
 
 def decompose_corpus(columns) -> DecomposedCorpus:
@@ -89,8 +91,8 @@ def decompose_corpus(columns) -> DecomposedCorpus:
     tree's `heads`), and the skip counts; no column is kept past its
     decomposition."""
     skipped = {}
-    entries = [CorpusEntry(f"s{i}", plan) for i, heads in enumerate(columns, start=1)
-               if (plan := _plan(heads, skipped)) is not None]
+    entries = [CorpusEntry(sentence_id, plan)
+               for sentence_id, _, plan in _eligible(((None, heads) for heads in columns), skipped)]
     return DecomposedCorpus(entries, skipped)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from deplen import treebank
 from deplen.constituency import decompose
 from deplen.treebank import (FORMATS, PUNCT_DEPRELS, DependencyTree, is_projective,
-                             iter_heads, iter_trees, to_conllu)
+                             iter_trees, to_conllu)
 
 import oracles
 from oracles import subtree_spans
@@ -113,6 +113,18 @@ class TestParseCorpus:
     def test_integers_are_ascii_digits(self, format, column, text):
         """IDs and heads that `int` takes and CoNLL-U does not (as a root
         or as token 10) are non-integers."""
+        row = (text, "b", 1, "dep") if column == "index" else (2, "b", text, "dep")
+        lines = _lines(format, [(1, "a", 0, "root"), row])
+        trees, diags = parse_text("\n".join(lines) + "\n", format)
+        assert trees == []
+        assert [(d.line, d.reason) for d in diags] == [(2, f"non-integer {column} {text!r}")]
+
+    @pytest.mark.parametrize("format", sorted(FORMATS))
+    @pytest.mark.parametrize("column", ["index", "head"])
+    def test_integers_past_the_digit_limit(self, format, column):
+        """An ID or head longer than `int` converts (4300 digits by default)
+        spoils its block like any other non-integer."""
+        text = "1" * 5000
         row = (text, "b", 1, "dep") if column == "index" else (2, "b", text, "dep")
         lines = _lines(format, [(1, "a", 0, "root"), row])
         trees, diags = parse_text("\n".join(lines) + "\n", format)
@@ -333,7 +345,7 @@ def _yields(heads) -> list:
 def test_every_head_array_up_to_six_tokens():
     """The whole small domain, where the properties above draw samples:
     every heads column of n <= 6 tokens with each head in 0..n, valid or
-    not, parsed as one CoNLL-U text by both readers. Each block is a tree,
+    not, parsed as one CoNLL-U text by both readers (`parse_text`). Each block is a tree,
     or a heads column, or a diagnostic as `_validate_by_walk` says (a token
     that is its own head is named at its line first); each tree's yields,
     projectivity and plan match those found from its head links, the
@@ -346,8 +358,6 @@ def test_every_head_array_up_to_six_tokens():
         lines.extend(rows[i][h] for i, h in enumerate(heads, start=1))
         lines.append("")
     trees, diagnostics = parse_text("\n".join(lines))
-    heads_diagnostics = []
-    parsed = list(iter_heads(["\n".join(lines)], heads_diagnostics))
     want_trees, want_diagnostics = [], []
     for start, heads in zip(starts, columns):
         own = next((i for i, h in enumerate(heads, start=1) if h == i), None)
@@ -359,17 +369,15 @@ def test_every_head_array_up_to_six_tokens():
         else:
             want_trees.append(heads)
     assert [(d.line, d.reason) for d in diagnostics] == want_diagnostics
-    assert heads_diagnostics == diagnostics
     assert [tree.heads for tree in trees] == want_trees
-    assert parsed == [list(heads) for heads in want_trees]
     assert len(trees) == sum(n ** (n - 1) for n in range(1, 7))   # Cayley: rooted trees
-    for tree, heads in zip(trees, parsed):
-        yields = _yields(heads)
+    for tree in trees:
+        yields = _yields(tree.heads)
         contiguous = all(y[-1] - y[0] + 1 == len(y) for y in yields[1:])
-        assert is_projective(heads) == contiguous == brute_force_projective(tree)
+        assert is_projective(tree.heads) == contiguous == brute_force_projective(tree)
         assert subtree_spans(tree) == ([(0, 0), *((y[0], y[-1]) for y in yields[1:])]
                                        if contiguous else None)
-        assert decompose(heads) == oracles.decompose(tree)
+        assert decompose(tree.heads) == oracles.decompose(tree)
 
 
 def test_columns_of_unequal_length_rejected():
