@@ -4,7 +4,8 @@ test, recursive feature elimination, and Pearson correlation.
 The logistic fit is iteratively reweighted least squares, matching the
 classic GLM reference implementations: convergence when the largest
 coefficient change drops below 1e-8, standard errors from the inverse
-observed information.
+observed information. A separated fit is fitted under a small ridge, by
+the one rule of the one IRLS loop, `_fit_folds`.
 """
 
 import math
@@ -119,14 +120,16 @@ def _hessians(design: np.ndarray, counts: np.ndarray, maps: np.ndarray, triu,
     return hess
 
 
-def _fit_folds(design, y, weights, ridge, maps, names=None):
+def _fit_folds(design, y, weights, maps, names=None):
     """F logit fits of one design by one stacked IRLS loop, which a fit
-    leaves once its step is below TOL. Fit f weights the rows by
-    weights[:, f], has ridge[f] and solves for the coefficients that maps[f]
-    takes to the design's. An unpenalized fit whose coefficients pass
-    SEPARATION_COEF_BOUND before it converges is fitted again, from zero,
-    under SEPARATION_RIDGE. Returns (beta, iterations, converged,
-    separation, ridge) per fit.
+    leaves once its step is below TOL or after MAX_ITER steps. Fit f weights
+    the rows by weights[:, f] and solves for the coefficients that maps[f]
+    takes to the design's. A fit is separated, and fitted from zero under
+    SEPARATION_RIDGE, from the start if its weighted rows hold one label, or
+    from a restart, with a MAX_ITER budget and iteration count of its own,
+    if it is unpenalized and its largest |coefficient| passes
+    SEPARATION_COEF_BOUND before it converges. Returns (beta, iterations,
+    converged, separation, ridge) per fit.
 
     Given the design's column `names`, intercept first, a fit whose rows
     (weights[:, f] > 0) are rank deficient in the coordinates of maps[f],
@@ -134,14 +137,16 @@ def _fit_folds(design, y, weights, ridge, maps, names=None):
     collinear columns before any step."""
     F, q = weights.shape[1], design.shape[1]
     triu = np.triu_indices(q)
-    beta, iterations = np.zeros((F, q)), np.full(F, MAX_ITER)
+    positives = y @ weights
+    separation = (positives == 0) | (positives == weights.sum(axis=0))
+    beta, iterations, start = np.zeros((F, q)), np.zeros(F, dtype=int), np.zeros(F, dtype=int)
     converged, live = np.zeros(F, dtype=bool), np.arange(F)
-    for it in range(1, MAX_ITER + 1):
-        b, pen, fold_maps = beta[live], ridge[live], maps[live]
+    for trip in range(1, 2 * MAX_ITER + 1):
+        b, pen, fold_maps = beta[live], separation[live] * SEPARATION_RIDGE, maps[live]
         wts = weights if len(live) == F else weights[:, live]
         mu = _sigmoid(design @ (fold_maps @ b[..., None])[..., 0].T)
         hess = _hessians(design, wts, fold_maps, triu, mu)
-        if it == 1 and names is not None:
+        if trip == 1 and names is not None:
             # at mu = 0.5 this is the Gram matrix / 4: one far from singular
             # means a full-rank fit; check the rest on their rows
             for f in np.flatnonzero(np.linalg.cond(hess) > 1e8):
@@ -156,18 +161,17 @@ def _fit_folds(design, y, weights, ridge, maps, names=None):
         hess += pen[:, None, None] * np.eye(q)
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
         beta[live] = b = b + step
+        it = trip - start[live]
         conv = np.abs(step).max(axis=1) < TOL
-        done = conv | ((pen == 0.0) & (np.abs(b).max(axis=1) > SEPARATION_COEF_BOUND))
+        climbed = ~conv & (pen == 0.0) & (np.abs(b).max(axis=1) > SEPARATION_COEF_BOUND)
+        restart = live[climbed]
+        beta[restart], separation[restart], start[restart] = 0.0, True, trip
+        done = conv | ((it == MAX_ITER) & ~climbed)
         converged[live[conv]] = True
-        iterations[live[done]] = it
+        iterations[live[done]] = it[done]
         if not (live := live[~done]).size:
             break
-    separation = ~converged & (ridge == 0.0) & (np.abs(beta).max(axis=1) > SEPARATION_COEF_BOUND)
-    ridge = np.where(separation, SEPARATION_RIDGE, ridge)
-    if separation.any():
-        beta[separation], iterations[separation], converged[separation], _, _ = _fit_folds(
-            design, y, weights[:, separation], ridge[separation], maps[separation])
-    return beta, iterations, converged, separation, ridge
+    return beta, iterations, converged, separation, separation * SEPARATION_RIDGE
 
 
 def _columns(X) -> np.ndarray:
@@ -193,18 +197,17 @@ def _inputs(X, y, names, y_dtype):
     return X, y, list(names)
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
+def fit_logistic(X: np.ndarray, y: np.ndarray,
                  feature_names: Optional[Sequence] = None) -> RegressionFit:
     """Maximum-likelihood logit fit via IRLS. X excludes the intercept
-    column, which is added internally; ridge > 0 is reserved for the
-    documented fallback on detected separation."""
+    column, which is added internally; a separated fit (see `_fit_folds`)
+    reports its ridge, which its Wald information carries."""
     X, y, names = _inputs(X, y, feature_names, float)
     design = np.column_stack([np.ones(len(y)), X])
     del X    # the design holds the columns now: a temporary X is freed
     weights, maps = np.ones((len(y), 1)), np.eye(design.shape[1])[None]
     beta, iterations, converged, separation, ridge = (
-        v[0] for v in _fit_folds(design, y, weights, np.array([float(ridge)]), maps,
-                                 ["intercept", *names]))
+        v[0] for v in _fit_folds(design, y, weights, maps, ["intercept", *names]))
     mu = _sigmoid(design @ beta)
     info = _grams(design, weights, None, mu[:, None])[0] + ridge * np.eye(design.shape[1])
     cov = np.linalg.inv(info)
@@ -285,8 +288,9 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
     rows of fold f's test set; names are the predictors, which a
     RankDeficientError names. Each fold fits its training rows z-scored
     (see `_standardizing_maps`) by their own statistics, or, `pooled`, by
-    those of every row. With `all_cells`, the stack also fits every row,
-    unpenalized, as a fold with no test rows. Returns a CvReport without
+    those of every row. With `all_cells`, the stack also fits every row as
+    a fold with no test rows. The report flags the folds that `_fit_folds`
+    fitted under its separation ridge. Returns a CvReport without
     predictions, the (cells x folds) test probabilities, and the all-cells
     fit's coefficients (None without it)."""
     F = test.shape[1]
@@ -295,16 +299,12 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
     train = total - held_out
     maps = _standardizing_maps(design[:, 1:], total if pooled else train)
     maps = np.broadcast_to(maps, (train.shape[1], *maps.shape[1:]))
-    positives = y @ train
-    one_label = (positives == 0) | (positives == train.sum(axis=0))
-    one_label[F:] = False    # the all-cells fit starts unpenalized
-    beta, _, _, separation, _ = _fit_folds(
-        design, y, train, np.where(one_label, SEPARATION_RIDGE, 0.0), maps, ["intercept", *names])
+    beta, _, _, separation, _ = _fit_folds(design, y, train, maps, ["intercept", *names])
     del train
     prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
     accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)
     return (CvReport(accuracies, float(accuracies.mean()), None,
-                     np.flatnonzero((one_label | separation)[:F]).tolist(),
+                     np.flatnonzero(separation[:F]).tolist(),
                      float(np.abs(prob[test > 0] - 0.5).min())),
             prob, beta[F] if all_cells else None)
 

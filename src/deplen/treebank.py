@@ -119,17 +119,15 @@ def _iter_lines(pieces):
 
 
 def _integer(text: str):
-    """`text` as an int if it is ASCII decimal digits after an optional
-    "-", else None. `int` alone would also take " 0 ", "+0", "1_0" and an
-    Arabic-Indic zero. Past `int`'s digit limit (4300 by default) it is
-    None too."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isdigit() and digits.isascii()):
-        return None
+    """`text` as an int if it is one written as `str` writes it, else None.
+    `int` alone would also take " 0 ", "+0", "1_0", an Arabic-Indic zero,
+    "-0" and "007". Past `int`'s digit limit (4300 by default) it is None
+    too."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         return None
+    return value if str(value) == text else None
 
 
 # IDs and heads 0..255 by their text: 99 % of the IDs and heads of perfbench's

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sps
+from scipy.special import expit
 
 from deplen.analysis import SyntheticSpec, build_pairwise_dataset, generate_synthetic_corpus
 from deplen.features import zscore
 from deplen import stats
-from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, RankDeficientError, _columns,
-                          _distinct_cells, _fit_folds, _grams, crossval_accuracy,
+from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, TOL, RankDeficientError,
+                          _columns, _distinct_cells, _fit_folds, _grams, crossval_accuracy,
                           fit_logistic, mcnemar, pearson, rfecv)
 
 import oracles
@@ -63,6 +64,21 @@ class TestFitLogistic:
         fit = fit_logistic(X, y)
         assert fit.separation
         assert fit.ridge > 0
+
+    @pytest.mark.parametrize("labels, climbs", [(np.ones(40), False),
+                                                (np.repeat([0.0, 1.0], 20), True)],
+                             ids=["one-label", "separated"])
+    def test_separated_fit_counts_its_iterations_under_the_ridge(self, monkeypatch, labels,
+                                                                  climbs):
+        """Rows of one label are fitted under the ridge from the first IRLS
+        trip. Rows that a threshold separates climb unpenalized past the
+        coefficient bound first, trips that the fit's iterations leave out."""
+        trips, hessians = [], stats._hessians
+        monkeypatch.setattr(stats, "_hessians", lambda *a: trips.append(1) or hessians(*a))
+        X = np.concatenate([-np.ones(20), np.ones(20)])[:, None]
+        fit = fit_logistic(X, labels)
+        assert fit.separation and fit.converged and fit.ridge == SEPARATION_RIDGE
+        assert len(trips) > fit.iterations if climbs else len(trips) == fit.iterations
 
     def test_a_temporary_matrix_is_not_held_beside_the_design(self):
         """X is dropped once the design holds its columns: given a matrix
@@ -184,7 +200,7 @@ class TestWeightedFit:
         Xg, yg, counts = grouped(X, y)
         cells = np.column_stack([np.ones(len(yg)), Xg])
         names = ["intercept", *(f"x{j}" for j in range(X.shape[1]))]
-        grouped_fit = lambda: _fit_folds(cells, yg, counts[:, None].astype(float), np.zeros(1),
+        grouped_fit = lambda: _fit_folds(cells, yg, counts[:, None].astype(float),
                                          np.eye(cells.shape[1])[None], names)
         try:
             full = fit_logistic(X, y)
@@ -209,7 +225,7 @@ class TestWeightedFit:
 @st.composite
 def stacked_fits(draw):
     """The distinct (x, y) cells of a small integer design, and 1-4 fits of
-    them: integer counts of each cell per fit, and one ridge for all."""
+    them: integer counts of each cell per fit."""
     X, y = draw(integer_designs())
     cells = np.unique(np.column_stack([X, y]), axis=0)
     folds = draw(st.integers(1, 4))
@@ -217,14 +233,33 @@ def stacked_fits(draw):
                                              max_size=len(cells)),
                                     min_size=folds, max_size=folds))).T
     assume(counts.any(axis=0).all())
-    return cells[:, :-1], cells[:, -1].astype(int), counts, \
-        draw(st.sampled_from([0.0, SEPARATION_RIDGE]))
+    return cells[:, :-1], cells[:, -1].astype(int), counts
 
 
 def quasi_separated(*counts):
     """Cells x = -1, 2, 2 with labels 0, 0, 1, one fit per count triple:
     x = 2 holds both labels, so no fit converges or separates in MAX_ITER."""
-    return np.array([[-1.0], [2.0], [2.0]]), np.array([0, 0, 1]), np.array(counts).T, 0.0
+    return np.array([[-1.0], [2.0], [2.0]]), np.array([0, 0, 1]), np.array(counts).T
+
+
+@st.composite
+def separating_fits(draw):
+    """`stacked_fits`, in half the draws relabelled by the side of a line
+    through the design, so that most of their fits separate."""
+    X, y, counts = draw(stacked_fits())
+    if draw(st.booleans()):
+        normal = draw(st.lists(st.integers(-2, 2), min_size=X.shape[1], max_size=X.shape[1]))
+        y = (X @ np.array(normal) > draw(st.integers(-2, 2))).astype(int)
+    return X, y, counts
+
+
+# cells x = -1, 0, 1, 2, 2 with labels 0, 0, 1, 0, 1 and six fits of them: one
+# quasi-separated, live and unpenalized for MAX_ITER trips; three that pass the
+# coefficient bound and restart at trips 14, 14 and 15 beside it; one whose
+# rows hold one label; and one that converges unpenalized
+STAGGERED_SEPARATION = (np.array([[-1.0], [0.0], [1.0], [2.0], [2.0]]), np.array([0, 0, 1, 0, 1]),
+                        np.array([(1, 0, 0, 1, 1), (0, 1, 1, 0, 0), (0, 3, 1, 0, 0),
+                                  (1, 1, 2, 0, 0), (1, 1, 0, 0, 0), (1, 2, 3, 1, 1)]).T)
 
 
 class TestStackedFits:
@@ -232,17 +267,18 @@ class TestStackedFits:
     @given(case=stacked_fits())
     @example(case=quasi_separated((1, 1, 1)))
     @example(case=quasi_separated((1, 1, 1), (1, 2, 2), (2, 1, 1)))
+    @example(case=quasi_separated((2, 3, 0)))    # one label
+    @example(case=STAGGERED_SEPARATION)
     def test_stacked_fits_equal_one_fold_fits(self, case):
         # each stacked fit on cell counts is the fit on the rows they repeat
-        X, y, counts, ridge = case
+        X, y, counts = case
         design = np.column_stack([np.ones(len(y)), X])
         folds, q = counts.shape[1], design.shape[1]
-        stacked_fit = lambda: _fit_folds(design, y, counts, np.full(folds, ridge),
+        stacked_fit = lambda: _fit_folds(design, y, counts,
                                          np.broadcast_to(np.eye(q), (folds, q, q)),
                                          ["intercept", *(f"x{j}" for j in range(q - 1))])
         try:
-            fits = [fit_logistic(np.repeat(X, c, axis=0), np.repeat(y, c), ridge=ridge)
-                    for c in counts.T]
+            fits = [fit_logistic(np.repeat(X, c, axis=0), np.repeat(y, c)) for c in counts.T]
         except RankDeficientError:
             with pytest.raises(RankDeficientError):
                 stacked_fit()
@@ -254,6 +290,54 @@ class TestStackedFits:
             # stopped at MAX_ITER mid-climb, the two summation orders part by ~1e-5
             rtol = 1e-4 if state == (MAX_ITER, False, False) else 1e-9
             assert np.allclose(beta[f], fit.coefficients, rtol=rtol, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=separating_fits(), standardized=st.booleans())
+    @example(case=quasi_separated((2, 3, 0)), standardized=False)
+    @example(case=STAGGERED_SEPARATION, standardized=True)
+    def test_separated_fits_are_ridge_fits_from_zero(self, case, standardized):
+        """Each separated fit, in its map's coordinates (identity, or the CV
+        folds' z-scoring), is what plain Newton steps from zero on the
+        SEPARATION_RIDGE-penalized log-likelihood give: the same iterations
+        and convergence. One that converged is a stationary point: its
+        penalized score X'(w(y - mu)) - ridge * beta vanishes to rounding."""
+        X, y, counts = case
+        design = np.column_stack([np.ones(len(y)), X])
+        folds, q = counts.shape[1], design.shape[1]
+        maps = (stats._standardizing_maps(X, counts) if standardized
+                else np.broadcast_to(np.eye(q), (folds, q, q)))
+        try:
+            beta, iterations, converged, separation, ridge = _fit_folds(
+                design, y, counts, maps, ["intercept", *(f"x{j}" for j in range(q - 1))])
+        except RankDeficientError:
+            return
+        assert np.array_equal(ridge, np.where(separation, SEPARATION_RIDGE, 0.0))
+        for f in np.flatnonzero(separation):
+            Z, w = design @ maps[f], counts[:, f]
+            want = ridge_newton(Z, y, w)
+            assert (iterations[f], converged[f]) == want[1:]
+            # the two summation orders part by up to ~1e-6 on ill-conditioned fits
+            assert np.allclose(beta[f], want[0], rtol=1e-5, atol=1e-9)
+            if converged[f]:
+                score = Z.T @ (w * (y - expit(Z @ beta[f]))) - SEPARATION_RIDGE * beta[f]
+                scale = max(1.0, np.abs(Z.T @ (w * y)).max(), w.sum())
+                assert np.abs(score).max() <= 1e-9 * scale
+
+
+def ridge_newton(Z, y, w):
+    """Newton's method from zero on the SEPARATION_RIDGE-penalized
+    log-likelihood of rows Z, labels y and row weights w, with IRLS's weight
+    floor: (coefficients, steps, whether the last step was below TOL)."""
+    b = np.zeros(Z.shape[1])
+    for it in range(1, MAX_ITER + 1):
+        mu = expit(Z @ b)
+        info = (Z.T * (w * np.maximum(mu * (1.0 - mu), 1e-12))) @ Z
+        step = np.linalg.solve(info + SEPARATION_RIDGE * np.eye(len(b)),
+                               Z.T @ (w * (y - mu)) - SEPARATION_RIDGE * b)
+        b = b + step
+        if np.abs(step).max() < TOL:
+            return b, it, True
+    return b, MAX_ITER, False
 
 
 @st.composite
@@ -310,7 +394,7 @@ class TestGramKernel:
         y = (rng.random(cells) < 1.0 / (1.0 + np.exp(-X @ np.linspace(-1, 1, 6)))).astype(float)
         counts = rng.integers(0, 3, size=(cells, folds)).astype(float)
         maps = np.broadcast_to(np.eye(7), (folds, 7, 7))
-        _, _, peak = traced(_fit_folds, design, y, counts, np.zeros(folds), maps)
+        _, _, peak = traced(_fit_folds, design, y, counts, maps)
         assert peak <= 2 * cells * folds * 8
 
 
@@ -393,13 +477,11 @@ def crossval_all_rows(X, y, folds, seed, zscore_mode):
             Xtr, Xte = ((M[:, kept] - mean[kept]) / sd[kept] for M in (Xtr, Xte))
             fold_names = names[kept]
         ytr = y[train_idx]
-        if ytr.min() == ytr.max():
-            fit = fit_logistic(Xtr, ytr, ridge=SEPARATION_RIDGE, feature_names=fold_names.tolist())
+        fit = fit_logistic(Xtr, ytr, feature_names=fold_names.tolist())
+        # a training fold of one label is separated: crossval_accuracy flags it
+        assert fit.separation or ytr.min() < ytr.max()
+        if fit.separation:
             flagged.append(f)
-        else:
-            fit = fit_logistic(Xtr, ytr, feature_names=fold_names.tolist())
-            if fit.separation:
-                flagged.append(f)
         pred = (oracles.predict_proba(fit, Xte) > 0.5).astype(int)
         predictions[test_idx] = pred
         accuracies[f] = np.mean(pred == y[test_idx])

@@ -108,11 +108,13 @@ class TestParseCorpus:
 
     @pytest.mark.parametrize("format", sorted(FORMATS))
     @pytest.mark.parametrize("column", ["index", "head"])
-    @pytest.mark.parametrize("text", [" 0 ", "+0", "1_0", "\u0660"],
-                             ids=["spaces", "plus", "underscore", "arabic-indic-zero"])
+    @pytest.mark.parametrize("text", [" 0 ", "+0", "1_0", "\u0660", "-0", "-00", "007"],
+                             ids=["spaces", "plus", "underscore", "arabic-indic-zero",
+                                  "minus-zero", "minus-double-zero", "leading-zeros"])
     def test_integers_are_ascii_digits(self, format, column, text):
-        """IDs and heads that `int` takes and CoNLL-U does not (as a root
-        or as token 10) are non-integers."""
+        """IDs and heads that `int` takes and CoNLL-U does not (as a root,
+        as token 10 or as token 7) are non-integers. A head of "-0" beside
+        the root is a non-integer head, not a second root."""
         row = (text, "b", 1, "dep") if column == "index" else (2, "b", text, "dep")
         lines = _lines(format, [(1, "a", 0, "root"), row])
         trees, diags = parse_text("\n".join(lines) + "\n", format)
