@@ -420,13 +420,8 @@ def _run(args):
     return EXIT_OK
 
 
-def cmd_report_all(args):
-    """`report-all`, kept a module-level function by name: perfbench/tracer.py
-    times it as the span `cli.report_all`, through COMMANDS."""
-    return _run(args)
-
-
-COMMANDS = {**dict.fromkeys(PRODUCTS, _run), "report-all": cmd_report_all}
+# the name by which perfbench/tracer.py times `_run` as the span `cli.report_all`
+cmd_report_all = _run
 
 
 def main(argv=None) -> int:
@@ -440,7 +435,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
-        return COMMANDS[args.command](args)
+        return _run(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -4,8 +4,10 @@ test, recursive feature elimination, and Pearson correlation.
 The logistic fit is iteratively reweighted least squares, matching the
 classic GLM reference implementations: convergence when the largest
 coefficient change drops below 1e-8, standard errors from the inverse
-observed information. A separated fit is fitted under a small ridge, by
-the one rule of the one IRLS loop, `_fit_folds`.
+observed information. A fit that does not converge unpenalized, because
+it climbs past a coefficient bound or runs out of iterations, is separated
+and fitted again from zero under a small ridge: the one separation rule of
+the one IRLS loop, `_fit_folds`.
 """
 
 import math
@@ -84,10 +86,10 @@ def _check_rank(X: np.ndarray, names) -> None:
             f"design matrix is rank deficient; collinear columns: {guilty}")
 
 
-def _grams(design: np.ndarray, counts: np.ndarray, triu, mu=None) -> np.ndarray:
-    """(F, q, q): the design's Gram matrix under each row weighting
-    counts[:, f], or, given the fits' probabilities mu, under the IRLS
-    weights max(mu(1 - mu), 1e-12) * counts. triu is np.triu_indices(q).
+def _grams(design: np.ndarray, counts: np.ndarray, triu, mu) -> np.ndarray:
+    """(F, q, q): the design's Gram matrix under the IRLS weights
+    max(mu(1 - mu), 1e-12) * counts of each fit, mu[:, f] being fit f's
+    probabilities. triu is np.triu_indices(q).
 
     More than one fit walks the cells in GRAM_CHUNK blocks, each one product
     of its weights with its upper-triangle column pair products, so no
@@ -95,8 +97,7 @@ def _grams(design: np.ndarray, counts: np.ndarray, triu, mu=None) -> np.ndarray:
     (design * w).T @ design, so that the reported fits, some of them
     ill-conditioned, keep their bits."""
     def weights(rows):
-        w = counts[rows].astype(float, copy=False)
-        return w if mu is None else np.maximum(mu[rows] * (1.0 - mu[rows]), 1e-12) * w
+        return np.maximum(mu[rows] * (1.0 - mu[rows]), 1e-12) * counts[rows]
     if counts.shape[1] == 1:
         return ((design * weights(slice(None))).T @ design)[None]
     i, j = triu
@@ -111,7 +112,7 @@ def _grams(design: np.ndarray, counts: np.ndarray, triu, mu=None) -> np.ndarray:
 
 
 def _hessians(design: np.ndarray, counts: np.ndarray, maps: np.ndarray, triu,
-              mu=None) -> np.ndarray:
+              mu) -> np.ndarray:
     """`_grams` in the coordinates of maps[f]; a coefficient its map drops
     gets a unit diagonal."""
     hess = maps.transpose(0, 2, 1) @ _grams(design, counts, triu, mu) @ maps
@@ -120,33 +121,33 @@ def _hessians(design: np.ndarray, counts: np.ndarray, maps: np.ndarray, triu,
     return hess
 
 
-def _fit_folds(design, y, weights, maps, names=None):
+def _fit_folds(design, y, weights, maps, names):
     """F logit fits of one design by one stacked IRLS loop, which a fit
     leaves once its step is below TOL or after MAX_ITER steps. Fit f weights
     the rows by weights[:, f] and solves for the coefficients that maps[f]
-    takes to the design's. A fit is separated, and fitted from zero under
-    SEPARATION_RIDGE, from the start if its weighted rows hold one label, or
-    from a restart, with a MAX_ITER budget and iteration count of its own,
-    if it is unpenalized and its largest |coefficient| passes
-    SEPARATION_COEF_BOUND before it converges. Returns (beta, iterations,
-    converged, separation, ridge) per fit.
+    takes to the design's. One rule covers separation: an unpenalized fit
+    that does not converge, because its largest |coefficient| passes
+    SEPARATION_COEF_BOUND or it reaches MAX_ITER, is separated and starts
+    again from zero under SEPARATION_RIDGE, with a MAX_ITER budget and
+    iteration count of its own; so the loop runs at most 2 x MAX_ITER trips.
+    A fit whose weighted rows hold one label, which has no finite maximum
+    either, takes the same climb. Returns (beta, iterations, converged,
+    separation) per fit.
 
-    Given the design's column `names`, intercept first, a fit whose rows
-    (weights[:, f] > 0) are rank deficient in the coordinates of maps[f],
-    less the columns that map drops, raises RankDeficientError naming its
-    collinear columns before any step."""
+    A fit whose rows (weights[:, f] > 0) are rank deficient in the
+    coordinates of maps[f], less the columns that map drops, raises
+    RankDeficientError before any step, naming its collinear columns from
+    `names`, the design's columns, intercept first."""
     F, q = weights.shape[1], design.shape[1]
     triu = np.triu_indices(q)
-    positives = y @ weights
-    separation = (positives == 0) | (positives == weights.sum(axis=0))
     beta, iterations, start = np.zeros((F, q)), np.zeros(F, dtype=int), np.zeros(F, dtype=int)
-    converged, live = np.zeros(F, dtype=bool), np.arange(F)
+    converged, separation, live = np.zeros(F, dtype=bool), np.zeros(F, dtype=bool), np.arange(F)
     for trip in range(1, 2 * MAX_ITER + 1):
         b, pen, fold_maps = beta[live], separation[live] * SEPARATION_RIDGE, maps[live]
         wts = weights if len(live) == F else weights[:, live]
         mu = _sigmoid(design @ (fold_maps @ b[..., None])[..., 0].T)
         hess = _hessians(design, wts, fold_maps, triu, mu)
-        if trip == 1 and names is not None:
+        if trip == 1:
             # at mu = 0.5 this is the Gram matrix / 4: one far from singular
             # means a full-rank fit; check the rest on their rows
             for f in np.flatnonzero(np.linalg.cond(hess) > 1e8):
@@ -163,15 +164,16 @@ def _fit_folds(design, y, weights, maps, names=None):
         beta[live] = b = b + step
         it = trip - start[live]
         conv = np.abs(step).max(axis=1) < TOL
-        climbed = ~conv & (pen == 0.0) & (np.abs(b).max(axis=1) > SEPARATION_COEF_BOUND)
-        restart = live[climbed]
+        stalled = ~conv & (it == MAX_ITER)
+        failed = ~conv & (pen == 0.0) & (stalled | (np.abs(b).max(axis=1) > SEPARATION_COEF_BOUND))
+        restart = live[failed]
         beta[restart], separation[restart], start[restart] = 0.0, True, trip
-        done = conv | ((it == MAX_ITER) & ~climbed)
+        done = conv | (stalled & ~failed)
         converged[live[conv]] = True
         iterations[live[done]] = it[done]
         if not (live := live[~done]).size:
             break
-    return beta, iterations, converged, separation, separation * SEPARATION_RIDGE
+    return beta, iterations, converged, separation
 
 
 def _columns(X) -> np.ndarray:
@@ -206,8 +208,9 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
     design = np.column_stack([np.ones(len(y)), X])
     del X    # the design holds the columns now: a temporary X is freed
     weights, maps = np.ones((len(y), 1)), np.eye(design.shape[1])[None]
-    beta, iterations, converged, separation, ridge = (
+    beta, iterations, converged, separation = (
         v[0] for v in _fit_folds(design, y, weights, maps, ["intercept", *names]))
+    ridge = SEPARATION_RIDGE if separation else 0.0
     mu = _sigmoid(design @ beta)
     info = _grams(design, weights, None, mu[:, None])[0] + ridge * np.eye(design.shape[1])
     cov = np.linalg.inv(info)
@@ -299,7 +302,7 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
     train = total - held_out
     maps = _standardizing_maps(design[:, 1:], total if pooled else train)
     maps = np.broadcast_to(maps, (train.shape[1], *maps.shape[1:]))
-    beta, _, _, separation, _ = _fit_folds(design, y, train, maps, ["intercept", *names])
+    beta, _, _, separation = _fit_folds(design, y, train, maps, ["intercept", *names])
     del train
     prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
     accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)

@@ -68,14 +68,15 @@ def test_no_assert_statement(path):
 
 
 def test_report_all_is_traced_by_name(monkeypatch, tmp_path):
-    """perfbench/tracer.py wraps `deplen.cli.cmd_report_all`, found by that
-    name, and swaps the wrapped copy into `cli.COMMANDS`: the traced
-    benchmark needs the function there, defined in `deplen.cli`, and `main`
-    to reach it through that table."""
+    """perfbench/tracer.py wraps the function it finds as
+    `deplen.cli.cmd_report_all` and swaps the wrapped copy into every module
+    attribute that holds it: the traced benchmark needs that name to be
+    `cli._run`, defined in `deplen.cli`, and `main` to reach it by its
+    module attribute."""
     from deplen import cli
-    assert cli.COMMANDS["report-all"] is cli.cmd_report_all
+    assert cli.cmd_report_all is cli._run
     assert cli.cmd_report_all.__module__ == "deplen.cli"
     called = []
-    monkeypatch.setitem(cli.COMMANDS, "report-all", lambda args: called.append(args) or 0)
+    monkeypatch.setattr(cli, "_run", lambda args: called.append(args) or 0)
     assert cli.main(["report-all", "--corpus", "c.conllu", "--out", str(tmp_path)]) == 0
     assert [args.command for args in called] == ["report-all"]

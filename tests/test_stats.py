@@ -65,20 +65,32 @@ class TestFitLogistic:
         assert fit.separation
         assert fit.ridge > 0
 
-    @pytest.mark.parametrize("labels, climbs", [(np.ones(40), False),
-                                                (np.repeat([0.0, 1.0], 20), True)],
-                             ids=["one-label", "separated"])
-    def test_separated_fit_counts_its_iterations_under_the_ridge(self, monkeypatch, labels,
-                                                                  climbs):
-        """Rows of one label are fitted under the ridge from the first IRLS
-        trip. Rows that a threshold separates climb unpenalized past the
-        coefficient bound first, trips that the fit's iterations leave out."""
+    @pytest.mark.parametrize("x, labels", [
+        (np.repeat([-1.0, 1.0], 20), np.ones(40)),
+        (np.repeat([-1.0, 1.0], 20), np.repeat([0.0, 1.0], 20)),
+        # IRLS weights reach their 1e-12 floor before any |coefficient| reaches the
+        # bound: the climb stalls near |beta| = 16 and MAX_ITER ends it
+        (np.array([-1.0, 3.0]), np.array([0.0, 1.0])),
+        (np.array([-2.0, 2.0]), np.array([0.0, 1.0]))],
+        ids=["one-label", "separated", "stalled-at-1-3", "stalled-at-2-2"])
+    def test_separated_fit_counts_its_iterations_under_the_ridge(self, monkeypatch, x, labels):
+        """Rows of one label, or rows that a threshold separates, have no
+        finite maximum: the fit climbs unpenalized until its largest
+        |coefficient| passes the bound or MAX_ITER ends it, trips that its
+        iterations leave out. From there it is Newton's method from zero under
+        the ridge: the same coefficients, iterations and standard errors."""
         trips, hessians = [], stats._hessians
         monkeypatch.setattr(stats, "_hessians", lambda *a: trips.append(1) or hessians(*a))
-        X = np.concatenate([-np.ones(20), np.ones(20)])[:, None]
-        fit = fit_logistic(X, labels)
+        fit = fit_logistic(x, labels)
         assert fit.separation and fit.converged and fit.ridge == SEPARATION_RIDGE
-        assert len(trips) > fit.iterations if climbs else len(trips) == fit.iterations
+        assert len(trips) > fit.iterations
+        Z = np.column_stack([np.ones(len(x)), x])
+        beta, iterations, converged = ridge_newton(Z, labels, np.ones(len(x)))
+        assert (fit.iterations, fit.converged) == (iterations, converged)
+        mu = expit(Z @ beta)
+        info = (Z.T * np.maximum(mu * (1.0 - mu), 1e-12)) @ Z + SEPARATION_RIDGE * np.eye(2)
+        assert np.allclose(fit.coefficients, beta, rtol=1e-9, atol=1e-9)
+        assert np.allclose(fit.std_errors, np.sqrt(np.diag(np.linalg.inv(info))), rtol=1e-9)
 
     def test_a_temporary_matrix_is_not_held_beside_the_design(self):
         """X is dropped once the design holds its columns: given a matrix
@@ -116,15 +128,13 @@ class TestFitLogistic:
 
     def test_one_gram_matrix_per_iteration_and_one_for_the_errors(self, monkeypatch):
         """The rank check reads IRLS's first Hessian and the Wald information
-        is one more `_grams` call: every Gram matrix is an IRLS-weighted one,
-        and none is built twice."""
-        weighted, grams = [], stats._grams
-        monkeypatch.setattr(stats, "_grams",
-                            lambda *a: weighted.append(a[3] is not None) or grams(*a))
+        is one more `_grams` call: none is built twice."""
+        calls, grams = [], stats._grams
+        monkeypatch.setattr(stats, "_grams", lambda *a: calls.append(1) or grams(*a))
         X, y = simulate_logistic(np.random.default_rng(2), 500, [1.0, -0.5, 0.25])
         fit = fit_logistic(X, y)
         assert fit.converged and not fit.separation
-        assert weighted == [True] * (fit.iterations + 1)
+        assert len(calls) == fit.iterations + 1
 
     def test_unnamed_columns_are_x0_x1(self):
         X, y = simulate_logistic(np.random.default_rng(4), 300, [1.0, -1.0])
@@ -208,12 +218,12 @@ class TestWeightedFit:
             with pytest.raises(RankDeficientError):
                 grouped_fit()
             return
-        beta, iterations, converged, separation, ridge = (v[0] for v in grouped_fit())
+        beta, iterations, converged, separation = (v[0] for v in grouped_fit())
         assert (bool(converged), bool(separation)) == (full.converged, full.separation)
         assert iterations == full.iterations
         mu = 1.0 / (1.0 + np.exp(-(cells @ beta)))
         info = (cells.T * (counts * np.clip(mu * (1.0 - mu), 1e-12, None))) @ cells \
-            + ridge * np.eye(cells.shape[1])
+            + separation * SEPARATION_RIDGE * np.eye(cells.shape[1])
         std_errors = np.sqrt(np.diag(np.linalg.inv(info)))
         log_likelihood = np.sum(counts * (yg * np.log(np.clip(mu, 1e-300, None))
                                           + (1 - yg) * np.log(np.clip(1 - mu, 1e-300, None))))
@@ -238,7 +248,8 @@ def stacked_fits(draw):
 
 def quasi_separated(*counts):
     """Cells x = -1, 2, 2 with labels 0, 0, 1, one fit per count triple:
-    x = 2 holds both labels, so no fit converges or separates in MAX_ITER."""
+    x = 2 holds both labels, so no unpenalized fit converges or passes the
+    coefficient bound, and each is refitted under the ridge after MAX_ITER."""
     return np.array([[-1.0], [2.0], [2.0]]), np.array([0, 0, 1]), np.array(counts).T
 
 
@@ -254,9 +265,10 @@ def separating_fits(draw):
 
 
 # cells x = -1, 0, 1, 2, 2 with labels 0, 0, 1, 0, 1 and six fits of them: one
-# quasi-separated, live and unpenalized for MAX_ITER trips; three that pass the
-# coefficient bound and restart at trips 14, 14 and 15 beside it; one whose
-# rows hold one label; and one that converges unpenalized
+# quasi-separated, live and unpenalized for MAX_ITER trips, then restarted;
+# three that pass the coefficient bound and restart at trips 14, 14 and 15
+# beside it; one whose rows hold one label, which restarts at trip 35; and one
+# that converges unpenalized
 STAGGERED_SEPARATION = (np.array([[-1.0], [0.0], [1.0], [2.0], [2.0]]), np.array([0, 0, 1, 0, 1]),
                         np.array([(1, 0, 0, 1, 1), (0, 1, 1, 0, 0), (0, 3, 1, 0, 0),
                                   (1, 1, 2, 0, 0), (1, 1, 0, 0, 0), (1, 2, 3, 1, 1)]).T)
@@ -283,13 +295,12 @@ class TestStackedFits:
             with pytest.raises(RankDeficientError):
                 stacked_fit()
             return
-        beta, iterations, converged, separation, _ = stacked_fit()
+        beta, iterations, converged, separation = stacked_fit()
         for f, fit in enumerate(fits):
-            state = (iterations[f], converged[f], separation[f])
-            assert state == (fit.iterations, fit.converged, fit.separation)
-            # stopped at MAX_ITER mid-climb, the two summation orders part by ~1e-5
-            rtol = 1e-4 if state == (MAX_ITER, False, False) else 1e-9
-            assert np.allclose(beta[f], fit.coefficients, rtol=rtol, atol=1e-9)
+            assert (iterations[f], converged[f], separation[f]) == (
+                fit.iterations, fit.converged, fit.separation)
+            assert converged[f] or separation[f]    # no unpenalized fit ends unconverged
+            assert np.allclose(beta[f], fit.coefficients, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=separating_fits(), standardized=st.booleans())
@@ -307,11 +318,10 @@ class TestStackedFits:
         maps = (stats._standardizing_maps(X, counts) if standardized
                 else np.broadcast_to(np.eye(q), (folds, q, q)))
         try:
-            beta, iterations, converged, separation, ridge = _fit_folds(
+            beta, iterations, converged, separation = _fit_folds(
                 design, y, counts, maps, ["intercept", *(f"x{j}" for j in range(q - 1))])
         except RankDeficientError:
             return
-        assert np.array_equal(ridge, np.where(separation, SEPARATION_RIDGE, 0.0))
         for f in np.flatnonzero(separation):
             Z, w = design @ maps[f], counts[:, f]
             want = ridge_newton(Z, y, w)
@@ -343,8 +353,8 @@ def ridge_newton(Z, y, w):
 @st.composite
 def gram_cases(draw):
     """A design of 1 to 3 chunks of cells around GRAM_CHUNK, intercept
-    first; the weights of F >= 2 fits, integer counts or floats; and, or
-    not, fit probabilities that make them IRLS weights."""
+    first; the weights of F >= 2 fits, integer counts or floats; and fit
+    probabilities that make them IRLS weights."""
     n = draw(st.sampled_from([1, GRAM_CHUNK - 1, GRAM_CHUNK, GRAM_CHUNK + 1,
                               3 * GRAM_CHUNK + 7]))
     q, folds = draw(st.integers(1, 8)), draw(st.integers(2, 11))
@@ -355,11 +365,11 @@ def gram_cases(draw):
                                                                                  np.uint64])))
     else:
         counts = rng.exponential(size=(n, folds))
-    return design, counts, rng.random((n, folds)) if draw(st.booleans()) else None
+    return design, counts, rng.random((n, folds))
 
 
 def irls_weights(counts, mu):
-    return counts if mu is None else np.maximum(mu * (1.0 - mu), 1e-12) * counts
+    return np.maximum(mu * (1.0 - mu), 1e-12) * counts
 
 
 class TestGramKernel:
@@ -380,7 +390,7 @@ class TestGramKernel:
     def test_one_fit_keeps_the_direct_product(self, case):
         # the reported fits' bits come from this product
         design, counts, mu = case
-        counts, mu = counts[:, :1], None if mu is None else mu[:, :1]
+        counts, mu = counts[:, :1], mu[:, :1]
         want = ((design * irls_weights(counts, mu)).T @ design)[None]
         got = _grams(design, counts, np.triu_indices(design.shape[1]), mu)
         assert np.array_equal(got, want)
@@ -394,7 +404,8 @@ class TestGramKernel:
         y = (rng.random(cells) < 1.0 / (1.0 + np.exp(-X @ np.linspace(-1, 1, 6)))).astype(float)
         counts = rng.integers(0, 3, size=(cells, folds)).astype(float)
         maps = np.broadcast_to(np.eye(7), (folds, 7, 7))
-        _, _, peak = traced(_fit_folds, design, y, counts, maps)
+        _, _, peak = traced(_fit_folds, design, y, counts, maps,
+                            ["intercept", *(f"x{j}" for j in range(6))])
         assert peak <= 2 * cells * folds * 8
 
 
@@ -596,6 +607,15 @@ class TestCrossval:
                             np.linspace(1, 2, 100)])[:, None]
         y = (X[:, 0] > 0).astype(int)
         report = crossval_accuracy(X, y, folds=10, seed=0)
+        assert report.mean_accuracy == 1.0
+
+    def test_stalled_separated_fold_is_flagged(self):
+        """Every training fold is separated. Fold 1's z-scored climb stalls
+        under the bound at the IRLS weight floor, until MAX_ITER, and is
+        flagged like the folds that pass the bound."""
+        x = np.repeat([-1.0, 3.0], [4, 3])
+        report = crossval_accuracy(x, (x > 0).astype(int), folds=3, seed=0)
+        assert report.flagged_folds == [0, 1, 2]
         assert report.mean_accuracy == 1.0
 
     def test_null_accuracy_half(self):
