@@ -183,12 +183,12 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
 class PairwiseDataset:
     """Balanced pairwise differences, one row per (reference, variant) pair
     in corpus order. Integer deltas, in the narrowest signed type that holds
-    them: `total_dl` (n,), and the per-position `dl` and `length` (n, width),
-    right-aligned so that the last column is the verb-adjacent position, and
-    zero to the left of each row's k. Each pair's k is `ks` (n,), unsigned,
-    and its sentence is `sentence` (n,), an int32 index into the
-    per-sentence `ids`."""
-    total_dl: np.ndarray
+    them: the per-position `dl` and `length` (n, width), right-aligned so
+    that the last column is the verb-adjacent position, and zero to the left
+    of each row's k. A pair's total-DL delta is its `dl` row's sum: only the
+    k head-to-verb arcs move. Each pair's k is `ks` (n,), unsigned, and its
+    sentence is `sentence` (n,), an int32 index into the per-sentence
+    `ids`."""
     dl: np.ndarray
     length: np.ndarray
     ks: np.ndarray
@@ -232,7 +232,8 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     The arrays are allocated once, from each sentence's min(k!, cap) - 1
     pairs, and each sentence's deltas are written into its rows. Only the k
     head-to-verb arcs move under reordering, each by less than the verb's
-    position, so no delta exceeds k * verb_index: that bound sets the type.
+    position, so no delta, nor a `dl` row's sum, the total-DL delta, exceeds
+    k * verb_index: that bound sets the type.
     """
     if cap < 2:   # before it sizes the arrays
         raise ValueError(f"variant cap must be >= 2, got {cap}")
@@ -242,7 +243,6 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     counts = [min(math.factorial(k), cap) - 1 for k in ks]
     dtype = _delta_dtype(max((e.plan.k * e.plan.verb_index for e in entries), default=0))
     n = sum(counts)
-    total_dl = np.empty(n, dtype=dtype)
     dl = np.zeros((n, width), dtype=dtype)
     length = np.zeros((n, width), dtype=dtype)
     stop = 0
@@ -253,13 +253,12 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
                          for order in (tuple(range(k)), *orders)])
         delta = rows[0] - rows[1:]
         start, stop = stop, stop + count
-        total_dl[start:stop] = delta[:, 0]
-        dl[start:stop, width - k:] = delta[:, 1:1 + k]
-        length[start:stop, width - k:] = delta[:, 1 + k:]
-    for column in (total_dl, dl, length):
+        dl[start:stop, width - k:] = delta[:, :k]
+        length[start:stop, width - k:] = delta[:, k:]
+    for column in (dl, length):
         np.negative(column[1::2], out=column[1::2])   # odd rows: variant minus reference
     return PairwiseDataset(
-        total_dl, dl, length,
+        dl, length,
         np.repeat(np.array(ks, dtype=np.min_scalar_type(width)), counts),
         np.repeat(np.arange(len(entries), dtype=np.int32), counts),
         np.array([e.sentence_id for e in entries], dtype=str))
@@ -281,7 +280,7 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
         raise InsufficientDataError(
             f"insufficient data: {len(dataset)} pairs for {folds} folds")
     y = dataset.labels
-    column = {"total_dl": dataset.total_dl,
+    column = {"total_dl": dataset.dl.sum(axis=1, dtype=dataset.dl.dtype),
               "dl_2ndlast": dataset.dl[:, -2], "dl_last": dataset.dl[:, -1],
               "len_2ndlast": dataset.length[:, -2], "len_last": dataset.length[:, -1]}
     rows = []

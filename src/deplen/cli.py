@@ -334,7 +334,8 @@ def _write_features(out: Path, args, run):
     labels, width = dataset.labels, dataset.dl.shape[1]
     for k in sorted(set(dataset.ks.tolist())):
         rows = dataset.ks == k
-        deltas = np.column_stack([dataset.total_dl[rows], dataset.dl[rows, width - k:],
+        dl = dataset.dl[rows, width - k:]   # its row sums are the total-DL deltas
+        deltas = np.column_stack([dl.sum(axis=1, dtype=dl.dtype), dl,
                                   dataset.length[rows, width - k:]])
         _write_csv(out / f"features_k{k}.csv",
                    features.feature_names(k) + ["label", "pair_id"],

@@ -1,10 +1,9 @@
 """Predictor extraction and z-scoring.
 
-`extract_features` gives one order's predictors as a plain row in
-`feature_names(k)` order; `analysis.build_pairwise_dataset` turns the rows
-into balanced pairwise differences (Joachims 2002): even pairs are oriented
-reference-minus-variant with label 1, odd pairs variant-minus-reference with
-label 0.
+`extract_features` gives one order's per-position predictors as a plain
+row; `analysis.build_pairwise_dataset` turns the rows into balanced pairwise
+differences (Joachims 2002): even pairs are oriented reference-minus-variant
+with label 1, odd pairs variant-minus-reference with label 0.
 """
 
 import numpy as np
@@ -25,17 +24,19 @@ def feature_names(k: int) -> list:
 
 
 def extract_features(plan: SentencePlan, order) -> tuple:
-    """Predictors of one linearization in `feature_names(k)` order: total DL,
-    then the per-position constituent dependency lengths and word counts
-    (position k adjacent to the verb), distances in intervening words, as
-    `PlanTable.score` gives them. It stays a per-order scalar only because
-    the traced benchmark counts its calls, until ROADMAP items 2 and 3."""
+    """The per-position constituent dependency lengths of one
+    linearization, then their word counts (position k adjacent to the verb),
+    distances in intervening words, as `PlanTable.score` gives them. Only
+    these k head-to-verb arcs move under reordering, so every other arc, the
+    plan's `fixed_dl`, cancels in a pair's delta and is not read. It stays a
+    per-order scalar only because the traced benchmark counts its calls,
+    until ROADMAP items 2 and 3."""
     dls, start = [], 1
     lengths, offsets, verb = plan.lengths, plan.head_offsets, plan.verb_index
     for ci in order:   # every preverbal head precedes the verb
         dls.append(verb - start - offsets[ci] - 1)
         start += lengths[ci]
-    return (sum(dls) + plan.fixed_dl, *dls, *(lengths[ci] for ci in order))
+    return (*dls, *(lengths[ci] for ci in order))
 
 
 def zscore(X: np.ndarray):

@@ -355,8 +355,6 @@ def mcnemar(pred_a, pred_b, truth) -> McNemarResult:
     n01 = int(np.sum(a_ok & ~b_ok))
     n10 = int(np.sum(~a_ok & b_ok))
     n = n01 + n10
-    if n == 0:
-        return McNemarResult(0.0, 1.0, 0, 0)
     if n < MCNEMAR_EXACT_THRESHOLD:
         m = min(n01, n10)
         tail = sum(math.comb(n, i) for i in range(m + 1)) / 2.0 ** n

@@ -6,7 +6,7 @@ sentence blocks are skipped with a diagnostic instead of aborting the run.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -41,23 +41,17 @@ class DependencyTree:
     heads: tuple
     forms: tuple
     deprels: tuple
-    root_index: int = field(init=False)
 
     def __post_init__(self):
         heads, forms, deprels = tuple(self.heads), tuple(self.forms), tuple(self.deprels)
         if not len(heads) == len(forms) == len(deprels):
             raise ValueError("heads, forms and deprels differ in length")
         _root_walk(heads)
-        for name, value in (("heads", heads), ("forms", forms), ("deprels", deprels),
-                            ("root_index", heads.index(0) + 1)):
+        for name, value in (("heads", heads), ("forms", forms), ("deprels", deprels)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.heads)
-
-    def __repr__(self) -> str:
-        words = " ".join(self.forms)
-        return f"DependencyTree({words!r})"
 
 
 def _root_walk(heads) -> list:

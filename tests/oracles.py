@@ -158,7 +158,7 @@ def decompose(tree):
     spans = subtree_spans(tree)
     if spans is None:
         return Ineligible("non-projective")
-    verb = tree.root_index
+    verb = tree.heads.index(0) + 1
     heads = [i for i in range(1, verb) if tree.heads[i - 1] == verb]
     if not heads:
         return Ineligible("no preverbal constituents")
@@ -170,25 +170,32 @@ def decompose(tree):
     return SentencePlan(verb, lengths, offsets, fixed_dl, len(tree))
 
 
-def build_pairwise_dataset(corpus, cap=variants.DEFAULT_CAP, seed=0):
+def build_pairwise_dataset(corpus, trees, cap=variants.DEFAULT_CAP, seed=0):
     """`analysis.build_pairwise_dataset` from one int64 block per sentence,
-    concatenated."""
+    concatenated, where trees[i] is the tree that corpus entry i decomposes.
+    Each pair's `dl` row sums to its total-DL delta, the difference of its
+    two orders' trees rebuilt and summed arc by arc: checked here."""
     width = max((e.plan.k for e in corpus.entries), default=2)
-    blocks = [np.zeros((0, 1 + 2 * width), dtype=np.int64)]
-    for e in corpus.entries:
+    blocks, totals = [np.zeros((0, 2 * width), dtype=np.int64)], []
+    for e, tree in zip(corpus.entries, trees, strict=True):
         plan, k = e.plan, e.plan.k
-        orders = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
-        rows = np.array([features.extract_features(plan, order)
-                         for order in (tuple(range(k)), *orders)])
-        block = np.zeros((len(rows) - 1, 1 + 2 * width), dtype=np.int64)
-        block[:, np.r_[0, 1 + width - k:1 + width, 1 + 2 * width - k:1 + 2 * width]] = \
-            rows[0] - rows[1:]
+        orders = (tuple(range(k)), *variants.generate_variants(
+            plan, cap, derive_rng(seed, e.sentence_id, "variants")))
+        rows = np.array([features.extract_features(plan, order) for order in orders])
+        block = np.zeros((len(rows) - 1, 2 * width), dtype=np.int64)
+        block[:, np.r_[width - k:width, 2 * width - k:2 * width]] = rows[0] - rows[1:]
         blocks.append(block)
+        total, *others = [total_dependency_length(linearize(tree, plan, order))
+                          for order in orders]
+        totals.extend(total - other for other in others)
     deltas = np.concatenate(blocks)
     deltas[1::2] *= -1        # odd rows: variant minus reference
+    totals = np.array(totals, dtype=np.int64)
+    totals[1::2] *= -1
+    assert np.array_equal(deltas[:, :width].sum(axis=1), totals)
     counts = [len(b) for b in blocks[1:]]
     return PairwiseDataset(
-        deltas[:, 0], deltas[:, 1:1 + width], deltas[:, 1 + width:],
+        deltas[:, :width], deltas[:, width:],
         np.repeat(np.array([e.plan.k for e in corpus.entries], dtype=int), counts),
         np.repeat(np.arange(len(corpus.entries)), counts),
         np.array([e.sentence_id for e in corpus.entries], dtype=str))

@@ -101,8 +101,9 @@ def test_criterion_4_closed_form_equivalence():
 
 
 def test_criterion_5_pairwise_transform():
-    corpus = corpus_of(generate_synthetic_corpus(
-        SyntheticSpec(n_sentences=120, p_least_effort=0.5), seed=1005))
+    trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=120, p_least_effort=0.5),
+                                      seed=1005)
+    corpus = corpus_of(trees)
     dataset = build_pairwise_dataset(corpus, cap=100, seed=6)
     n_pairs = sum(
         min(math.factorial(e.plan.k) - 1, 99) for e in corpus.entries)
@@ -117,11 +118,14 @@ def test_criterion_5_pairwise_transform():
     (variant,) = generate_variants(entry.plan, 2, derive_rng(6, entry.sentence_id, "variants"))
     delta = np.subtract(extract_features(entry.plan, tuple(range(k))),
                         extract_features(entry.plan, variant))
-    assert pair.total_dl.tolist() == [delta[0], -delta[0]]
-    assert np.array_equal(pair.dl[0, -k:], delta[1:1 + k])
-    assert np.array_equal(pair.length[0, -k:], delta[1 + k:])
-    for arr in (pair.total_dl, pair.dl, pair.length):
+    assert np.array_equal(pair.dl[0, -k:], delta[:k])
+    assert np.array_equal(pair.length[0, -k:], delta[k:])
+    for arr in (pair.dl, pair.length):
         assert np.array_equal(arr[0], -arr[1])
+    # each dl row sums to the total-DL delta of the two rebuilt trees
+    ref, var = (oracles.total_dependency_length(oracles.linearize(trees[0], entry.plan, order))
+                for order in (tuple(range(k)), variant))
+    assert pair.dl.sum(axis=1).tolist() == [ref - var, var - ref]
     report(5, f"N in = N out ({n_pairs}), labels balanced within 1/N, "
               f"orientation swap negates delta exactly")
 
@@ -210,7 +214,7 @@ def test_criterion_8_end_to_end_synthetic():
     assert last_acc > total_acc
 
     y = dataset.labels
-    pred_total = crossval_accuracy(dataset.total_dl[:, None].astype(float), y,
+    pred_total = crossval_accuracy(dataset.dl.sum(axis=1)[:, None].astype(float), y,
                                    folds=10, seed=9).predictions
     pred_last = crossval_accuracy(dataset.dl[:, -1:].astype(float), y,
                                   folds=10, seed=9).predictions

@@ -22,7 +22,7 @@ from deplen.variants import generate_variants
 
 import oracles
 from test_treebank import MALFORMED_LINES, PUNCT_OR_DEP, _lines
-from conftest import (corpus_of, eligible_plans, eligible_trees, heads_tree, parse_text, random_plans,
+from conftest import (corpus_of, eligible_trees, heads_tree, parse_text, random_plans,
                       random_tree, traced)
 
 
@@ -224,9 +224,9 @@ class TestPairwiseDataset:
         variant = generate_variants(entry.plan, 24, derive_rng(0, entry.sentence_id, "variants"))[0]
         delta = np.subtract(extract_features(entry.plan, tuple(range(k))),
                             extract_features(entry.plan, variant))
-        # total_dl, dl_2ndlast, dl_last, len_2ndlast, len_last
-        assert [dataset.total_dl[0], *dataset.dl[0, -2:], *dataset.length[0, -2:]] == \
-            [delta[0], delta[k - 1], delta[k], delta[2 * k - 1], delta[2 * k]]
+        # dl_pos1..dl_posk, then len_pos1..len_posk, the last verb-adjacent
+        assert dataset.dl[0, -k:].tolist() == delta[:k].tolist()
+        assert dataset.length[0, -k:].tolist() == delta[k:].tolist()
         width = dataset.dl.shape[1]
         for k in set(dataset.ks.tolist()):
             rows = dataset.ks == k
@@ -246,11 +246,15 @@ class TestPairwiseBuild:
     """The dataset built in place, against the per-sentence block oracle."""
 
     @staticmethod
-    def assert_matches_oracle(corpus, cap, seed):
+    def assert_matches_oracle(trees, ids, cap, seed):
+        """The dataset of the trees, sentence ids[i] for trees[i], against
+        the oracle's, whose `dl` row sums it checks on the rebuilt trees."""
+        corpus = DecomposedCorpus([CorpusEntry(sid, decompose(tree.heads))
+                                   for sid, tree in zip(ids, trees)])
         got = build_pairwise_dataset(corpus, cap, seed)
-        want = oracles.build_pairwise_dataset(corpus, cap, seed)
+        want = oracles.build_pairwise_dataset(corpus, trees, cap, seed)
         bound = max((e.plan.k * e.plan.verb_index for e in corpus.entries), default=0)
-        for name in ("total_dl", "dl", "length"):
+        for name in ("dl", "length"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and np.array_equal(a, b)
             assert a.dtype == _delta_dtype(bound) and a.dtype.kind == "i"
@@ -260,17 +264,17 @@ class TestPairwiseBuild:
         return got
 
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(plans=st.lists(eligible_plans(k_max=7), min_size=0, max_size=6),
+    @given(trees=st.lists(eligible_trees(k_max=7), min_size=0, max_size=6),
            ids=st.lists(st.sampled_from(["a", "b", "s10", "long-sentence-id"]),
                         min_size=6, max_size=6),
            cap=st.sampled_from([2, 24, 100, 150]), seed=st.integers(0, 2**16))
-    def test_matches_block_oracle(self, plans, ids, cap, seed):
-        corpus = DecomposedCorpus([CorpusEntry(sid, p) for sid, p in zip(ids, plans)])
-        self.assert_matches_oracle(corpus, cap, seed)
+    def test_matches_block_oracle(self, trees, ids, cap, seed):
+        self.assert_matches_oracle(trees, ids, cap, seed)
 
     def test_matches_block_oracle_on_synthetic_corpus(self):
-        corpus = synthetic_corpus(200, 0.5, seed=5)
-        dataset = self.assert_matches_oracle(corpus, 100, 3)
+        trees = generate_synthetic_corpus(SyntheticSpec(n_sentences=200, p_least_effort=0.5),
+                                          seed=5)
+        dataset = self.assert_matches_oracle(trees, [f"s{i}" for i in range(1, 201)], 100, 3)
         assert dataset.dl.dtype == np.int16
 
     @pytest.mark.parametrize("bound, dtype", [
@@ -279,17 +283,22 @@ class TestPairwiseBuild:
     def test_delta_dtype_holds_the_bound(self, bound, dtype):
         assert _delta_dtype(bound) == dtype
 
+    def test_cap_below_two_rejected_before_sizing(self):
+        # an empty corpus draws no variants: the build's own check raises
+        with pytest.raises(ValueError, match="variant cap must be >= 2, got 1"):
+            build_pairwise_dataset(DecomposedCorpus([]), cap=1)
+
     def test_long_sentence_widens_the_type(self):
         # a flat L-word constituent headed at its left edge, then one word:
         # swapping them moves the short one's head L words from the verb
         L = 40000
         tree = heads_tree([L + 2] + [1] * (L - 1) + [L + 2, 0])
-        corpus = corpus_of([tree])
-        assert corpus.entries[0].plan.k * corpus.entries[0].plan.verb_index > 32767
-        dataset = self.assert_matches_oracle(corpus, 100, 0)
+        plan = decompose(tree.heads)
+        assert plan.k * plan.verb_index > 32767
+        dataset = self.assert_matches_oracle([tree], ["s1"], 100, 0)
         assert dataset.dl.dtype == np.int32
-        # int16 would wrap 1 - L to 25537, silently
-        assert dataset.total_dl.tolist() == [1 - L]
+        # int16 would wrap 1 - L to 25537, silently; the total-DL delta too
+        assert dataset.dl.sum(axis=1, dtype=dataset.dl.dtype).tolist() == [1 - L]
         assert dataset.dl.tolist() == [[0, 1 - L]]
         assert dataset.length.tolist() == [[L - 1, 1 - L]]
 

@@ -103,6 +103,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: DEPLEN_LOG={level!r} is not a log level\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_missing_out_is_usage_error(self, corpus_file, capsys, command):
+        assert main([command, "--corpus", str(corpus_file)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        # the one error line, then argparse's usage
+        assert err[0] == "error: --out is required for this subcommand"
+        assert err[1].startswith("usage: deplen ") and not any("error" in e for e in err[1:])
+
+    def test_nonexistent_config_is_data_error(self, corpus_file, tmp_path, capsys):
+        cfg, out = tmp_path / "nope.cfg", tmp_path / "o"
+        assert main(["decompose", "--corpus", str(corpus_file), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {cfg}\n"
+        assert not out.exists()
+
     def test_nonexistent_corpus_is_data_error(self, tmp_path):
         assert main(["decompose", "--corpus", str(tmp_path / "nope.conllu"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -391,16 +406,19 @@ class TestFeatures:
         assert main(["features", "--corpus", str(corpus), "--seed", "4",
                      "--cap", "30", "--out", str(out)]) == 0
         trees, _ = parse_text(corpus.read_text())
-        entries = corpus_of(trees).entries
         expected, ordinal = {}, 0      # k -> rows in corpus order
-        for e in entries:
-            ref = extract_features(e.plan, tuple(range(e.plan.k)))
-            for order in generate_variants(e.plan, 30, derive_rng(4, e.sentence_id, "variants")):
+        for sentence_id, tree, plan in eligible_plans(trees, {}):
+            reference = tuple(range(plan.k))
+            ref = extract_features(plan, reference)
+            # total_dl: the rebuilt trees' difference, arc by arc
+            ref_total = oracles.total_dependency_length(oracles.linearize(tree, plan, reference))
+            for order in generate_variants(plan, 30, derive_rng(4, sentence_id, "variants")):
                 sign = 1 if ordinal % 2 == 0 else -1
+                total = oracles.total_dependency_length(oracles.linearize(tree, plan, order))
                 delta = [sign * (r - v) for r, v in
-                         zip(ref, extract_features(e.plan, order))]
-                expected.setdefault(e.plan.k, []).append(
-                    [*map(str, delta), str(int(sign == 1)), e.sentence_id])
+                         zip((ref_total, *ref), (total, *extract_features(plan, order)))]
+                expected.setdefault(plan.k, []).append(
+                    [*map(str, delta), str(int(sign == 1)), sentence_id])
                 ordinal += 1
         assert sorted(p.name for p in out.glob("features_k*.csv")) == \
             [f"features_k{k}.csv" for k in sorted(expected)]
@@ -885,7 +903,7 @@ class TestConvention:
             assert pos == {**inter, "main_verb_dl": inter["main_verb_dl"] + plan.k,
                            "total_dl": inter["total_dl"] + len(base) - 1}
             tree = oracles.linearize(base, plan, inter["permutation"])   # checked arc by arc
-            verb = tree.root_index
+            verb = tree.heads.index(0) + 1
             for convention, record in (("intervening", inter), ("positional", pos)):
                 assert record["tokens"] == list(tree.forms)
                 assert record["main_verb_dl"] == sum(

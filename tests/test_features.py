@@ -14,22 +14,25 @@ from oracles import order_dl
 class TestExtractFeatures:
     def test_fig3b(self, fig3_plan):
         row = extract_features(fig3_plan, descending_orders(fig3_plan.lengths))
-        assert row[1:5] == (7, 4, 2, 0)
-        assert row[5:] == (4, 3, 2, 1)
-        assert sum(row[1:5]) == 13
+        assert row[:4] == (7, 4, 2, 0)
+        assert row[4:] == (4, 3, 2, 1)
+        assert sum(row[:4]) == 13
 
     def test_fig3a(self, fig3_plan):
         row = extract_features(fig3_plan, ascending_orders(fig3_plan.lengths))
-        assert row[1:5] == (9, 8, 5, 1)
+        assert row[:4] == (9, 8, 5, 1)
 
     def test_array_layout(self, fig3_plan):
-        order = tuple(range(fig3_plan.k))
+        k = fig3_plan.k
+        order = tuple(range(k))
         row = extract_features(fig3_plan, order)
-        names = feature_names(fig3_plan.k)
-        assert len(row) == len(names) == 1 + 2 * fig3_plan.k
-        assert row[0] == order_dl(fig3_plan, order)[1]
-        assert names[0] == "total_dl"
-        assert names[-1] == "len_pos4"
+        names = feature_names(k)
+        # the row is the columns after features_k{k}.csv's total_dl, no fixed_dl
+        assert len(row) == 2 * k and len(names) == 1 + 2 * k
+        dls, _ = order_dl(fig3_plan, order)
+        assert row == (*dls, *fig3_plan.lengths)
+        assert names[0] == "total_dl" and names[1] == "dl_pos1"
+        assert names[k] == "dl_pos4" and names[-1] == "len_pos4"
 
 
 def pair_deltas(entry, cap, seed=0):
@@ -40,10 +43,10 @@ def pair_deltas(entry, cap, seed=0):
 
 
 def dataset_rows(dataset):
-    """Each row in feature_names(k) order, read back off the padded arrays."""
+    """Each row in extract_features' order, read back off the padded arrays."""
     width = dataset.dl.shape[1]
-    return [np.concatenate([[t], d[width - k:], l[width - k:]])
-            for t, d, l, k in zip(dataset.total_dl, dataset.dl, dataset.length, dataset.ks)]
+    return [np.concatenate([d[width - k:], l[width - k:]])
+            for d, l, k in zip(dataset.dl, dataset.length, dataset.ks)]
 
 
 class TestJoachimsTransform:
@@ -55,7 +58,7 @@ class TestJoachimsTransform:
             dataset = build_pairwise_dataset(corpus, cap=cap)
             assert len(dataset) == 7 * per_sentence
             assert dataset.dl.shape == dataset.length.shape == (len(dataset), 4)
-            assert len(dataset.total_dl) == len(dataset.sentence_ids) == len(dataset)
+            assert len(dataset.sentence) == len(dataset.sentence_ids) == len(dataset)
 
     def test_alternating_labels(self, fig3_tree):
         dataset = build_pairwise_dataset(corpus_of([fig3_tree] * 6), cap=2)
@@ -82,10 +85,11 @@ class TestJoachimsTransform:
         tree = heads_tree([3, 3, 0])
         dataset = build_pairwise_dataset(corpus_of([tree, tree]))
         assert len(dataset) == 2 and dataset.labels.tolist() == [1, 0]
-        for arr in (dataset.total_dl, dataset.dl, dataset.length):
+        for arr in (dataset.dl, dataset.length):
             assert arr.dtype.kind == "i" and not arr.any()
-        # integer deltas: the flipped odd row prints as 0, never -0
-        row = np.column_stack([dataset.total_dl, dataset.dl, dataset.length])[1]
+        # integer deltas: the flipped odd row prints as 0, never -0, its total too
+        total = dataset.dl.sum(axis=1, dtype=dataset.dl.dtype)
+        row = np.column_stack([total, dataset.dl, dataset.length])[1]
         assert [f"{v:g}" for v in row.astype(float)] == ["0"] * 5
 
     def test_corpus_scale_balance(self):

@@ -532,7 +532,7 @@ class TestCrossvalOracle:
     def test_grouped_folds_match_all_rows_folds(self, dataset, zscore_mode):
         y = dataset.labels
         dl, length = dataset.dl.astype(float), dataset.length.astype(float)
-        designs = [dataset.total_dl[:, None].astype(float), dl[:, -1:], dl[:, [-1, -2]],
+        designs = [dl.sum(axis=1)[:, None], dl[:, -1:], dl[:, [-1, -2]],
                    length[:, [-1, -2]]]
         for k in (2, 3):
             for family in ("deplen", "length"):

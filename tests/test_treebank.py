@@ -59,7 +59,7 @@ class TestParseCorpus:
         assert len(trees) == 1
         tree = trees[0]
         assert len(tree) == 11
-        assert tree.root_index == 11
+        assert tree.heads.index(0) + 1 == 11
         assert tree.forms[10] == "di"
 
     def test_empty_stream(self):
@@ -247,7 +247,7 @@ class TestStructure:
 def brute_force_projective(tree) -> bool:
     """O(n^2) pairwise arc-interleaving check, root arc included."""
     arcs = [(min(h, d), max(h, d)) for d, h in enumerate(tree.heads, start=1) if h]
-    arcs.append((0, tree.root_index))
+    arcs.append((0, tree.heads.index(0) + 1))
     for i, (a, b) in enumerate(arcs):
         for c, d in arcs[i + 1:]:
             if a < c < b < d or c < a < d < b:
@@ -396,7 +396,7 @@ def stripped(tree) -> DependencyTree:
 def test_strip_punct():
     tree = stripped(DependencyTree([2, 0, 2], ["hi", "there", "."], ["dep", "root", "punct"]))
     assert tree.forms == ("hi", "there")
-    assert tree.root_index == 2
+    assert tree.heads.index(0) + 1 == 2
 
 
 def _strip_punct_by_token_list(tree, deprels=PUNCT_DEPRELS):

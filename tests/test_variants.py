@@ -76,6 +76,10 @@ class TestGenerateVariants:
         with pytest.raises(ValueError):
             generate_variants(fig3_plan, cap=1)
 
+    def test_one_constituent_rejected(self):
+        with pytest.raises(ValueError, match="fewer than 2 preverbal constituents"):
+            generate_variants(lengths_plan([3]), cap=100)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), k=st.integers(5, 9), seed=st.integers(0, 2**63))
     def test_block_draws_match_sequential_draws(self, data, k, seed):
