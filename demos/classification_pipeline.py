@@ -15,7 +15,7 @@ from deplen.analysis import (SyntheticSpec, build_pairwise_dataset,
 spec = SyntheticSpec(n_sentences=500, p_least_effort=1.0)
 corpus = decompose_corpus(tree.heads for tree in generate_synthetic_corpus(spec, seed=13))
 dataset = build_pairwise_dataset(corpus, cap=100, seed=1)
-print(f"{len(corpus.entries)} reference sentences, {len(dataset)} pairs, "
+print(f"{len(corpus.plans)} reference sentences, {len(dataset)} pairs, "
       f"label balance {dataset.labels.mean():.3f}")
 
 rows = run_classification_suite(dataset, folds=10, seed=2)

@@ -14,7 +14,7 @@ from deplen.analysis import (SyntheticSpec, decompose_corpus,
 
 spec = SyntheticSpec(n_sentences=600, p_least_effort=1.0)
 corpus = decompose_corpus(tree.heads for tree in generate_synthetic_corpus(spec, seed=7))
-print(f"{len(corpus.entries)} sentences")
+print(f"{len(corpus.plans)} sentences")
 
 curves = strategy_curves(corpus, seed=0, random_draws=10)
 ks = sorted(curves["reference"])

@@ -11,12 +11,11 @@ from typing import Optional
 import numpy as np
 
 from . import constituency, features, stats, variants
-from .constituency import Ineligible, SentencePlan, decompose
+from .constituency import Ineligible, decompose
 from .seeding import derive_rng
 from .treebank import DependencyTree
 
 __all__ = [
-    "CorpusEntry",
     "DecomposedCorpus",
     "PairwiseDataset",
     "SyntheticSpec",
@@ -29,6 +28,7 @@ __all__ = [
     "build_pairwise_dataset",
     "run_classification_suite",
     "regression_table",
+    "zscore",
     "generate_synthetic_corpus",
 ]
 
@@ -52,15 +52,11 @@ class InsufficientDataError(ValueError):
     folds, or a row whose predictors are collinear in every pair."""
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusEntry:
-    sentence_id: str
-    plan: SentencePlan
-
-
 @dataclass
 class DecomposedCorpus:
-    entries: list
+    """Each eligible sentence's id and plan, two lists in corpus order."""
+    ids: list
+    plans: list
     skipped: dict = field(default_factory=dict)   # reason -> count
 
 
@@ -90,10 +86,11 @@ def decompose_corpus(columns) -> DecomposedCorpus:
     for the trees of these heads columns (`treebank.iter_heads`, or each
     tree's `heads`), and the skip counts; no column is kept past its
     decomposition."""
-    skipped = {}
-    entries = [CorpusEntry(sentence_id, plan)
-               for sentence_id, _, plan in _eligible(((None, heads) for heads in columns), skipped)]
-    return DecomposedCorpus(entries, skipped)
+    corpus = DecomposedCorpus([], [])
+    for sentence_id, _, plan in _eligible(((None, heads) for heads in columns), corpus.skipped):
+        corpus.ids.append(sentence_id)
+        corpus.plans.append(plan)
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +103,8 @@ def constituent_count_histogram(corpus: DecomposedCorpus, cap: int = variants.DE
     under the cap (min(k! - 1, cap - 1)).
     """
     ref_counts, var_counts = {}, {}
-    for e in corpus.entries:
-        k = e.plan.k
+    for plan in corpus.plans:
+        k = plan.k
         ref_counts[k] = ref_counts.get(k, 0) + 1
         nvar = min(math.factorial(k) - 1, cap - 1)
         var_counts[k] = var_counts.get(k, 0) + nvar
@@ -120,7 +117,7 @@ def constituent_count_histogram(corpus: DecomposedCorpus, cap: int = variants.DE
 def position_length_profile(corpus: DecomposedCorpus, k: int) -> np.ndarray:
     """Mean constituent length per preverbal position, over reference
     sentences with exactly k constituents. Position k is verb-adjacent."""
-    rows = [e.plan.lengths for e in corpus.entries if e.plan.k == k]
+    rows = [plan.lengths for plan in corpus.plans if plan.k == k]
     if not rows:
         raise InsufficientDataError(f"no reference sentences with k={k}")
     return np.array(rows, dtype=float).mean(axis=0)
@@ -129,8 +126,8 @@ def position_length_profile(corpus: DecomposedCorpus, k: int) -> np.ndarray:
 def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float]:
     """Pearson correlation between sentence length and preverbal constituent
     count over reference sentences; None where undefined (e.g. a single k)."""
-    n_words = [e.plan.words for e in corpus.entries]
-    n_consts = [e.plan.k for e in corpus.entries]
+    n_words = [plan.words for plan in corpus.plans]
+    n_consts = [plan.k for plan in corpus.plans]
     try:
         return stats.pearson(n_words, n_consts)
     except ValueError:
@@ -151,17 +148,17 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
     """
     gap = constituency.arc_gap(convention)
     by_k = {}
-    for e in corpus.entries:
-        if k_range[0] <= e.plan.k <= k_range[1]:
-            by_k.setdefault(e.plan.k, []).append(e)
+    for sentence_id, plan in zip(corpus.ids, corpus.plans):
+        if k_range[0] <= plan.k <= k_range[1]:
+            by_k.setdefault(plan.k, []).append((sentence_id, plan))
     curves = {s: {} for s in STRATEGIES}
     for k in sorted(by_k):
-        entries = by_k[k]
-        table = constituency.PlanTable.of([e.plan for e in entries])
-        draws = np.array([[derive_rng(seed, e.sentence_id, "random", d).permutation(k)
-                           for d in range(random_draws)] for e in entries])
+        ids, plans = zip(*by_k[k])
+        table = constituency.PlanTable.of(plans)
+        draws = np.array([[derive_rng(seed, sentence_id, "random", d).permutation(k)
+                           for d in range(random_draws)] for sentence_id in ids])
         orders = np.concatenate([
-            np.broadcast_to(np.arange(k), (len(entries), 1, k)),
+            np.broadcast_to(np.arange(k), (len(ids), 1, k)),
             variants.ascending_orders(table.lengths)[:, None],
             variants.descending_orders(table.lengths)[:, None],
             draws, variants.least_effort_moves(table.lengths[:, None], draws)], axis=1)
@@ -170,7 +167,7 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
         per_sentence = np.column_stack([   # the draws' means, as np.mean of each list
             values[:, :3], values[:, 3:].reshape(-1, 2, random_draws).mean(axis=2)])
         # summed one sentence after the other, in corpus order
-        means = np.cumsum(per_sentence, axis=0)[-1] / len(entries)
+        means = np.cumsum(per_sentence, axis=0)[-1] / len(ids)
         for s, mean in zip(STRATEGIES, means.tolist()):
             curves[s][k] = mean
     return curves
@@ -237,18 +234,17 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     """
     if cap < 2:   # before it sizes the arrays
         raise ValueError(f"variant cap must be >= 2, got {cap}")
-    entries = corpus.entries
-    ks = [e.plan.k for e in entries]
+    ks = [plan.k for plan in corpus.plans]
     width = max(ks, default=2)
     counts = [min(math.factorial(k), cap) - 1 for k in ks]
-    dtype = _delta_dtype(max((e.plan.k * e.plan.verb_index for e in entries), default=0))
+    dtype = _delta_dtype(max((plan.k * plan.verb_index for plan in corpus.plans), default=0))
     n = sum(counts)
     dl = np.zeros((n, width), dtype=dtype)
     length = np.zeros((n, width), dtype=dtype)
     stop = 0
-    for e, count in zip(entries, counts):
-        plan, k = e.plan, e.plan.k
-        orders = variants.generate_variants(plan, cap, derive_rng(seed, e.sentence_id, "variants"))
+    for sentence_id, plan, count in zip(corpus.ids, corpus.plans, counts):
+        k = plan.k
+        orders = variants.generate_variants(plan, cap, derive_rng(seed, sentence_id, "variants"))
         rows = np.array([features.extract_features(plan, order)
                          for order in (tuple(range(k)), *orders)])
         delta = rows[0] - rows[1:]
@@ -260,8 +256,8 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     return PairwiseDataset(
         dl, length,
         np.repeat(np.array(ks, dtype=np.min_scalar_type(width)), counts),
-        np.repeat(np.arange(len(entries), dtype=np.int32), counts),
-        np.array([e.sentence_id for e in entries], dtype=str))
+        np.repeat(np.arange(len(ks), dtype=np.int32), counts),
+        np.array(corpus.ids, dtype=str))
 
 
 def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
@@ -327,6 +323,21 @@ def _drop_collinear(X: np.ndarray, names: list):
     return X, names, dropped
 
 
+def zscore(X: np.ndarray):
+    """Column-standardize a design matrix by its means and sample (n-1)
+    standard deviations, zero-variance columns dropped.
+
+    Returns (Z, kept): the standardized columns and their indices in X.
+    """
+    X = np.asarray(X, dtype=float)
+    sd = X.std(axis=0, ddof=1)
+    kept = np.flatnonzero(sd > 0)
+    Z = X[:, kept]      # a copy: standardized in place
+    Z -= X.mean(axis=0)[kept]
+    Z /= sd[kept]
+    return Z, kept
+
+
 def regression_table(dataset: PairwiseDataset, k: int, family: str,
                      folds: int = 10, seed: int = 0,
                      min_pairs: int = 500) -> dict:
@@ -351,7 +362,7 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
         selected, curve, margin = list(names), {}, None
     keep = [j for j, nm in enumerate(names) if nm in selected]
     # not held here: fit_logistic frees the z-scored copy once its design holds it
-    fit = stats.fit_logistic(features.zscore(X[:, keep])[0], y, feature_names=selected)
+    fit = stats.fit_logistic(zscore(X[:, keep])[0], y, feature_names=selected)
     return {"k": k, "family": family, "status": "ok", "n": int(len(y)),
             "selected": selected, "dropped_collinear": dropped,
             "cv_curve": curve, "fit": fit.to_dict(), "rfecv_min_margin": margin}

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, constituency, features, treebank, variants
+from . import __version__, analysis, constituency, treebank, variants
 from .seeding import derive_rng
 
 log = logging.getLogger("deplen")
@@ -149,6 +149,10 @@ def _parse_args(parser, argv):
     if args.jobs != 1:
         raise UsageError(f"argument --jobs: the pairwise build is serial, "
                          f"only 1 is accepted, got {args.jobs}")
+    if not args.corpus and PRODUCTS[args.command][0] is not None:
+        raise UsageError("--corpus is required for this subcommand")
+    if not args.out:
+        raise UsageError("--out is required for this subcommand")
     return args
 
 
@@ -197,8 +201,6 @@ class _Run:
         self.args, self.diagnostics, self.corpus_hash, self.manifest = args, [], None, {}
         if reads is None:
             return
-        if not args.corpus:
-            raise UsageError("--corpus is required for this subcommand")
         path = Path(args.corpus)
         if not path.exists():
             raise DataError(f"corpus file not found: {path}")
@@ -216,7 +218,7 @@ class _Run:
                 eligible = len(self.plans)
             else:
                 self.corpus = analysis.decompose_corpus(blocks)
-                eligible, skipped = len(self.corpus.entries), self.corpus.skipped
+                eligible, skipped = len(self.corpus.ids), self.corpus.skipped
             sentences = eligible + sum(skipped.values())
             self.manifest = {"eligible": eligible, "skipped": skipped,
                              "parse_diagnostics": len(self.diagnostics)}
@@ -238,8 +240,6 @@ class _Run:
 
 
 def _outdir(args) -> Path:
-    if not args.out:
-        raise UsageError("--out is required for this subcommand")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -278,8 +278,8 @@ def _write_diagnostics(out: Path, args, run):
 
 def _write_plans(out: Path, args, run):
     _write_csv(out / "plans.csv", ["sentence_id", "n_constituents", "verb_index", "lengths"],
-               [(e.sentence_id, e.plan.k, e.plan.verb_index, " ".join(map(str, e.plan.lengths)))
-                for e in run.corpus.entries])
+               [(sentence_id, plan.k, plan.verb_index, " ".join(map(str, plan.lengths)))
+                for sentence_id, plan in zip(run.corpus.ids, run.corpus.plans)])
 
 
 def _write_variants(out: Path, args, run):
@@ -330,6 +330,8 @@ def _write_curves(out: Path, args, run):
 
 
 def _write_features(out: Path, args, run):
+    """Per k, each pair's total-DL, per-position DL and length deltas,
+    written exactly, then its label and sentence id."""
     dataset = run.dataset
     labels, width = dataset.labels, dataset.dl.shape[1]
     for k in sorted(set(dataset.ks.tolist())):
@@ -337,9 +339,11 @@ def _write_features(out: Path, args, run):
         dl = dataset.dl[rows, width - k:]   # its row sums are the total-DL deltas
         deltas = np.column_stack([dl.sum(axis=1, dtype=dl.dtype), dl,
                                   dataset.length[rows, width - k:]])
+        positions = range(1, k + 1)
         _write_csv(out / f"features_k{k}.csv",
-                   features.feature_names(k) + ["label", "pair_id"],
-                   [[*(f"{v:g}" for v in row), label, pair_id] for row, label, pair_id
+                   ["total_dl", *(f"dl_pos{i}" for i in positions),
+                    *(f"len_pos{i}" for i in positions), "label", "pair_id"],
+                   [[*row, label, pair_id] for row, label, pair_id
                     in zip(deltas.tolist(), labels[rows].tolist(),
                            dataset.sentence_ids[rows].tolist())])
 

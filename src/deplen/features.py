@@ -1,26 +1,15 @@
-"""Predictor extraction and z-scoring.
+"""Predictor extraction, one order at a time: `extract_features` alone.
 
 `extract_features` gives one order's per-position predictors as a plain
 row; `analysis.build_pairwise_dataset` turns the rows into balanced pairwise
 differences (Joachims 2002): even pairs are oriented reference-minus-variant
-with label 1, odd pairs variant-minus-reference with label 0.
+with label 1, odd pairs variant-minus-reference with label 0. The traced
+benchmark counts its calls, one per order, so it stays a module of its own.
 """
-
-import numpy as np
 
 from .constituency import SentencePlan
 
-__all__ = [
-    "extract_features",
-    "feature_names",
-    "zscore",
-]
-
-
-def feature_names(k: int) -> list:
-    return (["total_dl"]
-            + [f"dl_pos{i}" for i in range(1, k + 1)]
-            + [f"len_pos{i}" for i in range(1, k + 1)])
+__all__ = ["extract_features"]
 
 
 def extract_features(plan: SentencePlan, order) -> tuple:
@@ -37,18 +26,3 @@ def extract_features(plan: SentencePlan, order) -> tuple:
         dls.append(verb - start - offsets[ci] - 1)
         start += lengths[ci]
     return (*dls, *(lengths[ci] for ci in order))
-
-
-def zscore(X: np.ndarray):
-    """Column-standardize a design matrix by its means and sample (n-1)
-    standard deviations, zero-variance columns dropped.
-
-    Returns (Z, kept): the standardized columns and their indices in X.
-    """
-    X = np.asarray(X, dtype=float)
-    sd = X.std(axis=0, ddof=1)
-    kept = np.flatnonzero(sd > 0)
-    Z = X[:, kept]      # a copy: standardized in place
-    Z -= X.mean(axis=0)[kept]
-    Z /= sd[kept]
-    return Z, kept

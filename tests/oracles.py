@@ -172,15 +172,15 @@ def decompose(tree):
 
 def build_pairwise_dataset(corpus, trees, cap=variants.DEFAULT_CAP, seed=0):
     """`analysis.build_pairwise_dataset` from one int64 block per sentence,
-    concatenated, where trees[i] is the tree that corpus entry i decomposes.
+    concatenated, where trees[i] is the tree that corpus plan i decomposes.
     Each pair's `dl` row sums to its total-DL delta, the difference of its
     two orders' trees rebuilt and summed arc by arc: checked here."""
-    width = max((e.plan.k for e in corpus.entries), default=2)
+    width = max((plan.k for plan in corpus.plans), default=2)
     blocks, totals = [np.zeros((0, 2 * width), dtype=np.int64)], []
-    for e, tree in zip(corpus.entries, trees, strict=True):
-        plan, k = e.plan, e.plan.k
+    for sentence_id, plan, tree in zip(corpus.ids, corpus.plans, trees, strict=True):
+        k = plan.k
         orders = (tuple(range(k)), *variants.generate_variants(
-            plan, cap, derive_rng(seed, e.sentence_id, "variants")))
+            plan, cap, derive_rng(seed, sentence_id, "variants")))
         rows = np.array([features.extract_features(plan, order) for order in orders])
         block = np.zeros((len(rows) - 1, 2 * width), dtype=np.int64)
         block[:, np.r_[width - k:width, 2 * width - k:2 * width]] = rows[0] - rows[1:]
@@ -196,9 +196,9 @@ def build_pairwise_dataset(corpus, trees, cap=variants.DEFAULT_CAP, seed=0):
     counts = [len(b) for b in blocks[1:]]
     return PairwiseDataset(
         deltas[:, :width], deltas[:, width:],
-        np.repeat(np.array([e.plan.k for e in corpus.entries], dtype=int), counts),
-        np.repeat(np.arange(len(corpus.entries)), counts),
-        np.array([e.sentence_id for e in corpus.entries], dtype=str))
+        np.repeat(np.array([plan.k for plan in corpus.plans], dtype=int), counts),
+        np.repeat(np.arange(len(corpus.plans)), counts),
+        np.array(corpus.ids, dtype=str))
 
 
 def distinct_cells(X, y):

@@ -106,24 +106,24 @@ def test_criterion_5_pairwise_transform():
     corpus = corpus_of(trees)
     dataset = build_pairwise_dataset(corpus, cap=100, seed=6)
     n_pairs = sum(
-        min(math.factorial(e.plan.k) - 1, 99) for e in corpus.entries)
+        min(math.factorial(plan.k) - 1, 99) for plan in corpus.plans)
     assert len(dataset) == n_pairs
     assert abs(dataset.labels.mean() - 0.5) <= 1 / n_pairs
 
     # the first sentence twice under one id: one variant, oriented both ways
-    entry = corpus.entries[0]
-    twice = DecomposedCorpus([entry] * 2)
+    sentence_id, plan = corpus.ids[0], corpus.plans[0]
+    twice = DecomposedCorpus([sentence_id] * 2, [plan] * 2)
     pair = build_pairwise_dataset(twice, cap=2, seed=6)
-    k = entry.plan.k
-    (variant,) = generate_variants(entry.plan, 2, derive_rng(6, entry.sentence_id, "variants"))
-    delta = np.subtract(extract_features(entry.plan, tuple(range(k))),
-                        extract_features(entry.plan, variant))
+    k = plan.k
+    (variant,) = generate_variants(plan, 2, derive_rng(6, sentence_id, "variants"))
+    delta = np.subtract(extract_features(plan, tuple(range(k))),
+                        extract_features(plan, variant))
     assert np.array_equal(pair.dl[0, -k:], delta[:k])
     assert np.array_equal(pair.length[0, -k:], delta[k:])
     for arr in (pair.dl, pair.length):
         assert np.array_equal(arr[0], -arr[1])
     # each dl row sums to the total-DL delta of the two rebuilt trees
-    ref, var = (oracles.total_dependency_length(oracles.linearize(trees[0], entry.plan, order))
+    ref, var = (oracles.total_dependency_length(oracles.linearize(trees[0], plan, order))
                 for order in (tuple(range(k)), variant))
     assert pair.dl.sum(axis=1).tolist() == [ref - var, var - ref]
     report(5, f"N in = N out ({n_pairs}), labels balanced within 1/N, "
@@ -200,7 +200,7 @@ def test_criterion_8_end_to_end_synthetic():
     start = time.monotonic()
     spec = SyntheticSpec(n_sentences=2000, p_least_effort=1.0)
     corpus = corpus_of(generate_synthetic_corpus(spec, seed=1008))
-    assert len(corpus.entries) == 2000
+    assert len(corpus.plans) == len(corpus.ids) == 2000
 
     for k in range(2, 7):
         profile = position_length_profile(corpus, k)
@@ -235,7 +235,7 @@ def test_criterion_9_hutb_replication():
 
     with open(os.environ["DEPLEN_HUTB"], encoding="utf-8") as f:
         corpus = decompose_corpus(iter_heads(f, []))
-    n_ref = len(corpus.entries)
+    n_ref = len(corpus.plans)
     assert abs(n_ref - 7586) <= 0.01 * 7586
 
     dataset = build_pairwise_dataset(corpus, cap=100, seed=0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deplen import analysis
-from deplen.analysis import (CorpusEntry, DecomposedCorpus, InsufficientDataError, SyntheticSpec,
+from deplen.analysis import (DecomposedCorpus, InsufficientDataError, SyntheticSpec,
                              _delta_dtype, build_pairwise_dataset, constituent_count_histogram,
                              decompose_corpus, generate_synthetic_corpus,
                              position_length_profile, regression_table,
@@ -48,13 +48,13 @@ class TestDecomposeCorpus:
         good = heads_tree([4, 4, 4, 0])
         crossing = heads_tree([3, 4, 0, 3])
         corpus = corpus_of([good, crossing])
-        assert len(corpus.entries) == 1
+        assert corpus.ids == ["s1"] and corpus.plans == [decompose(good.heads)]
         assert corpus.skipped == {"non-projective": 1}
 
     def test_counts_ineligible(self):
         verb_initial = heads_tree([0, 1])
         corpus = corpus_of([verb_initial])
-        assert corpus.entries == []
+        assert corpus.ids == [] and corpus.plans == []
         assert corpus.skipped == {"no preverbal constituents": 1}
 
     def test_keeps_no_tree(self):
@@ -63,7 +63,7 @@ class TestDecomposeCorpus:
         text = synthetic_conllu(800, seed=1)
         before = live_trees()
         corpus = corpus_of(iter_trees([text], []))
-        assert len(corpus.entries) == 800
+        assert len(corpus.ids) == len(corpus.plans) == 800
         assert live_trees() == before
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -73,7 +73,7 @@ class TestDecomposeCorpus:
         """Mixed corpora of eligible and random trees, with punctuation
         deprels, some with a head moved anywhere in -1..n+1 or a malformed
         line, in either format and split into any pieces: decomposing the
-        heads columns of `iter_heads` gives the entries, skip counts and
+        heads columns of `iter_heads` gives the ids, plans, skip counts and
         diagnostics that `eligible_plans` gives over `iter_trees`."""
         trees = st.one_of(eligible_trees(max_length=4), st.builds(
             lambda seed, n: random_tree(np.random.default_rng(seed), n),
@@ -94,9 +94,10 @@ class TestDecomposeCorpus:
         pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
         diagnostics, want_diagnostics, skipped = [], [], {}
         corpus = decompose_corpus(iter_heads(pieces, diagnostics, format, exclude_punct))
-        want = [CorpusEntry(sentence_id, plan) for sentence_id, _, plan in analysis.eligible_plans(
-            iter_trees([text], want_diagnostics, format, exclude_punct), skipped)]
-        assert corpus.entries == want
+        want = list(analysis.eligible_plans(
+            iter_trees([text], want_diagnostics, format, exclude_punct), skipped))
+        assert corpus.ids == [sentence_id for sentence_id, _, _ in want]
+        assert corpus.plans == [plan for _, _, plan in want]
         assert corpus.skipped == skipped
         assert diagnostics == want_diagnostics
 
@@ -117,7 +118,7 @@ class TestDecomposeCorpus:
         # trees that share no strings with the text
         (trees, _), size, _ = traced(parse_text, text)
         corpus, retained, _ = traced(corpus_of, trees)
-        assert len(corpus.entries) == 800
+        assert len(corpus.ids) == len(corpus.plans) == 800
         assert retained <= size
 
 
@@ -136,8 +137,8 @@ class TestHistogram:
         corpus = synthetic_corpus(10, 1.0, seed=1,
                                   k_weights=((2, 0.5), (5, 0.5)))
         ref, var = constituent_count_histogram(corpus, cap=100)
-        k2 = sum(1 for e in corpus.entries if e.plan.k == 2)
-        k5 = len(corpus.entries) - k2
+        k2 = sum(1 for plan in corpus.plans if plan.k == 2)
+        k5 = len(corpus.plans) - k2
         total = k2 * 1 + k5 * 99
         assert math.isclose(var[2], 100.0 * k2 / total)
         assert math.isclose(var[5], 100.0 * k5 * 99 / total)
@@ -212,18 +213,18 @@ class TestPairwiseDataset:
     def test_counts_and_balance(self):
         corpus = synthetic_corpus(60, 1.0, seed=11)
         dataset = build_pairwise_dataset(corpus, cap=100, seed=0)
-        expected = sum(min(math.factorial(e.plan.k) - 1, 99) for e in corpus.entries)
+        expected = sum(min(math.factorial(plan.k) - 1, 99) for plan in corpus.plans)
         assert len(dataset) == expected
         assert abs(dataset.labels.mean() - 0.5) <= 1 / len(dataset)
 
     def test_column_layout(self):
         corpus = synthetic_corpus(10, 1.0, seed=13)
         dataset = build_pairwise_dataset(corpus, cap=24, seed=0)
-        entry = corpus.entries[0]
-        k = entry.plan.k
-        variant = generate_variants(entry.plan, 24, derive_rng(0, entry.sentence_id, "variants"))[0]
-        delta = np.subtract(extract_features(entry.plan, tuple(range(k))),
-                            extract_features(entry.plan, variant))
+        sentence_id, plan = corpus.ids[0], corpus.plans[0]
+        k = plan.k
+        variant = generate_variants(plan, 24, derive_rng(0, sentence_id, "variants"))[0]
+        delta = np.subtract(extract_features(plan, tuple(range(k))),
+                            extract_features(plan, variant))
         # dl_pos1..dl_posk, then len_pos1..len_posk, the last verb-adjacent
         assert dataset.dl[0, -k:].tolist() == delta[:k].tolist()
         assert dataset.length[0, -k:].tolist() == delta[k:].tolist()
@@ -249,11 +250,11 @@ class TestPairwiseBuild:
     def assert_matches_oracle(trees, ids, cap, seed):
         """The dataset of the trees, sentence ids[i] for trees[i], against
         the oracle's, whose `dl` row sums it checks on the rebuilt trees."""
-        corpus = DecomposedCorpus([CorpusEntry(sid, decompose(tree.heads))
-                                   for sid, tree in zip(ids, trees)])
+        ids = ids[:len(trees)]
+        corpus = DecomposedCorpus(ids, [decompose(tree.heads) for tree in trees])
         got = build_pairwise_dataset(corpus, cap, seed)
         want = oracles.build_pairwise_dataset(corpus, trees, cap, seed)
-        bound = max((e.plan.k * e.plan.verb_index for e in corpus.entries), default=0)
+        bound = max((plan.k * plan.verb_index for plan in corpus.plans), default=0)
         for name in ("dl", "length"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and np.array_equal(a, b)
@@ -286,7 +287,7 @@ class TestPairwiseBuild:
     def test_cap_below_two_rejected_before_sizing(self):
         # an empty corpus draws no variants: the build's own check raises
         with pytest.raises(ValueError, match="variant cap must be >= 2, got 1"):
-            build_pairwise_dataset(DecomposedCorpus([]), cap=1)
+            build_pairwise_dataset(DecomposedCorpus([], []), cap=1)
 
     def test_long_sentence_widens_the_type(self):
         # a flat L-word constituent headed at its left edge, then one word:
@@ -304,7 +305,7 @@ class TestPairwiseBuild:
 
     def test_peak_memory_is_the_arrays_and_one_sentence(self):
         plans = random_plans(seed=5, count=300)
-        corpus = DecomposedCorpus([CorpusEntry(f"p{i}", p) for i, p in enumerate(plans)])
+        corpus = DecomposedCorpus([f"p{i}" for i in range(len(plans))], plans)
         cap, width = 100, max(p.k for p in plans)
         build_pairwise_dataset(corpus, cap)   # the plans' cached properties
         dataset, retained, peak = traced(build_pairwise_dataset, corpus, cap)
@@ -421,8 +422,8 @@ class TestSyntheticGenerator:
 
     def test_k2_all_eligible(self):
         corpus = synthetic_corpus(50, 1.0, seed=25, k_weights=((2, 1.0),))
-        assert len(corpus.entries) == 50
-        assert all(e.plan.k == 2 for e in corpus.entries)
+        assert len(corpus.ids) == len(corpus.plans) == 50
+        assert all(plan.k == 2 for plan in corpus.plans)
 
     def test_deterministic(self):
         spec = SyntheticSpec(n_sentences=20)
@@ -479,8 +480,8 @@ class TestSyntheticGenerator:
                    {"length_dist": ("uniform", 1, 1)}):
             corpus = corpus_of(generate_synthetic_corpus(
                 SyntheticSpec(n_sentences=20, **kw), seed=4))
-            assert len(corpus.entries) == 20
-            assert all(set(e.plan.lengths) == {1} for e in corpus.entries)
+            assert len(corpus.ids) == len(corpus.plans) == 20
+            assert all(set(plan.lengths) == {1} for plan in corpus.plans)
 
     def test_tiny_noise_temperature_moves_a_shortest_constituent(self):
         # exp(-length / 1e-300) underflows to 0 for every length

@@ -22,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 
 import deplen
 from deplen import cli, features, seeding, treebank, variants
-from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, SyntheticSpec,
+from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, PairwiseDataset, SyntheticSpec,
                              eligible_plans, generate_synthetic_corpus)
 from deplen.cli import main
 from deplen.constituency import ARC_GAP
-from deplen.features import extract_features, feature_names
+from deplen.features import extract_features
 from deplen.seeding import derive_rng
 from deplen.treebank import DependencyTree, to_conllu
 from deplen.variants import generate_variants
@@ -104,12 +104,20 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
-    def test_missing_out_is_usage_error(self, corpus_file, capsys, command):
-        assert main([command, "--corpus", str(corpus_file)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        # the one error line, then argparse's usage
-        assert err[0] == "error: --out is required for this subcommand"
-        assert err[1].startswith("usage: deplen ") and not any("error" in e for e in err[1:])
+    def test_missing_out_is_usage_error(self, tmp_path, capsys, caplog, command):
+        """Found before the corpus is read: nothing is logged, even at INFO
+        on a corpus with bad blocks, and a corpus that does not exist is no
+        data error."""
+        caplog.set_level(logging.INFO, logger="deplen")
+        corpus = tmp_path / "mixed.conllu"
+        corpus.write_text(mixed_corpus(1, 100))
+        for path in (corpus, tmp_path / "nope.conllu"):
+            assert main([command, "--corpus", str(path)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            # the one error line, then argparse's usage
+            assert err[0] == "error: --out is required for this subcommand"
+            assert err[1].startswith("usage: deplen ") and not any("error" in e for e in err[1:])
+            assert caplog.records == []
 
     def test_nonexistent_config_is_data_error(self, corpus_file, tmp_path, capsys):
         cfg, out = tmp_path / "nope.cfg", tmp_path / "o"
@@ -289,7 +297,9 @@ def test_streamed_reader_matches_whole_file_decode(tmp_path_factory, pieces, dat
 
 
 def _decompose_args(path, *flags):
-    return cli._parse_args(cli.build_parser(), ["decompose", "--corpus", str(path), *flags])
+    """`decompose`'s arguments; `_Run` never makes their --out."""
+    return cli._parse_args(cli.build_parser(), ["decompose", "--corpus", str(path),
+                                                "--out", str(path.parent / "o"), *flags])
 
 
 class TestStreamedCorpus:
@@ -304,8 +314,9 @@ class TestStreamedCorpus:
         corpus, diagnostics, corpus_hash = run.corpus, run.diagnostics, run.corpus_hash
         trees, want_diagnostics = parse_text(text[1:], exclude_punct=bool(flags))
         want = corpus_of(trees)
-        assert corpus.entries and diagnostics
-        assert corpus.entries == want.entries and corpus.skipped == want.skipped
+        assert corpus.plans and diagnostics
+        assert corpus.ids == want.ids and corpus.plans == want.plans
+        assert corpus.skipped == want.skipped
         assert diagnostics == want_diagnostics
         assert corpus_hash == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -362,7 +373,8 @@ class TestStreamedCorpus:
         args = _decompose_args(path, "--exclude-punct")
         run, retained, peak = traced(cli._Run, args, "corpus")
         assert size >= 2_000_000
-        assert len(run.corpus.entries) == 150 and len(run.diagnostics) == 60
+        assert len(run.corpus.ids) == len(run.corpus.plans) == 150
+        assert len(run.diagnostics) == 60
         assert retained <= 0.25 * size
         assert peak - retained <= 0.5 * size
 
@@ -425,10 +437,23 @@ class TestFeatures:
         for k, rows in expected.items():
             with (out / f"features_k{k}.csv").open(newline="") as f:
                 header, *got = list(csv.reader(f))
-            assert header == feature_names(k) + ["label", "pair_id"]
+            assert header == ["total_dl", *(f"dl_pos{i}" for i in range(1, k + 1)),
+                              *(f"len_pos{i}" for i in range(1, k + 1)), "label", "pair_id"]
             assert got == rows
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pairs"] == ordinal
+
+    def test_large_deltas_are_written_exactly(self, tmp_path):
+        """A delta of a million or more is written as its integer, as `str`
+        writes it, not rounded to six digits."""
+        dl = np.array([[1234567, -1234567], [-1234567, 1234567]])
+        dataset = PairwiseDataset(dl, dl // 1000, np.array([2, 2], dtype=np.uint8),
+                                  np.zeros(2, dtype=np.int32), np.array(["s1"]))
+        cli._write_features(tmp_path, None, mock.Mock(dataset=dataset))
+        with (tmp_path / "features_k2.csv").open(newline="") as f:
+            assert list(csv.reader(f))[1:] == [
+                ["0", "1234567", "-1234567", "1234", "-1235", "1", "s1"],
+                ["0", "-1234567", "1234567", "-1235", "1234", "0", "s1"]]
 
 
 class TestReportAll:

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 
-from deplen.analysis import CorpusEntry, DecomposedCorpus, build_pairwise_dataset
-from deplen.features import extract_features, feature_names, zscore
+from deplen.analysis import DecomposedCorpus, build_pairwise_dataset, zscore
+from deplen.features import extract_features
 from deplen.seeding import derive_rng
 from deplen.variants import ascending_orders, descending_orders, generate_variants
 
@@ -26,20 +26,17 @@ class TestExtractFeatures:
         k = fig3_plan.k
         order = tuple(range(k))
         row = extract_features(fig3_plan, order)
-        names = feature_names(k)
         # the row is the columns after features_k{k}.csv's total_dl, no fixed_dl
-        assert len(row) == 2 * k and len(names) == 1 + 2 * k
+        assert len(row) == 2 * k
         dls, _ = order_dl(fig3_plan, order)
         assert row == (*dls, *fig3_plan.lengths)
-        assert names[0] == "total_dl" and names[1] == "dl_pos1"
-        assert names[k] == "dl_pos4" and names[-1] == "len_pos4"
 
 
-def pair_deltas(entry, cap, seed=0):
+def pair_deltas(sentence_id, plan, cap, seed=0):
     """reference - variant rows from extract_features, in sampling order."""
-    orders = generate_variants(entry.plan, cap, derive_rng(seed, entry.sentence_id, "variants"))
-    ref = np.array(extract_features(entry.plan, tuple(range(entry.plan.k))))
-    return [ref - extract_features(entry.plan, order) for order in orders]
+    orders = generate_variants(plan, cap, derive_rng(seed, sentence_id, "variants"))
+    ref = np.array(extract_features(plan, tuple(range(plan.k))))
+    return [ref - extract_features(plan, order) for order in orders]
 
 
 def dataset_rows(dataset):
@@ -74,11 +71,11 @@ class TestJoachimsTransform:
 
     def test_antisymmetry(self, fig3_plan):
         # one sentence id twice: the same variant drawn, oriented both ways
-        corpus = DecomposedCorpus([CorpusEntry("a", fig3_plan)] * 2)
+        corpus = DecomposedCorpus(["a"] * 2, [fig3_plan] * 2)
         dataset = build_pairwise_dataset(corpus, cap=2)
         first, second = dataset_rows(dataset)
         assert np.array_equal(first, -second)
-        assert np.array_equal(first, pair_deltas(corpus.entries[0], cap=2)[0])
+        assert np.array_equal(first, pair_deltas("a", fig3_plan, cap=2)[0])
 
     def test_identical_vectors_zero_delta(self):
         # two one-word constituents: the swapped order has the same features
@@ -94,13 +91,13 @@ class TestJoachimsTransform:
 
     def test_corpus_scale_balance(self):
         plans = random_plans(seed=4, count=40)
-        corpus = DecomposedCorpus([CorpusEntry(f"p{i}", plan)
-                                   for i, plan in enumerate(plans)])
+        corpus = DecomposedCorpus([f"p{i}" for i in range(len(plans))], plans)
         dataset = build_pairwise_dataset(corpus, cap=100)
         n_pairs = sum(min(math.factorial(p.k) - 1, 99) for p in plans)
         assert len(dataset) == n_pairs
         assert abs(dataset.labels.mean() - 0.5) <= 1 / n_pairs
-        expected = [d for e in corpus.entries for d in pair_deltas(e, cap=100)]
+        expected = [d for sentence_id, plan in zip(corpus.ids, corpus.plans, strict=True)
+                    for d in pair_deltas(sentence_id, plan, cap=100)]
         for ordinal, (row, delta) in enumerate(zip(dataset_rows(dataset), expected)):
             assert np.array_equal(row, delta if ordinal % 2 == 0 else -delta)
 

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sps
 from scipy.special import expit
 
-from deplen.analysis import SyntheticSpec, build_pairwise_dataset, generate_synthetic_corpus
-from deplen.features import zscore
+from deplen.analysis import (SyntheticSpec, build_pairwise_dataset, generate_synthetic_corpus,
+                             zscore)
 from deplen import stats
 from deplen.stats import (GRAM_CHUNK, MAX_ITER, SEPARATION_RIDGE, TOL, RankDeficientError,
                           _columns, _distinct_cells, _fit_folds, _grams, crossval_accuracy,
