@@ -137,16 +137,14 @@ def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float
 def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
                     random_draws: int = 10, k_range=(2, 6),
                     convention: str = "intervening") -> dict:
-    """Mean total dependency length, normalized by sentence word count, per
-    strategy and per constituent count. A sentence of n words has n - 1
-    arcs, so the positional convention adds n - 1 to each total.
+    """Mean total dependency length in `convention`, normalized by sentence
+    word count, per strategy and per constituent count.
 
     Random and least-effort values average `random_draws` seeded draws per
     sentence. Each k's sentences are scored at once, in corpus order: the
     reference, ascending and descending orders, the draws, and the draws'
     least-effort moves, as one (sentences x orders x k) array.
     """
-    gap = constituency.arc_gap(convention)
     by_k = {}
     for sentence_id, plan in zip(corpus.ids, corpus.plans):
         if k_range[0] <= plan.k <= k_range[1]:
@@ -162,8 +160,7 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
             variants.ascending_orders(table.lengths)[:, None],
             variants.descending_orders(table.lengths)[:, None],
             draws, variants.least_effort_moves(table.lengths[:, None], draws)], axis=1)
-        totals = table.score(orders)[1] + gap * (table.words - 1)[:, None]
-        values = totals / table.words[:, None]
+        values = table.score(orders, convention)[1] / table.words[:, None]
         per_sentence = np.column_stack([   # the draws' means, as np.mean of each list
             values[:, :3], values[:, 3:].reshape(-1, 2, random_draws).mean(axis=2)])
         # summed one sentence after the other, in corpus order
@@ -435,7 +432,8 @@ def _pick_reference_order(lengths: np.ndarray, spec: SyntheticSpec, rng) -> np.n
     # soft least-effort: move a length-weighted sampled constituent instead
     in_order = lengths[start].astype(float)
     # shifted by the shortest, whose weight stays 1 at any temperature
-    w = np.exp(-(in_order - in_order.min()) / spec.noise_temperature)
+    with np.errstate(over="ignore"):   # a subnormal one: the rest weigh 0
+        w = np.exp(-(in_order - in_order.min()) / spec.noise_temperature)
     pick = int(rng.choice(len(start), p=w / w.sum()))
     return np.append(np.delete(start, pick), start[pick])
 

@@ -283,18 +283,18 @@ def _write_plans(out: Path, args, run):
 
 
 def _write_variants(out: Path, args, run):
-    gap = constituency.arc_gap(args.convention)
     with (out / "variants.jsonl").open("w") as f:
         for sentence_id, tree, plan in run.plans:
             orders = [tuple(range(plan.k)), *variants.generate_variants(
                 plan, args.cap, derive_rng(args.seed, sentence_id, "variants"))]
-            dls, totals = constituency.PlanTable.of([plan]).score(np.array([orders]))
+            dls, totals = constituency.PlanTable.of([plan]).score(
+                np.array([orders]), args.convention)
             for order, order_dls, total in zip(orders, dls[0].tolist(), totals[0].tolist()):
                 record = {
                     "sentence_id": sentence_id,
                     "permutation": list(order),
-                    "main_verb_dl": sum(order_dls) + gap * plan.k,
-                    "total_dl": total + gap * (plan.words - 1),
+                    "main_verb_dl": sum(order_dls),
+                    "total_dl": total,
                     "tokens": [tree.forms[p - 1] for p in plan.positions(order)],
                 }
                 f.write(json.dumps(record) + "\n")
@@ -333,19 +333,17 @@ def _write_features(out: Path, args, run):
     """Per k, each pair's total-DL, per-position DL and length deltas,
     written exactly, then its label and sentence id."""
     dataset = run.dataset
-    labels, width = dataset.labels, dataset.dl.shape[1]
     for k in sorted(set(dataset.ks.tolist())):
-        rows = dataset.ks == k
-        dl = dataset.dl[rows, width - k:]   # its row sums are the total-DL deltas
+        dl, labels = dataset.positional_matrix(k, "deplen")   # row sums: total-DL deltas
         deltas = np.column_stack([dl.sum(axis=1, dtype=dl.dtype), dl,
-                                  dataset.length[rows, width - k:]])
+                                  dataset.positional_matrix(k, "length")[0]])
         positions = range(1, k + 1)
         _write_csv(out / f"features_k{k}.csv",
                    ["total_dl", *(f"dl_pos{i}" for i in positions),
                     *(f"len_pos{i}" for i in positions), "label", "pair_id"],
                    [[*row, label, pair_id] for row, label, pair_id
-                    in zip(deltas.tolist(), labels[rows].tolist(),
-                           dataset.sentence_ids[rows].tolist())])
+                    in zip(deltas.tolist(), labels.tolist(),
+                           dataset.sentence_ids[dataset.ks == k].tolist())])
 
 
 def _write_regressions(out: Path, args, run):

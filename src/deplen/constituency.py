@@ -4,9 +4,9 @@ dependency-length metrics.
 Distance convention: an arc between positions a and b contributes the number
 of intervening words, |a - b| - 1 (Gibson 2000), and every distance here is
 in those units. The positional difference |a - b| (Futrell et al. 2015) is
-the same count plus 1 per arc, `arc_gap("positional")`; only the products
-that report an absolute length add it. A reference-minus-variant delta
-counts the same arcs on both sides, so the offset cancels there.
+the same count plus 1 per arc, `arc_gap("positional")`, which only
+`PlanTable.score` adds. A reference-minus-variant delta counts the same arcs
+on both sides, so the offset cancels there.
 """
 
 from dataclasses import dataclass
@@ -86,15 +86,17 @@ class PlanTable:
                    np.array([p.words for p in plans], dtype=np.int64),
                    np.array([p.fixed_dl for p in plans], dtype=np.int64))
 
-    def score(self, orders: np.ndarray) -> tuple:
+    def score(self, orders: np.ndarray, convention: str = "intervening") -> tuple:
         """The (S x m x k) per-position head-to-verb distances and (S x m)
-        total DLs of orders[s], plan s's (m x k) orders, all at once: only
-        these k arcs move, every other arc adds the plan's `fixed_dl`."""
+        total DLs in `convention` of orders[s], plan s's (m x k) orders: only
+        these k arcs move; every other arc adds `fixed_dl` and the gap."""
+        gap = arc_gap(convention)
         lengths = np.take_along_axis(self.lengths[:, None, :], orders, axis=2)
         offsets = np.take_along_axis(self.offsets[:, None, :], orders, axis=2)
         start = np.cumsum(lengths, axis=2) - lengths + 1   # exclusive, from position 1
-        dls = self.verbs[:, None, None] - start - offsets - 1
-        return dls, dls.sum(axis=2) + self.fixed_dl[:, None]
+        dls = self.verbs[:, None, None] - start - offsets - 1 + gap
+        fixed = self.fixed_dl + gap * (self.words - 1 - orders.shape[2])
+        return dls, dls.sum(axis=2) + fixed[:, None]
 
 
 def decompose(heads) -> Union[SentencePlan, Ineligible]:

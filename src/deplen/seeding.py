@@ -16,9 +16,10 @@ def derive_rng(seed: int, *keys) -> "np.random.Generator":
     """Generator for the stream identified by (seed, *keys).
 
     Keys are stringified, so any hashable identifiers (sentence ids,
-    strategy names, draw ordinals) work.
+    strategy names, draw ordinals) work. Each one's `\\` and `|` are escaped
+    before the `|` join, so ("a|b",) and ("a", "b") name different streams.
     """
-    material = "|".join([str(seed), *map(str, keys)])
+    material = "|".join(str(k).replace("\\", "\\\\").replace("|", "\\|") for k in (seed, *keys))
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     # SeedSequence splits an int seed into little-endian 32-bit words and
     # pads them with zeros to four, so these words seed the same stream as

@@ -484,11 +484,13 @@ class TestSyntheticGenerator:
             assert all(set(plan.lengths) == {1} for plan in corpus.plans)
 
     def test_tiny_noise_temperature_moves_a_shortest_constituent(self):
-        # exp(-length / 1e-300) underflows to 0 for every length
-        spec = SyntheticSpec(n_sentences=20, noise_temperature=1e-300)
-        for tree in generate_synthetic_corpus(spec, seed=3):
-            lengths = decompose(tree.heads).lengths
-            assert lengths[-1] == min(lengths)
+        # exp(-length / 1e-300) underflows to 0 for every length, and
+        # length / 5e-324, subnormal, overflows to inf without a warning
+        for temperature in (1e-300, 5e-324):
+            spec = SyntheticSpec(n_sentences=20, noise_temperature=temperature)
+            for tree in generate_synthetic_corpus(spec, seed=3):
+                lengths = decompose(tree.heads).lengths
+                assert lengths[-1] == min(lengths)
 
     def test_correlation_helper(self):
         corpus = synthetic_corpus(200, 1.0, seed=27)

@@ -146,20 +146,22 @@ class TestInvariants:
     @given(base=eligible_trees(), convention=st.sampled_from(list(ARC_GAP)),
            data=st.data())
     def test_total_minus_main_verb_constant(self, base, convention, data):
-        """order_dl against the rebuilt tree, arc by arc: only the k
-        head-to-verb arcs move, so total - main-verb DL is the plan's own
-        `fixed_dl`. The positional convention is 1 more per arc."""
+        """`score` in the convention against the rebuilt trees, arc by arc,
+        for a drawn order and the reference: only the k head-to-verb arcs
+        move, so total - main-verb DL is the same for both, and in
+        intervening words it is the plan's own `fixed_dl`."""
         plan = decompose(base.heads)
-        order = data.draw(st.permutations(range(plan.k)))
-        tree = linearize(base, plan, order)
-        verb = tree.heads.index(0) + 1
-        arcs = [oracles.arc_distance(i, verb, convention) for i in range(1, verb)
-                if tree.heads[i - 1] == verb]
-        gap = arc_gap(convention)
-        dls, total = order_dl(plan, order)
-        assert [dl + gap for dl in dls] == arcs
-        assert total + gap * (len(tree) - 1) == oracles.total_dependency_length(tree, convention)
-        assert (total - sum(dls) == plan.fixed_dl
+        orders = [data.draw(st.permutations(range(plan.k))), tuple(range(plan.k))]
+        dls, totals = PlanTable.of([plan]).score(np.array([orders]), convention)
+        for order, order_dls, total in zip(orders, dls[0].tolist(), totals[0].tolist()):
+            tree = linearize(base, plan, order)
+            verb = tree.heads.index(0) + 1
+            assert order_dls == [oracles.arc_distance(i, verb, convention)
+                                 for i in range(1, verb) if tree.heads[i - 1] == verb]
+            assert total == oracles.total_dependency_length(tree, convention)
+        constant = totals[0] - dls[0].sum(axis=1)
+        assert constant[0] == constant[1]
+        assert (order_dl(plan, orders[0])[1] - main_verb_dl(plan, orders[0]) == plan.fixed_dl
                 == oracles.total_dependency_length(base)
                 - main_verb_dl(plan, tuple(range(plan.k))))
 

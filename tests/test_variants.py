@@ -103,6 +103,13 @@ class TestDeriveRng:
                     expected.integers(0, 2**63, 4).tolist()
                 assert got.permutation(6).tolist() == expected.permutation(6).tolist()
 
+    def test_separator_in_a_key_names_its_own_stream(self):
+        """A key's `|` or `\\` is escaped, so keys that join to the same
+        text name different streams."""
+        draws = [derive_rng(*keys).integers(0, 2**63, 4).tolist()
+                 for keys in [(0, "a|b"), (0, "a", "b"), (0, "a\\", "b"), (0, "a\\|b")]]
+        assert len({tuple(d) for d in draws}) == len(draws)
+
     def test_seed_sequence_pads_words_with_zeros(self):
         # digests whose high words are zero: the int seeds fewer words
         for words in ([5, 0, 0, 0], [1, 2, 3, 0], [0, 7, 0, 0], [2**32 - 1] * 3 + [0],
