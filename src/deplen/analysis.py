@@ -263,7 +263,8 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
     families, each row McNemar-tested against the previous row of its table.
 
     Returns a list of row dicts: table, predictors, accuracy,
-    flagged_folds (folds fitted under the separation ridge), min_margin (the
+    flagged_folds (folds fitted under the separation ridge),
+    unconverged_folds (folds whose fit stopped at MAX_ITER), min_margin (the
     smallest |p - 0.5| of a test prediction), and mcnemar_p against the
     previous row (None for first rows).
     """
@@ -294,6 +295,7 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
                 "predictors": name,
                 "accuracy": report.mean_accuracy,
                 "flagged_folds": report.flagged_folds,
+                "unconverged_folds": report.unconverged_folds,
                 "min_margin": report.min_margin,
                 "mcnemar_p": None,
             }
@@ -370,6 +372,12 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """The shape of a synthetic corpus. A field outside its domain (a count,
+    k or length bound that is not an integer, a k below 2, a negative k
+    weight, weights not summing to 1, a `max_constituent_length` below 1, a
+    `length_dist` it cannot sample, a `p_least_effort` outside [0, 1] or a
+    negative `noise_temperature`) is a ValueError at construction that
+    names the field."""
     n_sentences: int = 1000
     k_weights: tuple = ((2, 0.2), (3, 0.25), (4, 0.25), (5, 0.2), (6, 0.1))
     # ("geometric", p) with mean 1/p, or ("uniform", lo, hi) inclusive

@@ -97,7 +97,10 @@ def build_parser() -> _Parser:
 
 def _config_defaults(path: Path, subparser) -> dict:
     """The file's key=value lines, each converted and checked by the
-    subcommand's own option, as a dict of defaults."""
+    subcommand's own option, as a dict of defaults. A line it cannot take is
+    a DataError naming the file and line: an unknown key is named as its
+    option, `argument --caps-lock: unknown config key`, or as written,
+    `unknown config key '-1'`, where it is not spelled like one."""
     if not path.exists():
         raise DataError(f"config file not found: {path}")
     defaults = vars(subparser.parse_args([]))
@@ -134,7 +137,10 @@ def _config_defaults(path: Path, subparser) -> dict:
 
 def _parse_args(parser, argv):
     """Parse argv; values from a --config file become the subcommand's
-    defaults, so flags given on the command line win over them."""
+    defaults, so flags given on the command line win over them. A value
+    outside BOUNDS, from a flag or the file alike, or a missing --out, or
+    --corpus where the subcommand reads one, is a UsageError raised before
+    the corpus is read."""
     args = parser.parse_args(argv)
     if args.config:
         subparser = parser.subcommands[args.command]
@@ -195,7 +201,8 @@ class _Run:
     file is read. For the decomposed corpus each block's heads column alone
     is parsed (`treebank.iter_heads`), with no tree, forms or deprels, and
     decomposed as its block is read and then dropped, so memory grows with
-    the eligible sentences' plans."""
+    the eligible sentences' plans. The parse warnings, in line order, and
+    the `parsed N sentences` line are logged once the corpus is read."""
 
     def __init__(self, args, reads):
         self.args, self.diagnostics, self.corpus_hash, self.manifest = args, [], None, {}
@@ -232,7 +239,7 @@ class _Run:
     @functools.cached_property
     def dataset(self) -> analysis.PairwiseDataset:
         """The corpus's pairwise dataset, built on first use; it adds `pairs`
-        to the manifest entries."""
+        to the manifest entries and logs `pairwise dataset: N examples`."""
         dataset = analysis.build_pairwise_dataset(self.corpus, self.args.cap, self.args.seed)
         log.info("pairwise dataset: %d examples", len(dataset))
         self.manifest["pairs"] = len(dataset)
@@ -361,7 +368,8 @@ def _write_regressions(out: Path, args, run):
 def _write_suite(out: Path, args, run):
     rows = analysis.run_classification_suite(
         run.dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
-    flagged, margins = {}, {}
+    # manifest key -> table -> predictors -> that row's value
+    entries = {"flagged_folds": {}, "unconverged_folds": {}, "min_margin": {}}
     for table, filename in (("table3", "table3_accuracy.csv"),
                             ("table4", "table4_accuracy.csv")):
         table_rows = [r for r in rows if r["table"] == table]
@@ -370,9 +378,9 @@ def _write_suite(out: Path, args, run):
                    [(r["predictors"], f"{100 * r['accuracy']:.2f}",
                      "" if r["mcnemar_p"] is None else f"{r['mcnemar_p']:.3g}")
                     for r in table_rows])
-        flagged[table] = {r["predictors"]: r["flagged_folds"] for r in table_rows}
-        margins[table] = {r["predictors"]: r["min_margin"] for r in table_rows}
-    return {"flagged_folds": flagged, "min_margin": margins}
+        for key, per_table in entries.items():
+            per_table[table] = {r["predictors"]: r[key] for r in table_rows}
+    return entries
 
 
 def _write_synthetic(out: Path, args, run):
@@ -428,6 +436,9 @@ cmd_report_all = _run
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. Each call logs at the
+    level DEPLEN_LOG names to the `sys.stderr` of its own time, unless the
+    host has put a handler on the root logger."""
     # basicConfig is a no-op where the root logger already has a handler
     logging.basicConfig(handlers=[_Stderr()], format="%(levelname)s %(name)s: %(message)s")
     try:

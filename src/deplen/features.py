@@ -18,8 +18,8 @@ def extract_features(plan: SentencePlan, order) -> tuple:
     distances in intervening words, as `PlanTable.score` gives them. Only
     these k head-to-verb arcs move under reordering, so every other arc, the
     plan's `fixed_dl`, cancels in a pair's delta and is not read. It stays a
-    per-order scalar only because the traced benchmark counts its calls,
-    until ROADMAP items 2 and 3."""
+    per-order scalar because the traced benchmark counts its calls, one per
+    order."""
     dls, start = [], 1
     lengths, offsets, verb = plan.lengths, plan.head_offsets, plan.verb_index
     for ci in order:   # every preverbal head precedes the verb

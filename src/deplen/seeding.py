@@ -18,6 +18,8 @@ def derive_rng(seed: int, *keys) -> "np.random.Generator":
     Keys are stringified, so any hashable identifiers (sentence ids,
     strategy names, draw ordinals) work. Each one's `\\` and `|` are escaped
     before the `|` join, so ("a|b",) and ("a", "b") name different streams.
+    The stream is `np.random.default_rng` of the first 16 bytes of the
+    SHA-256 of the join's UTF-8, read as a little-endian 128-bit integer.
     """
     material = "|".join(str(k).replace("\\", "\\\\").replace("|", "\\|") for k in (seed, *keys))
     digest = hashlib.sha256(material.encode("utf-8")).digest()

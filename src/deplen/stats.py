@@ -187,7 +187,8 @@ def _columns(X) -> np.ndarray:
 
 def _inputs(X, y, names, y_dtype):
     """X as `_columns` gives it, y as a y_dtype vector of X's length, and
-    one name per column of X, x0, x1, ... by default."""
+    one name per column of X, x0, x1, ... by default; a y of another
+    length, or names not one per column, is a one-line ValueError."""
     X = _columns(X)
     y = np.asarray(y, dtype=y_dtype)
     if len(y) != X.shape[0]:
@@ -228,6 +229,7 @@ class CvReport:
     predictions: np.ndarray     # per-example predicted labels, input order
     flagged_folds: list = field(default_factory=list)
     min_margin: float = math.inf    # smallest |p - 0.5| over the test predictions
+    unconverged_folds: list = field(default_factory=list)   # stopped at MAX_ITER
 
 
 def _distinct_cells(X: np.ndarray, y: np.ndarray):
@@ -260,7 +262,9 @@ def _folds(cell: np.ndarray, n_cells: int, folds: int, seed):
 
 def _cv_cells(X, y, folds: int, seed, names=None):
     """The checks, cells and folds of a seeded k-fold CV of labels y on X:
-    (X, y, names, rep, cell, fold, test), names as `_inputs` gives them."""
+    (X, y, names, rep, cell, fold, test), names as `_inputs` gives them.
+    Besides `_inputs`' checks, a `folds` below 2, or fewer rows than
+    folds, is a one-line ValueError."""
     X, y, names = _inputs(X, y, names, int)
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -293,7 +297,8 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
     (see `_standardizing_maps`) by their own statistics, or, `pooled`, by
     those of every row. With `all_cells`, the stack also fits every row as
     a fold with no test rows. The report flags the folds that `_fit_folds`
-    fitted under its separation ridge. Returns a CvReport without
+    fitted under its separation ridge, and lists those whose last fit
+    stopped at MAX_ITER unconverged. Returns a CvReport without
     predictions, the (cells x folds) test probabilities, and the all-cells
     fit's coefficients (None without it)."""
     F = test.shape[1]
@@ -302,13 +307,14 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
     train = total - held_out
     maps = _standardizing_maps(design[:, 1:], total if pooled else train)
     maps = np.broadcast_to(maps, (train.shape[1], *maps.shape[1:]))
-    beta, _, _, separation = _fit_folds(design, y, train, maps, ["intercept", *names])
+    beta, _, converged, separation = _fit_folds(design, y, train, maps, ["intercept", *names])
     del train
     prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
     accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)
     return (CvReport(accuracies, float(accuracies.mean()), None,
                      np.flatnonzero(separation[:F]).tolist(),
-                     float(np.abs(prob[test > 0] - 0.5).min())),
+                     float(np.abs(prob[test > 0] - 0.5).min()),
+                     np.flatnonzero(~converged[:F]).tolist()),
             prob, beta[F] if all_cells else None)
 
 

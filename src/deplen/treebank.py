@@ -221,7 +221,10 @@ def iter_heads(pieces: Iterable[str], diagnostics: list, format: str = "conllu",
     reason. A bad line takes precedence over a fault of the whole tree.
 
     With `exclude_punct`, each valid block loses its punctuation
-    (`_strip_columns`) before its column is checked.
+    (`_strip_columns`) before its column is checked. A CoNLL-U
+    multiword-token range (i-j) or empty node (i.j) line is skipped; any
+    other ID or head not written as `str` writes an integer (`_integer`)
+    is a `non-integer index` or `non-integer head` diagnostic.
     """
     return _parse(pieces, diagnostics, format, exclude_punct, words=False)
 

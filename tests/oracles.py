@@ -5,6 +5,8 @@ only as the reference that tests compare against.
 """
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import expit
 
 from deplen import features, variants
 from deplen.analysis import STRATEGIES, PairwiseDataset
@@ -219,3 +221,36 @@ def distinct_cells(X, y):
 def predict_proba(fit, X):
     """The probability of label 1 that `fit` gives each row of X."""
     return _sigmoid(np.column_stack([np.ones(len(X)), X]) @ fit.coefficients)
+
+
+def fit_logistic(X, y):
+    """The maximum-likelihood logit fit of y on [1, X], by the textbook
+    route: scipy's trust-exact minimum of the negative log-likelihood, from
+    its analytic gradient and Hessian. Returns the coefficients, intercept
+    first, and their standard errors, the square roots of the diagonal of
+    the inverse Hessian at that minimum.
+
+    The likelihood is summed in extended precision: in float64 its rounding
+    hides the reduction of a step near the minimum, and the trust region
+    stops short of it."""
+    design = np.column_stack([np.ones(len(y)), np.asarray(X, dtype=float)])
+    y = np.asarray(y, dtype=float)
+    wide = design.astype(np.longdouble)
+
+    def nll(beta):
+        eta = wide @ beta.astype(np.longdouble)
+        return np.sum(np.logaddexp(0.0, eta) - y * eta)
+
+    def grad(beta):
+        return design.T @ (expit(design @ beta) - y)
+
+    def hess(beta):
+        mu = expit(design @ beta)
+        return (design * (mu * (1.0 - mu))[:, None]).T @ design
+
+    beta = minimize(nll, np.zeros(design.shape[1]), jac=grad, hess=hess,
+                    method="trust-exact", options={"gtol": 1e-8}).x
+    # a stop for want of a measurable reduction is the minimum, to rounding
+    if np.abs(grad(beta)).max() > 1e-6:
+        raise ArithmeticError("oracle fit stopped short of a minimum")
+    return beta, np.sqrt(np.diag(np.linalg.inv(hess(beta))))

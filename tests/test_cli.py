@@ -533,9 +533,12 @@ class TestReportAll:
             out = tmp_path / command
             assert main([command, "--corpus", str(corpus), "--folds", "5",
                          "--out", str(out)]) == 0
-            flagged = json.loads((out / "manifest.json").read_text())["flagged_folds"]
-            assert set(flagged["table3"]) == {name for name, _ in TABLE3_ROWS}
-            assert set(flagged["table4"]) == {name for name, _ in TABLE4_ROWS}
+            manifest = json.loads((out / "manifest.json").read_text())
+            flagged, unconverged = manifest["flagged_folds"], manifest["unconverged_folds"]
+            for folds in (flagged, unconverged):
+                assert set(folds["table3"]) == {name for name, _ in TABLE3_ROWS}
+                assert set(folds["table4"]) == {name for name, _ in TABLE4_ROWS}
+            assert all(f == [] for table in unconverged.values() for f in table.values())
             assert flagged["table3"]["total dependency length"] == []
             # least-effort references put the shortest constituent last
             assert flagged["table4"]["last preverbal constituent length"] == [0, 1, 2, 3, 4]

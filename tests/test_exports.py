@@ -57,6 +57,15 @@ def test_every_export_is_used_outside_the_tests(name):
             f"deplen.{name}.{attr} is exported, but only the tests use it"
 
 
+def test_readme_stays_a_map():
+    """README.md maps the package and points to the docstrings for the rest:
+    under 10,000 bytes, and no line over 400 characters."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(text.encode("utf-8")) < 10_000
+    long_lines = [n for n, line in enumerate(text.splitlines(), 1) if len(line) > 400]
+    assert not long_lines, f"README.md lines over 400 characters: {long_lines}"
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "deplen").glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_assert_statement(path):

@@ -58,6 +58,28 @@ class TestFitLogistic:
         fit = fit_logistic(X, y)
         assert np.allclose(fit.z_values, fit.coefficients / fit.std_errors)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(30, 200), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_textbook_fit(self, n, width, seed):
+        """Where a finite maximum exists, the IRLS fit is scipy's minimum of
+        the negative log-likelihood, and its Wald standard errors are the
+        inverse Hessian's there: both to 1e-6 relative, with a 1e-2 floor
+        under a coefficient near 0."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-3, 4, size=(n, width))
+        beta = rng.normal(scale=0.7, size=width + 1)
+        y = (rng.random(n) < expit(beta[0] + X @ beta[1:])).astype(int)
+        try:
+            fit = fit_logistic(X, y)
+        except RankDeficientError:
+            assume(False)
+        assume(not fit.separation)
+        coefficients, std_errors = oracles.fit_logistic(X, y)
+        assert fit.converged
+        assert np.all(np.abs(fit.coefficients - coefficients)
+                      <= 1e-6 * np.maximum(np.abs(coefficients), 1e-2))
+        assert np.all(np.abs(fit.std_errors - std_errors) <= 1e-6 * std_errors)
+
     def test_separation_fallback(self):
         X = np.concatenate([-np.ones(20), np.ones(20)])[:, None]
         y = np.concatenate([np.zeros(20), np.ones(20)]).astype(int)
@@ -616,7 +638,17 @@ class TestCrossval:
         x = np.repeat([-1.0, 3.0], [4, 3])
         report = crossval_accuracy(x, (x > 0).astype(int), folds=3, seed=0)
         assert report.flagged_folds == [0, 1, 2]
+        assert report.unconverged_folds == []    # each ridge refit converges
         assert report.mean_accuracy == 1.0
+
+    def test_ridge_fold_out_of_iterations_is_unconverged(self, monkeypatch):
+        """A fold whose ridge refit also reaches MAX_ITER is listed as
+        unconverged, besides being flagged."""
+        monkeypatch.setattr(stats, "MAX_ITER", 2)
+        x = np.repeat([-1.0, 3.0], [4, 3])
+        report = crossval_accuracy(x, (x > 0).astype(int), folds=3, seed=0)
+        assert report.flagged_folds == [0, 1, 2]
+        assert report.unconverged_folds == [0, 1, 2]
 
     def test_null_accuracy_half(self):
         rng = np.random.default_rng(44)
