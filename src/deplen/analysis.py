@@ -203,12 +203,13 @@ class PairwiseDataset:
         return (np.arange(len(self)) % 2 == 0).astype(int)
 
     def positional_matrix(self, k: int, family: str):
-        """(X, y) for the exactly-k subset; family 'deplen' or 'length'."""
+        """(X, y) for the exactly-k subset, X k columns wide; family 'deplen' or 'length'."""
         if family not in ("deplen", "length"):
             raise ValueError(f"unknown feature family: {family!r}")
         cols = self.dl if family == "deplen" else self.length
         rows = self.ks == k
-        return cols[rows, cols.shape[1] - k:], self.labels[rows]
+        X = cols[rows, cols.shape[1] - k:] if k <= cols.shape[1] else np.zeros((0, k), cols.dtype)
+        return X, self.labels[rows]
 
 
 def _delta_dtype(bound: int):

@@ -29,10 +29,6 @@ from .seeding import derive_rng
 log = logging.getLogger("deplen")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
-# inclusive (low, high) bounds; synth's options are absent from other subcommands
-BOUNDS = {"cap": (2, None), "folds": (2, None), "random_draws": (1, None), "k_min": (2, None),
-          "seed": (0, None), "sentences": (1, None), "p_least_effort": (0.0, 1.0),
-          "noise_temperature": (0.0, None)}
 # Bytes of the corpus file read at a time. Larger reads raised peak RSS over
 # reading the whole file at once on a corpus whose sentences are all
 # eligible: by 0.23 MB with 64 KiB reads and 0.12 MB with 16 KiB on the
@@ -60,21 +56,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _bounded(kind, lo, hi=None):
+    """An argparse type: the text as `kind`, rejected unless lo <= value
+    (<= hi); named as `kind`, so that argparse still says `invalid int value`."""
+    def convert(text):
+        value = kind(text)
+        if not value >= lo or (hi is not None and not value <= hi):   # NaN fails too
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
 def _add_common(p):
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--corpus", help="input corpus path")
     p.add_argument("--format", default="conllu", choices=list(treebank.FORMATS))
-    p.add_argument("--cap", type=int, default=variants.DEFAULT_CAP,
+    p.add_argument("--cap", type=_bounded(int, 2), default=variants.DEFAULT_CAP,
                    help="variant sampling ceiling per sentence")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--k-min", type=_bounded(int, 2), default=2)
+    p.add_argument("--k-max", type=_bounded(int, 2), default=6)
+    p.add_argument("--folds", type=_bounded(int, 2), default=10)
     p.add_argument("--zscore", default="fold", choices=["fold", "global"])
-    p.add_argument("--random-draws", type=int, default=10,
+    p.add_argument("--random-draws", type=_bounded(int, 1), default=10,
                    help="seeded draws per sentence for random/least-effort curves")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="must be 1: the pairwise build is serial")
+    p.add_argument("--jobs", type=int, default=1, choices=[1], help="the pairwise build is serial")
     p.add_argument("--out", help="output directory")
     p.add_argument("--exclude-punct", action="store_true",
                    help="drop punctuation tokens before all distance metrics")
@@ -88,9 +96,9 @@ def build_parser() -> _Parser:
     for name in PRODUCTS:
         _add_common(sub.add_parser(name))
     synth = sub.choices["synth"]
-    synth.add_argument("--sentences", type=int, default=1000)
-    synth.add_argument("--p-least-effort", type=float, default=1.0)
-    synth.add_argument("--noise-temperature", type=float, default=0.0)
+    synth.add_argument("--sentences", type=_bounded(int, 1), default=1000)
+    synth.add_argument("--p-least-effort", type=_bounded(float, 0.0, 1.0), default=1.0)
+    synth.add_argument("--noise-temperature", type=_bounded(float, 0.0), default=0.0)
     parser.subcommands = sub.choices
     return parser
 
@@ -136,25 +144,16 @@ def _config_defaults(path: Path, subparser) -> dict:
 
 
 def _parse_args(parser, argv):
-    """Parse argv; values from a --config file become the subcommand's
-    defaults, so flags given on the command line win over them. A value
-    outside BOUNDS, from a flag or the file alike, or a missing --out, or
-    --corpus where the subcommand reads one, is a UsageError raised before
-    the corpus is read."""
+    """Parse argv; a --config file's values become the subcommand's defaults,
+    which flags override. Each option's type checks its range; --k-max below
+    --k-min, or a missing --out or --corpus where one is read, is a UsageError."""
     args = parser.parse_args(argv)
     if args.config:
         subparser = parser.subcommands[args.command]
         subparser.set_defaults(**_config_defaults(Path(args.config), subparser))
         args = parser.parse_args(argv)
-    bounds = {**BOUNDS, "k_max": (args.k_min, None)}   # flags and config file alike
-    for key, (lo, hi) in bounds.items():
-        value = getattr(args, key, lo)
-        if not value >= lo or (hi is not None and not value <= hi):   # NaN fails too
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise UsageError(f"argument --{key.replace('_', '-')}: must be {bound}, got {value}")
-    if args.jobs != 1:
-        raise UsageError(f"argument --jobs: the pairwise build is serial, "
-                         f"only 1 is accepted, got {args.jobs}")
+    if args.k_max < args.k_min:
+        raise UsageError(f"argument --k-max: must be >= {args.k_min}, got {args.k_max}")
     if not args.corpus and PRODUCTS[args.command][0] is not None:
         raise UsageError("--corpus is required for this subcommand")
     if not args.out:

@@ -159,24 +159,30 @@ class TestExitCodes:
                              ids=["flag", "config"])
     def test_jobs_other_than_one_is_usage_error(self, corpus_file, tmp_path,
                                                 capsys, argv, config):
+        """As a flag a usage error; as a config line a data error naming it."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
-        assert main(["features", "--corpus", str(corpus_file), "--config", str(cfg),
-                     *argv, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error: argument --jobs: ")
+        code = main(["features", "--corpus", str(corpus_file), "--config", str(cfg),
+                     *argv, "--out", str(tmp_path / "o")])
+        where = f"{cfg}:1: " if config else ""
+        assert code == (2 if config else 1)
+        assert capsys.readouterr().err.startswith(f"error: {where}argument --jobs: ")
 
     @pytest.mark.parametrize("command", ["report-all", "classify"])
     @pytest.mark.parametrize("argv, config", [(["--seed", "-1"], ""), ([], "seed=-1\n")],
                              ids=["flag", "config"])
     def test_negative_seed_is_usage_error(self, corpus_file, tmp_path, capsys,
                                           command, argv, config):
-        # numpy's default_rng rejects a negative seed with a traceback
+        # numpy's default_rng rejects a negative seed with a traceback; as a
+        # config line it is a data error naming the line
         cfg, out = tmp_path / "run.cfg", tmp_path / "o"
         cfg.write_text(config)
-        assert main([command, "--corpus", str(corpus_file), "--config", str(cfg),
-                     *argv, "--out", str(out)]) == 1
+        code = main([command, "--corpus", str(corpus_file), "--config", str(cfg),
+                     *argv, "--out", str(out)])
+        where = f"{cfg}:1: " if config else ""
+        assert code == (2 if config else 1)
         err = capsys.readouterr().err
-        assert err.splitlines()[0] == "error: argument --seed: must be >= 0, got -1"
+        assert err.splitlines()[0] == f"error: {where}argument --seed: must be >= 0, got -1"
         assert "Traceback" not in err and not out.exists()
 
     def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
@@ -726,8 +732,8 @@ def _finite(value) -> bool:
 
 def _assert_run_outcome(command, code, err, out, usage_error_allowed=False):
     """Exit 0 with every product, finite values and one diagnostics row per
-    block skipped; or exit 2 (or 1 for a config value out of its bounds)
-    with one message line, no traceback and no product."""
+    block skipped; or exit 2 (or 1 for a config file's --k-max below its
+    --k-min) with one message line, no traceback and no product."""
     assert "Traceback" not in err
     if code == 0:
         assert {p.name for p in out.iterdir()} == PRODUCT_FILES[command]
@@ -961,8 +967,8 @@ class TestConfigFile:
                 ("synth", "noise-temperature=-0.5", "--noise-temperature: must be >= 0.0, got -0.5")]:
             cfg.write_text(line + "\n")
             assert main([command, "--corpus", str(corpus_file),
-                         "--config", str(cfg), "--out", str(out)]) == 1
-            assert f"error: argument {expected}" in capsys.readouterr().err
+                         "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {cfg}:1: argument {expected}\n"
             assert not out.exists()
 
     def test_explicit_flag_at_default_wins(self, corpus_file, tmp_path):
@@ -1033,6 +1039,86 @@ class TestConfigFile:
                      "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["seed"], config["cap"]) == (5, 7)
+
+
+NOT_INTS = ["nan", "inf", "2.5", "two", ""]
+NOT_FLOATS = ["nan", "inf", "-inf", "two", ""]
+# option -> (its subcommand, values it accepts, values it rejects): the edges of
+# its range on both sides, where the range has two
+RANGES = {
+    "--cap": ("variants", ["2", "100"], ["1", "-2", *NOT_INTS]),
+    "--folds": ("fit", ["2"], ["1", *NOT_INTS]),
+    "--k-min": ("report-all", ["2", "6"], ["1", *NOT_INTS]),
+    "--k-max": ("report-all", ["2"], ["1", *NOT_INTS]),
+    "--random-draws": ("strategies", ["1"], ["0", *NOT_INTS]),
+    "--seed": ("classify", ["0"], ["-1", *NOT_INTS]),
+    "--jobs": ("features", ["1"], ["0", "2", *NOT_INTS]),
+    "--sentences": ("synth", ["1"], ["0", *NOT_INTS]),
+    "--p-least-effort": ("synth", ["0", "1.0"],
+                         ["-5e-324", "1.0000000000000002", *NOT_FLOATS]),
+    "--noise-temperature": ("synth", ["0.0", "5e-324", "inf"],
+                            ["-5e-324", *(v for v in NOT_FLOATS if v != "inf")]),
+}
+
+
+class TestOptionRanges:
+    """Each option's range is checked by its own type, so a flag and a
+    config line take one path: they accept the same values, to the same
+    result, and reject the same with the same message, a usage error for
+    the flag and a data error naming its line for the config file."""
+
+    @staticmethod
+    def parse(command, tmp_path, flags=(), config=None):
+        """`_parse_args` on a fresh parser; the corpus is never read."""
+        argv = [command, "--corpus", str(tmp_path / "c.conllu"), "--out", str(tmp_path / "o")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        return cli._parse_args(cli.build_parser(), [*argv, *flags])
+
+    def test_table_covers_every_numeric_option(self):
+        parser = cli.build_parser()
+        numeric = {action.option_strings[0] for command in ("report-all", "synth")
+                   for action in parser.subcommands[command]._actions
+                   if getattr(action.type, "__name__", None) in ("int", "float")}
+        assert numeric == set(RANGES)
+
+    @pytest.mark.parametrize("flag, value", [(flag, value) for flag, (_, ok, _) in RANGES.items()
+                                             for value in ok])
+    def test_flag_and_config_line_accept_alike(self, tmp_path, flag, value):
+        command = RANGES[flag][0]
+        by_flag = vars(self.parse(command, tmp_path, [f"{flag}={value}"]))
+        by_file = vars(self.parse(command, tmp_path, config=f"{flag[2:]}={value}\n"))
+        assert by_flag.pop("config") is None and by_file.pop("config")
+        assert by_flag == by_file
+        assert by_flag[flag[2:].replace("-", "_")] == float(value)
+
+    @pytest.mark.parametrize("flag, value", [(flag, value) for flag, (_, _, bad) in RANGES.items()
+                                             for value in bad])
+    def test_flag_and_config_line_reject_alike(self, tmp_path, flag, value):
+        command = RANGES[flag][0]
+        with pytest.raises(cli.UsageError) as by_flag:
+            self.parse(command, tmp_path, [f"{flag}={value}"])
+        with pytest.raises(cli.DataError) as by_file:
+            self.parse(command, tmp_path, config=f"{flag[2:]}={value}\n")
+        assert str(by_flag.value).startswith(f"argument {flag}: ")
+        assert str(by_file.value) == f"{tmp_path / 'run.cfg'}:1: {by_flag.value}"
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--k-min", "4", "--k-max", "3"], None), (["--k-max", "3"], "k-min=4\n"),
+        (["--k-min", "4"], "k-max=3\n"), ([], "k-min=4\nk-max=3\n")],
+        ids=["flags", "k-min-in-file", "k-max-in-file", "file"])
+    def test_k_max_below_k_min_is_usage_error(self, tmp_path, flags, config):
+        with pytest.raises(cli.UsageError, match=r"^argument --k-max: must be >= 4, got 3$"):
+            self.parse("report-all", tmp_path, flags, config)
+
+    def test_bad_flag_reported_before_bad_config_line(self, tmp_path):
+        with pytest.raises(cli.UsageError, match=r"^argument --seed: must be >= 0, got -1$"):
+            self.parse("variants", tmp_path, ["--seed", "-1"], config="cap=abc\n")
+
+    def test_bad_config_line_rejected_under_a_good_flag(self, tmp_path):
+        with pytest.raises(cli.DataError, match=r":1: argument --cap: must be >= 2, got 1$"):
+            self.parse("variants", tmp_path, ["--cap", "5"], config="cap=1\n")
 
 
 class TestSynth:

@@ -10,10 +10,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_demo(demo: Path) -> str:
-    """The demo's stdout, run against the library in src/; it must exit 0."""
+    """The demo's stdout, run against the library in src/; it must exit 0,
+    with every warning an error, as the test settings make it in process."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
