@@ -25,6 +25,7 @@ __all__ = [
     "constituent_count_histogram",
     "position_length_profile",
     "strategy_curves",
+    "comparison_orders",
     "build_pairwise_dataset",
     "run_classification_suite",
     "regression_table",
@@ -103,11 +104,9 @@ def constituent_count_histogram(corpus: DecomposedCorpus, cap: int = variants.DE
     under the cap (min(k! - 1, cap - 1)).
     """
     ref_counts, var_counts = {}, {}
-    for plan in corpus.plans:
-        k = plan.k
+    for k in (plan.k for plan in corpus.plans):
         ref_counts[k] = ref_counts.get(k, 0) + 1
-        nvar = min(math.factorial(k) - 1, cap - 1)
-        var_counts[k] = var_counts.get(k, 0) + nvar
+        var_counts[k] = var_counts.get(k, 0) + min(math.factorial(k) - 1, cap - 1)
     def normalize(counts):
         total = sum(counts.values())
         return {k: 100.0 * v / total for k, v in sorted(counts.items())} if total else {}
@@ -126,10 +125,8 @@ def position_length_profile(corpus: DecomposedCorpus, k: int) -> np.ndarray:
 def sentence_length_constituent_corr(corpus: DecomposedCorpus) -> Optional[float]:
     """Pearson correlation between sentence length and preverbal constituent
     count over reference sentences; None where undefined (e.g. a single k)."""
-    n_words = [plan.words for plan in corpus.plans]
-    n_consts = [plan.k for plan in corpus.plans]
     try:
-        return stats.pearson(n_words, n_consts)
+        return stats.pearson([p.words for p in corpus.plans], [p.k for p in corpus.plans])
     except ValueError:
         return None
 
@@ -172,6 +169,13 @@ def strategy_curves(corpus: DecomposedCorpus, seed: int = 0,
 
 # ---------------------------------------------------------------------------
 # pairwise dataset and classification
+
+def comparison_orders(sentence_id, k: int, cap: int, seed: int) -> tuple:
+    """A sentence's orders, the pairs' one source: the reference, then its
+    `generate_variants` drawn from the sentence's own "variants" stream."""
+    return (tuple(range(k)), *variants.generate_variants(
+        k, cap, derive_rng(seed, sentence_id, "variants")))
+
 
 @dataclass
 class PairwiseDataset:
@@ -242,9 +246,8 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     stop = 0
     for sentence_id, plan, count in zip(corpus.ids, corpus.plans, counts):
         k = plan.k
-        orders = variants.generate_variants(plan, cap, derive_rng(seed, sentence_id, "variants"))
         rows = np.array([features.extract_features(plan, order)
-                         for order in (tuple(range(k)), *orders)])
+                         for order in comparison_orders(sentence_id, k, cap, seed)])
         delta = rows[0] - rows[1:]
         start, stop = stop, stop + count
         dl[start:stop, width - k:] = delta[:, :k]

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, constituency, treebank, variants
-from .seeding import derive_rng
 
 log = logging.getLogger("deplen")
 
@@ -38,7 +37,9 @@ SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": Fals
 
 
 class UsageError(Exception):
-    pass
+    def __init__(self, message, usage):   # the usage of the parser it is about
+        super().__init__(message)
+        self.usage = usage
 
 
 class DataError(Exception):
@@ -53,7 +54,7 @@ class _Stderr(logging.StreamHandler):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(message, self.format_usage())
 
 
 def _bounded(kind, lo, hi=None):
@@ -145,19 +146,21 @@ def _config_defaults(path: Path, subparser) -> dict:
 
 def _parse_args(parser, argv):
     """Parse argv; a --config file's values become the subcommand's defaults,
-    which flags override. Each option's type checks its range; --k-max below
-    --k-min, or a missing --out or --corpus where one is read, is a UsageError."""
-    args = parser.parse_args(argv)
+    which flags override. Each option's type checks its range; an unknown flag,
+    --k-max below --k-min, or no --out (or --corpus, if read) is the subcommand's UsageError."""
+    args, extra = parser.parse_known_args(argv)
+    subparser = parser.subcommands[args.command]
+    if extra:
+        subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.config:
-        subparser = parser.subcommands[args.command]
         subparser.set_defaults(**_config_defaults(Path(args.config), subparser))
         args = parser.parse_args(argv)
     if args.k_max < args.k_min:
-        raise UsageError(f"argument --k-max: must be >= {args.k_min}, got {args.k_max}")
+        subparser.error(f"argument --k-max: must be >= {args.k_min}, got {args.k_max}")
     if not args.corpus and PRODUCTS[args.command][0] is not None:
-        raise UsageError("--corpus is required for this subcommand")
+        subparser.error("--corpus is required for this subcommand")
     if not args.out:
-        raise UsageError("--out is required for this subcommand")
+        subparser.error("--out is required for this subcommand")
     return args
 
 
@@ -291,19 +294,14 @@ def _write_plans(out: Path, args, run):
 def _write_variants(out: Path, args, run):
     with (out / "variants.jsonl").open("w") as f:
         for sentence_id, tree, plan in run.plans:
-            orders = [tuple(range(plan.k)), *variants.generate_variants(
-                plan, args.cap, derive_rng(args.seed, sentence_id, "variants"))]
+            orders = analysis.comparison_orders(sentence_id, plan.k, args.cap, args.seed)
             dls, totals = constituency.PlanTable.of([plan]).score(
                 np.array([orders]), args.convention)
             for order, order_dls, total in zip(orders, dls[0].tolist(), totals[0].tolist()):
-                record = {
-                    "sentence_id": sentence_id,
-                    "permutation": list(order),
-                    "main_verb_dl": sum(order_dls),
-                    "total_dl": total,
-                    "tokens": [tree.forms[p - 1] for p in plan.positions(order)],
-                }
-                f.write(json.dumps(record) + "\n")
+                f.write(json.dumps({
+                    "sentence_id": sentence_id, "permutation": list(order),
+                    "main_verb_dl": sum(order_dls), "total_dl": total,
+                    "tokens": [tree.forms[p - 1] for p in plan.positions(order)]}) + "\n")
 
 
 def _write_figures(out: Path, args, run):
@@ -451,7 +449,7 @@ def main(argv=None) -> int:
         return _run(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(e.usage, end="", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, analysis.InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)

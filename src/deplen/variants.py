@@ -1,8 +1,8 @@
 """Counterfactual word-order variants and the ordering strategies.
 
-A variant is a permutation of a plan's preverbal constituents, represented
+A variant is a permutation of a plan's k preverbal constituents, represented
 as a tuple of their indices in the original left-to-right order, the order
-of `plan.lengths` (front of the sentence first).
+of `plan.lengths` (front of the sentence first); only k is read here.
 Permutations, not surface strings, are the unit: two permutations that
 happen to produce the same string are distinct variants.
 
@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from .constituency import SentencePlan
-
 __all__ = [
     "generate_variants",
     "ascending_orders",
@@ -27,11 +25,12 @@ __all__ = [
 DEFAULT_CAP = 100
 
 
-def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP, seed=None) -> tuple:
-    """The variant orders: all non-reference permutations when k! <= cap,
-    else cap-1 distinct ones sampled uniformly without replacement. The
-    reference order, `tuple(range(k))`, is never among them. `seed` is
-    anything `np.random.default_rng` takes, a Generator included.
+def generate_variants(k: int, cap: int = DEFAULT_CAP, seed=None) -> tuple:
+    """The variant orders of k constituents: all non-reference permutations
+    when k! <= cap, else cap-1 distinct ones sampled uniformly without
+    replacement. The reference order, `tuple(range(k))`, is never among
+    them. `seed` is anything `np.random.default_rng` takes, a Generator
+    included: in the pipeline, the stream `analysis.comparison_orders` derives.
 
     Sampling draws blocks of 2*cap rows, each shuffled by the same
     Fisher-Yates draws as one `rng.permutation(k)` call, and keeps the first
@@ -40,9 +39,8 @@ def generate_variants(plan: SentencePlan, cap: int = DEFAULT_CAP, seed=None) -> 
     """
     if cap < 2:
         raise ValueError(f"variant cap must be >= 2, got {cap}")
-    k = plan.k
     if k < 2:
-        raise ValueError("plan has fewer than 2 preverbal constituents")
+        raise ValueError(f"k = {k}: fewer than 2 preverbal constituents")
     if math.factorial(k) <= cap:   # the reference comes first
         return tuple(itertools.permutations(range(k)))[1:]
     rng = np.random.default_rng(seed)

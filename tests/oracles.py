@@ -182,7 +182,7 @@ def build_pairwise_dataset(corpus, trees, cap=variants.DEFAULT_CAP, seed=0):
     for sentence_id, plan, tree in zip(corpus.ids, corpus.plans, trees, strict=True):
         k = plan.k
         orders = (tuple(range(k)), *variants.generate_variants(
-            plan, cap, derive_rng(seed, sentence_id, "variants")))
+            k, cap, derive_rng(seed, sentence_id, "variants")))
         rows = np.array([features.extract_features(plan, order) for order in orders])
         block = np.zeros((len(rows) - 1, 2 * width), dtype=np.int64)
         block[:, np.r_[width - k:width, 2 * width - k:2 * width]] = rows[0] - rows[1:]

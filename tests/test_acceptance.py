@@ -115,7 +115,7 @@ def test_criterion_5_pairwise_transform():
     twice = DecomposedCorpus([sentence_id] * 2, [plan] * 2)
     pair = build_pairwise_dataset(twice, cap=2, seed=6)
     k = plan.k
-    (variant,) = generate_variants(plan, 2, derive_rng(6, sentence_id, "variants"))
+    (variant,) = generate_variants(k, 2, derive_rng(6, sentence_id, "variants"))
     delta = np.subtract(extract_features(plan, tuple(range(k))),
                         extract_features(plan, variant))
     assert np.array_equal(pair.dl[0, -k:], delta[:k])

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from deplen import analysis
 from deplen.analysis import (DecomposedCorpus, InsufficientDataError, SyntheticSpec,
-                             _delta_dtype, build_pairwise_dataset, constituent_count_histogram,
+                             _delta_dtype, build_pairwise_dataset, comparison_orders,
+                             constituent_count_histogram,
                              decompose_corpus, generate_synthetic_corpus,
                              position_length_profile, regression_table,
                              run_classification_suite,
@@ -209,6 +212,35 @@ class TestStrategyCurves:
         assert a == b
 
 
+class TestComparisonOrders:
+    """A sentence's orders at the k! boundary of the variant rule: every
+    order when k! <= cap, else cap - 1 sampled ones; the histogram and the
+    pairwise dataset count what the rule gives."""
+
+    @pytest.mark.parametrize("k, cap", [(k, math.factorial(k) + d) for k in range(2, 6)
+                                        for d in (-1, 0, 1) if math.factorial(k) + d >= 2])
+    def test_k_factorial_boundary(self, k, cap):
+        plan = decompose([k + 1] * k + [0])   # k one-word constituents
+        reference, *orders = comparison_orders("s1", k, cap, 7)
+        assert reference == tuple(range(k))
+        assert tuple(orders) == generate_variants(k, cap, derive_rng(7, "s1", "variants"))
+        if math.factorial(k) <= cap:   # enumerated: every other order, in permutations order
+            assert orders == list(itertools.permutations(range(k)))[1:]
+        else:                          # sampled: cap - 1 distinct orders, none the reference
+            assert len(orders) == len(set(orders)) == cap - 1
+            assert reference not in orders
+            assert all(sorted(order) == list(range(k)) for order in orders)
+        # beside a k = 2 sentence, whose one variant gives the mass its unit
+        corpus = DecomposedCorpus(["s1", "s2"], [plan, decompose([3, 3, 0])])
+        counts = Counter({k: len(orders)})
+        counts[2] += 1
+        _, mass = constituent_count_histogram(corpus, cap)
+        assert mass == pytest.approx({j: 100.0 * n / sum(counts.values())
+                                      for j, n in counts.items()})
+        assert len(build_pairwise_dataset(DecomposedCorpus(["s1"], [plan]), cap, 7)) == \
+            len(orders)
+
+
 class TestPairwiseDataset:
     def test_counts_and_balance(self):
         corpus = synthetic_corpus(60, 1.0, seed=11)
@@ -222,7 +254,7 @@ class TestPairwiseDataset:
         dataset = build_pairwise_dataset(corpus, cap=24, seed=0)
         sentence_id, plan = corpus.ids[0], corpus.plans[0]
         k = plan.k
-        variant = generate_variants(plan, 24, derive_rng(0, sentence_id, "variants"))[0]
+        variant = generate_variants(k, 24, derive_rng(0, sentence_id, "variants"))[0]
         delta = np.subtract(extract_features(plan, tuple(range(k))),
                             extract_features(plan, variant))
         # dl_pos1..dl_posk, then len_pos1..len_posk, the last verb-adjacent

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import deplen
-from deplen import cli, features, seeding, treebank, variants
+from deplen import analysis, cli, features, seeding, treebank, variants
 from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, PairwiseDataset, SyntheticSpec,
                              eligible_plans, generate_synthetic_corpus)
 from deplen.cli import main
@@ -118,6 +118,26 @@ class TestExitCodes:
             assert err[0] == "error: --out is required for this subcommand"
             assert err[1].startswith("usage: deplen ") and not any("error" in e for e in err[1:])
             assert caplog.records == []
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["synth", "--cap", "1", "--out", "o"], "usage: deplen synth [-h]"),
+        (["synth", "--sentences"], "usage: deplen synth [-h]"),
+        (["decompose", "--bogus", "--out", "o"], "usage: deplen decompose [-h]"),
+        (["decompose", "--out", "o"], "usage: deplen decompose [-h]"),
+        (["report-all", "--corpus", "c", "--k-min", "5", "--k-max", "3", "--out", "o"],
+         "usage: deplen report-all [-h]"),
+        ([], "usage: deplen [-h]"), (["frobnicate"], "usage: deplen [-h]")],
+        ids=["range", "no-value", "unknown-flag", "no-corpus", "k-range", "no-command",
+             "bad-command"])
+    def test_usage_error_prints_its_subcommands_usage(self, capsys, argv, usage):
+        """After the error line, the usage of the subcommand whose option or
+        check failed, which names that subcommand's options; the top-level
+        usage only where no subcommand was parsed."""
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ") and err[1].startswith(usage)
+        if argv[:1] == ["synth"]:
+            assert "--sentences SENTENCES" in " ".join(err[1:])
 
     def test_nonexistent_config_is_data_error(self, corpus_file, tmp_path, capsys):
         cfg, out = tmp_path / "nope.cfg", tmp_path / "o"
@@ -416,6 +436,35 @@ class TestDecomposeAndVariants:
                if r["sentence_id"] == "s1"}
         assert max(dls.values()) == 23 and min(dls.values()) == 13
 
+    def test_variants_are_the_orders_of_the_pairwise_dataset(self, tmp_path):
+        """Sentence by sentence, the permutations `variants` writes, the
+        reference first, are the orders whose feature deltas fill that
+        sentence's rows of the pairwise dataset, sampled at k = 5 (5! > cap)."""
+        corpus = spec_corpus(tmp_path / "k5.conllu", 40, k=5, seed=2)
+        out = tmp_path / "run"
+        assert main(["variants", "--corpus", str(corpus), "--cap", "30", "--seed", "4",
+                     "--out", str(out)]) == 0
+        permutations = {}
+        for line in (out / "variants.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            permutations.setdefault(record["sentence_id"], []).append(
+                tuple(record["permutation"]))
+        trees, _ = parse_text(corpus.read_text())
+        decomposed = corpus_of(trees)
+        dataset = analysis.build_pairwise_dataset(decomposed, 30, 4)
+        assert list(permutations) == decomposed.ids
+        signs = np.where(dataset.labels == 1, 1, -1)[:, None]
+        for i, (sentence_id, plan) in enumerate(zip(decomposed.ids, decomposed.plans)):
+            reference, *orders = permutations[sentence_id]
+            assert plan.k == 5 and reference == (0, 1, 2, 3, 4) and len(orders) == 29
+            rows = dataset.sentence == i
+            want = [np.subtract(extract_features(plan, reference), extract_features(plan, o))
+                    for o in orders]
+            got = np.hstack([dataset.dl[rows, -5:], dataset.length[rows, -5:]]) * signs[rows]
+            assert got.tolist() == np.array(want).tolist()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sum(map(len, permutations.values())) == len(dataset) + manifest["eligible"]
+
 
 class TestFeatures:
     def test_rows_are_oriented_pair_deltas(self, tmp_path):
@@ -430,7 +479,7 @@ class TestFeatures:
             ref = extract_features(plan, reference)
             # total_dl: the rebuilt trees' difference, arc by arc
             ref_total = oracles.total_dependency_length(oracles.linearize(tree, plan, reference))
-            for order in generate_variants(plan, 30, derive_rng(4, sentence_id, "variants")):
+            for order in generate_variants(plan.k, 30, derive_rng(4, sentence_id, "variants")):
                 sign = 1 if ordinal % 2 == 0 else -1
                 total = oracles.total_dependency_length(oracles.linearize(tree, plan, order))
                 delta = [sign * (r - v) for r, v in

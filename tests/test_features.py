@@ -34,7 +34,7 @@ class TestExtractFeatures:
 
 def pair_deltas(sentence_id, plan, cap, seed=0):
     """reference - variant rows from extract_features, in sampling order."""
-    orders = generate_variants(plan, cap, derive_rng(seed, sentence_id, "variants"))
+    orders = generate_variants(plan.k, cap, derive_rng(seed, sentence_id, "variants"))
     ref = np.array(extract_features(plan, tuple(range(plan.k))))
     return [ref - extract_features(plan, order) for order in orders]
 

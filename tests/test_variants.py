@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deplen.constituency import SentencePlan, decompose
+from deplen.constituency import SentencePlan
 from deplen.seeding import derive_rng
 from deplen.variants import (ascending_orders, descending_orders, generate_variants,
                              least_effort_moves)
@@ -29,13 +29,6 @@ def sequential_variants(k, cap, rng):
     return tuple(chosen)
 
 
-def flat_plan(k) -> SentencePlan:
-    """k one-word constituents before the verb."""
-    plan = decompose([k + 1] * k + [0])
-    assert isinstance(plan, SentencePlan) and plan.k == k
-    return plan
-
-
 # rows of constituent lengths, one k for all, short enough to tie often
 length_rows = st.integers(1, 6).flatmap(lambda k: st.lists(
     st.lists(st.integers(1, 3), min_size=k, max_size=k), min_size=1, max_size=5))
@@ -49,42 +42,39 @@ def lengths_plan(lengths) -> SentencePlan:
 
 class TestGenerateVariants:
     def test_k4_enumerates_all(self, fig3_plan):
-        orders = generate_variants(fig3_plan, cap=100, seed=0)
+        orders = generate_variants(fig3_plan.k, cap=100, seed=0)
         assert len(orders) == 23
         assert (0, 1, 2, 3) not in orders
         assert len(set(orders)) == 23
 
     def test_k2_single_variant(self):
-        plan = random_plans(seed=5, count=1, k_max=2)[0]
-        assert generate_variants(plan, cap=100, seed=0) == ((1, 0),)
+        assert generate_variants(2, cap=100, seed=0) == ((1, 0),)
 
     def test_k5_sampled(self):
-        plan = next(p for p in random_plans(seed=8, count=50) if p.k == 5)
-        orders = generate_variants(plan, cap=100, seed=3)
+        orders = generate_variants(5, cap=100, seed=3)
         assert len(orders) == 99
         assert len(set(orders)) == 99
         assert tuple(range(5)) not in orders
 
     def test_sampling_over_seeds(self):
-        plan = next(p for p in random_plans(seed=8, count=50) if p.k == 5)
         for seed in range(50):
-            orders = generate_variants(plan, cap=100, seed=seed)
+            orders = generate_variants(5, cap=100, seed=seed)
             assert len(set(orders)) == 99
             assert tuple(range(5)) not in orders
 
     def test_cap_too_small(self, fig3_plan):
         with pytest.raises(ValueError):
-            generate_variants(fig3_plan, cap=1)
+            generate_variants(fig3_plan.k, cap=1)
 
     def test_one_constituent_rejected(self):
         with pytest.raises(ValueError, match="fewer than 2 preverbal constituents"):
-            generate_variants(lengths_plan([3]), cap=100)
+            generate_variants(1, cap=100)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), k=st.integers(5, 9), seed=st.integers(0, 2**63))
     def test_block_draws_match_sequential_draws(self, data, k, seed):
         cap = data.draw(st.integers(2, min(math.factorial(k) - 1, 300)))
-        assert generate_variants(flat_plan(k), cap, np.random.default_rng(seed)) == \
+        assert generate_variants(k, cap, np.random.default_rng(seed)) == \
             sequential_variants(k, cap, np.random.default_rng(seed))
 
 
