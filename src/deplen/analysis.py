@@ -98,15 +98,11 @@ def decompose_corpus(columns) -> DecomposedCorpus:
 # corpus profiles
 
 def constituent_count_histogram(corpus: DecomposedCorpus, cap: int = variants.DEFAULT_CAP):
-    """Percentage of reference and variant sentences per constituent count.
-
-    Variant mass uses the actual number of variants each reference yields
-    under the cap (min(k! - 1, cap - 1)).
-    """
-    ref_counts, var_counts = {}, {}
-    for k in (plan.k for plan in corpus.plans):
-        ref_counts[k] = ref_counts.get(k, 0) + 1
-        var_counts[k] = var_counts.get(k, 0) + min(math.factorial(k) - 1, cap - 1)
+    """Percentage of reference and variant sentences per constituent count,
+    each reference weighing its `variants.variant_count(k, cap)` variants."""
+    ks = [plan.k for plan in corpus.plans]
+    ref_counts = {k: ks.count(k) for k in set(ks)}
+    var_counts = {k: n * variants.variant_count(k, cap) for k, n in ref_counts.items()}
     def normalize(counts):
         total = sum(counts.values())
         return {k: 100.0 * v / total for k, v in sorted(counts.items())} if total else {}
@@ -228,21 +224,19 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
     (corpus, cap, seed). Both orders of a pair have the same arcs, so the
     deltas in positional differences, 1 more per arc, would be the same.
 
-    The arrays are allocated once, from each sentence's min(k!, cap) - 1
+    The arrays are allocated once, from each sentence's `variant_count`
     pairs, and each sentence's deltas are written into its rows. Only the k
     head-to-verb arcs move under reordering, each by less than the verb's
     position, so no delta, nor a `dl` row's sum, the total-DL delta, exceeds
     k * verb_index: that bound sets the type.
     """
-    if cap < 2:   # before it sizes the arrays
-        raise ValueError(f"variant cap must be >= 2, got {cap}")
     ks = [plan.k for plan in corpus.plans]
     width = max(ks, default=2)
-    counts = [min(math.factorial(k), cap) - 1 for k in ks]
+    variants.variant_count(width, cap)   # rejects a cap below 2, with no sentence too
+    counts = [variants.variant_count(k, cap) for k in ks]
     dtype = _delta_dtype(max((plan.k * plan.verb_index for plan in corpus.plans), default=0))
-    n = sum(counts)
-    dl = np.zeros((n, width), dtype=dtype)
-    length = np.zeros((n, width), dtype=dtype)
+    dl = np.zeros((sum(counts), width), dtype=dtype)
+    length = np.zeros_like(dl)
     stop = 0
     for sentence_id, plan, count in zip(corpus.ids, corpus.plans, counts):
         k = plan.k

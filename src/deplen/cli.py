@@ -308,8 +308,7 @@ def _write_figures(out: Path, args, run):
     """Fig. 1's counts and Fig. 2's profile."""
     ref_hist, var_hist = analysis.constituent_count_histogram(run.corpus, args.cap)
     _write_csv(out / "fig1_counts.csv", ["k", "reference_pct", "variant_pct"],
-               [(k, f"{ref_hist.get(k, 0.0):.4f}", f"{var_hist.get(k, 0.0):.4f}")
-                for k in sorted(set(ref_hist) | set(var_hist))])
+               [(k, f"{ref:.4f}", f"{var_hist[k]:.4f}") for k, ref in ref_hist.items()])
     profile_rows = []
     for k in range(args.k_min, args.k_max + 1):
         try:

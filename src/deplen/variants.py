@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "variant_count",
     "generate_variants",
     "ascending_orders",
     "descending_orders",
@@ -23,6 +24,15 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 100
+
+
+def variant_count(k: int, cap: int = DEFAULT_CAP) -> int:
+    """min(k!, cap) - 1, the number of variants of k constituents."""
+    if cap < 2:
+        raise ValueError(f"variant cap must be >= 2, got {cap}")
+    if k < 2:
+        raise ValueError(f"k = {k}: fewer than 2 preverbal constituents")
+    return min(math.factorial(k), cap) - 1
 
 
 def generate_variants(k: int, cap: int = DEFAULT_CAP, seed=None) -> tuple:
@@ -37,19 +47,16 @@ def generate_variants(k: int, cap: int = DEFAULT_CAP, seed=None) -> tuple:
     cap-1 distinct non-reference rows in draw order: the variants that
     drawing one permutation at a time until cap-1 are found would give.
     """
-    if cap < 2:
-        raise ValueError(f"variant cap must be >= 2, got {cap}")
-    if k < 2:
-        raise ValueError(f"k = {k}: fewer than 2 preverbal constituents")
-    if math.factorial(k) <= cap:   # the reference comes first
+    count = variant_count(k, cap)
+    if count == math.factorial(k) - 1:   # the reference comes first
         return tuple(itertools.permutations(range(k)))[1:]
     rng = np.random.default_rng(seed)
     rows = np.tile(np.arange(k), (2 * cap, 1))
     distinct = dict.fromkeys([tuple(range(k))])   # keys keep draw order
-    while len(distinct) < cap:
+    while len(distinct) <= count:
         block = rng.permuted(rows, axis=1).tolist()
         distinct.update(dict.fromkeys(map(tuple, block)))
-    return tuple(itertools.islice(distinct, 1, cap))
+    return tuple(itertools.islice(distinct, 1, count + 1))
 
 
 def ascending_orders(lengths) -> np.ndarray:

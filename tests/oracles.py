@@ -4,9 +4,12 @@ Each one is the code that a batched or single-pass version replaced, kept
 only as the reference that tests compare against.
 """
 
+import itertools
+
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
+from scipy.stats import binomtest, chi2
 
 from deplen import features, variants
 from deplen.analysis import STRATEGIES, PairwiseDataset
@@ -99,6 +102,18 @@ def least_effort_move(plan, order) -> tuple:
     pos = max(i for i, ci in enumerate(order) if lengths[ci] == shortest)
     moved = order[pos]
     return tuple(ci for ci in order if ci != moved) + (moved,)
+
+
+def exact_strategy_means(plan) -> dict:
+    """The exact mean normalized DL of a uniformly random order of the
+    plan's constituents, and of that order's least-effort move, over all k!
+    orders, each scored by `order_dl`: {"random": (mean, variance),
+    "least_effort": (mean, variance)}, the variance being one draw's."""
+    values = np.array([(order_dl(plan, order)[1],
+                        order_dl(plan, least_effort_move(plan, order))[1])
+                       for order in itertools.permutations(range(plan.k))]) / plan.words
+    return {"random": (values[:, 0].mean(), values[:, 0].var()),
+            "least_effort": (values[:, 1].mean(), values[:, 1].var())}
 
 
 def linearize(tree, plan, order) -> DependencyTree:
@@ -218,38 +233,59 @@ def distinct_cells(X, y):
     return np.array(rep, dtype=np.intp), cell
 
 
+def mcnemar(pred_a, pred_b, truth) -> float:
+    """McNemar's two-tailed p on the pairs that one classifier gets right and
+    the other wrong, n01 + n10 of them: scipy's exact binomial test of
+    min(n01, n10) when fewer than 25 (1 when none), else the chi-square
+    survival of the continuity-corrected (|n01 - n10| - 1)^2 / (n01 + n10)."""
+    a_ok = np.asarray(pred_a) == np.asarray(truth)
+    b_ok = np.asarray(pred_b) == np.asarray(truth)
+    n01, n10 = int(np.sum(a_ok & ~b_ok)), int(np.sum(~a_ok & b_ok))
+    n = n01 + n10
+    if n == 0:
+        return 1.0
+    if n < 25:
+        return binomtest(min(n01, n10), n, 0.5).pvalue
+    return float(chi2.sf((abs(n01 - n10) - 1) ** 2 / n, df=1))
+
+
 def predict_proba(fit, X):
     """The probability of label 1 that `fit` gives each row of X."""
     return _sigmoid(np.column_stack([np.ones(len(X)), X]) @ fit.coefficients)
 
 
-def fit_logistic(X, y):
-    """The maximum-likelihood logit fit of y on [1, X], by the textbook
-    route: scipy's trust-exact minimum of the negative log-likelihood, from
-    its analytic gradient and Hessian. Returns the coefficients, intercept
-    first, and their standard errors, the square roots of the diagonal of
-    the inverse Hessian at that minimum.
+def penalized_nll(X, y, beta, ridge=0.0):
+    """The negative log-likelihood of the logit model of y on [1, X] at
+    beta, intercept first, plus ridge / 2 * ||beta||^2, the intercept
+    included: summed in extended precision, where float64's rounding would
+    hide the last digits of a minimum."""
+    design = np.column_stack([np.ones(len(y)), np.asarray(X, dtype=float)])
+    beta = np.asarray(beta, dtype=np.longdouble)
+    eta = design.astype(np.longdouble) @ beta
+    return (np.sum(np.logaddexp(0.0, eta) - np.asarray(y, dtype=float) * eta)
+            + ridge / 2 * np.sum(beta * beta))
 
-    The likelihood is summed in extended precision: in float64 its rounding
-    hides the reduction of a step near the minimum, and the trust region
-    stops short of it."""
+
+def fit_logistic(X, y, ridge=0.0):
+    """The logit fit of y on [1, X] that minimizes `penalized_nll`, the
+    maximum-likelihood fit at ridge 0, by the textbook route: scipy's
+    trust-exact minimum, from its analytic gradient and Hessian. Returns the
+    coefficients, intercept first, and their standard errors, the square
+    roots of the diagonal of the inverse Hessian at that minimum."""
     design = np.column_stack([np.ones(len(y)), np.asarray(X, dtype=float)])
     y = np.asarray(y, dtype=float)
-    wide = design.astype(np.longdouble)
-
-    def nll(beta):
-        eta = wide @ beta.astype(np.longdouble)
-        return np.sum(np.logaddexp(0.0, eta) - y * eta)
 
     def grad(beta):
-        return design.T @ (expit(design @ beta) - y)
+        return design.T @ (expit(design @ beta) - y) + ridge * beta
 
     def hess(beta):
         mu = expit(design @ beta)
-        return (design * (mu * (1.0 - mu))[:, None]).T @ design
+        return (design * (mu * (1.0 - mu))[:, None]).T @ design + ridge * np.eye(len(beta))
 
-    beta = minimize(nll, np.zeros(design.shape[1]), jac=grad, hess=hess,
-                    method="trust-exact", options={"gtol": 1e-8}).x
+    # under a small ridge the least curvature is about the ridge: a gradient
+    # of 1e-9 can leave a coefficient 1e-3 from the minimum
+    beta = minimize(lambda beta: penalized_nll(X, y, beta, ridge), np.zeros(design.shape[1]),
+                    jac=grad, hess=hess, method="trust-exact", options={"gtol": 1e-12}).x
     # a stop for want of a measurable reduction is the minimum, to rounding
     if np.abs(grad(beta)).max() > 1e-6:
         raise ArithmeticError("oracle fit stopped short of a minimum")

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from deplen.features import extract_features
 from deplen.seeding import derive_rng
 from deplen.stats import _distinct_cells
 from deplen.treebank import FORMATS, DependencyTree, iter_heads, iter_trees, to_conllu
-from deplen.variants import generate_variants
+from deplen.variants import generate_variants, variant_count
 
 import oracles
 from test_treebank import MALFORMED_LINES, PUNCT_OR_DEP, _lines
@@ -205,6 +204,20 @@ class TestStrategyCurves:
         assert repr(strategy_curves(corpus_of(trees), seed=2, random_draws=10)) == \
             repr(oracles.strategy_curves(trees, seed=2, random_draws=10))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_draws_estimate_the_exact_means(self, seed):
+        """Each k's random and least-effort values, means of 10 seeded draws
+        per sentence, lie within 5 standard errors of the exact means over
+        all k! orders, the errors from each sentence's enumerated variance."""
+        corpus = synthetic_corpus(60, 1.0, seed=seed)
+        curves = strategy_curves(corpus, seed=seed, random_draws=10)
+        for k in range(2, 7):
+            exact = [oracles.exact_strategy_means(plan) for plan in corpus.plans if plan.k == k]
+            for strategy in ("random", "least_effort"):
+                mean, var = np.array([sentence[strategy] for sentence in exact]).mean(axis=0)
+                error = np.sqrt(var / 10 / len(exact))
+                assert abs(curves[strategy][k] - mean) <= 5 * error + 1e-12
+
     def test_deterministic(self):
         corpus = synthetic_corpus(50, 1.0, seed=2)
         a = strategy_curves(corpus, seed=9, random_draws=3)
@@ -214,31 +227,22 @@ class TestStrategyCurves:
 
 class TestComparisonOrders:
     """A sentence's orders at the k! boundary of the variant rule: every
-    order when k! <= cap, else cap - 1 sampled ones; the histogram and the
-    pairwise dataset count what the rule gives."""
+    order when k! <= cap, else cap - 1 sampled ones; `variant_count`, which
+    the histogram and the pairwise build read, counts what the rule gives."""
 
     @pytest.mark.parametrize("k, cap", [(k, math.factorial(k) + d) for k in range(2, 6)
                                         for d in (-1, 0, 1) if math.factorial(k) + d >= 2])
     def test_k_factorial_boundary(self, k, cap):
-        plan = decompose([k + 1] * k + [0])   # k one-word constituents
         reference, *orders = comparison_orders("s1", k, cap, 7)
         assert reference == tuple(range(k))
         assert tuple(orders) == generate_variants(k, cap, derive_rng(7, "s1", "variants"))
+        assert variant_count(k, cap) == len(orders)
         if math.factorial(k) <= cap:   # enumerated: every other order, in permutations order
             assert orders == list(itertools.permutations(range(k)))[1:]
         else:                          # sampled: cap - 1 distinct orders, none the reference
             assert len(orders) == len(set(orders)) == cap - 1
             assert reference not in orders
             assert all(sorted(order) == list(range(k)) for order in orders)
-        # beside a k = 2 sentence, whose one variant gives the mass its unit
-        corpus = DecomposedCorpus(["s1", "s2"], [plan, decompose([3, 3, 0])])
-        counts = Counter({k: len(orders)})
-        counts[2] += 1
-        _, mass = constituent_count_histogram(corpus, cap)
-        assert mass == pytest.approx({j: 100.0 * n / sum(counts.values())
-                                      for j, n in counts.items()})
-        assert len(build_pairwise_dataset(DecomposedCorpus(["s1"], [plan]), cap, 7)) == \
-            len(orders)
 
 
 class TestPairwiseDataset:

@@ -27,6 +27,17 @@ def simulate_logistic(rng, n, beta, intercept=0.0):
     return X, y
 
 
+@st.composite
+def integer_designs(draw):
+    """Small integer designs with many repeated rows, and random labels."""
+    n = draw(st.integers(8, 120))
+    p = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return X, y
+
+
 class TestFitLogistic:
     def test_recovers_known_coefficients(self):
         rng = np.random.default_rng(12)
@@ -79,6 +90,28 @@ class TestFitLogistic:
         assert np.all(np.abs(fit.coefficients - coefficients)
                       <= 1e-6 * np.maximum(np.abs(coefficients), 1e-2))
         assert np.all(np.abs(fit.std_errors - std_errors) <= 1e-6 * std_errors)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(design=integer_designs(), normal=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+           offset=st.integers(-2, 2))
+    def test_separated_fit_is_the_textbook_ridge_fit(self, design, normal, offset):
+        """Labels by the side of a line through the design separate it: a
+        fit that reports separation and converged minimizes the penalized
+        negative log-likelihood under its ridge, as scipy finds it, to 1e-12
+        relative in the objective and 1e-6 in the coefficients."""
+        X, _ = design
+        y = (X @ np.array(normal[:X.shape[1]]) > offset).astype(int)
+        try:
+            fit = fit_logistic(X, y)
+        except RankDeficientError:
+            assume(False)
+        assume(fit.separation and fit.converged)
+        coefficients, _ = oracles.fit_logistic(X, y, fit.ridge)
+        minimum = oracles.penalized_nll(X, y, coefficients, fit.ridge)
+        assert abs(oracles.penalized_nll(X, y, fit.coefficients, fit.ridge) - minimum) \
+            <= 1e-12 * abs(minimum)
+        assert np.all(np.abs(fit.coefficients - coefficients)
+                      <= 1e-6 * np.maximum(np.abs(coefficients), 1.0))
 
     def test_separation_fallback(self):
         X = np.concatenate([-np.ones(20), np.ones(20)])[:, None]
@@ -204,17 +237,6 @@ class TestFitLogistic:
         Z2[:, 1] *= 7.5
         rescaled = oracles.predict_proba(fit_logistic(Z2, y), Z2) > 0.5
         assert np.array_equal(base, rescaled)
-
-
-@st.composite
-def integer_designs(draw):
-    """Small integer designs with many repeated rows, and random labels."""
-    n = draw(st.integers(8, 120))
-    p = draw(st.integers(1, 3))
-    X = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=p, max_size=p),
-                               min_size=n, max_size=n)), dtype=float)
-    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    return X, y
 
 
 def grouped(X, y):
@@ -761,6 +783,20 @@ class TestMcNemar:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mcnemar([0, 1], [0], [0, 1])
+
+    def test_matches_the_textbook_test(self):
+        """Both branches, and the threshold between them, give the p of
+        scipy's binomial test or chi-square survival: every n01, n10 < 60."""
+        for n01 in range(60):
+            for n10 in range(60):
+                truth = np.zeros(n01 + n10 + 3, dtype=int)
+                a, b = truth.copy(), truth.copy()
+                a[:n10] = 1                      # a wrong, b correct
+                b[n10:n10 + n01] = 1             # b wrong, a correct
+                res = mcnemar(a, b, truth)
+                assert (res.n01, res.n10) == (n01, n10)
+                assert math.isclose(res.p_two_tailed, oracles.mcnemar(a, b, truth),
+                                    rel_tol=1e-12)
 
 
 class TestRfecv:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from deplen.constituency import SentencePlan
 from deplen.seeding import derive_rng
 from deplen.variants import (ascending_orders, descending_orders, generate_variants,
-                             least_effort_moves)
+                             least_effort_moves, variant_count)
 
 import oracles
 from oracles import linearize
@@ -69,6 +69,16 @@ class TestGenerateVariants:
     def test_one_constituent_rejected(self):
         with pytest.raises(ValueError, match="fewer than 2 preverbal constituents"):
             generate_variants(1, cap=100)
+
+    @pytest.mark.parametrize("k, cap, message", [
+        (5, 1, "variant cap must be >= 2, got 1"),
+        (1, 1, "variant cap must be >= 2, got 1"),    # the cap is checked first
+        (1, 100, "k = 1: fewer than 2 preverbal constituents")])
+    def test_count_rejects_what_generation_rejects(self, k, cap, message):
+        for fn in (variant_count, generate_variants):
+            with pytest.raises(ValueError) as err:
+                fn(k, cap)
+            assert str(err.value) == message
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), k=st.integers(5, 9), seed=st.integers(0, 2**63))
