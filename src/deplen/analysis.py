@@ -4,6 +4,7 @@ corpus generator for desk-scale validation.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Optional
@@ -50,7 +51,7 @@ TABLE4_ROWS = [
 
 class InsufficientDataError(ValueError):
     """The corpus cannot support a table: too few pairs for it or for its
-    folds, or a row whose predictors are collinear in every pair."""
+    folds, or a table whose predictors are collinear in a training fold."""
 
 
 @dataclass
@@ -255,8 +256,18 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
         np.array(corpus.ids, dtype=str))
 
 
-def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
-                             seed: int = 0, zscore_mode: str = "fold") -> list:
+@contextmanager
+def _collinear_is_insufficient(what: str, predictors):
+    """A RankDeficientError of the fits inside, in any training fold, as an
+    InsufficientDataError naming `what` and its predictors."""
+    try:
+        yield
+    except stats.RankDeficientError:
+        raise InsufficientDataError(f"{what}: its predictors {', '.join(predictors)} "
+                                    "are collinear in this corpus") from None
+
+
+def run_classification_suite(dataset: PairwiseDataset, folds: int = 10, seed: int = 0) -> list:
     """CV accuracy for the dependency-length and constituent-length model
     families, each row McNemar-tested against the previous row of its table.
 
@@ -280,14 +291,9 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10,
         prev_pred = None
         for name, predictors in specs:
             X = np.column_stack([column[p] for p in predictors])
-            try:
-                report = stats.crossval_accuracy(X, y, folds=folds, seed=seed,
-                                                 zscore_mode=zscore_mode)
-            except stats.RankDeficientError:
-                # k = 2 alone: swapping two constituents makes len_last == -len_2ndlast
-                raise InsufficientDataError(
-                    f"{table} row {name!r}: its predictors {', '.join(predictors)} "
-                    "are collinear in this corpus") from None
+            # k = 2 alone: swapping two constituents makes len_last == -len_2ndlast
+            with _collinear_is_insufficient(f"{table} row {name!r}", predictors):
+                report = stats.crossval_accuracy(X, y, folds=folds, seed=seed)
             row = {
                 "table": table,
                 "predictors": name,
@@ -352,7 +358,9 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     names = [f"const{i}_{family}" for i in range(1, k + 1)]
     X, names, dropped = _drop_collinear(X, names)
     if len(names) >= 2:
-        selection = stats.rfecv(X, y, folds=folds, seed=seed, feature_names=names)
+        # full rank over all rows, a training fold's rows can still be collinear
+        with _collinear_is_insufficient(f"{family} regression for k={k}", names):
+            selection = stats.rfecv(X, y, folds=folds, seed=seed, feature_names=names)
         selected, margin = selection.selected, selection.min_margin
         curve = {str(s): a for s, a in sorted(selection.curve.items())}
     else:

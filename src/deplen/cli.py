@@ -80,7 +80,6 @@ def _add_common(p):
     p.add_argument("--k-min", type=_bounded(int, 2), default=2)
     p.add_argument("--k-max", type=_bounded(int, 2), default=6)
     p.add_argument("--folds", type=_bounded(int, 2), default=10)
-    p.add_argument("--zscore", default="fold", choices=["fold", "global"])
     p.add_argument("--random-draws", type=_bounded(int, 1), default=10,
                    help="seeded draws per sentence for random/least-effort curves")
     p.add_argument("--jobs", type=int, default=1, choices=[1], help="the pairwise build is serial")
@@ -362,8 +361,7 @@ def _write_regressions(out: Path, args, run):
 
 
 def _write_suite(out: Path, args, run):
-    rows = analysis.run_classification_suite(
-        run.dataset, folds=args.folds, seed=args.seed, zscore_mode=args.zscore)
+    rows = analysis.run_classification_suite(run.dataset, folds=args.folds, seed=args.seed)
     # manifest key -> table -> predictors -> that row's value
     entries = {"flagged_folds": {}, "unconverged_folds": {}, "min_margin": {}}
     for table, filename in (("table3", "table3_accuracy.csv"),

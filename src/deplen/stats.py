@@ -290,23 +290,21 @@ def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
-                    pooled: bool = False, all_cells: bool = False):
+                    all_cells: bool = False):
     """CV on cells: cell c (design row design[c], label y[c]) is test[c, f]
     rows of fold f's test set; names are the predictors, which a
     RankDeficientError names. Each fold fits its training rows z-scored
-    (see `_standardizing_maps`) by their own statistics, or, `pooled`, by
-    those of every row. With `all_cells`, the stack also fits every row as
-    a fold with no test rows. The report flags the folds that `_fit_folds`
-    fitted under its separation ridge, and lists those whose last fit
-    stopped at MAX_ITER unconverged. Returns a CvReport without
-    predictions, the (cells x folds) test probabilities, and the all-cells
-    fit's coefficients (None without it)."""
+    (see `_standardizing_maps`) by their own statistics. With `all_cells`,
+    the stack also fits every row as a fold with no test rows. The report
+    flags the folds that `_fit_folds` fitted under its separation ridge, and
+    lists those whose last fit stopped at MAX_ITER unconverged. Returns a
+    CvReport without predictions, the (cells x folds) test probabilities,
+    and the all-cells fit's coefficients (None without it)."""
     F = test.shape[1]
     held_out = np.pad(test, ((0, 0), (0, 1))) if all_cells else test
     total = test.sum(axis=1, keepdims=True, dtype=test.dtype)   # no row sum exceeds n
     train = total - held_out
-    maps = _standardizing_maps(design[:, 1:], total if pooled else train)
-    maps = np.broadcast_to(maps, (train.shape[1], *maps.shape[1:]))
+    maps = _standardizing_maps(design[:, 1:], train)
     beta, _, converged, separation = _fit_folds(design, y, train, maps, ["intercept", *names])
     del train
     prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
@@ -318,20 +316,13 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
             prob, beta[F] if all_cells else None)
 
 
-def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10,
-                      seed=0, zscore_mode: str = "fold") -> CvReport:
-    """Seeded shuffled k-fold CV of the logistic model.
-
-    zscore_mode "fold" standardizes each training fold and applies the
-    stored statistics to its test fold; "global" standardizes every fold by
-    the statistics of the full data. Every fold is fitted on its counts of
-    the distinct (row, label) cells.
-    """
-    if zscore_mode not in ("fold", "global"):
-        raise ValueError(f"unknown zscore mode: {zscore_mode!r}")
+def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0) -> CvReport:
+    """Seeded shuffled k-fold CV of the logistic model. Each training fold,
+    and its test fold, is standardized by that training fold's statistics;
+    each fold is fitted on its counts of the distinct (row, label) cells."""
     X, y, names, rep, cell, fold, test = _cv_cells(X, y, folds, seed)
     report, prob, _ = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
-                                      test, names, pooled=zscore_mode == "global")
+                                      test, names)
     report.predictions = (prob[cell, fold] > 0.5).astype(int)
     return report
 

@@ -32,7 +32,7 @@ from deplen.treebank import DependencyTree, to_conllu
 from deplen.variants import generate_variants
 
 import oracles
-from conftest import corpus_of, parse_text, random_tree, traced
+from conftest import corpus_of, heads_tree, parse_text, random_tree, traced
 from test_treebank import CONLLU_FIG3, LINE_ALPHABET
 
 SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
@@ -52,6 +52,17 @@ def spec_corpus(path, sentences, k, seed=1):
     """`sentences` synthetic k-constituent sentences with random references."""
     spec = SyntheticSpec(n_sentences=sentences, k_weights=((k, 1.0),), p_least_effort=0.0)
     path.write_text("\n".join(to_conllu(t) for t in generate_synthetic_corpus(spec, seed=seed)))
+    return path
+
+
+def fold_collinear_corpus(path):
+    """700 verb-final sentences of two 2-word constituents, each head at
+    offset 0 or 1 at random, then one of a 1-word and a 3-word constituent.
+    Equal lengths make the two dl deltas sum to 0; the last sentence makes
+    them independent over all pairs, but not in the training fold without it."""
+    heads = [[5 if off == h else start + h for start, h in ((1, a), (3, b)) for off in (0, 1)]
+             + [0] for a, b in np.random.default_rng(0).integers(0, 2, size=(700, 2)).tolist()]
+    path.write_text("\n".join(to_conllu(heads_tree(h)) for h in [*heads, [5, 5, 2, 3, 0]]))
     return path
 
 
@@ -672,6 +683,18 @@ class TestDegenerateCorpora:
         assert capsys.readouterr().err == f"error: insufficient data: {message}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["fit", "report-all"])
+    def test_fold_collinear_regression_names_family_and_k(self, tmp_path, capsys, command):
+        """Columns independent over all pairs pass `_drop_collinear`; one
+        training fold where they are collinear ends the run in one line."""
+        corpus = fold_collinear_corpus(tmp_path / "c.conllu")
+        out = tmp_path / command
+        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: deplen regression for k=2: its predictors const1_deplen, const2_deplen "
+            "are collinear in this corpus\n")
+        assert list(out.iterdir()) == []
+
     def test_fit_names_only_the_predictors_it_fitted(self, tmp_path):
         """Two one-word constituents: a swap moves no arc and no word count,
         so every positional delta is 0. Each constant column depends on the
@@ -706,7 +729,8 @@ class TestDegenerateCorpora:
                                "INFO deplen: eligible 2 sentences; skipped: {}\n"
                                "INFO deplen: pairwise dataset: 2 examples\n")
 
-    @pytest.mark.parametrize("corpus", ["k2-only", "one-eligible", "folds-above-pairs"])
+    @pytest.mark.parametrize("corpus", ["k2-only", "one-eligible", "folds-above-pairs",
+                                        "fold-collinear"])
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     def test_never_a_traceback(self, tmp_path, capsys, command, corpus):
         """Every corpus subcommand exits 0, or 2 with one line, on corpora
@@ -714,6 +738,8 @@ class TestDegenerateCorpora:
         path, flags = tmp_path / "c.conllu", []
         if corpus == "k2-only":
             spec_corpus(path, 60, k=2)
+        elif corpus == "fold-collinear":
+            fold_collinear_corpus(path)
         elif corpus == "one-eligible":   # beside a verb-initial sentence
             path.write_text(CONLLU_FIG3 + "\n1\tv\t_\t_\t_\t_\t0\troot\t_\t_\n"
                             "2\to\t_\t_\t_\t_\t1\tobj\t_\t_\n")
@@ -733,7 +759,7 @@ class TestDegenerateCorpora:
 ROBUST_CORPUS = "".join(to_conllu(t, f"r{i}") + "\n" for i, t in enumerate(
     generate_synthetic_corpus(SyntheticSpec(n_sentences=12), seed=2)))
 ROBUST_CONFIG = ("# report settings\nseed=3\ncap=20\nrandom-draws=2\nk-min=2\nk-max=6\n"
-                 "zscore=fold\nformat=conllu\nexclude-punct=no\nconvention=intervening\n")
+                 "format=conllu\nexclude-punct=no\nconvention=intervening\n")
 FIELD_VALUES = ["_", "-1", "999", "1.1", "nan"]
 PRODUCT_FILES = {
     "parse": {"parsed.conllu", "diagnostics.csv", "manifest.json"},
@@ -1031,7 +1057,7 @@ class TestConfigFile:
         assert manifest["config"]["seed"] == 0
 
     @pytest.mark.parametrize("line", ["cap=abc", "convention=bogus",
-                                      "zscore=bogus", "format=xml",
+                                      "folds=1", "format=xml",
                                       "exclude-punct=ture", "config=other.cfg",
                                       "caps-lock=1"])
     def test_bad_typed_value_is_data_error(self, corpus_file, tmp_path,
@@ -1058,11 +1084,15 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {key!r}\n"
         assert not out.exists()
 
-    def test_unknown_key_rejected(self, corpus_file, tmp_path):
+    def test_unknown_key_rejected(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("caps_lock=1\n")
-        assert main(["variants", "--corpus", str(corpus_file),
-                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        # --zscore is no option: every CV fit standardizes by its own training fold
+        for line, flag in (("caps_lock=1", "--caps-lock"), ("zscore=global", "--zscore")):
+            cfg.write_text(line + "\n")
+            assert main(["variants", "--corpus", str(corpus_file),
+                         "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == \
+                f"error: {cfg}:1: argument {flag}: unknown config key\n"
 
     def test_non_utf8_file_is_data_error(self, corpus_file, tmp_path, capsys):
         cfg, out = tmp_path / "run.cfg", tmp_path / "o"

@@ -14,7 +14,7 @@ from deplen.variants import (ascending_orders, descending_orders, generate_varia
 
 import oracles
 from oracles import linearize
-from conftest import FIG3_RANDOM_ORDER, eligible_plans, heads_tree, main_verb_dl, random_plans
+from conftest import FIG3_RANDOM_ORDER, eligible_plans, main_verb_dl, random_plans
 
 
 def sequential_variants(k, cap, rng):
