@@ -4,7 +4,6 @@ corpus generator for desk-scale validation.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Optional
@@ -51,7 +50,7 @@ TABLE4_ROWS = [
 
 class InsufficientDataError(ValueError):
     """The corpus cannot support a table: too few pairs for it or for its
-    folds, or a table whose predictors are collinear in a training fold."""
+    folds."""
 
 
 @dataclass
@@ -256,26 +255,16 @@ def build_pairwise_dataset(corpus: DecomposedCorpus, cap: int = variants.DEFAULT
         np.array(corpus.ids, dtype=str))
 
 
-@contextmanager
-def _collinear_is_insufficient(what: str, predictors):
-    """A RankDeficientError of the fits inside, in any training fold, as an
-    InsufficientDataError naming `what` and its predictors."""
-    try:
-        yield
-    except stats.RankDeficientError:
-        raise InsufficientDataError(f"{what}: its predictors {', '.join(predictors)} "
-                                    "are collinear in this corpus") from None
-
-
 def run_classification_suite(dataset: PairwiseDataset, folds: int = 10, seed: int = 0) -> list:
     """CV accuracy for the dependency-length and constituent-length model
     families, each row McNemar-tested against the previous row of its table.
 
     Returns a list of row dicts: table, predictors, accuracy,
     flagged_folds (folds fitted under the separation ridge),
-    unconverged_folds (folds whose fit stopped at MAX_ITER), min_margin (the
-    smallest |p - 0.5| of a test prediction), and mcnemar_p against the
-    previous row (None for first rows).
+    unconverged_folds (folds whose fit stopped at MAX_ITER), held_columns
+    (fold -> predictors dependent in its training rows, held at 0),
+    min_margin (the smallest |p - 0.5| of a test prediction), and mcnemar_p
+    against the previous row (None for first rows).
     """
     if len(dataset) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 pairs")
@@ -291,15 +280,15 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10, seed: in
         prev_pred = None
         for name, predictors in specs:
             X = np.column_stack([column[p] for p in predictors])
-            # k = 2 alone: swapping two constituents makes len_last == -len_2ndlast
-            with _collinear_is_insufficient(f"{table} row {name!r}", predictors):
-                report = stats.crossval_accuracy(X, y, folds=folds, seed=seed)
+            report = stats.crossval_accuracy(X, y, folds=folds, seed=seed,
+                                             feature_names=predictors)
             row = {
                 "table": table,
                 "predictors": name,
                 "accuracy": report.mean_accuracy,
                 "flagged_folds": report.flagged_folds,
                 "unconverged_folds": report.unconverged_folds,
+                "held_columns": report.held_columns,
                 "min_margin": report.min_margin,
                 "mcnemar_p": None,
             }
@@ -311,19 +300,12 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10, seed: in
 
 
 def _drop_collinear(X: np.ndarray, names: list):
-    """Drop leftmost exactly-dependent columns until X has full column rank
-    (intercept included), a constant last column too. Verb-adjacent
-    positions otherwise survive by construction."""
-    design = lambda M: np.column_stack([np.ones(M.shape[0]), M])
-    dropped = []
-    while (rank := np.linalg.matrix_rank(design(X))) < X.shape[1] + 1:
-        for j in range(X.shape[1]):
-            rest = np.delete(X, j, axis=1)
-            if np.linalg.matrix_rank(design(rest)) == rank:
-                X = rest
-                dropped.append(names.pop(j))
-                break
-    return X, names, dropped
+    """Drop the `stats.dependent_columns` of [1, X] over all rows, a
+    constant last column too. Verb-adjacent positions otherwise survive by
+    construction."""
+    dropped = [j - 1 for j in stats.dependent_columns(np.column_stack([np.ones(len(X)), X]))]
+    return (np.delete(X, dropped, axis=1) if dropped else X,
+            [nm for j, nm in enumerate(names) if j not in dropped], [names[j] for j in dropped])
 
 
 def zscore(X: np.ndarray):
@@ -346,8 +328,8 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
                      min_pairs: int = 500) -> dict:
     """RFECV-selected logistic regression over the positional predictors of
     the exactly-k subset (the per-constituent coefficient tables). Where
-    RFECV ran, `rfecv_min_margin` is the smallest |p - 0.5| of its CV test
-    predictions, a fit-health record rather than part of the table."""
+    RFECV ran, `rfecv_min_margin` (the smallest |p - 0.5| of its CV test
+    predictions) and `rfecv_held_columns` are fit-health records, not table."""
     X, y = dataset.positional_matrix(k, family)
     if len(y) < min_pairs:
         return {"k": k, "family": family, "status": "insufficient data",
@@ -359,18 +341,18 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     X, names, dropped = _drop_collinear(X, names)
     if len(names) >= 2:
         # full rank over all rows, a training fold's rows can still be collinear
-        with _collinear_is_insufficient(f"{family} regression for k={k}", names):
-            selection = stats.rfecv(X, y, folds=folds, seed=seed, feature_names=names)
-        selected, margin = selection.selected, selection.min_margin
+        selection = stats.rfecv(X, y, folds=folds, seed=seed, feature_names=names)
+        selected, margin, held = selection.selected, selection.min_margin, selection.held_columns
         curve = {str(s): a for s, a in sorted(selection.curve.items())}
     else:
-        selected, curve, margin = list(names), {}, None
+        selected, curve, margin, held = list(names), {}, None, None
     keep = [j for j, nm in enumerate(names) if nm in selected]
     # not held here: fit_logistic frees the z-scored copy once its design holds it
     fit = stats.fit_logistic(zscore(X[:, keep])[0], y, feature_names=selected)
     return {"k": k, "family": family, "status": "ok", "n": int(len(y)),
             "selected": selected, "dropped_collinear": dropped,
-            "cv_curve": curve, "fit": fit.to_dict(), "rfecv_min_margin": margin}
+            "cv_curve": curve, "fit": fit.to_dict(), "rfecv_min_margin": margin,
+            "rfecv_held_columns": held}
 
 
 # ---------------------------------------------------------------------------

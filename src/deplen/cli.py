@@ -9,6 +9,7 @@ goes to stderr. Exit codes: 0 success, 1 usage error, 2 data error.
 
 import argparse
 import codecs
+import contextlib
 import csv
 import functools
 import hashlib
@@ -19,6 +20,7 @@ import re
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +195,22 @@ def _read_text(path: Path, kind: str, digest=None):
         raise DataError(f"cannot read {kind} {path}: {e.strerror}")
 
 
+def _peak_memory() -> dict:
+    """The process's peak resident memory so far, in MB: `VmHWM` from its
+    own /proc/self/status, or `ru_maxrss` where there is none; and which."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):   # in KiB
+                    return {"peak_rss_mb": int(line.split()[1]) / 1024, "peak_rss_source": "VmHWM"}
+    except OSError:
+        pass
+    import resource    # Unix only: imported where /proc is missing
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # KiB, bytes on macOS
+    return {"peak_rss_mb": peak / (2 ** 20 if sys.platform == "darwin" else 1024),
+            "peak_rss_source": "ru_maxrss"}
+
+
 class _Run:
     """A subcommand's input, read in full before --out is made: the parsed
     trees (`reads` "trees"), the eligible (sentence_id, tree, plan) triples
@@ -207,8 +225,22 @@ class _Run:
 
     def __init__(self, args, reads):
         self.args, self.diagnostics, self.corpus_hash, self.manifest = args, [], None, {}
-        if reads is None:
-            return
+        self.stages = {}    # name -> `stage` record, the manifest's `stages`
+        if reads is not None:
+            with self.stage("ingest"):
+                self._ingest(args, reads)
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Record the block's wall and CPU seconds, and the process's peak
+        memory at its end (`_peak_memory`), as `stages[name]`. A stage run
+        inside another one counts in both."""
+        wall, cpu = time.perf_counter(), time.process_time()
+        yield
+        self.stages[name] = {"wall_s": time.perf_counter() - wall,
+                             "cpu_s": time.process_time() - cpu, **_peak_memory()}
+
+    def _ingest(self, args, reads):
         path = Path(args.corpus)
         if not path.exists():
             raise DataError(f"corpus file not found: {path}")
@@ -241,7 +273,8 @@ class _Run:
     def dataset(self) -> analysis.PairwiseDataset:
         """The corpus's pairwise dataset, built on first use; it adds `pairs`
         to the manifest entries and logs `pairwise dataset: N examples`."""
-        dataset = analysis.build_pairwise_dataset(self.corpus, self.args.cap, self.args.seed)
+        with self.stage("pairwise"):
+            dataset = analysis.build_pairwise_dataset(self.corpus, self.args.cap, self.args.seed)
         log.info("pairwise dataset: %d examples", len(dataset))
         self.manifest["pairs"] = len(dataset)
         return dataset
@@ -349,21 +382,23 @@ def _write_features(out: Path, args, run):
 
 
 def _write_regressions(out: Path, args, run):
-    margins = {}
+    margins, held = {}, {}
     for family, filename in (("deplen", "table1_regression.json"),
                              ("length", "table2_regression.json")):
         per_k = {str(k): analysis.regression_table(
                      run.dataset, k, family, folds=args.folds, seed=args.seed)
                  for k in range(args.k_min, args.k_max + 1)}
         margins[family] = {k: table.pop("rfecv_min_margin", None) for k, table in per_k.items()}
+        held[family] = {k: table.pop("rfecv_held_columns", None) for k, table in per_k.items()}
         (out / filename).write_text(json.dumps(per_k, indent=2))
-    return {"rfecv_min_margin": margins}
+    return {"rfecv_min_margin": margins, "rfecv_held_columns": held}
 
 
 def _write_suite(out: Path, args, run):
     rows = analysis.run_classification_suite(run.dataset, folds=args.folds, seed=args.seed)
     # manifest key -> table -> predictors -> that row's value
-    entries = {"flagged_folds": {}, "unconverged_folds": {}, "min_margin": {}}
+    entries = {"flagged_folds": {}, "held_columns": {}, "unconverged_folds": {},
+               "min_margin": {}}
     for table, filename in (("table3", "table3_accuracy.csv"),
                             ("table4", "table4_accuracy.csv")):
         table_rows = [r for r in rows if r["table"] == table]
@@ -405,7 +440,8 @@ PRODUCTS = {
 def _run(args):
     """All of the subcommand's products or none: its writers write into a
     temporary directory under --out, and the products are moved into place,
-    the manifest last, once every one of them is written."""
+    the manifest last, once every one of them is written. Each writer is a
+    stage named after it, and the manifest's write is the `write` stage."""
     reads, writers = PRODUCTS[args.command]
     run = _Run(args, reads)
     out = _outdir(args)
@@ -413,10 +449,15 @@ def _run(args):
     try:
         entries = {}
         for write in writers:
-            entries.update(write(staging, args, run) or {})
+            with run.stage(write.__name__.removeprefix("_write_")):
+                entries.update(write(staging, args, run) or {})
         config = {k: v for k, v in vars(args).items() if k != "config"}
-        manifest = {"version": __version__, "config": config,
-                    "corpus_sha256": run.corpus_hash, **run.manifest, **entries}
+        manifest = {"version": __version__, "config": config, "corpus_sha256": run.corpus_hash,
+                    "stages": run.stages, **run.manifest, **entries}
+        # the write is timed without its own record, then done again with it,
+        # both before any move: a failed write leaves no product behind
+        with run.stage("write"):
+            (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         for path in sorted(staging.iterdir(), key=lambda p: p.name == "manifest.json"):
             path.replace(out / path.name)

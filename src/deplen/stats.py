@@ -7,7 +7,8 @@ coefficient change drops below 1e-8, standard errors from the inverse
 observed information. A fit that does not converge unpenalized, because
 it climbs past a coefficient bound or runs out of iterations, is separated
 and fitted again from zero under a small ridge: the one separation rule of
-the one IRLS loop, `_fit_folds`.
+the one IRLS loop, `_fit_folds`, which also holds at 0 a coefficient whose
+column is constant or dependent in its fit's rows.
 """
 
 import math
@@ -22,6 +23,7 @@ __all__ = [
     "McNemarResult",
     "RfecvResult",
     "RankDeficientError",
+    "dependent_columns",
     "fit_logistic",
     "crossval_accuracy",
     "mcnemar",
@@ -75,15 +77,15 @@ def _sigmoid(eta):
     return np.divide(1.0, eta, out=eta)
 
 
-def _check_rank(X: np.ndarray, names) -> None:
-    rank = np.linalg.matrix_rank(X)
-    if rank < X.shape[1]:
-        # name the columns loading on the null space
-        _, _, vt = np.linalg.svd(X, full_matrices=False)
-        null = np.abs(vt[-1])
-        guilty = [names[j] for j in np.flatnonzero(null > 0.1)]
-        raise RankDeficientError(
-            f"design matrix is rank deficient; collinear columns: {guilty}")
+def dependent_columns(design: np.ndarray) -> list:
+    """The one rule for dependent columns: while the columns left are rank
+    deficient, remove the leftmost, never column 0 (the intercept), whose
+    removal keeps their rank. The indices removed, ascending."""
+    keep, rank = list(range(design.shape[1])), np.linalg.matrix_rank(design)
+    while len(keep) > rank:
+        keep.remove(next(j for j in keep[1:]
+                         if np.linalg.matrix_rank(design[:, [i for i in keep if i != j]]) == rank))
+    return sorted(set(range(design.shape[1])) - set(keep))
 
 
 def _grams(design: np.ndarray, counts: np.ndarray, triu, mu) -> np.ndarray:
@@ -121,7 +123,7 @@ def _hessians(design: np.ndarray, counts: np.ndarray, maps: np.ndarray, triu,
     return hess
 
 
-def _fit_folds(design, y, weights, maps, names):
+def _fit_folds(design, y, weights, maps):
     """F logit fits of one design by one stacked IRLS loop, which a fit
     leaves once its step is below TOL or after MAX_ITER steps. Fit f weights
     the rows by weights[:, f] and solves for the coefficients that maps[f]
@@ -132,12 +134,11 @@ def _fit_folds(design, y, weights, maps, names):
     iteration count of its own; so the loop runs at most 2 x MAX_ITER trips.
     A fit whose weighted rows hold one label, which has no finite maximum
     either, takes the same climb. Returns (beta, iterations, converged,
-    separation) per fit.
+    separation, held) per fit.
 
-    A fit whose rows (weights[:, f] > 0) are rank deficient in the
-    coordinates of maps[f], less the columns that map drops, raises
-    RankDeficientError before any step, naming its collinear columns from
-    `names`, the design's columns, intercept first."""
+    A coefficient whose map column is 0, a constant column's, stays at 0
+    (see `_hessians`); so, from the first step, do held[f], the
+    `dependent_columns` of fit f's rows (weights[:, f] > 0) under maps[f]."""
     F, q = weights.shape[1], design.shape[1]
     triu = np.triu_indices(q)
     beta, iterations, start = np.zeros((F, q)), np.zeros(F, dtype=int), np.zeros(F, dtype=int)
@@ -149,11 +150,15 @@ def _fit_folds(design, y, weights, maps, names):
         hess = _hessians(design, wts, fold_maps, triu, mu)
         if trip == 1:
             # at mu = 0.5 this is the Gram matrix / 4: one far from singular
-            # means a full-rank fit; check the rest on their rows
+            # means a full-rank fit; hold the rest's dependent columns
+            held = [[] for _ in range(F)]
             for f in np.flatnonzero(np.linalg.cond(hess) > 1e8):
-                kept = maps[f].any(axis=0)
-                _check_rank((design[weights[:, f] > 0] @ maps[f])[:, kept],
-                            [name for name, keep in zip(names, kept) if keep])
+                kept = np.flatnonzero(maps[f].any(axis=0))
+                rows = (design[weights[:, f] > 0] @ maps[f])[:, kept]
+                held[f] = kept[dependent_columns(rows)].tolist()
+            if any(held):
+                maps = fold_maps = maps * [[~np.isin(np.arange(q), h)] for h in held]
+                hess = _hessians(design, wts, fold_maps, triu, mu)
         np.subtract(y[:, None], mu, out=mu)    # the one (cells x fits) buffer
         mu *= wts
         grad = (design.T @ mu).T
@@ -173,7 +178,7 @@ def _fit_folds(design, y, weights, maps, names):
         iterations[live[done]] = it[done]
         if not (live := live[~done]).size:
             break
-    return beta, iterations, converged, separation
+    return beta, iterations, converged, separation, held
 
 
 def _columns(X) -> np.ndarray:
@@ -204,13 +209,17 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
                  feature_names: Optional[Sequence] = None) -> RegressionFit:
     """Maximum-likelihood logit fit via IRLS. X excludes the intercept
     column, which is added internally; a separated fit (see `_fit_folds`)
-    reports its ridge, which its Wald information carries."""
+    reports its ridge, which its Wald information carries. A rank-deficient
+    X raises RankDeficientError, naming the columns a CV fit would hold."""
     X, y, names = _inputs(X, y, feature_names, float)
     design = np.column_stack([np.ones(len(y)), X])
     del X    # the design holds the columns now: a temporary X is freed
     weights, maps = np.ones((len(y), 1)), np.eye(design.shape[1])[None]
-    beta, iterations, converged, separation = (
-        v[0] for v in _fit_folds(design, y, weights, maps, ["intercept", *names]))
+    beta, iterations, converged, separation, held = (
+        v[0] for v in _fit_folds(design, y, weights, maps))
+    if held:
+        raise RankDeficientError("design matrix is rank deficient; dependent columns: "
+                                 f"{[names[j - 1] for j in held]}")
     ridge = SEPARATION_RIDGE if separation else 0.0
     mu = _sigmoid(design @ beta)
     info = _grams(design, weights, None, mu[:, None])[0] + ridge * np.eye(design.shape[1])
@@ -230,6 +239,7 @@ class CvReport:
     flagged_folds: list = field(default_factory=list)
     min_margin: float = math.inf    # smallest |p - 0.5| over the test predictions
     unconverged_folds: list = field(default_factory=list)   # stopped at MAX_ITER
+    held_columns: dict = field(default_factory=dict)    # fold -> names held at 0 as dependent
 
 
 def _distinct_cells(X: np.ndarray, y: np.ndarray):
@@ -292,35 +302,36 @@ def _standardizing_maps(X: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
                     all_cells: bool = False):
     """CV on cells: cell c (design row design[c], label y[c]) is test[c, f]
-    rows of fold f's test set; names are the predictors, which a
-    RankDeficientError names. Each fold fits its training rows z-scored
-    (see `_standardizing_maps`) by their own statistics. With `all_cells`,
-    the stack also fits every row as a fold with no test rows. The report
-    flags the folds that `_fit_folds` fitted under its separation ridge, and
-    lists those whose last fit stopped at MAX_ITER unconverged. Returns a
-    CvReport without predictions, the (cells x folds) test probabilities,
-    and the all-cells fit's coefficients (None without it)."""
+    rows of fold f's test set; names are the predictors. Each fold fits its
+    training rows z-scored (see `_standardizing_maps`) by their own
+    statistics. With `all_cells`, the stack also fits every row as a fold
+    with no test rows. The report lists the folds that `_fit_folds` fitted
+    under its separation ridge, or stopped at MAX_ITER, and held columns in.
+    Returns a CvReport without predictions, the (cells x folds) test
+    probabilities, and the all-cells fit's coefficients (None without it)."""
     F = test.shape[1]
     held_out = np.pad(test, ((0, 0), (0, 1))) if all_cells else test
     total = test.sum(axis=1, keepdims=True, dtype=test.dtype)   # no row sum exceeds n
     train = total - held_out
     maps = _standardizing_maps(design[:, 1:], train)
-    beta, _, converged, separation = _fit_folds(design, y, train, maps, ["intercept", *names])
+    beta, _, converged, separation, held = _fit_folds(design, y, train, maps)
     del train
     prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
     accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)
     return (CvReport(accuracies, float(accuracies.mean()), None,
                      np.flatnonzero(separation[:F]).tolist(),
                      float(np.abs(prob[test > 0] - 0.5).min()),
-                     np.flatnonzero(~converged[:F]).tolist()),
+                     np.flatnonzero(~converged[:F]).tolist(),
+                     {f: [names[j - 1] for j in h] for f, h in enumerate(held[:F]) if h}),
             prob, beta[F] if all_cells else None)
 
 
-def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0) -> CvReport:
+def crossval_accuracy(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
+                      feature_names: Optional[Sequence] = None) -> CvReport:
     """Seeded shuffled k-fold CV of the logistic model. Each training fold,
     and its test fold, is standardized by that training fold's statistics;
     each fold is fitted on its counts of the distinct (row, label) cells."""
-    X, y, names, rep, cell, fold, test = _cv_cells(X, y, folds, seed)
+    X, y, names, rep, cell, fold, test = _cv_cells(X, y, folds, seed, feature_names)
     report, prob, _ = _crossval_cells(np.column_stack([np.ones(len(rep)), X[rep]]), y[rep],
                                       test, names)
     report.predictions = (prob[cell, fold] > 0.5).astype(int)
@@ -369,6 +380,7 @@ class RfecvResult:
     curve: dict                          # size -> mean CV accuracy
     sets_by_size: dict                   # size -> feature names evaluated
     min_margin: float = math.inf         # smallest CvReport.min_margin of the curve
+    held_columns: dict = field(default_factory=dict)    # size -> its CvReport.held_columns
 
 
 def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray, names):
@@ -384,7 +396,7 @@ def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray, names):
                                       all_cells=design.shape[1] > 2)
     if beta is None:
         return report, 0
-    # a constant column's map column is 0: held at 0, it goes first
+    # a constant or dependent column is held at 0: it goes first
     return report, int(np.argmin(np.abs(beta[1:])))
 
 
@@ -403,17 +415,19 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
         raise ValueError("rfecv needs at least 2 candidate features")
     X, y, names, rep, _, _, test = _cv_cells(X, y, folds, seed, feature_names)
     active = list(range(X.shape[1]))
-    curve, sets_by_size, margin = {}, {}, math.inf
+    curve, sets_by_size, margin, held = {}, {}, math.inf, {}
     while active:
         sets_by_size[len(active)] = [names[j] for j in active]
         report, weakest = _rfecv_step(X[np.ix_(rep, active)], y[rep], test,
                                       sets_by_size[len(active)])
         curve[len(active)] = report.mean_accuracy
         margin = min(margin, report.min_margin)
+        if report.held_columns:
+            held[len(active)] = report.held_columns
         active.pop(weakest)
     best = max(curve.values())
     chosen_size = min(s for s, acc in curve.items() if acc >= best - 1e-9)
-    return RfecvResult(sets_by_size[chosen_size], curve, sets_by_size, margin)
+    return RfecvResult(sets_by_size[chosen_size], curve, sets_by_size, margin, held)
 
 
 def pearson(x, y) -> float:

@@ -12,10 +12,10 @@ from scipy.special import expit
 from scipy.stats import binomtest, chi2
 
 from deplen import features, variants
-from deplen.analysis import STRATEGIES, PairwiseDataset
+from deplen.analysis import STRATEGIES, PairwiseDataset, zscore
 from deplen.constituency import Ineligible, SentencePlan
 from deplen.seeding import derive_rng
-from deplen.stats import _sigmoid
+from deplen.stats import _sigmoid, fit_logistic as irls_fit
 from deplen.treebank import DependencyTree, _root_walk
 
 
@@ -269,7 +269,8 @@ def penalized_nll(X, y, beta, ridge=0.0):
 def fit_logistic(X, y, ridge=0.0):
     """The logit fit of y on [1, X] that minimizes `penalized_nll`, the
     maximum-likelihood fit at ridge 0, by the textbook route: scipy's
-    trust-exact minimum, from its analytic gradient and Hessian. Returns the
+    trust-exact minimum, from its analytic gradient and Hessian, then Newton
+    steps on them while they shrink the gradient. Returns the
     coefficients, intercept first, and their standard errors, the square
     roots of the diagonal of the inverse Hessian at that minimum."""
     design = np.column_stack([np.ones(len(y)), np.asarray(X, dtype=float)])
@@ -286,7 +287,71 @@ def fit_logistic(X, y, ridge=0.0):
     # of 1e-9 can leave a coefficient 1e-3 from the minimum
     beta = minimize(lambda beta: penalized_nll(X, y, beta, ridge), np.zeros(design.shape[1]),
                     jac=grad, hess=hess, method="trust-exact", options={"gtol": 1e-12}).x
+    # where the objective's float64 rounding hides a reduction, as on a
+    # quasi-separated ridge fit, the gradient still shows it: Newton steps
+    # while they shrink it
+    for _ in range(10):
+        polished = beta - np.linalg.solve(hess(beta), grad(beta))
+        if np.abs(grad(polished)).max() >= np.abs(grad(beta)).max():
+            break
+        beta = polished
     # a stop for want of a measurable reduction is the minimum, to rounding
     if np.abs(grad(beta)).max() > 1e-6:
         raise ArithmeticError("oracle fit stopped short of a minimum")
     return beta, np.sqrt(np.diag(np.linalg.inv(hess(beta))))
+
+
+def dependent_columns(design) -> list:
+    """`stats.dependent_columns` as the basis that it leaves: column 0 (the
+    intercept), then each column from the right that raises the rank of
+    those kept so far. The rest, ascending, are the columns held."""
+    kept = [0]
+    for j in range(design.shape[1] - 1, 0, -1):
+        if np.linalg.matrix_rank(design[:, [*kept, j]]) > np.linalg.matrix_rank(design[:, kept]):
+            kept.append(j)
+    return [j for j in range(1, design.shape[1]) if j not in kept]
+
+
+def crossval_all_rows(X, y, folds, seed, zscore_mode):
+    """The fold loop fitted on every training row: the reference for the
+    grouped fits of `stats.crossval_accuracy`. zscore_mode "fold"
+    standardizes each training fold by its own statistics, as
+    crossval_accuracy does; "global" standardizes every row by those of all
+    rows. An unpenalized logit MLE is equivariant under that affine change,
+    so both predict the same labels. Each fold leaves out the columns
+    constant in its training rows, then the `dependent_columns` of the rest,
+    and fits what is left with `stats.fit_logistic`, whose separation flag
+    gives the flagged folds. Returns the fold accuracies, the predictions,
+    the flagged folds, and {fold: names of its dependent columns}."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = len(y)
+    names = np.array([f"x{j}" for j in range(X.shape[1])])   # as the fits name them
+    if zscore_mode == "global":
+        X, kept = zscore(X)
+        names = names[kept]
+    perm = np.random.default_rng(seed).permutation(n)
+    accuracies, predictions, flagged, held = np.empty(folds), np.empty(n, dtype=int), [], {}
+    for f, test_idx in enumerate(np.array_split(perm, folds)):
+        train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
+        Xtr, Xte = X[train_idx], X[test_idx]
+        mean, sd = Xtr.mean(axis=0), Xtr.std(axis=0, ddof=1)
+        kept = np.flatnonzero(np.ptp(Xtr, axis=0) > 0)
+        if zscore_mode == "fold":   # the test fold by the training fold's statistics
+            Xtr, Xte = ((M[:, kept] - mean[kept]) / sd[kept] for M in (Xtr, Xte))
+        else:
+            Xtr, Xte = Xtr[:, kept], Xte[:, kept]
+        dependent = [j - 1 for j in dependent_columns(np.column_stack([np.ones(len(Xtr)), Xtr]))]
+        if dependent:
+            held[f] = names[kept[dependent]].tolist()
+            Xtr, Xte, kept = (np.delete(M, dependent, axis=-1) for M in (Xtr, Xte, kept))
+        ytr = y[train_idx]
+        fit = irls_fit(Xtr, ytr, feature_names=names[kept].tolist())
+        # a training fold of one label is separated: crossval_accuracy flags it
+        assert fit.separation or ytr.min() < ytr.max()
+        if fit.separation:
+            flagged.append(f)
+        pred = (predict_proba(fit, Xte) > 0.5).astype(int)
+        predictions[test_idx] = pred
+        accuracies[f] = np.mean(pred == y[test_idx])
+    return accuracies, predictions, flagged, held

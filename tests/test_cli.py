@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import deplen
-from deplen import analysis, cli, features, seeding, treebank, variants
+from deplen import analysis, cli, features, seeding, stats, treebank, variants
 from deplen.analysis import (TABLE3_ROWS, TABLE4_ROWS, PairwiseDataset, SyntheticSpec,
                              eligible_plans, generate_synthetic_corpus)
 from deplen.cli import main
@@ -540,8 +540,8 @@ class TestReportAll:
     def test_each_subcommand_writes_its_products_as_report_all_does(self, tmp_path):
         """One writer per product: a subcommand's products are byte-equal to
         report-all's of the same name, and every key that its manifest shares
-        with report-all's has the same value, apart from the output directory
-        and the subcommand's name."""
+        with report-all's has the same value, apart from the output directory,
+        the subcommand's name and the stage timings."""
         corpus = tmp_path / "bad-first.conllu"
         corpus.write_text("1\tx\t_\t_\t_\t_\tzz\tdep\t_\t_\n\n"
                           + synth_corpus(tmp_path, sentences=40).read_text())
@@ -552,7 +552,7 @@ class TestReportAll:
 
         def manifest(command):
             manifest = json.loads((tmp_path / command / "manifest.json").read_text())
-            del manifest["config"]["out"], manifest["config"]["command"]
+            del manifest["config"]["out"], manifest["config"]["command"], manifest["stages"]
             return manifest
 
         for command in products:
@@ -593,6 +593,23 @@ class TestReportAll:
         assert sorted(path.name for path in out.iterdir()) == sorted(before)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_failed_manifest_write_leaves_the_previous_products(self, corpus_file, tmp_path):
+        """A rerun whose manifest cannot be written (a full disk), after its
+        stages are timed, moves none of its products into place."""
+        out = tmp_path / "o"
+        assert main(["variants", "--corpus", str(corpus_file), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        write_text = Path.write_text
+
+        def manifest_fails(path, *args, **kwargs):
+            if path.name == "manifest.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, *args, **kwargs)
+
+        with mock.patch.object(Path, "write_text", manifest_fails), pytest.raises(OSError):
+            main(["variants", "--corpus", str(corpus_file), "--cap", "2", "--out", str(out)])
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_manifest_records_flagged_folds(self, tmp_path):
         corpus = synth_corpus(tmp_path, sentences=60)
         for command in ("classify", "report-all"):
@@ -631,6 +648,36 @@ class TestReportAll:
                    if tables[k]["status"] != "ok")
         assert not any("rfecv_min_margin" in table for table in tables.values())
 
+    @pytest.mark.parametrize("command, stages", [
+        ("report-all", ["ingest", "diagnostics", "figures", "curves", "pairwise", "regressions",
+                        "suite", "write"]),
+        ("fit", ["ingest", "pairwise", "regressions", "write"]),
+        ("synth", ["synthetic", "write"])])
+    def test_manifest_records_stages(self, tmp_path, command, stages):
+        """Each stage's wall and CPU seconds, and the peak memory at its end,
+        which never falls: the pairwise build ends inside the first writer
+        that reads it, and the manifest's write is the last stage."""
+        corpus = synth_corpus(tmp_path, sentences=30)
+        out = tmp_path / "o"
+        assert main([command, "--corpus", str(corpus), "--folds", "3", "--out", str(out)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["stages"]
+        assert sorted(recorded) == sorted(stages)
+        assert all(record["wall_s"] >= 0 and record["cpu_s"] >= 0
+                   and record["peak_rss_source"] == "VmHWM" for record in recorded.values())
+        peaks = [recorded[name]["peak_rss_mb"] for name in stages]
+        assert 0 < peaks[0] and peaks == sorted(peaks)
+
+    def test_peak_memory_without_proc_is_ru_maxrss(self, monkeypatch):
+        """Where /proc/self/status cannot be read, the peak is ru_maxrss, in
+        the same unit: this process's high-water mark either way."""
+        vmhwm = cli._peak_memory()
+        def no_proc(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        fallback = cli._peak_memory()
+        assert (vmhwm["peak_rss_source"], fallback["peak_rss_source"]) == ("VmHWM", "ru_maxrss")
+        assert abs(fallback["peak_rss_mb"] - vmhwm["peak_rss_mb"]) <= 0.05 * vmhwm["peak_rss_mb"]
+
     def test_single_k_corpus_null_correlation(self, tmp_path):
         spec = SyntheticSpec(n_sentences=30, k_weights=((3, 1.0),))
         corpus = tmp_path / "k3.conllu"
@@ -659,15 +706,17 @@ class TestReportAll:
 
 class TestDegenerateCorpora:
     @pytest.mark.parametrize("command", ["classify", "report-all"])
-    def test_k2_only_corpus_names_collinear_row(self, tmp_path, capsys, command):
-        # swapping two constituents makes len_last exactly -len_2ndlast
+    def test_k2_only_corpus_names_collinear_row(self, tmp_path, command):
+        """Swapping two constituents makes len_last exactly -len_2ndlast: the
+        row of both holds len_last, the leftmost, at 0 in every fold, and the
+        manifest names it."""
         corpus = spec_corpus(tmp_path / "k2.conllu", 60, k=2)
         out = tmp_path / command
-        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: table4 row 'last + 2nd last preverbal constituent length': "
-            "its predictors len_last, len_2ndlast are collinear in this corpus\n")
-        assert list(out.iterdir()) == []
+        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 0
+        held = json.loads((out / "manifest.json").read_text())["held_columns"]
+        both = "last + 2nd last preverbal constituent length"
+        assert held["table4"].pop(both) == {str(f): ["len_last"] for f in range(10)}
+        assert all(folds == {} for table in held.values() for folds in table.values())
 
     @pytest.mark.parametrize("command, sentences, k, folds, message", [
         ("classify", 2, 2, 10, "2 pairs for 10 folds"),
@@ -684,16 +733,47 @@ class TestDegenerateCorpora:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["fit", "report-all"])
-    def test_fold_collinear_regression_names_family_and_k(self, tmp_path, capsys, command):
-        """Columns independent over all pairs pass `_drop_collinear`; one
-        training fold where they are collinear ends the run in one line."""
+    def test_fold_collinear_regression_names_family_and_k(self, tmp_path, command):
+        """Columns independent over all pairs pass `_drop_collinear`; in the
+        one training fold where they are collinear, RFECV's first size holds
+        the leftmost at 0, and the manifest names the family, k, size, fold
+        and column."""
         corpus = fold_collinear_corpus(tmp_path / "c.conllu")
         out = tmp_path / command
-        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: deplen regression for k=2: its predictors const1_deplen, const2_deplen "
-            "are collinear in this corpus\n")
-        assert list(out.iterdir()) == []
+        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 0
+        held = json.loads((out / "manifest.json").read_text())["rfecv_held_columns"]
+        assert held["deplen"].pop("2") == {"2": {"1": ["const1_deplen"]}}
+        assert all(per_k is None for family in held.values() for per_k in family.values())
+        table = json.loads((out / "table1_regression.json").read_text())["2"]
+        assert table["status"] == "ok" and table["dropped_collinear"] == []
+
+    @pytest.mark.parametrize("command", ["fit", "classify", "report-all"])
+    def test_held_folds_fit_their_other_columns(self, tmp_path, monkeypatch, command):
+        """On the fold-collinear corpus every fit that holds a column has the
+        textbook fit's coefficients on its other columns, in its map's
+        coordinates, to 1e-6 relative; the held ones are 0."""
+        fits, fit_folds = [], stats._fit_folds
+        def recorded(design, y, weights, maps):
+            fits.append((design, y, weights, maps, fit_folds(design, y, weights, maps)))
+            return fits[-1][-1]
+        monkeypatch.setattr(stats, "_fit_folds", recorded)
+        corpus = fold_collinear_corpus(tmp_path / "c.conllu")
+        assert main([command, "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 0
+        checked = 0
+        for design, y, weights, maps, (beta, _, converged, separation, held) in fits:
+            for f in (f for f, columns in enumerate(held) if columns):
+                kept = [j for j in range(1, design.shape[1])
+                        if maps[f][:, j].any() and j not in held[f]]
+                counts = weights[:, f].astype(int)
+                assert converged[f]
+                want, _ = oracles.fit_logistic(
+                    np.repeat((design @ maps[f])[:, kept], counts, axis=0), np.repeat(y, counts),
+                    stats.SEPARATION_RIDGE if separation[f] else 0.0)
+                got = beta[f, [0, *kept]]
+                assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(np.abs(want), 1e-2))
+                assert not beta[f, held[f]].any()
+                checked += 1
+        assert checked == {"fit": 1, "classify": 10, "report-all": 11}[command]
 
     def test_fit_names_only_the_predictors_it_fitted(self, tmp_path):
         """Two one-word constituents: a swap moves no arc and no word count,
@@ -974,6 +1054,7 @@ class TestConvention:
         for name in names:
             if name == "manifest.json":
                 ma, mb = (json.loads((out / name).read_text()) for out in (a, b))
+                ma.pop("stages"), mb.pop("stages")    # timings differ from run to run
                 ca, cb = ma.pop("config"), mb.pop("config")
                 assert (ca.pop("convention"), cb.pop("convention")) == ("intervening",
                                                                         "positional")

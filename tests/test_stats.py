@@ -161,15 +161,15 @@ class TestFitLogistic:
         rng = np.random.default_rng(1)
         x = rng.normal(size=200)
         y = (rng.random(200) < 0.5).astype(int)
-        cases = [(np.column_stack([x, 2 * x]), ["a", "a_doubled"], ["a", "a_doubled"]),
-                 (np.column_stack([x, 2 * x]), None, ["x0", "x1"]),
-                 (np.column_stack([x, np.full(200, 3.0)]), ["x", "flat"], ["intercept", "flat"]),
-                 (np.column_stack([x, x + 1.0, rng.normal(size=200)]), None,
-                  ["intercept", "x0", "x1"])]
+        # the columns that a CV fit would hold at 0: the leftmost dependent ones
+        cases = [(np.column_stack([x, 2 * x]), ["a", "a_doubled"], ["a"]),
+                 (np.column_stack([x, 2 * x]), None, ["x0"]),
+                 (np.column_stack([x, np.full(200, 3.0)]), ["x", "flat"], ["flat"]),
+                 (np.column_stack([x, x + 1.0, rng.normal(size=200)]), None, ["x0"])]
         for X, names, guilty in cases:
             with pytest.raises(RankDeficientError) as err:
                 fit_logistic(X, y, feature_names=names)
-            assert str(err.value) == f"design matrix is rank deficient; collinear columns: {guilty}"
+            assert str(err.value) == f"design matrix is rank deficient; dependent columns: {guilty}"
 
     def test_full_rank_fit_skips_the_svd(self, monkeypatch):
         """A well-conditioned design passes the Gram prefilter, so the rank
@@ -254,15 +254,14 @@ class TestWeightedFit:
         Xg, yg, counts = grouped(X, y)
         cells = np.column_stack([np.ones(len(yg)), Xg])
         names = ["intercept", *(f"x{j}" for j in range(X.shape[1]))]
-        grouped_fit = lambda: _fit_folds(cells, yg, counts[:, None].astype(float),
-                                         np.eye(cells.shape[1])[None], names)
-        try:
-            full = fit_logistic(X, y)
-        except RankDeficientError:
-            with pytest.raises(RankDeficientError):
-                grouped_fit()
+        beta, iterations, converged, separation, held = (
+            v[0] for v in _fit_folds(cells, yg, counts[:, None].astype(float),
+                                     np.eye(cells.shape[1])[None]))
+        if held:   # the columns that the fit on every row names
+            with pytest.raises(RankDeficientError, match=re.escape(str([names[j] for j in held]))):
+                fit_logistic(X, y)
             return
-        beta, iterations, converged, separation = (v[0] for v in grouped_fit())
+        full = fit_logistic(X, y)
         assert (bool(converged), bool(separation)) == (full.converged, full.separation)
         assert iterations == full.iterations
         mu = 1.0 / (1.0 + np.exp(-(cells @ beta)))
@@ -326,25 +325,29 @@ class TestStackedFits:
     @example(case=quasi_separated((2, 3, 0)))    # one label
     @example(case=STAGGERED_SEPARATION)
     def test_stacked_fits_equal_one_fold_fits(self, case):
-        # each stacked fit on cell counts is the fit on the rows they repeat
+        """Each stacked fit on cell counts is the fit on the rows they
+        repeat. A fit that holds columns at 0 is the fit on its other
+        columns, and names the columns whose RankDeficientError the fit on
+        all of them raises."""
         X, y, counts = case
         design = np.column_stack([np.ones(len(y)), X])
         folds, q = counts.shape[1], design.shape[1]
-        stacked_fit = lambda: _fit_folds(design, y, counts,
-                                         np.broadcast_to(np.eye(q), (folds, q, q)),
-                                         ["intercept", *(f"x{j}" for j in range(q - 1))])
-        try:
-            fits = [fit_logistic(np.repeat(X, c, axis=0), np.repeat(y, c)) for c in counts.T]
-        except RankDeficientError:
-            with pytest.raises(RankDeficientError):
-                stacked_fit()
-            return
-        beta, iterations, converged, separation = stacked_fit()
-        for f, fit in enumerate(fits):
+        beta, iterations, converged, separation, held = _fit_folds(
+            design, y, counts, np.broadcast_to(np.eye(q), (folds, q, q)))
+        for f, c in enumerate(counts.T):
+            rows, labels = np.repeat(X, c, axis=0), np.repeat(y, c)
+            assert held[f] == oracles.dependent_columns(np.repeat(design, c, axis=0))
+            kept = [j for j in range(q) if j not in held[f]]
+            if held[f]:
+                with pytest.raises(RankDeficientError,
+                                   match=re.escape(str([f"x{j - 1}" for j in held[f]]))):
+                    fit_logistic(rows, labels)
+                assert not beta[f, held[f]].any()
+            fit = fit_logistic(rows[:, [j - 1 for j in kept[1:]]], labels)
             assert (iterations[f], converged[f], separation[f]) == (
                 fit.iterations, fit.converged, fit.separation)
             assert converged[f] or separation[f]    # no unpenalized fit ends unconverged
-            assert np.allclose(beta[f], fit.coefficients, rtol=1e-9, atol=1e-9)
+            assert np.allclose(beta[f, kept], fit.coefficients, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=separating_fits(), standardized=st.booleans())
@@ -361,13 +364,10 @@ class TestStackedFits:
         folds, q = counts.shape[1], design.shape[1]
         maps = (stats._standardizing_maps(X, counts) if standardized
                 else np.broadcast_to(np.eye(q), (folds, q, q)))
-        try:
-            beta, iterations, converged, separation = _fit_folds(
-                design, y, counts, maps, ["intercept", *(f"x{j}" for j in range(q - 1))])
-        except RankDeficientError:
-            return
+        beta, iterations, converged, separation, held = _fit_folds(design, y, counts, maps)
         for f in np.flatnonzero(separation):
             Z, w = design @ maps[f], counts[:, f]
+            Z[:, held[f]] = 0.0    # held at 0, as a zero map column is
             want = ridge_newton(Z, y, w)
             assert (iterations[f], converged[f]) == want[1:]
             # the two summation orders part by up to ~1e-6 on ill-conditioned fits
@@ -448,8 +448,7 @@ class TestGramKernel:
         y = (rng.random(cells) < 1.0 / (1.0 + np.exp(-X @ np.linspace(-1, 1, 6)))).astype(float)
         counts = rng.integers(0, 3, size=(cells, folds)).astype(float)
         maps = np.broadcast_to(np.eye(7), (folds, 7, 7))
-        _, _, peak = traced(_fit_folds, design, y, counts, maps,
-                            ["intercept", *(f"x{j}" for j in range(6))])
+        _, _, peak = traced(_fit_folds, design, y, counts, maps)
         assert peak <= 2 * cells * folds * 8
 
 
@@ -511,56 +510,18 @@ class TestDistinctCells:
         assert (cell[nan][:, None] > cell[~nan][None, :]).all()
 
 
-def crossval_all_rows(X, y, folds, seed, zscore_mode):
-    """The fold loop fitted on every training row: the reference for the
-    grouped fits of crossval_accuracy. zscore_mode "fold" standardizes each
-    training fold by its own statistics, as crossval_accuracy does; "global"
-    standardizes every row by those of all rows. An unpenalized logit MLE is
-    equivariant under that affine change, so both predict the same labels."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    n = len(y)
-    names = np.array([f"x{j}" for j in range(X.shape[1])])   # as the fits name them
-    if zscore_mode == "global":
-        X, kept = zscore(X)
-        names = names[kept]
-    perm = np.random.default_rng(seed).permutation(n)
-    accuracies, predictions, flagged = np.empty(folds), np.empty(n, dtype=int), []
-    for f, test_idx in enumerate(np.array_split(perm, folds)):
-        train_idx = np.setdiff1d(perm, test_idx, assume_unique=True)
-        Xtr, Xte, fold_names = X[train_idx], X[test_idx], names
-        if zscore_mode == "fold":   # the test fold by the training fold's statistics
-            mean, sd = Xtr.mean(axis=0), Xtr.std(axis=0, ddof=1)
-            kept = np.flatnonzero(sd > 0)
-            Xtr, Xte = ((M[:, kept] - mean[kept]) / sd[kept] for M in (Xtr, Xte))
-            fold_names = names[kept]
-        ytr = y[train_idx]
-        fit = fit_logistic(Xtr, ytr, feature_names=fold_names.tolist())
-        # a training fold of one label is separated: crossval_accuracy flags it
-        assert fit.separation or ytr.min() < ytr.max()
-        if fit.separation:
-            flagged.append(f)
-        pred = (oracles.predict_proba(fit, Xte) > 0.5).astype(int)
-        predictions[test_idx] = pred
-        accuracies[f] = np.mean(pred == y[test_idx])
-    return accuracies, predictions, flagged
-
-
-def assert_matches_all_rows(X, y, folds, seed, zscore_mode):
-    """crossval_accuracy agrees with the all-rows fold loop standardized by
-    zscore_mode: the same predictions, fold accuracies and flagged folds, or
-    the same RankDeficientError. Returns the flagged folds."""
-    try:
-        accuracies, predictions, flagged = crossval_all_rows(X, y, folds, seed, zscore_mode)
-    except RankDeficientError as e:
-        with pytest.raises(RankDeficientError, match=re.escape(str(e))):
-            crossval_accuracy(X, y, folds=folds, seed=seed)
-        return None
+def assert_matches_all_rows(X, y, folds, seed, zscore_mode="fold"):
+    """crossval_accuracy agrees with `oracles.crossval_all_rows` standardized
+    by zscore_mode: the same predictions, fold accuracies, flagged folds and
+    held columns. Returns the flagged folds and the held columns."""
+    accuracies, predictions, flagged, held = oracles.crossval_all_rows(X, y, folds, seed,
+                                                                       zscore_mode)
     report = crossval_accuracy(X, y, folds=folds, seed=seed)
     assert np.array_equal(report.predictions, predictions)
     assert np.array_equal(report.fold_accuracies, accuracies)
     assert report.flagged_folds == flagged
-    return flagged
+    assert report.held_columns == held
+    return flagged, held
 
 
 def fold_test_rows(n, folds, seed, f):
@@ -588,7 +549,7 @@ class TestCrossvalOracle:
         flagged_any = False
         for design in designs:
             X, labels = design if isinstance(design, tuple) else (design, y)
-            flagged_any |= bool(assert_matches_all_rows(X, labels, 5, 7, zscore_mode))
+            flagged_any |= bool(assert_matches_all_rows(X, labels, 5, 7, zscore_mode)[0])
         assert flagged_any    # the separation path is exercised
 
     @staticmethod
@@ -598,18 +559,19 @@ class TestCrossvalOracle:
         return y
 
     def test_column_constant_in_one_training_fold(self):
-        # fold 2's training rows have column 1 at 0: "fold" drops the column
-        # for that fold alone; under "global" the fold's design is singular,
-        # the one design here whose global oracle does not match
-        rng = np.random.default_rng(31)
-        X = rng.integers(-3, 4, size=(80, 2)).astype(float)
-        X[:, 1] = 0.0
-        test_rows = fold_test_rows(80, 5, 4, 2)
-        X[test_rows, 1] = rng.integers(1, 4, size=len(test_rows))
-        y = self.noisy_labels(rng, X)
-        assert assert_matches_all_rows(X, y, 5, 4, "fold") is not None
-        with pytest.raises(RankDeficientError):
-            crossval_all_rows(X, y, 5, 4, "global")
+        """Fold 2's training rows have column 1 at 0, or at twice column 0:
+        each fold holds a column degenerate in its own training rows at 0,
+        under either standardization. A constant one its map holds; a
+        dependent one, the leftmost, is named."""
+        for kind, want in (("constant", {}), ("dependent", {2: ["x0"]})):
+            rng = np.random.default_rng(31)
+            X = rng.integers(-3, 4, size=(80, 2)).astype(float)
+            X[:, 1] = 0.0 if kind == "constant" else 2 * X[:, 0]
+            test_rows = fold_test_rows(80, 5, 4, 2)
+            X[test_rows, 1] = rng.integers(1, 4, size=len(test_rows))
+            y = self.noisy_labels(rng, X)
+            for zscore_mode in ("fold", "global"):
+                assert assert_matches_all_rows(X, y, 5, 4, zscore_mode)[1] == want, kind
 
     @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
     def test_all_zero_column(self, zscore_mode):
@@ -618,7 +580,7 @@ class TestCrossvalOracle:
         X = rng.integers(-3, 4, size=(90, 3)).astype(float)
         X[:, 1] = 0.0
         assert assert_matches_all_rows(X, self.noisy_labels(rng, X), 5, 2,
-                                       zscore_mode) is not None
+                                       zscore_mode)[1] == {}
 
     @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
     def test_training_fold_with_one_label(self, zscore_mode):
@@ -626,7 +588,7 @@ class TestCrossvalOracle:
         X = rng.integers(-3, 4, size=(60, 2)).astype(float)
         y = np.zeros(60, dtype=int)
         y[fold_test_rows(60, 6, 5, 3)[:4]] = 1
-        assert 3 in assert_matches_all_rows(X, y, 6, 5, zscore_mode)
+        assert 3 in assert_matches_all_rows(X, y, 6, 5, zscore_mode)[0]
 
     @pytest.mark.parametrize("n, folds", [(103, 5), (103, 10), (37, 7)])
     @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
@@ -634,7 +596,7 @@ class TestCrossvalOracle:
         rng = np.random.default_rng(n + folds)
         X = rng.integers(-4, 5, size=(n, 2)).astype(float)
         assert assert_matches_all_rows(X, self.noisy_labels(rng, X), folds, 9,
-                                       zscore_mode) is not None
+                                       zscore_mode)[1] == {}
 
     @pytest.mark.parametrize("zscore_mode", ["fold", "global"])
     def test_rank_deficient_training_fold(self, zscore_mode):
@@ -645,9 +607,8 @@ class TestCrossvalOracle:
         test_rows = fold_test_rows(70, 5, 6, 1)
         X[test_rows, 1] = rng.integers(-3, 4, size=len(test_rows))
         y = self.noisy_labels(rng, X)
-        assert assert_matches_all_rows(X, y, 5, 6, zscore_mode) is None
-        with pytest.raises(RankDeficientError, match=r"collinear columns: \['x0', 'x1'\]"):
-            crossval_accuracy(X, y, folds=5, seed=6)
+        # fold 1 holds x0, the leftmost column whose removal keeps the rank
+        assert assert_matches_all_rows(X, y, 5, 6, zscore_mode)[1] == {1: ["x0"]}
 
 
 class TestCrossval:
@@ -839,16 +800,41 @@ class TestRfecv:
     def sets_all_rows(X, y):
         """RFECV's elimination order fitted on every row: at each size, drop
         the column of smallest |coefficient| on the z-scored active columns,
-        a zero-variance column (coefficient 0) first."""
+        a zero-variance or dependent column (coefficient 0) first."""
         active, sets = list(range(X.shape[1])), {}
         while active:
             sets[len(active)] = list(active)
             coefficients = np.zeros(len(active))
             if len(active) > 1:
                 Z, kept = zscore(X[:, active])
-                coefficients[kept] = fit_logistic(Z, y).coefficients[1:]
+                dependent = [j - 1 for j in oracles.dependent_columns(
+                    np.column_stack([np.ones(len(Z)), Z]))]
+                kept = np.delete(kept, dependent)
+                coefficients[kept] = fit_logistic(np.delete(Z, dependent, axis=1),
+                                                  y).coefficients[1:]
             active.pop(int(np.argmin(np.abs(coefficients))))
         return sets
+
+    @classmethod
+    def assert_matches_all_rows(cls, X, y, folds, seed, names):
+        """rfecv agrees with the fits on every row: its elimination order with
+        `sets_all_rows`, and at each size its curve and held columns with
+        `oracles.crossval_all_rows` on the columns of that size, named by
+        `names`. Returns the result."""
+        result = rfecv(X, y, folds=folds, seed=seed, feature_names=names)
+        assert result.sets_by_size == {size: [names[j] for j in active]
+                                       for size, active in cls.sets_all_rows(X, y).items()}
+        held = {}
+        for size, chosen in result.sets_by_size.items():
+            columns = [names.index(name) for name in chosen]
+            accuracies, *_, fold_held = oracles.crossval_all_rows(X[:, columns], y, folds, seed,
+                                                                  "fold")
+            assert math.isclose(result.curve[size], accuracies.mean(), rel_tol=1e-12)
+            if fold_held:
+                held[size] = {f: [chosen[int(x[1:])] for x in cols]
+                              for f, cols in fold_held.items()}
+        assert result.held_columns == held
+        return result
 
     @pytest.mark.parametrize("seed, constant", [(40, False), (41, False), (42, True)])
     def test_elimination_matches_all_rows_fits(self, seed, constant):
@@ -864,28 +850,31 @@ class TestRfecv:
         if constant:
             assert "x3" not in sets[4]
 
-    def test_two_fold_rank_deficiency_raised(self):
+    def test_two_fold_rank_deficiency_held(self):
         # columns 0 and 1 are equal, and constant inside each training half:
-        # every fold drops both, but the all-cells fit cannot
+        # every fold's map holds both, and the all-cells fit holds column 0
         rng = np.random.default_rng(34)
         X = rng.integers(-3, 4, size=(60, 3)).astype(float)
         X[:, :2] = 0.0
         X[fold_test_rows(60, 2, 8, 0), :2] = 1.0
         y = (X[:, 2] + rng.normal(scale=2.0, size=60) > 0).astype(int)
-        assert crossval_accuracy(X, y, folds=2, seed=8).mean_accuracy > 0
-        with pytest.raises(RankDeficientError, match="collinear"):
-            rfecv(X, y, folds=2, seed=8)
+        result = self.assert_matches_all_rows(X, y, 2, 8, ["x0", "x1", "x2"])
+        assert result.sets_by_size[2] == ["x1", "x2"]
+        assert result.held_columns == {}
 
     def test_rank_deficiency_names_the_features(self):
-        # "flat" is constant, so every fit drops it: the names must skip it too
+        # "flat" is constant, so every map holds it; "a" and "b" are collinear
+        # on every row, so each fold holds "a", which the names must give
         rng = np.random.default_rng(35)
         a = rng.integers(-3, 4, size=60).astype(float)
         y = (a + rng.normal(scale=2.0, size=60) > 0).astype(int)
         X = np.column_stack([np.full(60, 2.0), a, 2 * a])
-        with pytest.raises(RankDeficientError, match=r"collinear columns: \['a', 'b'\]$"):
-            rfecv(X, y, folds=5, seed=1, feature_names=["flat", "a", "b"])
-        with pytest.raises(RankDeficientError, match=r"collinear columns: \['x1', 'x2'\]$"):
-            crossval_accuracy(X, y, folds=5, seed=1)
+        result = self.assert_matches_all_rows(X, y, 5, 1, ["flat", "a", "b"])
+        assert result.held_columns == {3: {f: ["a"] for f in range(5)},
+                                       2: {f: ["a"] for f in range(5)}}
+        assert result.sets_by_size[1] == ["b"]
+        assert crossval_accuracy(X, y, folds=5, seed=1).held_columns == \
+            {f: ["x1"] for f in range(5)}
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
