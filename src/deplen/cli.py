@@ -72,35 +72,37 @@ def _bounded(kind, lo, hi=None):
     return convert
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--corpus", help="input corpus path")
-    p.add_argument("--format", default="conllu", choices=list(treebank.FORMATS))
-    p.add_argument("--cap", type=_bounded(int, 2), default=variants.DEFAULT_CAP,
-                   help="variant sampling ceiling per sentence")
-    p.add_argument("--seed", type=_bounded(int, 0), default=0)
-    p.add_argument("--k-min", type=_bounded(int, 2), default=2)
-    p.add_argument("--k-max", type=_bounded(int, 2), default=6)
-    p.add_argument("--folds", type=_bounded(int, 2), default=10)
-    p.add_argument("--random-draws", type=_bounded(int, 1), default=10,
-                   help="seeded draws per sentence for random/least-effort curves")
-    p.add_argument("--jobs", type=int, default=1, choices=[1], help="the pairwise build is serial")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--exclude-punct", action="store_true",
-                   help="drop punctuation tokens before all distance metrics")
-    p.add_argument("--convention", default="intervening",
-                   choices=list(constituency.ARC_GAP))
+# option -> its argparse keywords; PRODUCTS names the options each subcommand takes
+OPTIONS = {
+    "--config": dict(help="flat key=value config file; flags override"),
+    "--corpus": dict(help="input corpus path"),
+    "--format": dict(default="conllu", choices=list(treebank.FORMATS)),
+    "--exclude-punct": dict(action="store_true",
+                            help="drop punctuation tokens before all distance metrics"),
+    "--cap": dict(type=_bounded(int, 2), default=variants.DEFAULT_CAP,
+                  help="variant sampling ceiling per sentence"),
+    "--seed": dict(type=_bounded(int, 0), default=0),
+    "--k-min": dict(type=_bounded(int, 2), default=2),
+    "--k-max": dict(type=_bounded(int, 2), default=6),
+    "--folds": dict(type=_bounded(int, 2), default=10),
+    "--random-draws": dict(type=_bounded(int, 1), default=10,
+                           help="seeded draws per sentence for random/least-effort curves"),
+    "--jobs": dict(type=int, default=1, choices=[1], help="the pairwise build is serial"),
+    "--convention": dict(default="intervening", choices=list(constituency.ARC_GAP)),
+    "--sentences": dict(type=_bounded(int, 1), default=1000),
+    "--p-least-effort": dict(type=_bounded(float, 0.0, 1.0), default=1.0),
+    "--noise-temperature": dict(type=_bounded(float, 0.0), default=0.0),
+    "--out": dict(help="output directory"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="deplen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in PRODUCTS:
-        _add_common(sub.add_parser(name))
-    synth = sub.choices["synth"]
-    synth.add_argument("--sentences", type=_bounded(int, 1), default=1000)
-    synth.add_argument("--p-least-effort", type=_bounded(float, 0.0, 1.0), default=1.0)
-    synth.add_argument("--noise-temperature", type=_bounded(float, 0.0), default=0.0)
+    for name, (_, _, options) in PRODUCTS.items():
+        subparser = sub.add_parser(name)
+        for option in ("--config", *options.split(), "--out"):
+            subparser.add_argument(option, **OPTIONS[option])
     parser.subcommands = sub.choices
     return parser
 
@@ -148,7 +150,7 @@ def _config_defaults(path: Path, subparser) -> dict:
 def _parse_args(parser, argv):
     """Parse argv; a --config file's values become the subcommand's defaults,
     which flags override. Each option's type checks its range; an unknown flag,
-    --k-max below --k-min, or no --out (or --corpus, if read) is the subcommand's UsageError."""
+    --k-max below --k-min, or no --out (or --corpus, if taken) is the subcommand's UsageError."""
     args, extra = parser.parse_known_args(argv)
     subparser = parser.subcommands[args.command]
     if extra:
@@ -156,9 +158,9 @@ def _parse_args(parser, argv):
     if args.config:
         subparser.set_defaults(**_config_defaults(Path(args.config), subparser))
         args = parser.parse_args(argv)
-    if args.k_max < args.k_min:
+    if "k_max" in args and args.k_max < args.k_min:
         subparser.error(f"argument --k-max: must be >= {args.k_min}, got {args.k_max}")
-    if not args.corpus and PRODUCTS[args.command][0] is not None:
+    if "corpus" in args and not args.corpus:
         subparser.error("--corpus is required for this subcommand")
     if not args.out:
         subparser.error("--out is required for this subcommand")
@@ -422,18 +424,23 @@ def _write_synthetic(out: Path, args, run):
     return {"sentences": len(trees)}
 
 
-# subcommand -> (what `_Run` reads, the writers of its products)
+# subcommand -> (what `_Run` reads, the writers of its products, the options
+# its run reads besides --config and --out; report-all's --jobs is read by none)
+INPUT = "--corpus --format --exclude-punct"
 PRODUCTS = {
-    "parse": ("trees", [_write_parsed, _write_diagnostics]),
-    "decompose": ("corpus", [_write_plans]),
-    "variants": ("plans", [_write_variants]),
-    "strategies": ("corpus", [_write_curves]),
-    "features": ("corpus", [_write_features]),
-    "fit": ("corpus", [_write_regressions]),
-    "classify": ("corpus", [_write_suite]),
+    "parse": ("trees", [_write_parsed, _write_diagnostics], INPUT),
+    "decompose": ("corpus", [_write_plans], INPUT),
+    "variants": ("plans", [_write_variants], f"{INPUT} --cap --seed --convention"),
+    "strategies": ("corpus", [_write_curves],
+                   f"{INPUT} --seed --random-draws --k-min --k-max --convention"),
+    "features": ("corpus", [_write_features], f"{INPUT} --cap --seed"),
+    "fit": ("corpus", [_write_regressions], f"{INPUT} --cap --seed --folds --k-min --k-max"),
+    "classify": ("corpus", [_write_suite], f"{INPUT} --cap --seed --folds"),
     "report-all": ("corpus", [_write_diagnostics, _write_figures, _write_curves,
-                              _write_regressions, _write_suite]),
-    "synth": (None, [_write_synthetic]),
+                              _write_regressions, _write_suite],
+                   f"{INPUT} --cap --seed --k-min --k-max --folds --random-draws --jobs "
+                   "--convention"),
+    "synth": (None, [_write_synthetic], "--seed --sentences --p-least-effort --noise-temperature"),
 }
 
 
@@ -442,7 +449,7 @@ def _run(args):
     temporary directory under --out, and the products are moved into place,
     the manifest last, once every one of them is written. Each writer is a
     stage named after it, and the manifest's write is the `write` stage."""
-    reads, writers = PRODUCTS[args.command]
+    reads, writers, _ = PRODUCTS[args.command]
     run = _Run(args, reads)
     out = _outdir(args)
     staging = Path(tempfile.mkdtemp(prefix=".tmp-", dir=out))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -86,6 +87,11 @@ def mixed_corpus(seed, sentences):
     return "\n".join(blocks)
 
 
+def takes(command, option) -> bool:
+    """Whether the subcommand accepts `option`."""
+    return option in cli.build_parser().subcommands[command]._option_string_actions
+
+
 def synth_corpus(tmp_path, sentences=60, seed=3, p=1.0):
     out = tmp_path / "synth"
     code = main(["synth", "--sentences", str(sentences), "--seed", str(seed),
@@ -131,15 +137,16 @@ class TestExitCodes:
             assert caplog.records == []
 
     @pytest.mark.parametrize("argv, usage", [
-        (["synth", "--cap", "1", "--out", "o"], "usage: deplen synth [-h]"),
+        (["synth", "--sentences", "0", "--out", "o"], "usage: deplen synth [-h]"),
         (["synth", "--sentences"], "usage: deplen synth [-h]"),
         (["decompose", "--bogus", "--out", "o"], "usage: deplen decompose [-h]"),
+        (["fit", "--convention", "positional", "--out", "o"], "usage: deplen fit [-h]"),
         (["decompose", "--out", "o"], "usage: deplen decompose [-h]"),
         (["report-all", "--corpus", "c", "--k-min", "5", "--k-max", "3", "--out", "o"],
          "usage: deplen report-all [-h]"),
         ([], "usage: deplen [-h]"), (["frobnicate"], "usage: deplen [-h]")],
-        ids=["range", "no-value", "unknown-flag", "no-corpus", "k-range", "no-command",
-             "bad-command"])
+        ids=["range", "no-value", "unknown-flag", "not-taken", "no-corpus", "k-range",
+             "no-command", "bad-command"])
     def test_usage_error_prints_its_subcommands_usage(self, capsys, argv, usage):
         """After the error line, the usage of the subcommand whose option or
         check failed, which names that subcommand's options; the top-level
@@ -168,10 +175,9 @@ class TestExitCodes:
         ("--noise-temperature", "-1.0", 0.0)])
     def test_out_of_range_flag_is_usage_error(self, corpus_file, tmp_path,
                                               capsys, flag, value, bound):
-        command = "synth" if flag in SYNTH_FLAGS else "report-all"
+        argv = ["synth"] if flag in SYNTH_FLAGS else ["report-all", "--corpus", str(corpus_file)]
         out = tmp_path / "o"
-        assert main([command, "--corpus", str(corpus_file), flag, value,
-                     "--out", str(out)]) == 1
+        assert main([*argv, flag, value, "--out", str(out)]) == 1
         first = capsys.readouterr().err.splitlines()[0]
         bound = bound if isinstance(bound, str) else f">= {bound}"
         assert first == f"error: argument {flag}: must be {bound}, got {value}"
@@ -181,7 +187,8 @@ class TestExitCodes:
     def test_out_naming_a_file_is_data_error(self, corpus_file, tmp_path, capsys, command):
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
-        assert main([command, "--corpus", str(corpus_file), "--out", str(afile)]) == 2
+        corpus = [] if command == "synth" else ["--corpus", str(corpus_file)]
+        assert main([command, *corpus, "--out", str(afile)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot create output directory {afile}: File exists\n"
         assert afile.read_text() == "keep\n"
@@ -193,7 +200,7 @@ class TestExitCodes:
         """As a flag a usage error; as a config line a data error naming it."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
-        code = main(["features", "--corpus", str(corpus_file), "--config", str(cfg),
+        code = main(["report-all", "--corpus", str(corpus_file), "--config", str(cfg),
                      *argv, "--out", str(tmp_path / "o")])
         where = f"{cfg}:1: " if config else ""
         assert code == (2 if config else 1)
@@ -263,6 +270,9 @@ class TestParse:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sentences"] == 3
         assert manifest["corpus_sha256"]
+        # the manifest's config holds only what the run reads
+        assert sorted(manifest["config"]) == ["command", "corpus", "exclude_punct", "format",
+                                              "out"]
 
     def test_byte_order_mark_keeps_first_sentence(self, tmp_path, caplog):
         raw = ("\ufeff" + CONLLU_FIG3).encode("utf-8")
@@ -538,10 +548,11 @@ class TestReportAll:
         assert not list(out1.glob(".tmp-*"))
 
     def test_each_subcommand_writes_its_products_as_report_all_does(self, tmp_path):
-        """One writer per product: a subcommand's products are byte-equal to
-        report-all's of the same name, and every key that its manifest shares
-        with report-all's has the same value, apart from the output directory,
-        the subcommand's name and the stage timings."""
+        """One writer per product: a subcommand given the flags it takes of
+        report-all's writes products byte-equal to report-all's of the same
+        name, and every key of its manifest and of its config has
+        report-all's value, apart from the output directory, the
+        subcommand's name and the stage timings."""
         corpus = tmp_path / "bad-first.conllu"
         corpus.write_text("1\tx\t_\t_\t_\t_\tzz\tdep\t_\t_\n\n"
                           + synth_corpus(tmp_path, sentences=40).read_text())
@@ -556,18 +567,22 @@ class TestReportAll:
             return manifest
 
         for command in products:
-            assert main([command, "--corpus", str(corpus), "--folds", "3", "--seed", "2",
+            flags = [part for flag, value in (("--folds", "3"), ("--seed", "2"))
+                     if takes(command, flag) for part in (flag, value)]
+            assert main([command, "--corpus", str(corpus), *flags,
                          "--out", str(tmp_path / command)]) == 0
         diagnostics = (tmp_path / "report-all" / "diagnostics.csv").read_text()
         assert diagnostics.splitlines() == ["line,reason", "1,non-integer head 'zz'"]
         report = manifest("report-all")
+        assert (report["config"]["folds"], report["config"]["seed"]) == (3, 2)
         for command, names in products.items():
             for name in names:
                 assert (tmp_path / command / name).read_bytes() == \
                     (tmp_path / "report-all" / name).read_bytes(), name
             own = manifest(command)
-            assert {key: own[key] for key in own.keys() & report.keys()} == \
-                {key: report[key] for key in own.keys() & report.keys()}, command
+            assert own["config"] == {key: report["config"][key] for key in own["config"]}, command
+            assert {key: own[key] for key in own.keys() & report.keys() - {"config"}} == \
+                {key: report[key] for key in own.keys() & report.keys() - {"config"}}, command
         assert report["parse_diagnostics"] == 1 and report["pairs"] > 0
 
     def test_failed_rerun_leaves_the_previous_products(self, corpus_file, tmp_path):
@@ -659,7 +674,8 @@ class TestReportAll:
         that reads it, and the manifest's write is the last stage."""
         corpus = synth_corpus(tmp_path, sentences=30)
         out = tmp_path / "o"
-        assert main([command, "--corpus", str(corpus), "--folds", "3", "--out", str(out)]) == 0
+        flags = [] if command == "synth" else ["--corpus", str(corpus), "--folds", "3"]
+        assert main([command, *flags, "--out", str(out)]) == 0
         recorded = json.loads((out / "manifest.json").read_text())["stages"]
         assert sorted(recorded) == sorted(stages)
         assert all(record["wall_s"] >= 0 and record["cpu_s"] >= 0
@@ -825,7 +841,7 @@ class TestDegenerateCorpora:
                             "2\to\t_\t_\t_\t_\t1\tobj\t_\t_\n")
         else:                            # 3 x 23 pairs
             path.write_text("\n".join([CONLLU_FIG3] * 3))
-            flags = ["--folds", "70"]
+            flags = ["--folds", "70"] if takes(command, "--folds") else []
         code = main([command, "--corpus", str(path), *flags, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code in (0, 2)
@@ -834,12 +850,13 @@ class TestDegenerateCorpora:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-# A small corpus of k 2-6 sentences, and a config file of the options that
-# report-all reads, for the mutations below.
+# A small corpus of k 2-6 sentences, and config files of the options that
+# report-all and parse read, for the mutations below.
 ROBUST_CORPUS = "".join(to_conllu(t, f"r{i}") + "\n" for i, t in enumerate(
     generate_synthetic_corpus(SyntheticSpec(n_sentences=12), seed=2)))
 ROBUST_CONFIG = ("# report settings\nseed=3\ncap=20\nrandom-draws=2\nk-min=2\nk-max=6\n"
                  "format=conllu\nexclude-punct=no\nconvention=intervening\n")
+PARSE_CONFIG = "# parse settings\nformat=conllu\nexclude-punct=no\n"
 FIELD_VALUES = ["_", "-1", "999", "1.1", "nan"]
 PRODUCT_FILES = {
     "parse": {"parsed.conllu", "diagnostics.csv", "manifest.json"},
@@ -915,15 +932,17 @@ class TestRobustInputs:
     report or a NaN."""
 
     @staticmethod
-    def run(tmp, corpus: bytes, config: bytes = None,
+    def run(tmp, corpus: bytes, configs: dict = None,
             commands=(("parse", []), ("report-all", ["--folds", "2"]))) -> dict:
+        """Each command's outcome on the corpus, under its config file's
+        bytes in `configs`, if given."""
         (tmp / "c.conllu").write_bytes(corpus)
-        flags = ["--corpus", str(tmp / "c.conllu")]
-        if config is not None:
-            (tmp / "run.cfg").write_bytes(config)
-            flags += ["--config", str(tmp / "run.cfg")]
         outcomes = {}
         for command, extra in commands:
+            flags = ["--corpus", str(tmp / "c.conllu")]
+            if configs is not None:
+                (tmp / f"{command}.cfg").write_bytes(configs[command])
+                flags += ["--config", str(tmp / f"{command}.cfg")]
             out, err = tmp / command, io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main([command, *flags, *extra, "--out", str(out)])
@@ -941,10 +960,10 @@ class TestRobustInputs:
             assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(config=mutated(ROBUST_CONFIG, "="))
-    def test_mutated_config(self, tmp_path_factory, config):
-        outcomes = self.run(tmp_path_factory.mktemp("config"),
-                            ROBUST_CORPUS.encode("utf-8"), config)
+    @given(config=mutated(ROBUST_CONFIG, "="), parse_config=mutated(PARSE_CONFIG, "="))
+    def test_mutated_config(self, tmp_path_factory, config, parse_config):
+        outcomes = self.run(tmp_path_factory.mktemp("config"), ROBUST_CORPUS.encode("utf-8"),
+                            {"parse": parse_config, "report-all": config})
         for command, (code, err, out) in outcomes.items():
             _assert_run_outcome(command, code, err, out, usage_error_allowed=True)
 
@@ -1122,8 +1141,8 @@ class TestConfigFile:
                 ("variants", "cap=1", "--cap: must be >= 2, got 1"),
                 ("synth", "noise-temperature=-0.5", "--noise-temperature: must be >= 0.0, got -0.5")]:
             cfg.write_text(line + "\n")
-            assert main([command, "--corpus", str(corpus_file),
-                         "--config", str(cfg), "--out", str(out)]) == 2
+            corpus = [] if command == "synth" else ["--corpus", str(corpus_file)]
+            assert main([command, *corpus, "--config", str(cfg), "--out", str(out)]) == 2
             assert capsys.readouterr().err == f"error: {cfg}:1: argument {expected}\n"
             assert not out.exists()
 
@@ -1167,8 +1186,10 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        # --zscore is no option: every CV fit standardizes by its own training fold
-        for line, flag in (("caps_lock=1", "--caps-lock"), ("zscore=global", "--zscore")):
+        # --zscore is no option: every CV fit standardizes by its own training fold;
+        # variants takes only the options its run reads, and it draws no random orders
+        for line, flag in (("caps_lock=1", "--caps-lock"), ("zscore=global", "--zscore"),
+                           ("random-draws=2", "--random-draws")):
             cfg.write_text(line + "\n")
             assert main(["variants", "--corpus", str(corpus_file),
                          "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -1195,7 +1216,7 @@ class TestConfigFile:
     def test_byte_order_mark_is_not_part_of_the_first_key(self, corpus_file, tmp_path):
         cfg, out = tmp_path / "run.cfg", tmp_path / "o"
         cfg.write_bytes("\ufeffseed=5\ncap=7\n".encode("utf-8"))
-        assert main(["decompose", "--corpus", str(corpus_file), "--config", str(cfg),
+        assert main(["variants", "--corpus", str(corpus_file), "--config", str(cfg),
                      "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["seed"], config["cap"]) == (5, 7)
@@ -1212,7 +1233,7 @@ RANGES = {
     "--k-max": ("report-all", ["2"], ["1", *NOT_INTS]),
     "--random-draws": ("strategies", ["1"], ["0", *NOT_INTS]),
     "--seed": ("classify", ["0"], ["-1", *NOT_INTS]),
-    "--jobs": ("features", ["1"], ["0", "2", *NOT_INTS]),
+    "--jobs": ("report-all", ["1"], ["0", "2", *NOT_INTS]),
     "--sentences": ("synth", ["1"], ["0", *NOT_INTS]),
     "--p-least-effort": ("synth", ["0", "1.0"],
                          ["-5e-324", "1.0000000000000002", *NOT_FLOATS]),
@@ -1229,8 +1250,9 @@ class TestOptionRanges:
 
     @staticmethod
     def parse(command, tmp_path, flags=(), config=None):
-        """`_parse_args` on a fresh parser; the corpus is never read."""
-        argv = [command, "--corpus", str(tmp_path / "c.conllu"), "--out", str(tmp_path / "o")]
+        """`_parse_args` on a fresh parser; the corpus, where taken, is never read."""
+        corpus = ["--corpus", str(tmp_path / "c.conllu")] if takes(command, "--corpus") else []
+        argv = [command, *corpus, "--out", str(tmp_path / "o")]
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)
             argv += ["--config", str(tmp_path / "run.cfg")]
@@ -1279,6 +1301,30 @@ class TestOptionRanges:
     def test_bad_config_line_rejected_under_a_good_flag(self, tmp_path):
         with pytest.raises(cli.DataError, match=r":1: argument --cap: must be >= 2, got 1$"):
             self.parse("variants", tmp_path, ["--cap", "5"], config="cap=1\n")
+
+
+@pytest.mark.parametrize("command", cli.PRODUCTS)
+def test_every_option_taken_is_read(tmp_path, command):
+    """Each subcommand takes --config and exactly the options its run reads,
+    recorded as `_run` reads them; `vars(args)`, which the manifest's config
+    copies, is no read. report-all's --jobs, at 1 only, is read by none."""
+    read = set()
+
+    class Recorded(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("__"):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    if command == "synth":
+        flags = ["--sentences", "5"]
+    else:
+        flags = ["--corpus", str(synth_corpus(tmp_path, sentences=30))]
+        flags += ["--folds", "3"] if takes(command, "--folds") else []
+    args = cli._parse_args(cli.build_parser(), [command, *flags, "--out", str(tmp_path / "o")])
+    assert cli._run(Recorded(**vars(args))) == 0
+    taken = set(vars(cli.build_parser().subcommands[command].parse_args([]))) - {"config"}
+    assert read - {"command"} == taken - ({"jobs"} if command == "report-all" else set())
 
 
 class TestSynth:
