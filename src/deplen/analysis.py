@@ -259,12 +259,9 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10, seed: in
     """CV accuracy for the dependency-length and constituent-length model
     families, each row McNemar-tested against the previous row of its table.
 
-    Returns a list of row dicts: table, predictors, accuracy,
-    flagged_folds (folds fitted under the separation ridge),
-    unconverged_folds (folds whose fit stopped at MAX_ITER), held_columns
-    (fold -> predictors dependent in its training rows, held at 0),
-    min_margin (the smallest |p - 0.5| of a test prediction), and mcnemar_p
-    against the previous row (None for first rows).
+    Returns a list of row dicts: table, predictors, accuracy, fit_health
+    (the CV's `stats.CvReport.fit_health`), and mcnemar_p against the
+    previous row (None for first rows).
     """
     if len(dataset) < 2:
         raise InsufficientDataError("insufficient data: need at least 2 pairs")
@@ -286,10 +283,7 @@ def run_classification_suite(dataset: PairwiseDataset, folds: int = 10, seed: in
                 "table": table,
                 "predictors": name,
                 "accuracy": report.mean_accuracy,
-                "flagged_folds": report.flagged_folds,
-                "unconverged_folds": report.unconverged_folds,
-                "held_columns": report.held_columns,
-                "min_margin": report.min_margin,
+                "fit_health": report.fit_health(),
                 "mcnemar_p": None,
             }
             if prev_pred is not None:
@@ -327,9 +321,10 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
                      folds: int = 10, seed: int = 0,
                      min_pairs: int = 500) -> dict:
     """RFECV-selected logistic regression over the positional predictors of
-    the exactly-k subset (the per-constituent coefficient tables). Where
-    RFECV ran, `rfecv_min_margin` (the smallest |p - 0.5| of its CV test
-    predictions) and `rfecv_held_columns` are fit-health records, not table."""
+    the exactly-k subset (the per-constituent coefficient tables).
+    `rfecv_fit_health` maps each RFECV size to its CV's
+    `stats.CvReport.fit_health`, None where RFECV did not run; it is a
+    fit-health record, not table."""
     X, y = dataset.positional_matrix(k, family)
     if len(y) < min_pairs:
         return {"k": k, "family": family, "status": "insufficient data",
@@ -342,17 +337,17 @@ def regression_table(dataset: PairwiseDataset, k: int, family: str,
     if len(names) >= 2:
         # full rank over all rows, a training fold's rows can still be collinear
         selection = stats.rfecv(X, y, folds=folds, seed=seed, feature_names=names)
-        selected, margin, held = selection.selected, selection.min_margin, selection.held_columns
+        selected = selection.selected
         curve = {str(s): a for s, a in sorted(selection.curve.items())}
+        health = {size: report.fit_health() for size, report in selection.reports.items()}
     else:
-        selected, curve, margin, held = list(names), {}, None, None
+        selected, curve, health = list(names), {}, None
     keep = [j for j, nm in enumerate(names) if nm in selected]
     # not held here: fit_logistic frees the z-scored copy once its design holds it
     fit = stats.fit_logistic(zscore(X[:, keep])[0], y, feature_names=selected)
     return {"k": k, "family": family, "status": "ok", "n": int(len(y)),
             "selected": selected, "dropped_collinear": dropped,
-            "cv_curve": curve, "fit": fit.to_dict(), "rfecv_min_margin": margin,
-            "rfecv_held_columns": held}
+            "cv_curve": curve, "fit": fit.to_dict(), "rfecv_fit_health": health}
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="deplen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, options) in PRODUCTS.items():
-        subparser = sub.add_parser(name)
+        subparser = sub.add_parser(name, allow_abbrev=False)
         for option in ("--config", *options.split(), "--out"):
             subparser.add_argument(option, **OPTIONS[option])
     parser.subcommands = sub.choices
@@ -384,34 +384,28 @@ def _write_features(out: Path, args, run):
 
 
 def _write_regressions(out: Path, args, run):
-    margins, held = {}, {}
-    for family, filename in (("deplen", "table1_regression.json"),
-                             ("length", "table2_regression.json")):
+    health = {}    # table -> k -> RFECV size -> its fit-health record
+    for table, family in (("table1", "deplen"), ("table2", "length")):
         per_k = {str(k): analysis.regression_table(
                      run.dataset, k, family, folds=args.folds, seed=args.seed)
                  for k in range(args.k_min, args.k_max + 1)}
-        margins[family] = {k: table.pop("rfecv_min_margin", None) for k, table in per_k.items()}
-        held[family] = {k: table.pop("rfecv_held_columns", None) for k, table in per_k.items()}
-        (out / filename).write_text(json.dumps(per_k, indent=2))
-    return {"rfecv_min_margin": margins, "rfecv_held_columns": held}
+        health[table] = {k: result.pop("rfecv_fit_health", None) for k, result in per_k.items()}
+        (out / f"{table}_regression.json").write_text(json.dumps(per_k, indent=2))
+    return {"rfecv_fit_health": health}
 
 
 def _write_suite(out: Path, args, run):
     rows = analysis.run_classification_suite(run.dataset, folds=args.folds, seed=args.seed)
-    # manifest key -> table -> predictors -> that row's value
-    entries = {"flagged_folds": {}, "held_columns": {}, "unconverged_folds": {},
-               "min_margin": {}}
-    for table, filename in (("table3", "table3_accuracy.csv"),
-                            ("table4", "table4_accuracy.csv")):
+    health = {}    # table -> predictors -> that row's fit-health record
+    for table in ("table3", "table4"):
         table_rows = [r for r in rows if r["table"] == table]
-        _write_csv(out / filename,
+        _write_csv(out / f"{table}_accuracy.csv",
                    ["predictors", "accuracy_pct", "mcnemar_p_vs_prev"],
                    [(r["predictors"], f"{100 * r['accuracy']:.2f}",
                      "" if r["mcnemar_p"] is None else f"{r['mcnemar_p']:.3g}")
                     for r in table_rows])
-        for key, per_table in entries.items():
-            per_table[table] = {r["predictors"]: r[key] for r in table_rows}
-    return entries
+        health[table] = {r["predictors"]: r["fit_health"] for r in table_rows}
+    return {"fit_health": health}
 
 
 def _write_synthetic(out: Path, args, run):

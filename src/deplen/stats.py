@@ -12,7 +12,7 @@ column is constant or dependent in its fit's rows.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -236,10 +236,15 @@ class CvReport:
     fold_accuracies: np.ndarray
     mean_accuracy: float
     predictions: np.ndarray     # per-example predicted labels, input order
-    flagged_folds: list = field(default_factory=list)
-    min_margin: float = math.inf    # smallest |p - 0.5| over the test predictions
-    unconverged_folds: list = field(default_factory=list)   # stopped at MAX_ITER
-    held_columns: dict = field(default_factory=dict)    # fold -> names held at 0 as dependent
+    flagged_folds: list         # fitted under the separation ridge
+    min_margin: float           # smallest |p - 0.5| over the test predictions
+    unconverged_folds: list     # stopped at MAX_ITER
+    held_columns: dict          # fold -> names held at 0 as dependent
+    iterations: list            # IRLS steps per fold; a flagged fold's ridge refit's
+
+    def fit_health(self) -> dict:
+        """The run's fit-health record: its fields from flagged_folds on."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[3:]}
 
 
 def _distinct_cells(X: np.ndarray, y: np.ndarray):
@@ -306,15 +311,16 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
     training rows z-scored (see `_standardizing_maps`) by their own
     statistics. With `all_cells`, the stack also fits every row as a fold
     with no test rows. The report lists the folds that `_fit_folds` fitted
-    under its separation ridge, or stopped at MAX_ITER, and held columns in.
-    Returns a CvReport without predictions, the (cells x folds) test
-    probabilities, and the all-cells fit's coefficients (None without it)."""
+    under its separation ridge, or stopped at MAX_ITER, and held columns in,
+    and each fold's IRLS iterations. Returns a CvReport without predictions,
+    the (cells x folds) test probabilities, and the all-cells fit's
+    coefficients (None without it)."""
     F = test.shape[1]
     held_out = np.pad(test, ((0, 0), (0, 1))) if all_cells else test
     total = test.sum(axis=1, keepdims=True, dtype=test.dtype)   # no row sum exceeds n
     train = total - held_out
     maps = _standardizing_maps(design[:, 1:], train)
-    beta, _, converged, separation, held = _fit_folds(design, y, train, maps)
+    beta, iterations, converged, separation, held = _fit_folds(design, y, train, maps)
     del train
     prob = _sigmoid(design @ (maps[:F] @ beta[:F, :, None])[..., 0].T)
     accuracies = np.sum(test, axis=0, where=(prob > 0.5) == y[:, None]) / test.sum(axis=0)
@@ -322,7 +328,8 @@ def _crossval_cells(design: np.ndarray, y: np.ndarray, test: np.ndarray, names,
                      np.flatnonzero(separation[:F]).tolist(),
                      float(np.abs(prob[test > 0] - 0.5).min()),
                      np.flatnonzero(~converged[:F]).tolist(),
-                     {f: [names[j - 1] for j in h] for f, h in enumerate(held[:F]) if h}),
+                     {f: [names[j - 1] for j in h] for f, h in enumerate(held[:F]) if h},
+                     iterations[:F].tolist()),
             prob, beta[F] if all_cells else None)
 
 
@@ -377,10 +384,13 @@ def mcnemar(pred_a, pred_b, truth) -> McNemarResult:
 @dataclass
 class RfecvResult:
     selected: list                       # feature names, original order
-    curve: dict                          # size -> mean CV accuracy
     sets_by_size: dict                   # size -> feature names evaluated
-    min_margin: float = math.inf         # smallest CvReport.min_margin of the curve
-    held_columns: dict = field(default_factory=dict)    # size -> its CvReport.held_columns
+    reports: dict                        # size -> its CvReport, without predictions
+
+    @property
+    def curve(self) -> dict:
+        """size -> mean CV accuracy"""
+        return {size: report.mean_accuracy for size, report in self.reports.items()}
 
 
 def _rfecv_step(X: np.ndarray, y: np.ndarray, test: np.ndarray, names):
@@ -415,19 +425,15 @@ def rfecv(X: np.ndarray, y: np.ndarray, folds: int = 10, seed=0,
         raise ValueError("rfecv needs at least 2 candidate features")
     X, y, names, rep, _, _, test = _cv_cells(X, y, folds, seed, feature_names)
     active = list(range(X.shape[1]))
-    curve, sets_by_size, margin, held = {}, {}, math.inf, {}
+    sets_by_size, reports = {}, {}
     while active:
         sets_by_size[len(active)] = [names[j] for j in active]
-        report, weakest = _rfecv_step(X[np.ix_(rep, active)], y[rep], test,
-                                      sets_by_size[len(active)])
-        curve[len(active)] = report.mean_accuracy
-        margin = min(margin, report.min_margin)
-        if report.held_columns:
-            held[len(active)] = report.held_columns
+        reports[len(active)], weakest = _rfecv_step(X[np.ix_(rep, active)], y[rep], test,
+                                                    sets_by_size[len(active)])
         active.pop(weakest)
-    best = max(curve.values())
-    chosen_size = min(s for s, acc in curve.items() if acc >= best - 1e-9)
-    return RfecvResult(sets_by_size[chosen_size], curve, sets_by_size, margin, held)
+    best = max(report.mean_accuracy for report in reports.values())
+    chosen_size = min(s for s, report in reports.items() if report.mean_accuracy >= best - 1e-9)
+    return RfecvResult(sets_by_size[chosen_size], sets_by_size, reports)
 
 
 def pearson(x, y) -> float:

@@ -39,6 +39,10 @@ from test_treebank import CONLLU_FIG3, LINE_ALPHABET
 SYNTH_FLAGS = ("--sentences", "--p-least-effort", "--noise-temperature")
 CORPUS_COMMANDS = ("parse", "decompose", "variants", "strategies", "features", "fit",
                    "classify", "report-all")
+# (subcommand, option) for every option a subcommand takes, --help aside
+TAKEN = [(name, action.option_strings[-1])
+         for name, subparser in cli.build_parser().subcommands.items()
+         for action in subparser._actions if action.dest != "help"]
 
 
 @pytest.fixture
@@ -90,6 +94,22 @@ def mixed_corpus(seed, sentences):
 def takes(command, option) -> bool:
     """Whether the subcommand accepts `option`."""
     return option in cli.build_parser().subcommands[command]._option_string_actions
+
+
+def assert_fit_health_records(manifest, folds):
+    """Every classification row and every RFECV size in the manifest has one
+    fit-health record, all with the same fields, and each record one IRLS
+    iteration count per fold, in 1..MAX_ITER, MAX_ITER for every unconverged
+    fold."""
+    records = [*(r for rows in manifest.get("fit_health", {}).values() for r in rows.values()),
+               *(r for per_k in manifest.get("rfecv_fit_health", {}).values()
+                 for sizes in per_k.values() if sizes is not None for r in sizes.values())]
+    assert records and all(set(r) == {"flagged_folds", "unconverged_folds", "held_columns",
+                                      "min_margin", "iterations"} for r in records)
+    for r in records:
+        assert len(r["iterations"]) == folds
+        assert all(1 <= it <= stats.MAX_ITER for it in r["iterations"])
+        assert all(r["iterations"][f] == stats.MAX_ITER for f in r["unconverged_folds"])
 
 
 def synth_corpus(tmp_path, sentences=60, seed=3, p=1.0):
@@ -156,6 +176,21 @@ class TestExitCodes:
         assert err[0].startswith("error: ") and err[1].startswith(usage)
         if argv[:1] == ["synth"]:
             assert "--sentences SENTENCES" in " ".join(err[1:])
+
+    @pytest.mark.parametrize("command, option", TAKEN, ids=[f"{c}{o}" for c, o in TAKEN])
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys, command, option):
+        """A flag is never abbreviated, as a config key is not: an option its
+        subcommand takes, less its last character, is unrecognized, though it
+        prefixes that option alone."""
+        options = cli.build_parser().subcommands[command]._option_string_actions
+        assert [o for o in options if o.startswith(option[:-1])] == [option]
+        action = options[option]
+        value = ([] if action.nargs == 0 else
+                 [str(tmp_path / "v" if action.default is None else action.default)])
+        assert main([command, option[:-1], *value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: unrecognized arguments: {' '.join([option[:-1], *value])}"
+        assert err[1].startswith(f"usage: deplen {command} [-h]")
 
     def test_nonexistent_config_is_data_error(self, corpus_file, tmp_path, capsys):
         cfg, out = tmp_path / "nope.cfg", tmp_path / "o"
@@ -632,14 +667,15 @@ class TestReportAll:
             assert main([command, "--corpus", str(corpus), "--folds", "5",
                          "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            flagged, unconverged = manifest["flagged_folds"], manifest["unconverged_folds"]
-            for folds in (flagged, unconverged):
-                assert set(folds["table3"]) == {name for name, _ in TABLE3_ROWS}
-                assert set(folds["table4"]) == {name for name, _ in TABLE4_ROWS}
-            assert all(f == [] for table in unconverged.values() for f in table.values())
-            assert flagged["table3"]["total dependency length"] == []
+            health = manifest["fit_health"]
+            assert set(health["table3"]) == {name for name, _ in TABLE3_ROWS}
+            assert set(health["table4"]) == {name for name, _ in TABLE4_ROWS}
+            assert all(r["unconverged_folds"] == [] for t in health.values() for r in t.values())
+            assert health["table3"]["total dependency length"]["flagged_folds"] == []
             # least-effort references put the shortest constituent last
-            assert flagged["table4"]["last preverbal constituent length"] == [0, 1, 2, 3, 4]
+            last = health["table4"]["last preverbal constituent length"]
+            assert last["flagged_folds"] == [0, 1, 2, 3, 4]
+        assert_fit_health_records(manifest, 5)
 
     def test_manifest_records_min_margins(self, tmp_path):
         corpus = synth_corpus(tmp_path, sentences=60)
@@ -648,20 +684,43 @@ class TestReportAll:
             assert main([command, "--corpus", str(corpus), "--folds", "5",
                          "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            margins = manifest["min_margin"]
-            assert set(margins) == {"table3", "table4"}
-            assert set(margins["table3"]) == {name for name, _ in TABLE3_ROWS}
-            assert set(margins["table4"]) == {name for name, _ in TABLE4_ROWS}
-            assert all(0.0 <= m <= 0.5 for table in margins.values() for m in table.values())
-        rfecv = manifest["rfecv_min_margin"]
-        assert set(rfecv) == {"deplen", "length"}
+            health = manifest["fit_health"]
+            assert set(health) == {"table3", "table4"}
+            assert set(health["table3"]) == {name for name, _ in TABLE3_ROWS}
+            assert set(health["table4"]) == {name for name, _ in TABLE4_ROWS}
+            assert all(0.0 <= r["min_margin"] <= 0.5
+                       for table in health.values() for r in table.values())
+        rfecv = manifest["rfecv_fit_health"]
+        assert set(rfecv) == {"table1", "table2"}
         assert all(set(per_k) == {"2", "3", "4", "5", "6"} for per_k in rfecv.values())
-        ran = [m for per_k in rfecv.values() for m in per_k.values() if m is not None]
+        ran = [r["min_margin"] for per_k in rfecv.values() for sizes in per_k.values()
+               if sizes is not None for r in sizes.values()]
         assert ran and all(0.0 <= m <= 0.5 for m in ran)
-        tables = json.loads((out / "table1_regression.json").read_text())
-        assert all(per_k[k] is None for per_k in rfecv.values() for k in tables
-                   if tables[k]["status"] != "ok")
-        assert not any("rfecv_min_margin" in table for table in tables.values())
+        for name, per_k in rfecv.items():
+            tables = json.loads((out / f"{name}_regression.json").read_text())
+            # one record per RFECV size, where RFECV ran: the sizes of its curve
+            assert {k: sizes and set(sizes) for k, sizes in per_k.items()} == \
+                {k: set(table["cv_curve"]) if table.get("cv_curve") else None
+                 for k, table in tables.items()}
+            assert not any("rfecv_fit_health" in table for table in tables.values())
+
+    def test_rfecv_sizes_record_flagged_folds(self, tmp_path):
+        """Each RFECV size records its own flagged folds. Least-effort
+        references leave the length family's verb-adjacent column
+        quasi-separated, so each of table 2's k = 4 sizes fits every fold
+        under the separation ridge; table 1 flags none."""
+        corpus = tmp_path / "synth"
+        assert main(["synth", "--sentences", "300", "--seed", "1", "--out", str(corpus)]) == 0
+        out = tmp_path / "fit"
+        assert main(["fit", "--corpus", str(corpus / "synthetic.conllu"), "--seed", "1",
+                     "--folds", "5", "--k-min", "4", "--k-max", "4", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        flagged = {table: {k: {size: r["flagged_folds"] for size, r in sizes.items()}
+                           for k, sizes in per_k.items()}
+                   for table, per_k in manifest["rfecv_fit_health"].items()}
+        assert flagged == {"table1": {"4": {size: [] for size in "1234"}},
+                           "table2": {"4": {size: [0, 1, 2, 3, 4] for size in "123"}}}
+        assert_fit_health_records(manifest, 5)
 
     @pytest.mark.parametrize("command, stages", [
         ("report-all", ["ingest", "diagnostics", "figures", "curves", "pairwise", "regressions",
@@ -729,7 +788,9 @@ class TestDegenerateCorpora:
         corpus = spec_corpus(tmp_path / "k2.conllu", 60, k=2)
         out = tmp_path / command
         assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 0
-        held = json.loads((out / "manifest.json").read_text())["held_columns"]
+        health = json.loads((out / "manifest.json").read_text())["fit_health"]
+        held = {table: {predictors: r["held_columns"] for predictors, r in rows.items()}
+                for table, rows in health.items()}
         both = "last + 2nd last preverbal constituent length"
         assert held["table4"].pop(both) == {str(f): ["len_last"] for f in range(10)}
         assert all(folds == {} for table in held.values() for folds in table.values())
@@ -757,9 +818,10 @@ class TestDegenerateCorpora:
         corpus = fold_collinear_corpus(tmp_path / "c.conllu")
         out = tmp_path / command
         assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 0
-        held = json.loads((out / "manifest.json").read_text())["rfecv_held_columns"]
-        assert held["deplen"].pop("2") == {"2": {"1": ["const1_deplen"]}}
-        assert all(per_k is None for family in held.values() for per_k in family.values())
+        health = json.loads((out / "manifest.json").read_text())["rfecv_fit_health"]
+        assert {size: r["held_columns"] for size, r in health["table1"].pop("2").items()} == \
+            {"2": {"1": ["const1_deplen"]}, "1": {}}
+        assert all(per_k is None for table in health.values() for per_k in table.values())
         table = json.loads((out / "table1_regression.json").read_text())["2"]
         assert table["status"] == "ok" and table["dropped_collinear"] == []
 

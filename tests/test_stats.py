@@ -521,7 +521,16 @@ def assert_matches_all_rows(X, y, folds, seed, zscore_mode="fold"):
     assert np.array_equal(report.fold_accuracies, accuracies)
     assert report.flagged_folds == flagged
     assert report.held_columns == held
+    assert_iterations(report, folds)
     return flagged, held
+
+
+def assert_iterations(report, folds):
+    """One IRLS iteration count per fold, each in 1..MAX_ITER, and MAX_ITER
+    for every unconverged fold."""
+    assert len(report.iterations) == folds
+    assert all(1 <= it <= stats.MAX_ITER for it in report.iterations)
+    assert all(report.iterations[f] == stats.MAX_ITER for f in report.unconverged_folds)
 
 
 def fold_test_rows(n, folds, seed, f):
@@ -622,21 +631,40 @@ class TestCrossval:
     def test_stalled_separated_fold_is_flagged(self):
         """Every training fold is separated. Fold 1's z-scored climb stalls
         under the bound at the IRLS weight floor, until MAX_ITER, and is
-        flagged like the folds that pass the bound."""
+        flagged like the folds that pass the bound; each fold's iterations
+        are its ridge refit's, fewer than MAX_ITER."""
         x = np.repeat([-1.0, 3.0], [4, 3])
         report = crossval_accuracy(x, (x > 0).astype(int), folds=3, seed=0)
         assert report.flagged_folds == [0, 1, 2]
         assert report.unconverged_folds == []    # each ridge refit converges
         assert report.mean_accuracy == 1.0
+        assert_iterations(report, 3)
+        assert max(report.iterations) < stats.MAX_ITER
 
     def test_ridge_fold_out_of_iterations_is_unconverged(self, monkeypatch):
         """A fold whose ridge refit also reaches MAX_ITER is listed as
-        unconverged, besides being flagged."""
+        unconverged, besides being flagged, and records MAX_ITER iterations:
+        its refit's, not the 2 x MAX_ITER of both climbs."""
         monkeypatch.setattr(stats, "MAX_ITER", 2)
         x = np.repeat([-1.0, 3.0], [4, 3])
         report = crossval_accuracy(x, (x > 0).astype(int), folds=3, seed=0)
         assert report.flagged_folds == [0, 1, 2]
         assert report.unconverged_folds == [0, 1, 2]
+        assert report.iterations == [2, 2, 2]
+        assert_iterations(report, 3)
+
+    def test_fit_health_is_the_reports_record(self):
+        """One record, the report's own fields, each fold's iterations
+        among them."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 2))
+        y = (X[:, 0] + rng.normal(size=200) > 0).astype(int)
+        report = crossval_accuracy(X, y, folds=4, seed=2)
+        assert report.fit_health() == {
+            "flagged_folds": report.flagged_folds, "min_margin": report.min_margin,
+            "unconverged_folds": report.unconverged_folds,
+            "held_columns": report.held_columns, "iterations": report.iterations}
+        assert_iterations(report, 4)
 
     def test_null_accuracy_half(self):
         rng = np.random.default_rng(44)
@@ -824,16 +852,16 @@ class TestRfecv:
         result = rfecv(X, y, folds=folds, seed=seed, feature_names=names)
         assert result.sets_by_size == {size: [names[j] for j in active]
                                        for size, active in cls.sets_all_rows(X, y).items()}
-        held = {}
+        assert set(result.reports) == set(result.sets_by_size)
         for size, chosen in result.sets_by_size.items():
             columns = [names.index(name) for name in chosen]
-            accuracies, *_, fold_held = oracles.crossval_all_rows(X[:, columns], y, folds, seed,
-                                                                  "fold")
+            accuracies, _, flagged, fold_held = oracles.crossval_all_rows(
+                X[:, columns], y, folds, seed, "fold")
             assert math.isclose(result.curve[size], accuracies.mean(), rel_tol=1e-12)
-            if fold_held:
-                held[size] = {f: [chosen[int(x[1:])] for x in cols]
-                              for f, cols in fold_held.items()}
-        assert result.held_columns == held
+            assert result.reports[size].flagged_folds == flagged
+            assert result.reports[size].held_columns == \
+                {f: [chosen[int(x[1:])] for x in cols] for f, cols in fold_held.items()}
+            assert_iterations(result.reports[size], folds)
         return result
 
     @pytest.mark.parametrize("seed, constant", [(40, False), (41, False), (42, True)])
@@ -860,7 +888,7 @@ class TestRfecv:
         y = (X[:, 2] + rng.normal(scale=2.0, size=60) > 0).astype(int)
         result = self.assert_matches_all_rows(X, y, 2, 8, ["x0", "x1", "x2"])
         assert result.sets_by_size[2] == ["x1", "x2"]
-        assert result.held_columns == {}
+        assert all(report.held_columns == {} for report in result.reports.values())
 
     def test_rank_deficiency_names_the_features(self):
         # "flat" is constant, so every map holds it; "a" and "b" are collinear
@@ -870,8 +898,8 @@ class TestRfecv:
         y = (a + rng.normal(scale=2.0, size=60) > 0).astype(int)
         X = np.column_stack([np.full(60, 2.0), a, 2 * a])
         result = self.assert_matches_all_rows(X, y, 5, 1, ["flat", "a", "b"])
-        assert result.held_columns == {3: {f: ["a"] for f in range(5)},
-                                       2: {f: ["a"] for f in range(5)}}
+        assert {size: report.held_columns for size, report in result.reports.items()} == \
+            {3: {f: ["a"] for f in range(5)}, 2: {f: ["a"] for f in range(5)}, 1: {}}
         assert result.sets_by_size[1] == ["b"]
         assert crossval_accuracy(X, y, folds=5, seed=1).held_columns == \
             {f: ["x1"] for f in range(5)}
